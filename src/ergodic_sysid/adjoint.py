@@ -124,14 +124,12 @@ def grad_parameters(face_grads: list, velocity, grid) -> np.ndarray:
         return np.concatenate(face_grads)
     n = grid.n_cells
     multi = grid.flat_to_multi(np.arange(n))
-    centers = grid.centers()
     total = np.zeros(velocity.n_params)
     for i in range(grid.dim):
         j = np.flatnonzero(multi[:, i] > 0)
         if j.size == 0:
             continue
-        pts = centers[j].copy()
-        pts[:, i] -= 0.5 * grid.spacings[i]
+        pts = grid.face_centers(i)[j]
         seeds = np.zeros((j.size, velocity.dim_out))
         seeds[:, i] = face_grads[i][j]
         tg, _ = velocity.vjp(pts, seeds)

@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
-    ergodic-sysid <command> --config cfg.json [--seed N] [--threads K]
-                  [--out DIR]
+    ergodic-sysid <command> --config cfg.json [--seed N] [--out DIR]
 
 Commands: simulate | histogram | fit | eval | delay. Exit codes: 0 on
-success, 2 on configuration errors, 3 on runtime failures. The log level
-comes from the ERGODIC_SYSID_LOG environment variable.
+success, 2 on configuration errors (unknown or missing keys, bad values,
+unknown flags), 3 on runtime failures. The log level comes from the
+ERGODIC_SYSID_LOG environment variable; BLAS thread pools follow the
+usual environment variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread budget for parallel-capable components")
         p.add_argument("--out", default=None,
                        help="override the output directory")
     return parser
@@ -56,21 +55,9 @@ def _setup_logging():
         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _apply_threads(k):
-    if k is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(k))
-        log.info("limited BLAS thread pools to %d", k)
-    except ImportError:
-        log.warning("threadpoolctl unavailable; --threads ignored")
-
-
 def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -47,7 +47,6 @@ SCHEMA = {
         "seed": int,
     },
     "model": {
-        "kind": str,
         "hidden": list,
         "init": str,
         "seed": int,
@@ -78,7 +77,6 @@ SCHEMA = {
     },
     "eval": {
         "kind": str,          # fvm_density | catmap_compare | refinement
-        "model": str,
         "n_sim_steps": int,
         "sim_dt": _NUM,
         "sim_burn_in": int,
@@ -156,10 +154,21 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def section(cfg: dict, name: str, required: bool = True) -> dict:
+class Section(dict):
+    """One config section; reading a missing key is a config error."""
+
+    def __init__(self, name: str, items: dict):
+        super().__init__(items)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.name}.{key}: required key is missing")
+
+
+def section(cfg: dict, name: str, required: bool = True) -> Section:
     if name not in cfg:
         if required:
             raise ConfigError(f"config section {name!r} is required "
                               "for this command")
-        return {}
-    return cfg[name]
+        return Section(name, {})
+    return Section(name, cfg[name])

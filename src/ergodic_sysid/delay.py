@@ -5,7 +5,8 @@ scalar observable y; pushing invariant-measure samples through it yields
 the delay-coordinate invariant measure, which can separate systems whose
 state-coordinate statistics coincide. Two losses compare a candidate map
 against observed flow data: the state-space image mismatch alone, and that
-mismatch plus the delay-measure mismatch.
+mismatch plus the delay-measure mismatch. The gradient builds the iterate
+chain x, T x, ..., T^((m-1) lag) x once and reverses through the same list.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class DelayMapConfig:
             return np.asarray(self.observable(states), dtype=float)
         return states[..., int(self.observable)]
 
-    @property
-    def window(self) -> int:
-        return (self.m - 1) * self.lag + 1
-
 
 def _apply_map(model, x: np.ndarray) -> np.ndarray:
     if isinstance(model, DiscreteMap):
@@ -71,6 +68,23 @@ def delay_embed(traj: Trajectory, cfg: DelayMapConfig) -> SampleCloud:
     return SampleCloud(np.stack(cols, axis=1))
 
 
+def _map_chain(model, x: np.ndarray, n_steps: int) -> list:
+    """Iterates [x, T x, ..., T^n_steps x], each checked for blow-up."""
+    chain = [x]
+    for k in range(n_steps):
+        chain.append(_apply_map(model, chain[-1]))
+        _check_finite(chain[-1], k + 1)
+    return chain
+
+
+def _delay_coords(chain: list, cfg: DelayMapConfig) -> np.ndarray:
+    """Observable at every lag-th iterate of a chain: the delay vectors."""
+    out = np.empty((chain[0].shape[0], cfg.m))
+    for k in range(cfg.m):
+        out[:, k] = cfg.observe(chain[k * cfg.lag])
+    return out
+
+
 def pushforward_delay_measure(samples: SampleCloud, model,
                               cfg: DelayMapConfig) -> SampleCloud:
     """Apply the delay map pointwise to invariant-measure samples.
@@ -81,14 +95,8 @@ def pushforward_delay_measure(samples: SampleCloud, model,
     """
     x = samples.points if isinstance(samples, SampleCloud) \
         else np.atleast_2d(np.asarray(samples, float))
-    out = np.empty((x.shape[0], cfg.m))
-    out[:, 0] = cfg.observe(x)
-    for k in range(1, cfg.m):
-        for _ in range(cfg.lag):
-            x = _apply_map(model, x)
-            _check_finite(x, k)
-        out[:, k] = cfg.observe(x)
-    return SampleCloud(out)
+    chain = _map_chain(model, x, (cfg.m - 1) * cfg.lag)
+    return SampleCloud(_delay_coords(chain, cfg))
 
 
 def _prep(cloud: SampleCloud) -> SampleCloud:
@@ -120,27 +128,20 @@ def loss_j2(model, mu_samples: SampleCloud, t_star_images: SampleCloud,
     return j1 + energy_mmd(model_delay, _prep(observed_delay))
 
 
-def _delay_pushforward_grad(model, x: np.ndarray, cfg: DelayMapConfig,
+def _delay_pushforward_grad(model, chain: list, cfg: DelayMapConfig,
                             gbar: np.ndarray) -> np.ndarray:
-    """Reverse pass of the delay map through an iterated model map."""
+    """Reverse pass of the delay map through the iterate chain of the
+    forward pass."""
     if callable(cfg.observable):
         raise ValueError("gradients need a coordinate-index observable")
     obs = int(cfg.observable)
-    chain = [x]
-    z = x
-    for _ in range((cfg.m - 1) * cfg.lag):
-        z = _apply_map(model, z)
-        chain.append(z)
     theta_grad = np.zeros(model.n_params)
-    carry = np.zeros_like(x)
-    for step in range(len(chain) - 1, 0, -1):
+    carry = np.zeros_like(chain[0])
+    for step in range((cfg.m - 1) * cfg.lag, 0, -1):
         if step % cfg.lag == 0:
-            slot = step // cfg.lag
-            carry[:, obs] += gbar[:, slot]
-        tg, xg = model.vjp(chain[step - 1], carry, need_x=True)
+            carry[:, obs] += gbar[:, step // cfg.lag]
+        tg, carry = model.vjp(chain[step - 1], carry, need_x=True)
         theta_grad += tg
-        carry = xg
-    carry[:, obs] += gbar[:, 0]
     return theta_grad
 
 
@@ -155,24 +156,26 @@ def loss_j2_grad(model, mu_samples: SampleCloud,
     is added. Returns (loss, theta_grad, parts) with the two contributions
     reported separately in parts.
     """
-    mu = _prep(mu_samples)
-    obs = _prep(t_star_images)
-    x = mu.points
-    images = _apply_map(model, x)
-    j1, gimg = energy_mmd_grad_x(images, obs.points)
-    theta_grad, _ = model.vjp(x, gimg)
-    parts = {"state": j1, "delay": 0.0}
-    total = j1
     if include_delay:
         if observed_delay is None or cfg is None:
             raise ValueError("delay term requires observed_delay and cfg")
         if observed_delay.dim != cfg.m:
             raise ValueError("observed delay cloud dimension mismatch")
-        model_delay = pushforward_delay_measure(mu, model, cfg)
+    mu = _prep(mu_samples)
+    obs = _prep(t_star_images)
+    x = mu.points
+    delay_steps = (cfg.m - 1) * cfg.lag if include_delay else 0
+    chain = _map_chain(model, x, max(delay_steps, 1))
+    j1, gimg = energy_mmd_grad_x(chain[1], obs.points)
+    theta_grad, _ = model.vjp(x, gimg)
+    parts = {"state": j1, "delay": 0.0}
+    total = j1
+    if include_delay:
         obs_delay = _prep(observed_delay)
-        j_delay, gdel = energy_mmd_grad_x(model_delay.points,
+        j_delay, gdel = energy_mmd_grad_x(_delay_coords(chain, cfg),
                                           obs_delay.points)
-        theta_grad = theta_grad + _delay_pushforward_grad(model, x, cfg, gdel)
+        theta_grad = theta_grad + _delay_pushforward_grad(model, chain, cfg,
+                                                          gdel)
         parts["delay"] = j_delay
         total = j1 + j_delay
     return total, theta_grad, parts

@@ -19,9 +19,9 @@ from .config import ConfigError, section
 from .measure import (Grid, Measure, SampleCloud, energy_mmd,
                       occupation_measure, subsample_stride, wasserstein2)
 from .optim import AdamState, fit_delay, fit_fvm, fit_pfo
-from .systems import (DiscreteMap, OdeSystem, Trajectory, integrate_ode,
-                      integrate_sde, iterate_map, iterate_map_batch,
-                      make_system)
+from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
+                      integrate_ode, integrate_sde, iterate_map,
+                      iterate_map_batch, make_system)
 from .velocity_models import MaskedVelocity, MlpModel
 
 log = logging.getLogger("ergodic_sysid")
@@ -29,6 +29,26 @@ log = logging.getLogger("ergodic_sysid")
 
 def _seed_of(cfg: dict, sec: dict, default: int = 0) -> int:
     return int(sec.get("seed", cfg.get("seed", default)))
+
+
+def _system_of(cfg: dict):
+    """The catalog system named by the config's system section."""
+    sys_cfg = section(cfg, "system")
+    try:
+        return make_system(sys_cfg["name"], **sys_cfg.get("params", {}))
+    except CatalogMissError as exc:
+        raise ConfigError(f"system.name: {exc.args[0]}")
+    except TypeError as exc:
+        raise ConfigError(f"system.params: {exc}")
+
+
+def _observable(sec: dict, name: str, dim: int) -> int:
+    """Coordinate index of the observable, checked against the data."""
+    obs = int(sec.get("observable", 0))
+    if not 0 <= obs < dim:
+        raise ConfigError(f"{name}.observable: index {obs} out of range "
+                          f"for dim {dim}")
+    return obs
 
 
 def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
@@ -53,9 +73,8 @@ def unit_torus_grid(bins: int) -> Grid:
 
 
 def generate_trajectory(cfg: dict) -> Trajectory:
-    sys_cfg = section(cfg, "system")
     data = section(cfg, "data")
-    system = make_system(sys_cfg["name"], **sys_cfg.get("params", {}))
+    system = _system_of(cfg)
     kind = data.get("kind", "ode")
     burn = int(data.get("burn_in", 0))
     n_steps = int(data["n_steps"])
@@ -161,13 +180,12 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
     mlp.init_params(model_cfg.get("init", "xavier"), seed=seed)
     if learned is None:
         return mlp
-    sys_cfg = section(cfg, "system")
-    system = make_system(sys_cfg["name"], **sys_cfg.get("params", {}))
+    system = _system_of(cfg)
     return MaskedVelocity(mlp, learned, system.rhs, system.jac_vjp,
                           dim=dim_in)
 
 
-def _checkpoint_callback(outdir: Path, every: int, extras: dict):
+def _checkpoint_callback(outdir: Path, every: int):
     if every <= 0:
         return None
     hist = []
@@ -180,7 +198,6 @@ def _checkpoint_callback(outdir: Path, every: int, extras: dict):
                 "params": np.asarray(params).tolist(),
                 "adam": state.to_dict(),
                 "history": list(hist),
-                **extras,
             })
 
     return callback
@@ -209,7 +226,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     common = dict(n_iters=int(fit_cfg.get("n_iters", 500)),
                   lr=float(fit_cfg.get("lr", 1e-3)),
                   clip_norm=float(fit_cfg.get("clip_norm", 10.0)),
-                  seed=seed, resume=resume)
+                  seed=seed, resume=resume,
+                  callback=_checkpoint_callback(outdir, every))
 
     if driver == "fvm":
         target_path = fit_cfg.get("target", str(outdir / "measure.json"))
@@ -225,9 +243,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             D=float(fit_cfg.get("diffusion", 0.0)),
             eps_tele=float(fit_cfg.get("eps_tele", 1e-4)),
             objective=fit_cfg.get("objective", "l2"),
-            solver=fit_cfg.get("solver", "direct"),
-            callback=_checkpoint_callback(outdir, every, {}),
-            **common)
+            solver=fit_cfg.get("solver", "direct"), **common)
     elif driver == "pfo":
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
@@ -246,22 +262,18 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         report = fit_pfo(
             target, model, mesh, pou, sources,
             flow_dt=float(fit_cfg.get("flow_dt", traj.dt)),
-            substeps=int(fit_cfg.get("substeps", 1)),
-            callback=_checkpoint_callback(outdir, every, {}),
-            **common)
+            substeps=int(fit_cfg.get("substeps", 1)), **common)
         io.write_mesh_json(outdir / "mesh.json", mesh)
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     elif driver == "delay":
         traj = _load_trajectory(outdir)
-        dcfg = delay_mod.DelayMapConfig(int(fit_cfg.get("observable", 0)),
+        dcfg = delay_mod.DelayMapConfig(_observable(fit_cfg, "fit", traj.dim),
                                         int(fit_cfg.get("m", 3)),
                                         int(fit_cfg.get("lag", 1)))
         model = make_model(cfg, traj.dim, traj, purpose="map")
         report = fit_delay(
             traj, model, dcfg, loss=fit_cfg.get("loss", "j2"),
-            max_points=int(fit_cfg.get("max_points", 2000)),
-            callback=_checkpoint_callback(outdir, every, {}),
-            **common)
+            max_points=int(fit_cfg.get("max_points", 2000)), **common)
     else:
         raise ConfigError(f"unknown fit driver {driver!r}")
 
@@ -283,8 +295,7 @@ def _rebuild_fit_model(cfg: dict, outdir: Path, dim: int, traj,
     learned = section(cfg, "model", required=False).get("mask_learned")
     if learned is None:
         return inner
-    sys_cfg = section(cfg, "system")
-    system = make_system(sys_cfg["name"], **sys_cfg.get("params", {}))
+    system = _system_of(cfg)
     return MaskedVelocity(inner, learned, system.rhs, system.jac_vjp,
                           dim=dim)
 
@@ -325,7 +336,7 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
 
     target = io.read_measure_json(outdir / "measure.json")
     grid = target.support
-    dt = float(fit_cfg.get("dt") or report["extras"].get("dt") or
+    dt = float(report["extras"].get("dt") or
                fvm.cfl_dt(grid, D, max(np.abs(
                    model.eval_batch(grid.centers())).max(), 1e-9)) * 0.5)
     op = fvm.assemble_K(grid, model, D, dt)
@@ -536,7 +547,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
             dcfg["pair_a"], dcfg["pair_b"],
             n_steps=int(dcfg.get("n_steps", 1000000)),
             m=int(dcfg.get("m", 3)), lag=int(dcfg.get("lag", 1)),
-            observable=int(dcfg.get("observable", 0)),
+            observable=_observable(dcfg, "delay", 2),
             hist_bins=int(dcfg.get("hist_bins", 16)),
             seed=_seed_of(cfg, dcfg, 3))
         ca, cb = result.pop("clouds")
@@ -549,10 +560,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         if not Path(path).exists():
             raise ConfigError(f"{path} not found; run simulate first")
         traj = io.read_trajectory_csv(path)
-        obs = int(dcfg.get("observable", 0))
-        if obs >= traj.dim:
-            raise ConfigError(
-                f"observable index {obs} out of range for dim {traj.dim}")
+        obs = _observable(dcfg, "delay", traj.dim)
         cfg_d = delay_mod.DelayMapConfig(obs, int(dcfg.get("m", 3)),
                                          int(dcfg.get("lag", 1)))
         cloud = delay_mod.delay_embed(traj, cfg_d)

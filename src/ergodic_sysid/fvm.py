@@ -104,12 +104,8 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
             raise ValueError("face-value model bound to a different grid")
         face_v = [arr.astype(float).copy() for arr in velocity.face_arrays()]
     else:
-        centers = grid.centers()
-        face_v = []
-        for i in range(grid.dim):
-            pts = centers.copy()
-            pts[:, i] -= 0.5 * grid.spacings[i]
-            face_v.append(evaluate_velocity(velocity, pts)[:, i].copy())
+        face_v = [evaluate_velocity(velocity, grid.face_centers(i))[:, i]
+                  .copy() for i in range(grid.dim)]
 
     diag = np.zeros(n)
     rows, cols, data = [], [], []
@@ -163,14 +159,12 @@ class RegularizedMarkov:
     one application costs a sparse multiply plus a mean.
     """
 
-    def __init__(self, M: sp.csr_matrix, eps: float, grid: Optional[Grid],
-                 source_op: Optional[FvmOperator] = None):
+    def __init__(self, M: sp.csr_matrix, eps: float, grid: Optional[Grid]):
         if not 0.0 <= eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
         self.M = M
         self.eps = eps
         self.grid = grid
-        self.source_op = source_op
         self.n = M.shape[0]
         self._MT = None
         self._lu = None
@@ -195,15 +189,11 @@ class RegularizedMarkov:
             self._lu = splu(B.tocsc())
         return self._lu
 
-    def dense(self) -> np.ndarray:
-        return ((1.0 - self.eps) * self.M.toarray()
-                + self.eps / self.n * np.ones((self.n, self.n)))
-
 
 def teleport(op: FvmOperator, eps: float) -> RegularizedMarkov:
     """Blend the explicit update I+K with the uniform restart matrix."""
     M = (sp.identity(op.n_cells, format="csr") + op.K).tocsr()
-    return RegularizedMarkov(M, eps, op.grid, source_op=op)
+    return RegularizedMarkov(M, eps, op.grid)
 
 
 def stationary_density(M: RegularizedMarkov, tol: float = 1e-12,

@@ -92,6 +92,12 @@ class Grid:
         multi = self.flat_to_multi(np.arange(self.n_cells))
         return self.lo + multi * self.spacings
 
+    def face_centers(self, i: int) -> np.ndarray:
+        """Center of each cell's lower face along axis i (flat order)."""
+        pts = self.centers()
+        pts[:, i] -= 0.5 * self.spacings[i]
+        return pts
+
     def locate(self, points: np.ndarray, clip: bool = False) -> np.ndarray:
         """Flat cell index of each point (nearest cell center)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -6,7 +6,8 @@ gradient back through the adjoint system), the transition-matrix fit
 (differentiable flow-map Markov matrix against an observed one), and the
 delay-measure fit (map-matching losses on sample clouds). Each driver is
 built around a ``loss_and_grad(theta)`` closure so the gradients can be
-finite-difference checked in isolation.
+finite-difference checked in isolation. The loop always runs the full
+iteration count; a resumed run executes only the remaining iterations.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ class FitReport:
 
 def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
               lr: float, clip_norm: float, config: dict, seed: int,
-              patience: Optional[int] = None, patience_rtol: float = 1e-6,
               callback: Optional[Callable] = None,
               resume: Optional[dict] = None) -> FitReport:
     """Adam loop until len(history) reaches n_iters (total, so a resumed
@@ -121,12 +121,9 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
         state.lr = lr
         history = [float(v) for v in resume.get("history", [])]
     state = state or AdamState.for_params(params, lr=lr)
-    events = []
     initial_loss = history[0] if history else None
     if n_iters == 0 and initial_loss is None:
         initial_loss, _ = loss_and_grad(params)
-    best = min(history) if history else np.inf
-    stale = 0
     while len(history) < n_iters:
         loss, grad = loss_and_grad(params)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
@@ -139,16 +136,8 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
         params = adam_step(state, params, grad)
         if callback is not None:
             callback(len(history) - 1, float(loss), params, state)
-        if patience:
-            if loss < best * (1.0 - patience_rtol):
-                best, stale = loss, 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    events.append(f"early stop at iteration {len(history)}")
-                    break
     return FitReport(history, params, time.perf_counter() - start, config,
-                     seed, initial_loss=initial_loss, events=events)
+                     seed, initial_loss=initial_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +146,11 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
 
 def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
                   objective: str = "l2", dt: Optional[float] = None,
-                  dt_margin: float = 0.5, solver: str = "direct"):
+                  solver: str = "direct"):
     """Closure computing the density-matching loss and its gradient.
 
-    The time step is frozen up front (CFL bound at the initial field times
-    dt_margin) so the objective stays fixed across iterations; if the field
+    The time step is frozen up front (half the CFL bound at the initial
+    field) so the objective stays fixed across iterations; if the field
     grows past the bound the step is halved and the event recorded.
     """
     if not target.support.matches(grid):
@@ -171,7 +160,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
         # the teleported fixed point depends on dt, so it is frozen here
         # from the model's initial parameters and kept for the whole fit
         v_inf = max(_field_sup_norm(velocity, grid), 1e-9)
-        dt = fvm.cfl_dt(grid, D, v_inf, safety=0.9) * dt_margin
+        dt = fvm.cfl_dt(grid, D, v_inf, safety=0.9) * 0.5
     state = {"dt": dt, "events": []}
 
     def loss_and_grad(theta):
@@ -210,17 +199,16 @@ def _field_sup_norm(velocity, grid) -> float:
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
             objective: str = "l2", n_iters: int = 500, lr: float = 1e-3,
             seed: int = 0, clip_norm: float = 10.0, solver: str = "direct",
-            dt: Optional[float] = None, patience: Optional[int] = None,
             callback=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
     loss_and_grad, state = make_fvm_loss(target, velocity, grid, D, eps_tele,
-                                         objective, dt=dt, solver=solver)
+                                         objective, solver=solver)
     config = {"driver": "fvm", "objective": objective, "D": D,
               "eps_tele": eps_tele, "n_iters": n_iters, "lr": lr,
               "clip_norm": clip_norm, "solver": solver}
     report = _run_loop(loss_and_grad, velocity.get_params(), n_iters, lr,
-                       clip_norm, config, seed, patience=patience,
-                       callback=callback, resume=resume)
+                       clip_norm, config, seed, callback=callback,
+                       resume=resume)
     report.events.extend(state["events"])
     report.extras["dt"] = state["dt"]
     velocity.set_params(report.final_params)
@@ -233,9 +221,8 @@ def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
 
 def make_pfo_loss(target_matrix: UlamMatrix, velocity,
                   mesh: UnstructuredMesh, pou: PartitionOfUnity,
-                  sources: SampleCloud, flow_dt: float, substeps: int = 1,
-                  assignments=None):
-    src = mesh.assign(sources.points) if assignments is None else assignments
+                  sources: SampleCloud, flow_dt: float, substeps: int = 1):
+    src = mesh.assign(sources.points)
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
@@ -250,11 +237,11 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
 def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
             pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
             substeps: int = 1, n_iters: int = 1000, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0, assignments=None,
+            seed: int = 0, clip_norm: float = 10.0,
             callback=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so its flow-map transition matrix matches a target."""
     loss_and_grad = make_pfo_loss(target_matrix, velocity, mesh, pou,
-                                  sources, flow_dt, substeps, assignments)
+                                  sources, flow_dt, substeps)
     config = {"driver": "pfo", "flow_dt": flow_dt, "substeps": substeps,
               "n_cells": mesh.n, "pou_eps": pou.eps, "n_iters": n_iters,
               "lr": lr, "clip_norm": clip_norm}

@@ -9,18 +9,22 @@ parameter moving the underlying map.
 
 Orientation convention: estimated matrices here are ROW-stochastic (row =
 source cell), unlike the column-stochastic finite-volume chains; the tag is
-carried explicitly and conversion is a checked transpose.
+carried explicitly and conversion is a checked transpose. Invariant
+densities come from ``fvm.stationary_density`` on the transposed chain;
+the flow-map gradient chains ``velocity_models.flow_rk4_vjp``,
+``estimate_markov`` and the partition-of-unity VJP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
+from .fvm import RegularizedMarkov, stationary_density
 from .measure import Measure, SampleCloud
 from .velocity_models import flow_rk4, flow_rk4_vjp
 
@@ -36,12 +40,6 @@ class EstimationError(RuntimeError):
     def __init__(self, cell: int):
         super().__init__(f"source cell {cell} received no samples")
         self.cell = cell
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, residual: float):
-        super().__init__(f"eigenvector iteration stalled at {residual:.3e}")
-        self.residual = residual
 
 
 def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -213,6 +211,17 @@ class PartitionOfUnity:
         out[~small] = -u[~small]
         return out
 
+    def _kernel(self, x: np.ndarray):
+        """Distances d, scaled distances u = d/eps and weights psi of one
+        chunk of points."""
+        d = cdist(x, self.centers)
+        u = d / self.eps
+        lr = self._log_r(u)
+        lr -= lr.max(axis=1, keepdims=True)
+        psi = np.exp(lr)
+        psi /= psi.sum(axis=1, keepdims=True)
+        return d, u, psi
+
     def eval(self, points) -> np.ndarray:
         """Weight rows, each nonnegative and summing to one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -223,11 +232,7 @@ class PartitionOfUnity:
             return out
         out = np.empty((pts.shape[0], self.n))
         for s in range(0, pts.shape[0], _CHUNK):
-            u = cdist(pts[s:s + _CHUNK], self.centers) / self.eps
-            lr = self._log_r(u)
-            lr -= lr.max(axis=1, keepdims=True)
-            np.exp(lr, out=lr)
-            out[s:s + _CHUNK] = lr / lr.sum(axis=1, keepdims=True)
+            out[s:s + _CHUNK] = self._kernel(pts[s:s + _CHUNK])[2]
         return out
 
     def vjp(self, points, seeds) -> np.ndarray:
@@ -243,12 +248,7 @@ class PartitionOfUnity:
         for s in range(0, pts.shape[0], _CHUNK):
             x = pts[s:s + _CHUNK]
             w = seeds[s:s + _CHUNK]
-            d = cdist(x, self.centers)
-            u = d / self.eps
-            lr = self._log_r(u)
-            lr -= lr.max(axis=1, keepdims=True)
-            psi = np.exp(lr)
-            psi /= psi.sum(axis=1, keepdims=True)
+            d, u, psi = self._kernel(x)
             # d log r / du = -sigmoid(-u)/log1p(exp(-u)); saturates at -1.
             q = np.ones_like(u)
             small = u <= 33.0
@@ -339,23 +339,16 @@ def invariant_density(M: UlamMatrix, eps_tele: float = 0.0,
                       max_iters: int = 100000) -> Measure:
     """Left fixed point pi M = pi of a row-stochastic matrix.
 
-    Power iteration on the transpose, teleported by eps_tele toward the
-    uniform restart so the fixed point is unique and positive.
+    The stationary density of the transposed chain, teleported by eps_tele
+    toward the uniform restart so the fixed point is unique and positive;
+    raises ``fvm.NonConvergenceError`` if power iteration stalls.
     """
     if M.orientation != "row":
         raise ValueError("invariant_density expects a row-stochastic matrix")
-    n = M.n
-    MT = M.matrix.T.copy()
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        nxt = (1.0 - eps_tele) * (MT @ pi) + eps_tele * (pi.sum() / n)
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual < tol:
-            return Measure(np.maximum(pi, 0.0) / np.maximum(pi, 0.0).sum(),
-                           support=M.mesh)
-    raise NonConvergenceError(residual)
+    chain = RegularizedMarkov(sp.csr_matrix(M.matrix.T), eps_tele, None)
+    pi = stationary_density(chain, tol=tol, max_iters=max_iters,
+                            method="power")
+    return Measure(pi.weights, support=M.mesh)
 
 
 def markov_distance(A: UlamMatrix, B: UlamMatrix) -> float:
@@ -372,13 +365,13 @@ def markov_distance(A: UlamMatrix, B: UlamMatrix) -> float:
 
 
 def flowmap_markov(velocity, mesh: UnstructuredMesh, pou: PartitionOfUnity,
-                   sources: SampleCloud, flow_dt: float, substeps: int = 1,
-                   assignments: Optional[np.ndarray] = None) -> UlamMatrix:
+                   sources: SampleCloud, flow_dt: float,
+                   substeps: int = 1) -> UlamMatrix:
     """Transition matrix of the time-dt RK4 flow of a velocity field."""
     x = sources.points if isinstance(sources, SampleCloud) \
         else np.atleast_2d(np.asarray(sources, float))
     y = flow_rk4(velocity, x, flow_dt, substeps)
-    return estimate_markov((x, y), mesh, pou, assignments)
+    return estimate_markov((x, y), mesh, pou)
 
 
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
@@ -393,51 +386,13 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     x = sources.points if isinstance(sources, SampleCloud) \
         else np.atleast_2d(np.asarray(sources, float))
     src, counts = _source_groups(x, mesh, assignments)
-    n = mesh.n
-    # single forward pass with cached RK4 stages, shared by value and grad
-    h = flow_dt / substeps
-    f = lambda z: np.asarray(velocity.eval_batch(z))
-    cache = []
-    y = x
-    for k in range(substeps):
-        k1, k2, k3 = f(y), None, None
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        cache.append((y, k1, k2, k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    psi = pou.eval(y)
-    onehot = sp.csr_matrix(
-        (np.ones(src.size), (np.arange(src.size), src)),
-        shape=(src.size, n))
-    mat = np.asarray((onehot.T @ psi)) / counts[:, None]
-    mhat = UlamMatrix(mat, "row", mesh, pou.eps)
+    y, pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
+    mhat = estimate_markov((x, y), mesh, pou, src)
     diff = mhat.matrix - target.matrix
     loss = float(np.linalg.norm(diff))
     if loss == 0.0:
         return loss, np.zeros(velocity.n_params), mhat
     G = diff / loss
     seeds = G[src] / counts[src][:, None]
-    ybar = pou.vjp(y, seeds)
-    theta_grad = np.zeros(velocity.n_params)
-    gbar = ybar
-    for x0, k1, k2, k3 in reversed(cache):
-        xbar = gbar.copy()
-        k4bar = (h / 6.0) * gbar
-        tg, u = velocity.vjp(x0 + h * k3, k4bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k3bar = (h / 3.0) * gbar + h * u
-        tg, u = velocity.vjp(x0 + 0.5 * h * k2, k3bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k2bar = (h / 3.0) * gbar + 0.5 * h * u
-        tg, u = velocity.vjp(x0 + 0.5 * h * k1, k2bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k1bar = (h / 6.0) * gbar + 0.5 * h * u
-        tg, u = velocity.vjp(x0, k1bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        gbar = xbar
+    theta_grad, _ = pullback(pou.vjp(y, seeds))
     return loss, theta_grad, mhat

@@ -17,7 +17,33 @@ import numpy as np
 from .systems import rk4_step, _check_finite
 
 
-class MlpModel:
+class _Parameterized:
+    """Models whose parameters are one flat vector ``theta``."""
+
+    theta: np.ndarray
+
+    @property
+    def n_params(self) -> int:
+        return self.theta.size
+
+    def get_params(self) -> np.ndarray:
+        return self.theta.copy()
+
+    def set_params(self, theta: np.ndarray):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.theta.shape:
+            raise ValueError("parameter vector has the wrong length")
+        self.theta = theta.copy()
+
+
+class _PointEval:
+    """Single-point ``eval`` on top of ``eval_batch``."""
+
+    def eval(self, x) -> np.ndarray:
+        return self.eval_batch(np.atleast_2d(x))[0]
+
+
+class MlpModel(_Parameterized, _PointEval):
     """Fully-connected network, tanh hidden layers, linear output.
 
     Optional fixed input/output affine maps (whitening) are part of the
@@ -57,19 +83,6 @@ class MlpModel:
     def dim_out(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_params(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta.shape:
-            raise ValueError("parameter vector has the wrong length")
-        self.theta = theta.copy()
-
     def init_params(self, scheme: str = "xavier", seed: int = 0) -> np.ndarray:
         """Xavier-uniform weights with zero biases, or all zeros."""
         if scheme == "zeros":
@@ -104,9 +117,6 @@ class MlpModel:
     def eval_batch(self, X) -> np.ndarray:
         out = self._forward(X)[-1]
         return out * self.out_scale + self.out_shift
-
-    def eval(self, x) -> np.ndarray:
-        return self.eval_batch(np.atleast_2d(x))[0]
 
     def vjp(self, X, seeds, need_x: bool = False):
         """Accumulate d(sum seeds . f(X))/d theta; optionally d/dX too."""
@@ -147,7 +157,7 @@ class MlpModel:
         return model
 
 
-class LinearFeatureModel:
+class LinearFeatureModel(_Parameterized, _PointEval):
     """Linear-in-parameters field v(x) = Theta @ phi(x).
 
     ``features(X) -> (n, F)``; ``features_jac(X) -> (n, F, dim_in)`` is only
@@ -171,25 +181,9 @@ class LinearFeatureModel:
     def dim_out(self) -> int:
         return self._dim_out
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self):
-        return self.theta.copy()
-
-    def set_params(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta.shape:
-            raise ValueError("parameter vector has the wrong length")
-        self.theta = theta.copy()
-
     def eval_batch(self, X) -> np.ndarray:
         phi = self.features(np.atleast_2d(np.asarray(X, dtype=float)))
         return phi @ self.theta.reshape(self._dim_out, self.n_features).T
-
-    def eval(self, x):
-        return self.eval_batch(np.atleast_2d(x))[0]
 
     def vjp(self, X, seeds, need_x: bool = False):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -206,7 +200,7 @@ class LinearFeatureModel:
         return grad, x_grad
 
 
-class FaceValuesModel:
+class FaceValuesModel(_Parameterized):
     """Velocity given directly by its values on the grid cell faces.
 
     Parameters are the per-dimension arrays of lower-face normal velocities
@@ -219,35 +213,18 @@ class FaceValuesModel:
         self.grid = grid
         self.theta = np.zeros(grid.dim * grid.n_cells)
 
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self):
-        return self.theta.copy()
-
-    def set_params(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta.shape:
-            raise ValueError("parameter vector has the wrong length")
-        self.theta = theta.copy()
-
     def face_arrays(self):
         n = self.grid.n_cells
         return [self.theta[i * n:(i + 1) * n] for i in range(self.grid.dim)]
 
     def set_from_field(self, velocity):
         """Sample a velocity field at the lower-face centers."""
-        centers = self.grid.centers()
-        arrays = []
-        for i in range(self.grid.dim):
-            pts = centers.copy()
-            pts[:, i] -= 0.5 * self.grid.spacings[i]
-            arrays.append(evaluate_velocity(velocity, pts)[:, i])
-        self.theta = np.concatenate(arrays)
+        self.theta = np.concatenate([
+            evaluate_velocity(velocity, self.grid.face_centers(i))[:, i]
+            for i in range(self.grid.dim)])
 
 
-class MaskedVelocity:
+class MaskedVelocity(_PointEval):
     """Learn a subset of the velocity components, pin the rest.
 
     Pinned components come from a known reference field; its vector-Jacobian
@@ -290,9 +267,6 @@ class MaskedVelocity:
         out[:, self.learned] = self.inner.eval_batch(X)
         return out
 
-    def eval(self, x):
-        return self.eval_batch(np.atleast_2d(x))[0]
-
     def vjp(self, X, seeds, need_x: bool = False):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
@@ -328,49 +302,47 @@ def flow_rk4(velocity, X, dt: float, substeps: int = 1) -> np.ndarray:
     return x
 
 
-def flow_rk4_vjp(velocity, X, dt: float, seed_grad, substeps: int = 1):
-    """Reverse-mode derivative of the RK4 flow map.
+def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
+    """RK4 flow map of a batch of points and its reverse-mode derivative.
 
-    Returns (theta_grad, x_grad, Y) where Y is the flowed batch and
-    theta_grad accumulates d(sum seed_grad . flow(X))/d theta through every
-    stage of every substep. The velocity must provide ``vjp``.
+    Returns (Y, pullback): Y is the flowed batch, and pullback(seed_grad)
+    gives (theta_grad, x_grad), the gradients of sum(seed_grad . Y) with
+    respect to the parameters and to X through every stage of every
+    substep. Only the pullback needs the velocity's ``vjp``.
     """
     x = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-    seed_grad = np.atleast_2d(np.asarray(seed_grad, dtype=float))
     h = dt / substeps
-    f = lambda z: evaluate_velocity(velocity, z)
-    cache = []
+    stages = []  # the four stage inputs of every substep, in order
+
+    def f(z):
+        stages.append(z)
+        return evaluate_velocity(velocity, z)
+
     for k in range(substeps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        cache.append((x, k1, k2, k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(f, x, h)
         _check_finite(x, k + 1)
-    y = x
-    theta_grad = np.zeros(velocity.n_params)
-    gbar = seed_grad
-    for x0, k1, k2, k3 in reversed(cache):
-        xbar = gbar.copy()
-        k1bar = (h / 6.0) * gbar
-        k2bar = (h / 3.0) * gbar
-        k3bar = (h / 3.0) * gbar
-        k4bar = (h / 6.0) * gbar
-        tg, u = velocity.vjp(x0 + h * k3, k4bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k3bar = k3bar + h * u
-        tg, u = velocity.vjp(x0 + 0.5 * h * k2, k3bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k2bar = k2bar + 0.5 * h * u
-        tg, u = velocity.vjp(x0 + 0.5 * h * k1, k2bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        k1bar = k1bar + 0.5 * h * u
-        tg, u = velocity.vjp(x0, k1bar, need_x=True)
-        theta_grad += tg
-        xbar += u
-        gbar = xbar
-    return theta_grad, gbar, y
+
+    def pullback(seed_grad):
+        theta_grad = np.zeros(velocity.n_params)
+        gbar = np.atleast_2d(np.asarray(seed_grad, dtype=float))
+        for k in reversed(range(substeps)):
+            z1, z2, z3, z4 = stages[4 * k:4 * k + 4]
+            xbar = gbar.copy()
+            tg, u = velocity.vjp(z4, (h / 6.0) * gbar, need_x=True)
+            theta_grad += tg
+            xbar += u
+            tg, u = velocity.vjp(z3, (h / 3.0) * gbar + h * u, need_x=True)
+            theta_grad += tg
+            xbar += u
+            tg, u = velocity.vjp(z2, (h / 3.0) * gbar + 0.5 * h * u,
+                                 need_x=True)
+            theta_grad += tg
+            xbar += u
+            tg, u = velocity.vjp(z1, (h / 6.0) * gbar + 0.5 * h * u,
+                                 need_x=True)
+            theta_grad += tg
+            xbar += u
+            gbar = xbar
+        return theta_grad, gbar
+
+    return x, pullback

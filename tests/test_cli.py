@@ -88,6 +88,48 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("key, edit, command", [
+    ("system.name", lambda c: c["system"].update(name="vanderpol"),
+     "simulate"),
+    ("system.params", lambda c: c["system"]["params"].update(k=1.0),
+     "simulate"),
+    ("data.n_steps", lambda c: c["data"].pop("n_steps"), "simulate"),
+    ("mesh.n_cells", lambda c: c.update(mesh={"pou_eps": 0.05},
+                                        fit={"driver": "pfo"}), "fit"),
+    ("fit.observable", lambda c: c["fit"].update(driver="delay",
+                                                 observable=5), "fit"),
+    ("fit.observable", lambda c: c["fit"].update(driver="delay",
+                                                 observable=-1), "fit"),
+    ("model.kind", lambda c: c["model"].update(kind="mlp"), "simulate"),
+    ("delay.observable", lambda c: c.update(delay={"observable": -1}),
+     "delay"),
+    ("delay.observable", lambda c: c.update(delay={
+        "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
+        "observable": 2}), "delay"),
+    ("eval.model", lambda c: c.update(eval={"model": "m.json"}), "simulate"),
+], ids=["unknown-system", "unknown-param", "missing-n_steps",
+        "missing-n_cells", "observable-too-large", "observable-negative",
+        "model-kind", "embed-observable-negative", "torus-observable",
+        "eval-model"])
+def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
+                                               capsys):
+    good = _smoke_config(str(tmp_path / "run"))
+    assert main(["simulate", "--config", _write(tmp_path, good, "ok.json")]) \
+        == 0
+    bad = _smoke_config(str(tmp_path / "run"))
+    edit(bad)
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, bad)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_unknown_flag_exits_2(tmp_path):
+    cfg_path = _write(tmp_path, _smoke_config(str(tmp_path / "run")))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg_path, "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

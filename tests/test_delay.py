@@ -157,12 +157,15 @@ def test_loss_j2_dimension_check():
         loss_j2(lambda z: z, mu, images, bad_delay, DelayMapConfig(0, 3, 1))
 
 
-def test_loss_j2_gradient_matches_fd():
+@pytest.mark.parametrize("m, lag, observable, include_delay",
+                         [(3, 1, 0, True), (3, 2, 1, True), (1, 1, 0, True),
+                          (3, 1, 0, False)])
+def test_loss_j2_gradient_matches_fd(m, lag, observable, include_delay):
     tr = make_system("torus_rotation", alpha=0.2, beta=0.5)
     rng = np.random.default_rng(8)
     mu = SampleCloud(rng.random((50, 2)))
     images = SampleCloud(tr.step(mu.points))
-    cfg = DelayMapConfig(0, 3, 1)
+    cfg = DelayMapConfig(observable, m, lag)
     observed_delay = pushforward_delay_measure(mu, tr, cfg)
     mlp = MlpModel([2, 8, 2])
     mlp.init_params(seed=9)
@@ -170,7 +173,8 @@ def test_loss_j2_gradient_matches_fd():
 
     def lg(t):
         mlp.set_params(t)
-        v, g, _ = loss_j2_grad(mlp, mu, images, observed_delay, cfg)
+        v, g, _ = loss_j2_grad(mlp, mu, images, observed_delay, cfg,
+                               include_delay=include_delay)
         return v, g
 
     _, grad = lg(theta)

@@ -120,7 +120,8 @@ def test_teleport_identity_at_zero_eps():
 
 def test_teleport_dense_example():
     M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5, None)
-    assert np.allclose(M.dense(), [[0.75, 0.25], [0.25, 0.75]])
+    dense = np.column_stack([M.apply(e) for e in np.eye(2)])
+    assert np.allclose(dense, [[0.75, 0.25], [0.25, 0.75]])
 
 
 def test_teleport_strict_positivity():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from ergodic_sysid.fvm import RegularizedMarkov, stationary_density
 from ergodic_sysid.measure import SampleCloud
 from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
                                PartitionOfUnity, UlamMatrix,
                                UnstructuredMesh, build_mesh, estimate_markov,
                                flowmap_markov, flowmap_markov_grad,
                                invariant_density, markov_distance)
-from ergodic_sysid.systems import make_system
+from ergodic_sysid.systems import IntegrationBlowupError, make_system
 from ergodic_sysid.velocity_models import MlpModel
 
 
@@ -165,6 +167,18 @@ def test_invariant_density_doubling():
     assert res < 1e-3
 
 
+def test_invariant_density_matches_direct_solve_of_transposed_chain():
+    rng = np.random.default_rng(30)
+    mat = rng.random((6, 6)) ** 4
+    mat /= mat.sum(axis=1, keepdims=True)
+    M = UlamMatrix(mat, "row")
+    for eps in (1e-3, 0.2):
+        pi = invariant_density(M, eps_tele=eps, tol=1e-14)
+        chain = RegularizedMarkov(sp.csr_matrix(mat.T), eps, None)
+        direct = stationary_density(chain, method="direct")
+        assert np.abs(pi.weights - direct.weights).max() < 1e-10
+
+
 def test_markov_distance_oracle():
     rng = np.random.default_rng(13)
     mesh = UnstructuredMesh(rng.normal(size=(5, 2)))
@@ -240,6 +254,18 @@ def test_flowmap_gradient_matches_fd():
         jm, _ = lg(theta - e)
         fd = (jp - jm) / 2e-6
         assert abs(fd - grad[c]) / max(abs(fd), abs(grad[c]), 1e-12) < 1e-3
+
+
+def test_flowmap_gradient_blowup_raises():
+    rng = np.random.default_rng(25)
+    x = SampleCloud(rng.normal(size=(60, 2)))
+    mesh = build_mesh(x, 4, seed=26)
+    pou = PartitionOfUnity(mesh.centers, 0.5)
+    target = flowmap_markov(lambda z: -z, mesh, pou, x, 0.1)
+    mlp = MlpModel([2, 4, 2], out_scale=1e16)
+    mlp.init_params(seed=27)
+    with pytest.raises(IntegrationBlowupError):
+        flowmap_markov_grad(mlp, mesh, pou, x, 0.1, target)
 
 
 def test_larger_eps_smooths_loss_landscape():

@@ -1,4 +1,5 @@
-"""Golden runs: each committed smoke config, rerun through the CLI,
+"""Golden runs: each committed smoke config, rerun through the CLI
+(simulate, histogram, fit, and eval when the config has an eval section),
 reproduces its committed ``runs/`` artifacts byte for byte. Only the
 ``meta`` block of ``report.json`` (wall-clock time) may differ."""
 
@@ -15,8 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("name", ["smoke_fit", "smoke_pfo", "smoke_delay"])
 def test_smoke_config_reproduces_committed_run(name, tmp_path):
     config = ROOT / "configs" / f"{name}.json"
-    golden = ROOT / json.loads(config.read_text())["out"]
-    for cmd in ("simulate", "histogram", "fit"):
+    cfg = json.loads(config.read_text())
+    golden = ROOT / cfg["out"]
+    cmds = ("simulate", "histogram", "fit") + (("eval",) if "eval" in cfg
+                                                else ())
+    for cmd in cmds:
         assert main([cmd, "--config", str(config),
                      "--out", str(tmp_path)]) == 0
     expected = sorted(p.name for p in golden.iterdir())

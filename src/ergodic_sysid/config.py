@@ -41,7 +41,6 @@ SCHEMA = {
     },
     "mesh": {
         "n_cells": int,
-        "balanced": bool,
         "pou_eps": _NUM,
         "build_subsample": int,
         "seed": int,
@@ -88,7 +87,6 @@ SCHEMA = {
         "n_initial": int,
         "n_iters": int,
         "quad_points": int,
-        "balanced": bool,
         "grids": list,
         "eps_tele": _NUM,
         "n_sde_steps": int,
@@ -110,37 +108,43 @@ SCHEMA = {
 
 
 def _check_types(value, allowed, path):
+    """The value, checked against its schema entry; numbers a schema entry
+    types as _NUM come back as floats."""
     if allowed is None:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
         for k, v in value.items():
             if not isinstance(v, _NUM) or isinstance(v, bool):
                 raise ConfigError(f"{path}.{k}: expected a number")
-        return
+        return value
     if isinstance(allowed, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
+        checked = {}
         for key, sub in value.items():
             if key not in allowed:
                 raise ConfigError(f"{path}.{key}: unknown key")
-            _check_types(sub, allowed[key], f"{path}.{key}")
-        return
+            checked[key] = _check_types(sub, allowed[key], f"{path}.{key}")
+        return checked
     allowed_tuple = allowed if isinstance(allowed, tuple) else (allowed,)
     if isinstance(value, bool) and bool not in allowed_tuple:
         raise ConfigError(f"{path}: expected {allowed}, got bool")
     if not isinstance(value, allowed):
         raise ConfigError(
             f"{path}: expected {allowed}, got {type(value).__name__}")
+    return float(value) if allowed is _NUM else value
 
 
 def validate_config(cfg: dict) -> dict:
+    """A checked copy of the config, _NUM values turned into floats;
+    ``system.params`` keeps the numbers as written."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
-    for key, value in cfg.items():
+    for key in cfg:
         if key not in SCHEMA:
             raise ConfigError(f"unknown top-level key {key!r}")
-        _check_types(value, SCHEMA[key], key)
-    return cfg
+    return {key: _check_types(value, SCHEMA[key], key)
+            for key, value in cfg.items()}
 
 
 def load_config(path) -> dict:

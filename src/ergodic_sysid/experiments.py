@@ -26,9 +26,23 @@ from .velocity_models import MaskedVelocity, MlpModel
 
 log = logging.getLogger("ergodic_sysid")
 
+# fit.eps_tele when neither the config nor the fit report sets it
+_EPS_TELE = 1e-4
 
-def _seed_of(cfg: dict, sec: dict, default: int = 0) -> int:
-    return int(sec.get("seed", cfg.get("seed", default)))
+
+def _given(sec: dict, *keys, **renamed) -> dict:
+    """Keyword arguments for the keys that the config section sets, so the
+    signature of the function called is the only home of each default.
+    ``renamed`` maps a parameter name to a config key of another name."""
+    kwargs = {k: sec[k] for k in keys if k in sec}
+    kwargs.update((p, sec[k]) for p, k in renamed.items() if k in sec)
+    return kwargs
+
+
+def _seed_of(cfg: dict, sec: dict) -> dict:
+    """``seed`` keyword argument: the section's seed, else the top-level
+    one, else none, so that the callee's default applies."""
+    return _given(sec, "seed") or _given(cfg, "seed")
 
 
 def _system_of(cfg: dict):
@@ -42,13 +56,15 @@ def _system_of(cfg: dict):
         raise ConfigError(f"system.params: {exc}")
 
 
-def _observable(sec: dict, name: str, dim: int) -> int:
-    """Coordinate index of the observable, checked against the data."""
-    obs = int(sec.get("observable", 0))
-    if not 0 <= obs < dim:
+def _delay_keys(sec: dict, name: str, dim: int) -> dict:
+    """The section's observable, m and lag as keyword arguments, the
+    observable's coordinate index checked against the data."""
+    kwargs = _given(sec, "observable", "m", "lag")
+    obs = kwargs.get("observable")
+    if obs is not None and not 0 <= obs < dim:
         raise ConfigError(f"{name}.observable: index {obs} out of range "
                           f"for dim {dim}")
-    return obs
+    return kwargs
 
 
 def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
@@ -76,9 +92,9 @@ def generate_trajectory(cfg: dict) -> Trajectory:
     data = section(cfg, "data")
     system = _system_of(cfg)
     kind = data.get("kind", "ode")
-    burn = int(data.get("burn_in", 0))
-    n_steps = int(data["n_steps"])
-    seed = _seed_of(cfg, data)
+    burn = data.get("burn_in", 0)
+    n_steps = data["n_steps"]
+    seed = _seed_of(cfg, data).get("seed", 0)
     x0 = data.get("x0", "auto")
     if isinstance(x0, str):
         if not isinstance(system, DiscreteMap):
@@ -89,11 +105,11 @@ def generate_trajectory(cfg: dict) -> Trajectory:
     if kind == "map":
         traj = iterate_map(system, x0, n_steps + burn)
     elif kind == "ode":
-        traj = integrate_ode(system, x0, float(data["dt"]), n_steps + burn,
-                             substeps=int(data.get("substeps", 1)))
+        traj = integrate_ode(system, x0, data["dt"], n_steps + burn,
+                             **_given(data, "substeps"))
     elif kind == "sde":
-        traj = integrate_sde(system, float(data.get("diffusion", 0.0)), x0,
-                             float(data["dt"]), n_steps + burn, seed=seed)
+        traj = integrate_sde(system, data.get("diffusion", 0.0), x0,
+                             data["dt"], n_steps + burn, seed=seed)
     else:
         raise ConfigError(f"unknown data kind {kind!r}")
     if burn:
@@ -117,7 +133,7 @@ def build_grid(grid_cfg: dict, states=None) -> Grid:
         return Grid(grid_cfg["lo"], grid_cfg["hi"], n_per_dim)
     if states is None:
         raise ConfigError("grid needs lo/hi or trajectory data for auto box")
-    margin = float(grid_cfg.get("auto_box_margin", 0.05))
+    margin = grid_cfg.get("auto_box_margin", 0.05)
     lo = states.min(axis=0)
     hi = states.max(axis=0)
     pad = margin * (hi - lo)
@@ -135,7 +151,7 @@ def cmd_histogram(cfg: dict, outdir: Path) -> dict:
     grid_cfg = section(cfg, "grid")
     traj = _load_trajectory(outdir)
     grid = build_grid(grid_cfg, traj.states)
-    m = occupation_measure(traj, grid, clip=bool(grid_cfg.get("clip", False)))
+    m = occupation_measure(traj, grid, **_given(grid_cfg, "clip"))
     path = outdir / "measure.json"
     io.write_measure_json(path, m)
     log.info("wrote %s (%d cells)", path, m.n)
@@ -163,8 +179,7 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
     model_cfg = section(cfg, "model", required=False)
     hidden = [int(h) for h in model_cfg.get("hidden", [64, 64])]
     learned = model_cfg.get("mask_learned")
-    whiten = bool(model_cfg.get("whiten", True))
-    seed = _seed_of(cfg, model_cfg)
+    whiten = model_cfg.get("whiten", True)
     out_dim = len(learned) if learned is not None else dim_in
     in_shift = in_scale = out_shift = out_scale = None
     if whiten and traj is not None:
@@ -177,7 +192,7 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
             out_shift, out_scale = _fd_velocity_stats(traj, cols)
     mlp = MlpModel([dim_in] + hidden + [out_dim], in_shift, in_scale,
                    out_shift, out_scale)
-    mlp.init_params(model_cfg.get("init", "xavier"), seed=seed)
+    mlp.init_params(**_given(model_cfg, "init"), **_seed_of(cfg, model_cfg))
     if learned is None:
         return mlp
     system = _system_of(cfg)
@@ -220,13 +235,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     fit_cfg = section(cfg, "fit")
     driver = fit_cfg.get("driver", "fvm")
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = _seed_of(cfg, fit_cfg)
-    every = int(fit_cfg.get("checkpoint_every", 0))
-    resume = _load_resume(fit_cfg)
-    common = dict(n_iters=int(fit_cfg.get("n_iters", 500)),
-                  lr=float(fit_cfg.get("lr", 1e-3)),
-                  clip_norm=float(fit_cfg.get("clip_norm", 10.0)),
-                  seed=seed, resume=resume,
+    every = fit_cfg.get("checkpoint_every", 0)
+    common = dict(**_given(fit_cfg, "n_iters", "lr", "clip_norm"),
+                  **_seed_of(cfg, fit_cfg), resume=_load_resume(fit_cfg),
                   callback=_checkpoint_callback(outdir, every))
 
     if driver == "fvm":
@@ -240,40 +251,36 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         model = make_model(cfg, grid.dim, traj, purpose="velocity")
         report = fit_fvm(
             target, model, grid,
-            D=float(fit_cfg.get("diffusion", 0.0)),
-            eps_tele=float(fit_cfg.get("eps_tele", 1e-4)),
-            objective=fit_cfg.get("objective", "l2"),
-            solver=fit_cfg.get("solver", "direct"), **common)
+            D=fit_cfg.get("diffusion", 0.0),
+            eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
+            **_given(fit_cfg, "objective", "solver"), **common)
     elif driver == "pfo":
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
-        sub = int(mesh_cfg.get("build_subsample", 20000))
-        build_cloud = subsample_stride(SampleCloud(traj.states), sub)
-        mesh = pfo.build_mesh(build_cloud, int(mesh_cfg["n_cells"]),
-                              balanced=bool(mesh_cfg.get("balanced", False)),
-                              seed=_seed_of(cfg, mesh_cfg))
+        build_cloud = subsample_stride(
+            SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
+        mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
+                              **_seed_of(cfg, mesh_cfg))
         pou = pfo.PartitionOfUnity(mesh.centers,
-                                   float(mesh_cfg.get("pou_eps", 0.0)))
+                                   **_given(mesh_cfg, eps="pou_eps"))
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
-        n_src = int(fit_cfg.get("n_sources", 4000))
-        sources = subsample_stride(SampleCloud(traj.states[:-1]), n_src)
+        sources = subsample_stride(SampleCloud(traj.states[:-1]),
+                                   **_given(fit_cfg, max_points="n_sources"))
         model = make_model(cfg, traj.dim, traj, purpose="velocity")
         report = fit_pfo(
             target, model, mesh, pou, sources,
-            flow_dt=float(fit_cfg.get("flow_dt", traj.dt)),
-            substeps=int(fit_cfg.get("substeps", 1)), **common)
+            flow_dt=fit_cfg.get("flow_dt", traj.dt),
+            **_given(fit_cfg, "substeps"), **common)
         io.write_mesh_json(outdir / "mesh.json", mesh)
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     elif driver == "delay":
         traj = _load_trajectory(outdir)
-        dcfg = delay_mod.DelayMapConfig(_observable(fit_cfg, "fit", traj.dim),
-                                        int(fit_cfg.get("m", 3)),
-                                        int(fit_cfg.get("lag", 1)))
+        dcfg = delay_mod.DelayMapConfig(
+            **_delay_keys(fit_cfg, "fit", traj.dim))
         model = make_model(cfg, traj.dim, traj, purpose="map")
-        report = fit_delay(
-            traj, model, dcfg, loss=fit_cfg.get("loss", "j2"),
-            max_points=int(fit_cfg.get("max_points", 2000)), **common)
+        report = fit_delay(traj, model, dcfg,
+                           **_given(fit_cfg, "loss", "max_points"), **common)
     else:
         raise ConfigError(f"unknown fit driver {driver!r}")
 
@@ -287,8 +294,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             "n_iters": len(report.loss_history)}
 
 
-def _rebuild_fit_model(cfg: dict, outdir: Path, dim: int, traj,
-                       purpose: str = "velocity"):
+def _rebuild_fit_model(cfg: dict, outdir: Path, dim: int):
     """Model with trained parameters from model.json, mask reapplied."""
     blob = io.read_checkpoint(outdir / "model.json")
     inner = io.load_model(blob)
@@ -312,35 +318,33 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     observed = SampleCloud(traj.states)
     report = io.read_report_json(outdir / "report.json")
     fit_cfg = report["config"]
-    model = _rebuild_fit_model(cfg, outdir, traj.dim, traj)
-    D = float(ev.get("diffusion", fit_cfg.get("D", 0.0)))
-    seed = _seed_of(cfg, ev, 1)
-    sim_dt = float(ev.get("sim_dt", 0.01))
-    n_sim = int(ev.get("n_sim_steps", 200000))
-    burn = int(ev.get("sim_burn_in", min(5000, n_sim // 10)))
+    model = _rebuild_fit_model(cfg, outdir, traj.dim)
+    D = ev.get("diffusion", fit_cfg.get("D", 0.0))
+    seed = _seed_of(cfg, ev).get("seed", 1)
+    sim_dt = ev.get("sim_dt", 0.01)
+    n_sim = ev.get("n_sim_steps", 200000)
+    burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
     fitted = model_as_system(model, traj.dim)
     x0 = observed.points[0]
     sim = integrate_sde(fitted, D, x0, sim_dt, n_sim, seed=seed)
     sim_cloud = SampleCloud(sim.states[burn:])
 
-    max_pts = int(ev.get("max_points", 4000))
-    nproj = int(ev.get("n_projections", 64))
-    a = subsample_stride(sim_cloud, max_pts)
-    b = subsample_stride(observed, max_pts)
+    thin = _given(ev, "max_points")
+    nproj = ev.get("n_projections", 64)  # reported in metrics.json
+    a = subsample_stride(sim_cloud, **thin)
+    b = subsample_stride(observed, **thin)
     w2 = wasserstein2(a, b, n_projections=nproj, seed=seed)
     half = sim_cloud.n // 2
     self_w2 = wasserstein2(
-        subsample_stride(SampleCloud(sim_cloud.points[:half]), max_pts),
-        subsample_stride(SampleCloud(sim_cloud.points[half:]), max_pts),
+        subsample_stride(SampleCloud(sim_cloud.points[:half]), **thin),
+        subsample_stride(SampleCloud(sim_cloud.points[half:]), **thin),
         n_projections=nproj, seed=seed)
 
     target = io.read_measure_json(outdir / "measure.json")
     grid = target.support
-    dt = float(report["extras"].get("dt") or
-               fvm.cfl_dt(grid, D, max(np.abs(
-                   model.eval_batch(grid.centers())).max(), 1e-9)) * 0.5)
+    dt = report["extras"].get("dt") or fvm.frozen_dt(grid, model, D)
     op = fvm.assemble_K(grid, model, D, dt)
-    M = fvm.teleport(op, float(fit_cfg.get("eps_tele", 1e-4)))
+    M = fvm.teleport(op, fit_cfg.get("eps_tele", _EPS_TELE))
     rho = fvm.stationary_density(M, method="direct")
     heat = np.column_stack([grid.centers(), rho.weights])
     io._write_table(outdir / "density.csv",
@@ -387,17 +391,15 @@ def _l1_density_error(pi: np.ndarray, centers: np.ndarray, quad: np.ndarray,
 def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     """Uniform vs data-adaptive cells for the skewed cat map density."""
     ev = section(cfg, "eval")
-    n_cells = int(ev.get("n_cells", 400))
-    n_initial = int(ev.get("n_initial", 10000))
-    n_iters = int(ev.get("n_iters", 1000))
-    seed = _seed_of(cfg, ev, 7)
-    quad_points = int(ev.get("quad_points", 2000000))
+    n_cells = ev.get("n_cells", 400)
+    n_initial = ev.get("n_initial", 10000)
+    n_iters = ev.get("n_iters", 1000)
+    seed = _seed_of(cfg, ev).get("seed", 7)
+    quad_points = ev.get("quad_points", 2000000)
 
     states, src, dst = catmap_dataset(n_initial, n_iters, seed)
     build = subsample_stride(SampleCloud(states), 200000)
-    mesh_u = pfo.build_mesh(build, n_cells,
-                            balanced=bool(ev.get("balanced", False)),
-                            seed=seed)
+    mesh_u = pfo.build_mesh(build, n_cells, seed=seed)
     pou0 = pfo.PartitionOfUnity(mesh_u.centers, 0.0)
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u, pou0)
     pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8, tol=1e-12)
@@ -426,18 +428,18 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     return out
 
 
-def vdp_refinement_study(grids, D: float = 1e-3, eps_tele: float = 1e-8,
-                         n_sde_steps: int = 1000000, sde_dt: float = 1e-3,
-                         seed: int = 11, max_points: int = 4000,
-                         c: float = 1.0) -> dict:
+def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
+                         eps_tele: float = 1e-8, n_sde_steps: int = 1000000,
+                         sde_dt: float = 1e-3, seed: int = 11,
+                         max_points: int = 4000, c: float = 1.0) -> dict:
     """Stationary-density error of the true field across grid resolutions.
 
     The reference is the occupation measure of a long stochastically forced
     trajectory; the error is the sample-cloud Wasserstein-2 distance.
     """
     system = make_system("van_der_pol", c=c)
-    sde = integrate_sde(system, D, np.array([1.5, 0.0]), sde_dt, n_sde_steps,
-                        seed=seed)
+    sde = integrate_sde(system, diffusion, np.array([1.5, 0.0]), sde_dt,
+                        n_sde_steps, seed=seed)
     burn = int(0.05 * n_sde_steps)
     cloud = SampleCloud(sde.states[burn:])
     ref = subsample_stride(cloud, max_points)
@@ -447,9 +449,9 @@ def vdp_refinement_study(grids, D: float = 1e-3, eps_tele: float = 1e-8,
     for n in grids:
         n = int(n)
         grid = Grid(lo, hi, [n, n])
-        dt = fvm.cfl_dt(grid, D, float(np.abs(
+        dt = fvm.cfl_dt(grid, diffusion, float(np.abs(
             system.rhs(grid.centers())).max()), safety=0.9)
-        op = fvm.assemble_K(grid, system, D, dt)
+        op = fvm.assemble_K(grid, system, diffusion, dt)
         M = fvm.teleport(op, eps_tele)
         rho = fvm.stationary_density(M, method="direct")
         keep = rho.weights > 0
@@ -458,19 +460,14 @@ def vdp_refinement_study(grids, D: float = 1e-3, eps_tele: float = 1e-8,
         rows.append({"n_per_dim": n, "w2": float(w2)})
     w2s = [r["w2"] for r in rows]
     return {"rows": rows, "monotone": bool(np.all(np.diff(w2s) < 0)),
-            "diffusion": D, "n_sde_steps": n_sde_steps}
+            "diffusion": diffusion, "n_sde_steps": n_sde_steps}
 
 
 def eval_refinement(cfg: dict, outdir: Path) -> dict:
     ev = section(cfg, "eval")
     result = vdp_refinement_study(
-        ev.get("grids", [25, 50, 100]),
-        D=float(ev.get("diffusion", 1e-3)),
-        eps_tele=float(ev.get("eps_tele", 1e-8)),
-        n_sde_steps=int(ev.get("n_sde_steps", 1000000)),
-        sde_dt=float(ev.get("sde_dt", 1e-3)),
-        seed=_seed_of(cfg, ev, 11),
-        max_points=int(ev.get("max_points", 4000)))
+        **_given(ev, "grids", "diffusion", "eps_tele", "n_sde_steps",
+                 "sde_dt", "max_points"), **_seed_of(cfg, ev))
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_checkpoint(outdir / "metrics.json", result)
     table = np.array([[r["n_per_dim"], r["w2"]] for r in result["rows"]])
@@ -544,12 +541,8 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     if mode == "torus_pair":
         result = torus_pair_diagnostics(
-            dcfg["pair_a"], dcfg["pair_b"],
-            n_steps=int(dcfg.get("n_steps", 1000000)),
-            m=int(dcfg.get("m", 3)), lag=int(dcfg.get("lag", 1)),
-            observable=_observable(dcfg, "delay", 2),
-            hist_bins=int(dcfg.get("hist_bins", 16)),
-            seed=_seed_of(cfg, dcfg, 3))
+            dcfg["pair_a"], dcfg["pair_b"], **_delay_keys(dcfg, "delay", 2),
+            **_given(dcfg, "n_steps", "hist_bins"), **_seed_of(cfg, dcfg))
         ca, cb = result.pop("clouds")
         io.write_cloud_csv(outdir / "delay_a.csv", ca)
         io.write_cloud_csv(outdir / "delay_b.csv", cb)
@@ -560,9 +553,8 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         if not Path(path).exists():
             raise ConfigError(f"{path} not found; run simulate first")
         traj = io.read_trajectory_csv(path)
-        obs = _observable(dcfg, "delay", traj.dim)
-        cfg_d = delay_mod.DelayMapConfig(obs, int(dcfg.get("m", 3)),
-                                         int(dcfg.get("lag", 1)))
+        cfg_d = delay_mod.DelayMapConfig(
+            **_delay_keys(dcfg, "delay", traj.dim))
         cloud = delay_mod.delay_embed(traj, cfg_d)
         io.write_cloud_csv(outdir / "delay.csv", cloud)
         return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,

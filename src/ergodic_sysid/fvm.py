@@ -64,6 +64,21 @@ def cfl_dt(grid: Grid, D: float, v_inf: float, safety: float = 0.9) -> float:
     return safety * bound
 
 
+def frozen_dt(grid: Grid, velocity, D: float) -> float:
+    """Half the CFL bound at the field's sup norm over the grid (its face
+    values when the model has them, else its values at the cell centers).
+
+    The teleported fixed point depends on dt, so a fit freezes this step
+    from the initial field and keeps it for every iteration.
+    """
+    if hasattr(velocity, "face_arrays"):
+        v_inf = max(float(np.abs(a).max()) for a in velocity.face_arrays())
+    else:
+        v_inf = float(np.abs(evaluate_velocity(velocity,
+                                               grid.centers())).max())
+    return cfl_dt(grid, D, max(v_inf, 1e-9)) * 0.5
+
+
 @dataclass
 class FvmOperator:
     """Assembled transport generator K with its grid and face data.

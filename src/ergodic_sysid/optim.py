@@ -156,12 +156,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
     if not target.support.matches(grid):
         raise ValueError("target measure does not live on the fit grid")
     obj = grid_objective(objective)
-    if dt is None:
-        # the teleported fixed point depends on dt, so it is frozen here
-        # from the model's initial parameters and kept for the whole fit
-        v_inf = max(_field_sup_norm(velocity, grid), 1e-9)
-        dt = fvm.cfl_dt(grid, D, v_inf, safety=0.9) * 0.5
-    state = {"dt": dt, "events": []}
+    state = {"dt": dt or fvm.frozen_dt(grid, velocity, D), "events": []}
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
@@ -187,13 +182,6 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
         return value, grad
 
     return loss_and_grad, state
-
-
-def _field_sup_norm(velocity, grid) -> float:
-    if hasattr(velocity, "face_arrays"):
-        return max(float(np.abs(a).max()) for a in velocity.face_arrays())
-    vals = velocity.eval_batch(grid.centers())
-    return float(np.abs(vals).max())
 
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
@@ -236,7 +224,7 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
 
 def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
             pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
-            substeps: int = 1, n_iters: int = 1000, lr: float = 1e-3,
+            substeps: int = 1, n_iters: int = 500, lr: float = 1e-3,
             seed: int = 0, clip_norm: float = 10.0,
             callback=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so its flow-map transition matrix matches a target."""
@@ -285,7 +273,7 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     return loss_and_grad, mu_samples, images, observed_delay
 
 
-def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 2000,
+def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 500,
               lr: float = 1e-3, seed: int = 0, loss: str = "j2",
               clip_norm: float = 10.0, max_points: int = 2000,
               callback=None, resume: Optional[dict] = None) -> FitReport:

@@ -1,11 +1,10 @@
 """Data-adaptive Galerkin approximation of the transfer operator.
 
 Cells are the nearest-center regions of a k-means mesh built on observed
-samples; balanced mode equalizes per-cell sample counts, which minimizes
-the worst-case Monte-Carlo standard deviation of the estimated transition
-matrix. Hard cell indicators can be smoothed into a softplus-of-distance
-partition of unity so that the matrix entries become differentiable in any
-parameter moving the underlying map.
+samples; every estimator assigns points to cells by nearest center. Hard
+cell indicators can be smoothed into a softplus-of-distance partition of
+unity so that the matrix entries become differentiable in any parameter
+moving the underlying map.
 
 Orientation convention: estimated matrices here are ROW-stochastic (row =
 source cell), unlike the column-stochastic finite-volume chains; the tag is
@@ -59,17 +58,13 @@ def assign_nearest(points: np.ndarray, centers: np.ndarray,
 
 @dataclass
 class UnstructuredMesh:
-    """Cell centers plus the sample counts of the build set.
+    """Cell centers plus the nearest-center sample counts of the build set.
 
-    New points are assigned to the nearest center. ``build_assignment``
-    records the (possibly balance-corrected) assignment of the samples the
-    mesh was built from, so estimators reusing those samples keep the
-    balanced counts.
+    Points, build samples included, are assigned to the nearest center.
     """
 
     centers: np.ndarray
     counts: Optional[np.ndarray] = None
-    build_assignment: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -102,53 +97,14 @@ def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def _rebalance(points, centers, assignment, quota):
-    """Greedily move the farthest samples of overfull cells to the nearest
-    underfull cell until every count equals the quota."""
-    counts = np.bincount(assignment, minlength=centers.shape[0])
-    assignment = assignment.copy()
-    while True:
-        over = np.flatnonzero(counts > quota)
-        if over.size == 0:
-            break
-        under = np.flatnonzero(counts < quota)
-        cell = over[np.argmax(counts[over])]
-        members = np.flatnonzero(assignment == cell)
-        d_own = ((points[members] - centers[cell]) ** 2).sum(axis=1)
-        excess = int(counts[cell] - quota)
-        movers = members[np.argsort(-d_own, kind="stable")[:excess]]
-        d_under = _pairwise_sq(points[movers], centers[under])
-        for m, row in zip(movers, d_under):
-            order = under[np.argsort(row, kind="stable")]
-            for target in order:
-                if counts[target] < quota:
-                    assignment[m] = target
-                    counts[cell] -= 1
-                    counts[target] += 1
-                    break
-            if counts[cell] == quota:
-                break
-    return assignment, counts
-
-
-def build_mesh(samples: SampleCloud, n_cells: int, balanced: bool = False,
-               seed: int = 0, max_iters: int = 100, tol: float = 1e-8,
+def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
+               max_iters: int = 100, tol: float = 1e-8,
                restarts: int = 5) -> UnstructuredMesh:
-    """k-means mesh over the samples (k-means++ seeding, Lloyd updates).
-
-    Balanced mode requires the sample count to be divisible by n_cells and
-    greedily reassigns boundary samples after Lloyd until every cell holds
-    exactly N/n samples.
-    """
+    """k-means mesh over the samples (k-means++ seeding, Lloyd updates)."""
     points = samples.points if isinstance(samples, SampleCloud) \
         else np.atleast_2d(np.asarray(samples, float))
-    n = points.shape[0]
-    if n_cells > n:
+    if n_cells > points.shape[0]:
         raise ValueError("more cells than samples")
-    if balanced and n % n_cells != 0:
-        raise ValueError(
-            f"balanced mesh needs n_samples divisible by n_cells "
-            f"({n} % {n_cells} != 0)")
     rng = np.random.default_rng(seed)
     for attempt in range(restarts):
         centers = _kmeans_pp(points, n_cells, rng)
@@ -172,10 +128,7 @@ def build_mesh(samples: SampleCloud, n_cells: int, balanced: bool = False,
         counts = np.bincount(assignment, minlength=n_cells)
         if np.any(counts == 0):
             continue
-        if balanced:
-            assignment, counts = _rebalance(points, centers, assignment,
-                                            n // n_cells)
-        return UnstructuredMesh(centers, counts, assignment)
+        return UnstructuredMesh(centers, counts)
     raise MeshBuildError(
         f"empty cells after {restarts} k-means restarts; "
         "reduce n_cells or deduplicate the samples")

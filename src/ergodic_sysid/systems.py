@@ -23,8 +23,8 @@ class IntegrationBlowupError(RuntimeError):
     def __init__(self, step: int, magnitude: float):
         super().__init__(
             f"state magnitude {magnitude:.3e} exceeded {BLOWUP_LIMIT:.0e} "
-            f"at step {step}"
-        )
+            f"at step {step}" if np.isfinite(magnitude)
+            else f"non-finite state at step {step}")
         self.step = step
         self.magnitude = magnitude
 

@@ -83,13 +83,13 @@ class MlpModel(_Parameterized, _PointEval):
     def dim_out(self) -> int:
         return self.layer_sizes[-1]
 
-    def init_params(self, scheme: str = "xavier", seed: int = 0) -> np.ndarray:
+    def init_params(self, init: str = "xavier", seed: int = 0) -> np.ndarray:
         """Xavier-uniform weights with zero biases, or all zeros."""
-        if scheme == "zeros":
+        if init == "zeros":
             self.theta = np.zeros_like(self.theta)
             return self.get_params()
-        if scheme != "xavier":
-            raise ValueError(f"unknown init scheme {scheme!r}")
+        if init != "xavier":
+            raise ValueError(f"unknown init scheme {init!r}")
         rng = np.random.default_rng(seed)
         theta = np.zeros_like(self.theta)
         for wsl, bsl, nin, nout in self._slices:

@@ -7,6 +7,7 @@ import pytest
 
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
+from ergodic_sysid.config import validate_config
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
 from ergodic_sysid.systems import Trajectory, make_system, integrate_ode
@@ -107,10 +108,14 @@ def test_unknown_config_key_exits_2(tmp_path):
         "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
         "observable": 2}), "delay"),
     ("eval.model", lambda c: c.update(eval={"model": "m.json"}), "simulate"),
+    ("mesh.balanced", lambda c: c.update(mesh={"n_cells": 4,
+                                               "balanced": True}), "fit"),
+    ("eval.balanced", lambda c: c.update(eval={"kind": "catmap_compare",
+                                               "balanced": True}), "eval"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
-        "eval-model"])
+        "eval-model", "mesh-balanced", "eval-balanced"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -121,6 +126,46 @@ def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, bad)]) == 2
     assert key in capsys.readouterr().err
+
+
+def _nan_row_in_trajectory(cfg, tmp_path):
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    path = tmp_path / "run" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = ",".join(["nan"] * len(lines[5].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _simulate_and_histogram(cfg, tmp_path):
+    for cmd in ("simulate", "histogram"):
+        assert main([cmd, "--config", _write(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("prepare, edit, command, message", [
+    (_nan_row_in_trajectory, lambda c: None, "histogram",
+     "non-finite states"),
+    (_simulate_and_histogram, lambda c: c["fit"].update(eps_tele=0),
+     "fit", "requires eps > 0"),
+    (lambda c, p: None, lambda c: c["data"].update(x0=[1e6, 1e6], dt=0.5),
+     "simulate", "non-finite state at step 1"),
+], ids=["nan-trajectory-row", "eps-tele-zero-direct", "simulate-blowup"])
+def test_runtime_failure_exits_3(prepare, edit, command, message, tmp_path,
+                                 capsys):
+    cfg = _smoke_config(str(tmp_path / "run"))
+    prepare(cfg, tmp_path)
+    edit(cfg)
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_validate_config_makes_numbers_floats_once():
+    cfg = validate_config({"system": {"name": "lorenz96",
+                                      "params": {"dim": 30}},
+                           "fit": {"lr": 1, "n_iters": 5}})
+    assert cfg["fit"]["lr"] == 1.0 and type(cfg["fit"]["lr"]) is float
+    assert type(cfg["fit"]["n_iters"]) is int
+    assert type(cfg["system"]["params"]["dim"]) is int
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from ergodic_sysid.fvm import (AssemblyError, DegenerateDynamicsError,
                                NonConvergenceError, RegularizedMarkov,
                                assemble_K, cfl_dt, evolve_density,
-                               stationary_density, teleport)
+                               frozen_dt, stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure
 from ergodic_sysid.systems import integrate_sde, make_system
 from ergodic_sysid.velocity_models import FaceValuesModel
@@ -235,3 +235,16 @@ def test_evolve_pure_diffusion_heat_oracle():
         l1 = np.abs(ref - uniform).sum()
         assert l1 <= last_l1 + 1e-12
         last_l1 = l1
+
+
+def test_frozen_dt_is_half_the_cfl_bound_at_the_sup_norm():
+    grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 5])
+    faces = FaceValuesModel(grid)
+    faces.set_params(np.linspace(-3.0, 2.0, faces.n_params))
+    assert frozen_dt(grid, faces, 0.1) == cfl_dt(grid, 0.1, 3.0) * 0.5
+    field = make_system("van_der_pol", c=1.0)
+    v_inf = np.abs(field.rhs(grid.centers())).max()
+    assert frozen_dt(grid, field, 0.1) == cfl_dt(grid, 0.1, v_inf) * 0.5
+    # a zero field falls back to a tiny speed instead of an infinite step
+    faces.set_params(np.zeros(faces.n_params))
+    assert frozen_dt(grid, faces, 0.1) == cfl_dt(grid, 0.1, 1e-9) * 0.5

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,8 @@ def test_resume_reproduces_full_history():
                       resume=resume)
     assert resumed.loss_history == full.loss_history
     assert np.allclose(resumed.final_params, full.final_params)
+
+
+def test_fit_drivers_share_the_n_iters_default():
+    for fit in (fit_fvm, fit_pfo, fit_delay):
+        assert inspect.signature(fit).parameters["n_iters"].default == 500

@@ -18,13 +18,6 @@ def _doubling_pairs(rng, n):
     return x, (2.0 * x) % 1.0
 
 
-def test_balanced_mesh_equal_counts():
-    rng = np.random.default_rng(0)
-    cloud = SampleCloud(rng.normal(size=(100, 2)))
-    mesh = build_mesh(cloud, 4, balanced=True, seed=1)
-    assert np.array_equal(mesh.counts, [25, 25, 25, 25])
-
-
 def test_single_cell_mesh():
     rng = np.random.default_rng(1)
     mesh = build_mesh(SampleCloud(rng.normal(size=(50, 3))), 1, seed=0)
@@ -47,27 +40,10 @@ def test_two_blob_separation():
     assert oracle[0] != oracle[-1]
 
 
-def test_balanced_infeasible_rejected():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        build_mesh(SampleCloud(rng.normal(size=(10, 1))), 3, balanced=True)
-
-
 def test_degenerate_samples_raise_after_restarts():
     pts = np.zeros((20, 2))
     with pytest.raises(MeshBuildError):
         build_mesh(SampleCloud(pts), 2, seed=0)
-
-
-def test_balanced_never_reduces_min_count():
-    rng = np.random.default_rng(4)
-    pts = np.vstack([rng.normal(size=(90, 2)),
-                     rng.normal(size=(30, 2)) * 0.2 + 4.0])
-    cloud = SampleCloud(pts)
-    plain = build_mesh(cloud, 4, seed=5)
-    balanced = build_mesh(cloud, 4, balanced=True, seed=5)
-    assert balanced.counts.min() >= plain.counts.min()
-    assert balanced.counts.min() == 30
 
 
 def test_pou_equidistant_split():

@@ -72,10 +72,15 @@ def test_lorenz63_sde_bounded():
 
 
 def test_blowup_names_step():
-    sys = OdeSystem("explode", 1, {}, lambda x: x**3)
+    explode = OdeSystem("explode", 1, {}, lambda x: x**3)
     with pytest.raises(IntegrationBlowupError) as err:
-        integrate_ode(sys, [2.0], 1.0, 50)
+        integrate_ode(explode, [2.0], 1.0, 50)
     assert err.value.step > 0
+    # a field that turns the state into NaN is named as such
+    nan = OdeSystem("nan", 1, {}, lambda x: np.where(x > 3.0, np.nan, 1.0))
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate_ode(nan, [0.0], 1.0, 50)
+    assert str(err.value) == "non-finite state at step 4"
 
 
 def test_torus_rotation_iterates():

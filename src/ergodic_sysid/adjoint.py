@@ -10,7 +10,8 @@ followed by the closed-form derivative with respect to each interior face
 velocity. The system is singular with kernel span{1} and the right-hand
 side is consistent by construction; the gauge lambda . 1 = 0 is fixed
 explicitly (harmless, since the face gradient only sees differences of
-lambda).
+lambda). It is solved on the same sparse LU as the stationary density, so
+one factorization serves both solves of an iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .fvm import FvmOperator, RegularizedMarkov
 from .measure import Measure
@@ -49,34 +49,22 @@ def adjoint_rhs(dJ_drho: np.ndarray, rho) -> np.ndarray:
     return -g + (g @ r)
 
 
-def solve_adjoint(M: RegularizedMarkov, rho, dJ_drho, tol: float = 1e-10,
-                  method: str = "auto") -> AdjointSolution:
+def solve_adjoint(M: RegularizedMarkov, rho, dJ_drho,
+                  tol: float = 1e-10) -> AdjointSolution:
     """Solve the singular-consistent adjoint system, gauge lambda . 1 = 0.
 
-    "direct" reuses the sparse LU of B = I - (1-eps) M shared with the
-    stationary solve: the gauge-fixed system is a rank-one update of -B^T
-    and falls to a Sherman-Morrison step. "lsmr" iterates on the normal
-    equations and converges to the minimum-norm solution, which carries the
-    gauge automatically. "auto" picks direct when eps > 0.
+    Reuses the sparse LU of B = I - (1-eps) M shared with the stationary
+    solve: the gauge-fixed system is a rank-one update of -B^T and falls to
+    a Sherman-Morrison step. Requires eps > 0; raises ``AdjointSolveError``
+    if the residual exceeds tol relative to the right-hand side.
     """
     n = M.n
     rhs = adjoint_rhs(dJ_drho, rho)
-    if method == "auto":
-        method = "direct" if M.eps > 0 else "lsmr"
-    if method == "direct":
-        lu = M.lu()
-        y = -lu.solve(rhs, trans="T")
-        u = np.full(n, (1.0 + M.eps) / n)
-        z = -lu.solve(u, trans="T")
-        lam = y - z * (y.sum() / (1.0 + z.sum()))
-    elif method == "lsmr":
-        op = LinearOperator(
-            (n, n),
-            matvec=lambda x: M.apply_transpose(x) - x,
-            rmatvec=lambda y: M.apply(y) - y)
-        lam = lsmr(op, rhs, atol=1e-14, btol=1e-14, maxiter=50 * n)[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lu = M.lu()
+    y = -lu.solve(rhs, trans="T")
+    u = np.full(n, (1.0 + M.eps) / n)
+    z = -lu.solve(u, trans="T")
+    lam = y - z * (y.sum() / (1.0 + z.sum()))
     lam = lam - lam.mean()
     residual = float(np.linalg.norm(M.apply_transpose(lam) - lam - rhs))
     if residual > tol * max(1.0, float(np.linalg.norm(rhs))):

@@ -71,7 +71,6 @@ SCHEMA = {
         "clip_norm": _NUM,
         "seed": int,
         "resume_from": str,
-        "solver": str,
         "target": str,
     },
     "eval": {

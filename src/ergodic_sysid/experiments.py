@@ -253,7 +253,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             target, model, grid,
             D=fit_cfg.get("diffusion", 0.0),
             eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
-            **_given(fit_cfg, "objective", "solver"), **common)
+            **_given(fit_cfg, "objective"), **common)
     elif driver == "pfo":
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
@@ -345,7 +345,7 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     dt = report["extras"].get("dt") or fvm.frozen_dt(grid, model, D)
     op = fvm.assemble_K(grid, model, D, dt)
     M = fvm.teleport(op, fit_cfg.get("eps_tele", _EPS_TELE))
-    rho = fvm.stationary_density(M, method="direct")
+    rho = fvm.stationary_density(M)
     heat = np.column_stack([grid.centers(), rho.weights])
     io._write_table(outdir / "density.csv",
                     [f"x{i+1}" for i in range(grid.dim)] + ["weight"], heat)
@@ -402,7 +402,7 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     mesh_u = pfo.build_mesh(build, n_cells, seed=seed)
     pou0 = pfo.PartitionOfUnity(mesh_u.centers, 0.0)
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u, pou0)
-    pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8, tol=1e-12)
+    pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
 
     k = int(round(np.sqrt(n_cells)))
     if k * k != n_cells:
@@ -411,7 +411,7 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     mesh_g = pfo.UnstructuredMesh(grid.centers())
     pou_g = pfo.PartitionOfUnity(mesh_g.centers, 0.0)
     m_uniform = pfo.estimate_markov((src, dst), mesh_g, pou_g)
-    pi_g = pfo.invariant_density(m_uniform, eps_tele=1e-8, tol=1e-12)
+    pi_g = pfo.invariant_density(m_uniform, eps_tele=1e-8)
 
     rng = np.random.default_rng(seed + 1)
     quad = rng.random((quad_points, 2))
@@ -453,7 +453,7 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
             system.rhs(grid.centers())).max()), safety=0.9)
         op = fvm.assemble_K(grid, system, diffusion, dt)
         M = fvm.teleport(op, eps_tele)
-        rho = fvm.stationary_density(M, method="direct")
+        rho = fvm.stationary_density(M)
         keep = rho.weights > 0
         dens_cloud = SampleCloud(grid.centers()[keep], rho.weights[keep])
         w2 = wasserstein2(dens_cloud, ref, seed=seed)

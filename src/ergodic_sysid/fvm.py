@@ -23,6 +23,7 @@ from .velocity_models import evaluate_velocity
 
 COLSUM_TOL = 1e-12
 NEG_TOL = 1e-14
+STATIONARY_TOL = 1e-9  # bound on the l1 fixed-point residual of rho
 
 
 class DegenerateDynamicsError(ValueError):
@@ -40,10 +41,10 @@ class AssemblyError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, residual: float, iters: int):
+    def __init__(self, residual: float):
         super().__init__(
-            f"stationary solve stalled at residual {residual:.3e} "
-            f"after {iters} iterations")
+            f"stationary solve residual {residual:.3e} above the bound "
+            f"{STATIONARY_TOL:.0e}")
         self.residual = residual
 
 
@@ -194,8 +195,8 @@ class RegularizedMarkov:
             + self.eps * (y.sum() / self.n)
 
     def lu(self):
-        """Sparse LU of B = I - (1-eps) M, shared by the direct stationary
-        and adjoint solves. Requires eps > 0 for B to be nonsingular."""
+        """Sparse LU of B = I - (1-eps) M, shared by the stationary and
+        adjoint solves. Requires eps > 0 for B to be nonsingular."""
         if self.eps <= 0.0:
             raise ValueError("direct factorization requires eps > 0")
         if self._lu is None:
@@ -211,43 +212,23 @@ def teleport(op: FvmOperator, eps: float) -> RegularizedMarkov:
     return RegularizedMarkov(M, eps, op.grid)
 
 
-def stationary_density(M: RegularizedMarkov, tol: float = 1e-12,
-                       max_iters: int = 100000, method: str = "power",
-                       rho0: Optional[np.ndarray] = None) -> Measure:
+def stationary_density(M: RegularizedMarkov) -> Measure:
     """Normalized positive fixed point of the regularized chain.
 
-    "power" iterates the chain from a uniform (or supplied) start until the
-    l1 fixed-point residual drops below tol. "direct" solves the equivalent
-    nonsingular sparse system (I - (1-eps) M) rho = (eps/N) 1, exact up to
-    factorization rounding; it requires eps > 0 and is preferred inside
-    optimization loops where slowly mixing chains would otherwise pass the
-    residual test long before the slow modes have actually converged.
+    Solves the nonsingular sparse system (I - (1-eps) M) rho = (eps/N) 1 on
+    the LU shared with the adjoint solve, exact up to factorization
+    rounding (an iteration could pass a residual test on a slowly mixing
+    chain long before its slow modes converge). Requires eps > 0; raises
+    ``NonConvergenceError`` if the l1 residual exceeds ``STATIONARY_TOL``.
     """
     n = M.n
-    if method == "direct":
-        lu = M.lu()
-        rho = lu.solve(np.full(n, M.eps / n))
-        rho = np.maximum(rho, 0.0)
-        rho /= rho.sum()
-        residual = float(np.abs(M.apply(rho) - rho).sum())
-        if residual > max(tol, 1e-9):
-            raise NonConvergenceError(residual, 1)
-        return Measure(rho, support=M.grid)
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    x = np.full(n, 1.0 / n) if rho0 is None else np.asarray(rho0, float).copy()
-    x = np.maximum(x, 0.0)
-    x /= x.sum()
-    residual = np.inf
-    for _ in range(max_iters):
-        y = M.apply(x)
-        y /= y.sum()
-        residual = float(np.abs(y - x).sum())
-        x = y
-        if residual < tol:
-            return Measure(np.maximum(x, 0.0) / np.maximum(x, 0.0).sum(),
-                           support=M.grid)
-    raise NonConvergenceError(residual, max_iters)
+    rho = M.lu().solve(np.full(n, M.eps / n))
+    rho = np.maximum(rho, 0.0)
+    rho /= rho.sum()
+    residual = float(np.abs(M.apply(rho) - rho).sum())
+    if residual > STATIONARY_TOL:
+        raise NonConvergenceError(residual)
+    return Measure(rho, support=M.grid)
 
 
 def evolve_density(op: FvmOperator, rho0: Measure, n_steps: int) -> Measure:

@@ -111,10 +111,11 @@ def read_mesh_json(path) -> UnstructuredMesh:
 
 
 def write_ulam_matrix(path, M: UlamMatrix):
-    """Coordinate-list text: `row col value`, orientation tag in header."""
+    """Coordinate-list text: `row col value` of a row-stochastic matrix,
+    whose orientation the header records."""
     coo = sp.coo_matrix(M.matrix)
     with open(path, "w") as fh:
-        fh.write(f"# orientation={M.orientation} n={M.n} eps={M.eps!r}\n")
+        fh.write(f"# orientation=row n={M.n} eps={M.eps!r}\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r} {c} {FLOAT_FMT % v}\n")
 
@@ -123,13 +124,16 @@ def read_ulam_matrix(path) -> UlamMatrix:
     with open(path) as fh:
         header = fh.readline().strip().lstrip("# ")
         fields = dict(part.split("=") for part in header.split())
+        if fields.get("orientation") != "row":
+            raise ValueError(f"{path}: expected a row-stochastic matrix "
+                             f"(orientation=row), got {header!r}")
         entries = np.loadtxt(fh, ndmin=2)
     n = int(fields["n"])
     mat = np.zeros((n, n))
     if entries.size:
         mat[entries[:, 0].astype(int), entries[:, 1].astype(int)] = \
             entries[:, 2]
-    return UlamMatrix(mat, fields["orientation"], eps=float(fields["eps"]))
+    return UlamMatrix(mat, eps=float(fields["eps"]))
 
 
 def write_operator_coo(path, op, meta_path=None):

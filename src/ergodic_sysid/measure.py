@@ -220,16 +220,13 @@ def _common_support(a: Measure, b: Measure):
 def l2_distance(a: Measure, b: Measure) -> float:
     """(1/2) integral of the squared density difference over the box."""
     vol = _common_support(a, b)
-    diff = a.weights - b.weights
-    return float(diff @ diff / (2.0 * vol))
+    return grid_objective("l2")(a.weights, b.weights, vol)[0]
 
 
 def kl_divergence(a: Measure, b: Measure) -> float:
     """KL(b || a) restricted to cells where both measures are positive."""
-    _common_support(a, b)
-    mask = (a.weights > 0) & (b.weights > 0)
-    wa, wb = a.weights[mask], b.weights[mask]
-    return float(np.sum(wb * np.log(wb / wa)))
+    vol = _common_support(a, b)
+    return grid_objective("kl")(a.weights, b.weights, vol)[0]
 
 
 def grid_objective(name: str):

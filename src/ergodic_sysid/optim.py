@@ -145,13 +145,14 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
 
 
 def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
-                  objective: str = "l2", dt: Optional[float] = None,
-                  solver: str = "direct"):
+                  objective: str = "l2", dt: Optional[float] = None):
     """Closure computing the density-matching loss and its gradient.
 
     The time step is frozen up front (half the CFL bound at the initial
     field) so the objective stays fixed across iterations; if the field
-    grows past the bound the step is halved and the event recorded.
+    grows past the bound the step is halved and the event recorded. Each
+    call factorizes the teleported chain once; the stationary and adjoint
+    solves share that LU, so eps_tele must be positive.
     """
     if not target.support.matches(grid):
         raise ValueError("target measure does not live on the fit grid")
@@ -172,11 +173,9 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
                 if step < 1e-16:
                     raise
         M = fvm.teleport(op, eps_tele)
-        rho = fvm.stationary_density(M, method=solver)
+        rho = fvm.stationary_density(M)
         value, djdrho = obj(rho.weights, target.weights, grid.cell_volume)
-        sol = adj.solve_adjoint(M, rho, djdrho,
-                                method="direct" if solver == "direct"
-                                else "lsmr")
+        sol = adj.solve_adjoint(M, rho, djdrho)
         face_grads = adj.grad_face_velocities(op, M, rho, sol)
         grad = adj.grad_parameters(face_grads, velocity, grid)
         return value, grad
@@ -186,14 +185,14 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
             objective: str = "l2", n_iters: int = 500, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0, solver: str = "direct",
-            callback=None, resume: Optional[dict] = None) -> FitReport:
+            seed: int = 0, clip_norm: float = 10.0, callback=None,
+            resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
     loss_and_grad, state = make_fvm_loss(target, velocity, grid, D, eps_tele,
-                                         objective, solver=solver)
+                                         objective)
     config = {"driver": "fvm", "objective": objective, "D": D,
               "eps_tele": eps_tele, "n_iters": n_iters, "lr": lr,
-              "clip_norm": clip_norm, "solver": solver}
+              "clip_norm": clip_norm, "solver": "direct"}
     report = _run_loop(loss_and_grad, velocity.get_params(), n_iters, lr,
                        clip_norm, config, seed, callback=callback,
                        resume=resume)

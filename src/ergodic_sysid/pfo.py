@@ -6,12 +6,13 @@ cell indicators can be smoothed into a softplus-of-distance partition of
 unity so that the matrix entries become differentiable in any parameter
 moving the underlying map.
 
-Orientation convention: estimated matrices here are ROW-stochastic (row =
-source cell), unlike the column-stochastic finite-volume chains; the tag is
-carried explicitly and conversion is a checked transpose. Invariant
-densities come from ``fvm.stationary_density`` on the transposed chain;
-the flow-map gradient chains ``velocity_models.flow_rk4_vjp``,
-``estimate_markov`` and the partition-of-unity VJP.
+Estimated matrices here are ROW-stochastic (row = source cell), unlike the
+column-stochastic finite-volume chains. ``invariant_density`` is the one
+place that converts: it transposes the matrix and takes the teleported
+fixed point from ``fvm.stationary_density``, the same sparse-LU solve as
+the fvm driver (the Ulam/GAIO construction). The flow-map gradient chains
+``velocity_models.flow_rk4_vjp``, ``estimate_markov`` and the
+partition-of-unity VJP.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ class PartitionOfUnity:
 
 @dataclass
 class UlamMatrix:
-    """Estimated cell-to-cell transition matrix with orientation tag."""
+    """Estimated row-stochastic cell-to-cell transition matrix: entry
+    (i, j) is the probability of moving from source cell i to cell j."""
 
     matrix: np.ndarray
-    orientation: str = "row"
     mesh: Optional[UnstructuredMesh] = None
     eps: float = 0.0
 
@@ -228,10 +229,7 @@ class UlamMatrix:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("transition matrix must be square")
-        if self.orientation not in ("row", "column"):
-            raise ValueError("orientation must be 'row' or 'column'")
-        axis = 1 if self.orientation == "row" else 0
-        sums = self.matrix.sum(axis=axis)
+        sums = self.matrix.sum(axis=1)
         if np.any(self.matrix < -ROWSUM_TOL):
             raise ValueError("negative transition probability")
         if np.max(np.abs(sums - 1.0)) > ROWSUM_TOL:
@@ -240,11 +238,6 @@ class UlamMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def transposed(self) -> "UlamMatrix":
-        """Checked conversion between the two stochasticity orientations."""
-        other = "column" if self.orientation == "row" else "row"
-        return UlamMatrix(self.matrix.T, other, self.mesh, self.eps)
 
 
 def _source_groups(x, mesh, assignments):
@@ -284,30 +277,22 @@ def estimate_markov(pairs, mesh: UnstructuredMesh, pou: PartitionOfUnity,
                 shape=(chunk_src.size, n))
             mat += onehot.T @ psi
     mat /= counts[:, None]
-    return UlamMatrix(mat, "row", mesh, pou.eps)
+    return UlamMatrix(mat, mesh, pou.eps)
 
 
-def invariant_density(M: UlamMatrix, eps_tele: float = 0.0,
-                      tol: float = 1e-12,
-                      max_iters: int = 100000) -> Measure:
+def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
     """Left fixed point pi M = pi of a row-stochastic matrix.
 
-    The stationary density of the transposed chain, teleported by eps_tele
-    toward the uniform restart so the fixed point is unique and positive;
-    raises ``fvm.NonConvergenceError`` if power iteration stalls.
+    The stationary density of the transposed (column-stochastic) chain,
+    teleported by eps_tele > 0 toward the uniform restart so the fixed
+    point is unique and positive; eps_tele = 0 raises ``ValueError``.
     """
-    if M.orientation != "row":
-        raise ValueError("invariant_density expects a row-stochastic matrix")
     chain = RegularizedMarkov(sp.csr_matrix(M.matrix.T), eps_tele, None)
-    pi = stationary_density(chain, tol=tol, max_iters=max_iters,
-                            method="power")
-    return Measure(pi.weights, support=M.mesh)
+    return Measure(stationary_density(chain).weights, support=M.mesh)
 
 
 def markov_distance(A: UlamMatrix, B: UlamMatrix) -> float:
     """Frobenius norm of the difference between two transition matrices."""
-    if A.orientation != B.orientation:
-        raise ValueError("orientation mismatch; convert with transposed()")
     if A.n != B.n:
         raise ValueError("matrix size mismatch")
     if A.mesh is not None and B.mesh is not None and A.mesh is not B.mesh:

@@ -127,11 +127,13 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
     h = dt / substeps
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x
-    for k in range(1, n_steps + 1):
-        for _ in range(substeps):
-            x = rk4_step(sys.rhs, x, h)
-        _check_finite(x, k)
-        states[k] = x
+    # A blow-up overflows inside the step; _check_finite reports it once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            for _ in range(substeps):
+                x = rk4_step(sys.rhs, x, h)
+            _check_finite(x, k)
+            states[k] = x
     return Trajectory(states, dt)
 
 
@@ -153,12 +155,13 @@ def integrate_sde(sys: OdeSystem, diffusion_d: float, x0, dt: float,
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x
     sigma = np.sqrt(2.0 * diffusion_d * dt)
-    for k in range(1, n_steps + 1):
-        x = x + dt * sys.rhs(x)
-        if sigma > 0.0:
-            x = x + sigma * rng.standard_normal(sys.dim)
-        _check_finite(x, k)
-        states[k] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            x = x + dt * sys.rhs(x)
+            if sigma > 0.0:
+                x = x + sigma * rng.standard_normal(sys.dim)
+            _check_finite(x, k)
+            states[k] = x
     return Trajectory(states, dt, seed=seed)
 
 

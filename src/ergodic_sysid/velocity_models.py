@@ -36,14 +36,7 @@ class _Parameterized:
         self.theta = theta.copy()
 
 
-class _PointEval:
-    """Single-point ``eval`` on top of ``eval_batch``."""
-
-    def eval(self, x) -> np.ndarray:
-        return self.eval_batch(np.atleast_2d(x))[0]
-
-
-class MlpModel(_Parameterized, _PointEval):
+class MlpModel(_Parameterized):
     """Fully-connected network, tanh hidden layers, linear output.
 
     Optional fixed input/output affine maps (whitening) are part of the
@@ -157,7 +150,7 @@ class MlpModel(_Parameterized, _PointEval):
         return model
 
 
-class LinearFeatureModel(_Parameterized, _PointEval):
+class LinearFeatureModel(_Parameterized):
     """Linear-in-parameters field v(x) = Theta @ phi(x).
 
     ``features(X) -> (n, F)``; ``features_jac(X) -> (n, F, dim_in)`` is only
@@ -224,7 +217,7 @@ class FaceValuesModel(_Parameterized):
             for i in range(self.grid.dim)])
 
 
-class MaskedVelocity(_PointEval):
+class MaskedVelocity:
     """Learn a subset of the velocity components, pin the rest.
 
     Pinned components come from a known reference field; its vector-Jacobian

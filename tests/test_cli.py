@@ -112,10 +112,11 @@ def test_unknown_config_key_exits_2(tmp_path):
                                                "balanced": True}), "fit"),
     ("eval.balanced", lambda c: c.update(eval={"kind": "catmap_compare",
                                                "balanced": True}), "eval"),
+    ("fit.solver", lambda c: c["fit"].update(solver="direct"), "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
-        "eval-model", "mesh-balanced", "eval-balanced"])
+        "eval-model", "mesh-balanced", "eval-balanced", "fit-solver"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -304,12 +305,20 @@ def test_round_trips_through_library_readers(tmp_path):
 
     mat = rng.random((4, 4))
     mat /= mat.sum(axis=1, keepdims=True)
-    M = UlamMatrix(mat, "row", eps=0.5)
+    M = UlamMatrix(mat, eps=0.5)
     io.write_ulam_matrix(tmp_path / "M.txt", M)
+    assert (tmp_path / "M.txt").read_text().startswith(
+        "# orientation=row n=4 eps=0.5\n")
     back_M = io.read_ulam_matrix(tmp_path / "M.txt")
     assert np.array_equal(back_M.matrix, mat)
-    assert back_M.orientation == "row"
     assert back_M.eps == 0.5
+
+
+def test_ulam_reader_rejects_column_orientation(tmp_path):
+    path = tmp_path / "M.txt"
+    path.write_text("# orientation=column n=2 eps=0.0\n0 0 1.0\n1 1 1.0\n")
+    with pytest.raises(ValueError, match="orientation=row"):
+        io.read_ulam_matrix(path)
 
 
 def test_operator_debug_dump(tmp_path):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ergodic_sysid.fvm import (AssemblyError, DegenerateDynamicsError,
-                               NonConvergenceError, RegularizedMarkov,
-                               assemble_K, cfl_dt, evolve_density,
-                               frozen_dt, stationary_density, teleport)
+from ergodic_sysid.fvm import (STATIONARY_TOL, AssemblyError,
+                               DegenerateDynamicsError, NonConvergenceError,
+                               RegularizedMarkov, assemble_K, cfl_dt,
+                               evolve_density, frozen_dt, stationary_density,
+                               teleport)
 from ergodic_sysid.measure import Grid, Measure
+from ergodic_sysid.pfo import UlamMatrix, invariant_density
 from ergodic_sysid.systems import integrate_sde, make_system
 from ergodic_sysid.velocity_models import FaceValuesModel
 
@@ -144,7 +146,7 @@ def test_teleport_eps_validated():
 
 def test_stationary_symmetric_two_cell():
     M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5, None)
-    rho = stationary_density(M, method="power")
+    rho = stationary_density(M)
     assert np.allclose(rho.weights, [0.5, 0.5], atol=1e-12)
 
 
@@ -153,33 +155,39 @@ def test_stationary_residual_postcondition():
     op, grid = _random_operator(rng)
     M = teleport(op, 1e-3)
     tol = 1e-12
-    rho = stationary_density(M, tol=tol, method="power")
+    rho = stationary_density(M)
     assert np.abs(M.apply(rho.weights) - rho.weights).sum() < tol
     assert rho.weights.min() > 0.0
 
 
 def test_stationary_direct_matches_power():
+    # dense oracle: solve (I - (1-eps) M) rho = eps/N 1 with numpy
     rng = np.random.default_rng(26)
+    eps = 1e-2
     for _ in range(5):
         op, grid = _random_operator(rng)
-        M = teleport(op, 1e-2)
-        a = stationary_density(M, tol=1e-13, method="power")
-        b = stationary_density(M, method="direct")
-        assert np.abs(a.weights - b.weights).max() < 1e-9
+        M = teleport(op, eps)
+        n = M.n
+        B = np.eye(n) - (1.0 - eps) * M.M.toarray()
+        oracle = np.linalg.solve(B, np.full(n, eps / n))
+        b = stationary_density(M)
+        assert np.abs(oracle / oracle.sum() - b.weights).max() < 1e-9
 
 
-def test_stationary_nonconvergence_raises():
-    # two disconnected cells with eps = 0 have no unique fixed point and
-    # power iteration from uniform stalls exactly at its symmetric mix
-    K = sp.csr_matrix((2, 2))
-    M = RegularizedMarkov(sp.identity(2, format="csr") + K, 0.0, None)
-    rho = stationary_density(M, tol=1e-12, max_iters=10, method="power")
-    assert np.allclose(rho.weights, [0.5, 0.5])  # fixed point reached
-    bad = RegularizedMarkov(
-        sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), 0.0, None)
-    with pytest.raises(NonConvergenceError):
-        stationary_density(bad, tol=1e-12, max_iters=50,
-                           rho0=np.array([0.9, 0.1]), method="power")
+def test_stationary_requires_teleportation():
+    # without teleportation the swap chain has no unique fixed point and
+    # I - M is singular; the solve refuses it instead of guessing
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="eps > 0"):
+        stationary_density(RegularizedMarkov(swap, 0.0, None))
+    with pytest.raises(ValueError, match="eps > 0"):
+        invariant_density(UlamMatrix(swap.toarray()), eps_tele=0.0)
+
+
+def test_nonconvergence_names_residual_and_bound():
+    err = NonConvergenceError(3.2e-7)
+    assert err.residual == 3.2e-7
+    assert "3.200e-07" in str(err) and f"{STATIONARY_TOL:.0e}" in str(err)
 
 
 def test_van_der_pol_density_concentrates_on_cycle():
@@ -189,7 +197,7 @@ def test_van_der_pol_density_concentrates_on_cycle():
     dt = cfl_dt(grid, 1e-3, float(np.abs(sys.rhs(grid.centers())).max()))
     op = assemble_K(grid, sys, 1e-3, dt)
     M = teleport(op, 1e-8)
-    rho = stationary_density(M, method="direct")
+    rho = stationary_density(M)
     cycle = integrate_ode(sys, [1.5, 0.0], 0.02, 2000).states[1000:]
     centers = grid.centers()
     # distance of every cell center to the limit-cycle polyline; the

@@ -55,7 +55,7 @@ def _double_well_target(grid, D, eps):
     truth.set_params(np.array([1.0, -1.0]))
     dt = cfl_dt(grid, D, 4.0, safety=0.9)
     op = assemble_K(grid, truth, D, dt)
-    rho = stationary_density(teleport(op, eps), method="direct")
+    rho = stationary_density(teleport(op, eps))
     return Measure(rho.weights, grid), truth, dt
 
 

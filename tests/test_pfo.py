@@ -136,7 +136,7 @@ def test_invariant_density_doubling():
     x, y = _doubling_pairs(rng, 20000)
     mesh = UnstructuredMesh(np.array([[0.25], [0.75]]))
     M = estimate_markov((x, y), mesh, PartitionOfUnity(mesh.centers, 0.0))
-    pi = invariant_density(M, eps_tele=1e-10, tol=1e-13)
+    pi = invariant_density(M, eps_tele=1e-10)
     assert np.abs(pi.weights - 0.5).max() < 0.02
     # residual postcondition under the iterated operator
     res = np.abs(pi.weights @ M.matrix - pi.weights).sum()
@@ -147,11 +147,11 @@ def test_invariant_density_matches_direct_solve_of_transposed_chain():
     rng = np.random.default_rng(30)
     mat = rng.random((6, 6)) ** 4
     mat /= mat.sum(axis=1, keepdims=True)
-    M = UlamMatrix(mat, "row")
+    M = UlamMatrix(mat)
     for eps in (1e-3, 0.2):
-        pi = invariant_density(M, eps_tele=eps, tol=1e-14)
+        pi = invariant_density(M, eps_tele=eps)
         chain = RegularizedMarkov(sp.csr_matrix(mat.T), eps, None)
-        direct = stationary_density(chain, method="direct")
+        direct = stationary_density(chain)
         assert np.abs(pi.weights - direct.weights).max() < 1e-10
 
 
@@ -162,10 +162,10 @@ def test_markov_distance_oracle():
     a /= a.sum(axis=1, keepdims=True)
     b = rng.random((5, 5))
     b /= b.sum(axis=1, keepdims=True)
-    A = UlamMatrix(a, "row", mesh)
-    B = UlamMatrix(b, "row", mesh)
+    A = UlamMatrix(a, mesh)
+    B = UlamMatrix(b, mesh)
     assert markov_distance(A, A) == 0.0
-    perm = UlamMatrix(a[::-1], "row", mesh)
+    perm = UlamMatrix(a[::-1], mesh)
     assert markov_distance(A, perm) > 0.0
     expected = np.sqrt(sum((a[i, j] - b[i, j]) ** 2
                            for i in range(5) for j in range(5)))
@@ -177,22 +177,12 @@ def test_markov_distance_rejects_mismatch():
     mesh_a = UnstructuredMesh(rng.normal(size=(3, 2)))
     mesh_b = UnstructuredMesh(rng.normal(size=(3, 2)))
     eye = np.eye(3)
-    A = UlamMatrix(eye, "row", mesh_a)
-    B = UlamMatrix(eye, "row", mesh_b)
+    A = UlamMatrix(eye, mesh_a)
+    B = UlamMatrix(eye, mesh_b)
     with pytest.raises(ValueError):
         markov_distance(A, B)
     with pytest.raises(ValueError):
-        markov_distance(A, UlamMatrix(eye, "column", mesh_a))
-
-
-def test_orientation_transpose_checked():
-    rng = np.random.default_rng(15)
-    a = rng.random((4, 4))
-    a /= a.sum(axis=1, keepdims=True)
-    A = UlamMatrix(a, "row")
-    At = A.transposed()
-    assert At.orientation == "column"
-    assert np.allclose(At.matrix.sum(axis=0), 1.0)
+        markov_distance(A, UlamMatrix(np.eye(4)))
 
 
 def test_flowmap_zero_velocity_is_identity():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -81,6 +83,19 @@ def test_blowup_names_step():
     with pytest.raises(IntegrationBlowupError) as err:
         integrate_ode(nan, [0.0], 1.0, 50)
     assert str(err.value) == "non-finite state at step 4"
+
+
+def test_blowup_raises_without_numpy_warnings():
+    # both fields overflow inside the first step; the integrators report
+    # that once, as a blow-up, not as numpy warnings
+    vdp = make_system("van_der_pol", c=1.0)
+    exp = OdeSystem("exp", 1, {}, np.exp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError):
+            integrate_ode(vdp, [1e6, 1e6], 0.5, 10, substeps=10)
+        with pytest.raises(IntegrationBlowupError):
+            integrate_sde(exp, 0.1, [800.0], 0.5, 10, seed=0)
 
 
 def test_torus_rotation_iterates():

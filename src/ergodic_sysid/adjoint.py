@@ -87,12 +87,9 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov, rho,
     r = _weights(rho)
     lam = adj.lam if isinstance(adj, AdjointSolution) else np.asarray(adj)
     grid = op.grid
-    n = grid.n_cells
-    multi = grid.flat_to_multi(np.arange(n))
     grads = []
-    for i in range(grid.dim):
-        g = np.zeros(n)
-        j = np.flatnonzero(multi[:, i] > 0)
+    for i, j in enumerate(grid.lower_faces):
+        g = np.zeros(grid.n_cells)
         jm = j - grid.strides[i]
         v = op.face_velocities[i][j]
         donor = np.where(v > 0, r[jm], r[j])
@@ -102,24 +99,21 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov, rho,
     return grads
 
 
-def grad_parameters(face_grads: list, velocity, grid) -> np.ndarray:
+def grad_parameters(face_grads: list, velocity,
+                    op: FvmOperator) -> np.ndarray:
     """Chain face gradients into the velocity parameterization.
 
-    One reverse pass per dimension, seeding the i-th output component at the
-    interior lower-face centers with the corresponding face gradient.
+    Seeds the pullbacks that ``assemble_K`` kept, one per dimension: the
+    i-th output component at the interior lower faces gets the
+    corresponding face gradient. No model forward pass is rerun.
     """
     if hasattr(velocity, "face_arrays"):
         return np.concatenate(face_grads)
-    n = grid.n_cells
-    multi = grid.flat_to_multi(np.arange(n))
     total = np.zeros(velocity.n_params)
-    for i in range(grid.dim):
-        j = np.flatnonzero(multi[:, i] > 0)
-        if j.size == 0:
-            continue
-        pts = grid.face_centers(i)[j]
+    for i, pullback in enumerate(op.face_pullbacks):
+        j = op.grid.lower_faces[i]
         seeds = np.zeros((j.size, velocity.dim_out))
         seeds[:, i] = face_grads[i][j]
-        tg, _ = velocity.vjp(pts, seeds)
+        tg, _ = pullback(seeds)
         total += tg
     return total

@@ -6,7 +6,9 @@ the delay-coordinate invariant measure, which can separate systems whose
 state-coordinate statistics coincide. Two losses compare a candidate map
 against observed flow data: the state-space image mismatch alone, and that
 mismatch plus the delay-measure mismatch. The gradient builds the iterate
-chain x, T x, ..., T^((m-1) lag) x once and reverses through the same list.
+chain x, T x, ..., T^((m-1) lag) x once, keeping the model's pullback of
+every step, and reverses through those pullbacks: the image term seeds the
+first, the delay term the whole chain.
 """
 
 from __future__ import annotations
@@ -68,13 +70,27 @@ def delay_embed(traj: Trajectory, cfg: DelayMapConfig) -> SampleCloud:
     return SampleCloud(np.stack(cols, axis=1))
 
 
-def _map_chain(model, x: np.ndarray, n_steps: int) -> list:
-    """Iterates [x, T x, ..., T^n_steps x], each checked for blow-up."""
+def _map_chain(step, x: np.ndarray, n_steps: int) -> list:
+    """Iterates [x, T x, ..., T^n_steps x] of the map ``step``, each
+    checked for blow-up."""
     chain = [x]
     for k in range(n_steps):
-        chain.append(_apply_map(model, chain[-1]))
+        chain.append(step(chain[-1]))
         _check_finite(chain[-1], k + 1)
     return chain
+
+
+def _linearized_chain(model, x: np.ndarray, n_steps: int):
+    """The iterate chain of a model and the pullback of each of its steps:
+    pullbacks[k] reverses the step from chain[k] to chain[k + 1]."""
+    pullbacks = []
+
+    def step(z):
+        value, pullback = model.linearize(z)
+        pullbacks.append(pullback)
+        return value
+
+    return _map_chain(step, x, n_steps), pullbacks
 
 
 def _delay_coords(chain: list, cfg: DelayMapConfig) -> np.ndarray:
@@ -95,7 +111,8 @@ def pushforward_delay_measure(samples: SampleCloud, model,
     """
     x = samples.points if isinstance(samples, SampleCloud) \
         else np.atleast_2d(np.asarray(samples, float))
-    chain = _map_chain(model, x, (cfg.m - 1) * cfg.lag)
+    chain = _map_chain(lambda z: _apply_map(model, z), x,
+                       (cfg.m - 1) * cfg.lag)
     return SampleCloud(_delay_coords(chain, cfg))
 
 
@@ -128,9 +145,10 @@ def loss_j2(model, mu_samples: SampleCloud, t_star_images: SampleCloud,
     return j1 + energy_mmd(model_delay, _prep(observed_delay))
 
 
-def _delay_pushforward_grad(model, chain: list, cfg: DelayMapConfig,
+def _delay_pushforward_grad(model, chain: list, pullbacks: list,
+                            cfg: DelayMapConfig,
                             gbar: np.ndarray) -> np.ndarray:
-    """Reverse pass of the delay map through the iterate chain of the
+    """Reverse pass of the delay map through the step pullbacks of the
     forward pass."""
     if callable(cfg.observable):
         raise ValueError("gradients need a coordinate-index observable")
@@ -140,7 +158,7 @@ def _delay_pushforward_grad(model, chain: list, cfg: DelayMapConfig,
     for step in range((cfg.m - 1) * cfg.lag, 0, -1):
         if step % cfg.lag == 0:
             carry[:, obs] += gbar[:, step // cfg.lag]
-        tg, carry = model.vjp(chain[step - 1], carry, need_x=True)
+        tg, carry = pullbacks[step - 1](carry, need_x=True)
         theta_grad += tg
     return theta_grad
 
@@ -165,17 +183,17 @@ def loss_j2_grad(model, mu_samples: SampleCloud,
     obs = _prep(t_star_images)
     x = mu.points
     delay_steps = (cfg.m - 1) * cfg.lag if include_delay else 0
-    chain = _map_chain(model, x, max(delay_steps, 1))
+    chain, pullbacks = _linearized_chain(model, x, max(delay_steps, 1))
     j1, gimg = energy_mmd_grad_x(chain[1], obs.points)
-    theta_grad, _ = model.vjp(x, gimg)
+    theta_grad, _ = pullbacks[0](gimg)
     parts = {"state": j1, "delay": 0.0}
     total = j1
     if include_delay:
         obs_delay = _prep(observed_delay)
         j_delay, gdel = energy_mmd_grad_x(_delay_coords(chain, cfg),
                                           obs_delay.points)
-        theta_grad = theta_grad + _delay_pushforward_grad(model, chain, cfg,
-                                                          gdel)
+        theta_grad = theta_grad + _delay_pushforward_grad(
+            model, chain, pullbacks, cfg, gdel)
         parts["delay"] = j_delay
         total = j1 + j_delay
     return total, theta_grad, parts

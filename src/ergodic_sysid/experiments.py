@@ -261,12 +261,19 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
         mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
                               **_seed_of(cfg, mesh_cfg))
+        sources = subsample_stride(SampleCloud(traj.states[:-1]),
+                                   **_given(fit_cfg, max_points="n_sources"))
+        empty = int(np.count_nonzero(np.bincount(
+            mesh.assign(sources.points), minlength=mesh.n) == 0))
+        if empty:
+            raise ConfigError(
+                f"mesh.n_cells: {mesh.n} cells for fit.n_sources: "
+                f"{sources.n} sources leave {empty} source cells empty; "
+                "lower mesh.n_cells or raise fit.n_sources")
         pou = pfo.PartitionOfUnity(mesh.centers,
                                    **_given(mesh_cfg, eps="pou_eps"))
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
-        sources = subsample_stride(SampleCloud(traj.states[:-1]),
-                                   **_given(fit_cfg, max_points="n_sources"))
         model = make_model(cfg, traj.dim, traj, purpose="velocity")
         report = fit_pfo(
             target, model, mesh, pou, sources,

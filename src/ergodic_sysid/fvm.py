@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .measure import Grid, Measure
-from .velocity_models import evaluate_velocity
+from .velocity_models import evaluate_velocity, linearize_velocity
 
 COLSUM_TOL = 1e-12
 NEG_TOL = 1e-14
@@ -41,9 +41,12 @@ class AssemblyError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, residual: float):
+    """The stationary solve missed ``STATIONARY_TOL``, on its residual or
+    on the negative mass it would have to clamp."""
+
+    def __init__(self, residual: float, quantity: str = "residual"):
         super().__init__(
-            f"stationary solve residual {residual:.3e} above the bound "
+            f"stationary solve {quantity} {residual:.3e} above the bound "
             f"{STATIONARY_TOL:.0e}")
         self.residual = residual
 
@@ -86,7 +89,10 @@ class FvmOperator:
 
     ``face_velocities[i]`` holds the lower-face normal velocity of every
     cell along dimension i (flat order, zero on boundary faces); the upper
-    face of a cell is the lower face of its axis-i successor.
+    face of a cell is the lower face of its axis-i successor. For a field
+    evaluated at the faces, ``face_pullbacks[i]`` is the pullback of its
+    values at the interior lower faces ``grid.lower_faces[i]``, kept for
+    the parameter gradient (see ``linearize_velocity``).
     """
 
     grid: Grid
@@ -94,6 +100,7 @@ class FvmOperator:
     dt: float
     D: float
     face_velocities: list
+    face_pullbacks: Optional[list]
 
     @property
     def n_cells(self) -> int:
@@ -104,48 +111,54 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
     """Build K = sum_i (dt/dx_i) K_i with upwind advection and central
     diffusion, validating column sums and CFL nonnegativity.
 
-    ``velocity`` is a field evaluated at face centers, or an object with
-    ``face_arrays()`` supplying the face values directly.
+    ``velocity`` is a field evaluated at the interior face centers (the
+    wall faces carry zero flux), or an object with ``face_arrays()``
+    supplying the face values directly.
     """
     if D < 0:
         raise ValueError("D must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = grid.n_cells
-    multi = grid.flat_to_multi(np.arange(n))
     strides = grid.strides
-
+    face_v = [np.zeros(n) for _ in range(grid.dim)]
+    pullbacks = None
     if hasattr(velocity, "face_arrays"):
         if not velocity.grid.matches(grid):
             raise ValueError("face-value model bound to a different grid")
-        face_v = [arr.astype(float).copy() for arr in velocity.face_arrays()]
+        for i, arr in enumerate(velocity.face_arrays()):
+            low = grid.lower_faces[i]
+            face_v[i][low] = arr[low]
     else:
-        face_v = [evaluate_velocity(velocity, grid.face_centers(i))[:, i]
-                  .copy() for i in range(grid.dim)]
+        pullbacks = []
+        for i, low in enumerate(grid.lower_faces):
+            values, pullback = linearize_velocity(
+                velocity, grid.face_centers(i)[low])
+            face_v[i][low] = values[:, i]
+            pullbacks.append(pullback)
 
     diag = np.zeros(n)
     rows, cols, data = [], [], []
     for i in range(grid.dim):
         dx = grid.spacings[i]
         scale = dt / dx
-        has_lower = multi[:, i] > 0
-        has_upper = multi[:, i] < grid.n_per_dim[i] - 1
+        low_idx = grid.lower_faces[i]
+        up_idx = low_idx - strides[i]
         v = face_v[i]
-        v[~has_lower] = 0.0  # zero-flux wall
         w = np.zeros(n)
-        up_idx = np.flatnonzero(has_upper)
-        w[up_idx] = v[up_idx + strides[i]]
-        d_low = np.where(has_lower, D, 0.0)
-        d_up = np.where(has_upper, D, 0.0)
+        w[up_idx] = v[low_idx]
+        d_low = np.zeros(n)
+        d_low[low_idx] = D
+        d_up = np.zeros(n)
+        d_up[up_idx] = D
         diag += scale * (np.minimum(v, 0.0) - np.maximum(w, 0.0)
                          - (d_low + d_up) / dx)
         # inflow from below: entry (j, j - S_i)
-        rows.append(up_idx + strides[i])
+        rows.append(low_idx)
         cols.append(up_idx)
         data.append(scale * (np.maximum(w, 0.0) + d_up / dx)[up_idx])
         # inflow from above: entry (j - S_i, j)
-        low_idx = np.flatnonzero(has_lower)
-        rows.append(low_idx - strides[i])
+        rows.append(up_idx)
         cols.append(low_idx)
         data.append(scale * (-np.minimum(v, 0.0) + d_low / dx)[low_idx])
 
@@ -159,13 +172,13 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
 
     colsums = np.abs(np.asarray(K.sum(axis=0)).ravel())
     if colsums.max() > COLSUM_TOL:
-        raise AssemblyError(int(colsums.argmax()),
-                            multi[colsums.argmax()], float(colsums.max()))
+        j = int(colsums.argmax())
+        raise AssemblyError(j, grid.flat_to_multi(j), float(colsums.max()))
     worst = float(1.0 + diag.min())
     if worst < -NEG_TOL:
         j = int(diag.argmin())
-        raise AssemblyError(j, multi[j], worst)
-    return FvmOperator(grid, K, dt, D, face_v)
+        raise AssemblyError(j, grid.flat_to_multi(j), worst)
+    return FvmOperator(grid, K, dt, D, face_v, pullbacks)
 
 
 class RegularizedMarkov:
@@ -218,11 +231,16 @@ def stationary_density(M: RegularizedMarkov) -> Measure:
     Solves the nonsingular sparse system (I - (1-eps) M) rho = (eps/N) 1 on
     the LU shared with the adjoint solve, exact up to factorization
     rounding (an iteration could pass a residual test on a slowly mixing
-    chain long before its slow modes converge). Requires eps > 0; raises
-    ``NonConvergenceError`` if the l1 residual exceeds ``STATIONARY_TOL``.
+    chain long before its slow modes converge). Requires eps > 0. Raises
+    ``NonConvergenceError`` if the negative entries of the solution hold
+    more than ``STATIONARY_TOL`` of its l1 mass (they are clamped to zero
+    below that), or if the l1 residual exceeds ``STATIONARY_TOL``.
     """
     n = M.n
     rho = M.lu().solve(np.full(n, M.eps / n))
+    negative = float(-rho[rho < 0.0].sum() / np.abs(rho).sum())
+    if negative > STATIONARY_TOL:
+        raise NonConvergenceError(negative, "negative mass")
     rho = np.maximum(rho, 0.0)
     rho /= rho.sum()
     residual = float(np.abs(M.apply(rho) - rho).sum())

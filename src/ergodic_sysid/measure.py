@@ -8,6 +8,7 @@ MMD used for sample-cloud comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,6 +79,18 @@ class Grid:
         for i in range(1, self.dim):
             s[i] = s[i - 1] * self.n_per_dim[i - 1]
         return s
+
+    @cached_property
+    def lower_faces(self) -> tuple:
+        """Per axis i, the flat indices (ascending, read-only) of the cells
+        with an axis-i lower neighbour: the cells whose lower face is
+        interior."""
+        multi = self.flat_to_multi(np.arange(self.n_cells))
+        faces = tuple(np.flatnonzero(multi[:, i] > 0)
+                      for i in range(self.dim))
+        for j in faces:
+            j.setflags(write=False)
+        return faces
 
     def multi_to_flat(self, multi: np.ndarray) -> np.ndarray:
         multi = np.asarray(multi, dtype=int)

@@ -177,7 +177,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
         value, djdrho = obj(rho.weights, target.weights, grid.cell_volume)
         sol = adj.solve_adjoint(M, rho, djdrho)
         face_grads = adj.grad_face_velocities(op, M, rho, sol)
-        grad = adj.grad_parameters(face_grads, velocity, grid)
+        grad = adj.grad_parameters(face_grads, velocity, op)
         return value, grad
 
     return loss_and_grad, state

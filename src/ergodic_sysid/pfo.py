@@ -10,9 +10,13 @@ Estimated matrices here are ROW-stochastic (row = source cell), unlike the
 column-stochastic finite-volume chains. ``invariant_density`` is the one
 place that converts: it transposes the matrix and takes the teleported
 fixed point from ``fvm.stationary_density``, the same sparse-LU solve as
-the fvm driver (the Ulam/GAIO construction). The flow-map gradient chains
-``velocity_models.flow_rk4_vjp``, ``estimate_markov`` and the
-partition-of-unity VJP.
+the fvm driver (the Ulam/GAIO construction).
+
+The flow-map gradient runs one forward pass and reverses through what it
+kept: ``velocity_models.flow_rk4_vjp`` gives the flowed sources and the RK4
+pullback, ``PartitionOfUnity.linearize`` gives the cell weights of the
+images and the pullback that reuses their kernel, and the matrix averages
+those weights with the same row-average helper as ``estimate_markov``.
 """
 
 from __future__ import annotations
@@ -157,24 +161,23 @@ class PartitionOfUnity:
     def n(self) -> int:
         return self.centers.shape[0]
 
-    def _log_r(self, u: np.ndarray) -> np.ndarray:
-        # log r = log log1p(exp(-u)); asymptotically -u once exp(-u) is tiny.
-        out = np.empty_like(u)
-        small = u <= 33.0
-        out[small] = np.log(np.log1p(np.exp(-u[small])))
-        out[~small] = -u[~small]
-        return out
+    def _weights(self, psi: np.ndarray):
+        """Turn the scaled distances u = d/eps of one chunk, held in psi,
+        into its weights in place: psi holds u, then log r, then psi.
 
-    def _kernel(self, x: np.ndarray):
-        """Distances d, scaled distances u = d/eps and weights psi of one
-        chunk of points."""
-        d = cdist(x, self.centers)
-        u = d / self.eps
-        lr = self._log_r(u)
-        lr -= lr.max(axis=1, keepdims=True)
-        psi = np.exp(lr)
+        Returns what the reverse pass needs besides d: the mask u <= 33,
+        and exp(-u) and log1p(exp(-u)) on that mask.
+        """
+        small = psi <= 33.0
+        eu = np.exp(-psi[small])
+        l1 = np.log1p(eu)
+        # log r = log log1p(exp(-u)); asymptotically -u once exp(-u) is tiny.
+        np.negative(psi, out=psi)
+        psi[small] = np.log(l1)
+        psi -= psi.max(axis=1, keepdims=True)
+        np.exp(psi, out=psi)
         psi /= psi.sum(axis=1, keepdims=True)
-        return d, u, psi
+        return small, eu, l1
 
     def eval(self, points) -> np.ndarray:
         """Weight rows, each nonnegative and summing to one."""
@@ -186,34 +189,51 @@ class PartitionOfUnity:
             return out
         out = np.empty((pts.shape[0], self.n))
         for s in range(0, pts.shape[0], _CHUNK):
-            out[s:s + _CHUNK] = self._kernel(pts[s:s + _CHUNK])[2]
+            u = out[s:s + _CHUNK]
+            cdist(pts[s:s + _CHUNK], self.centers, out=u)
+            u /= self.eps
+            self._weights(u)
         return out
 
-    def vjp(self, points, seeds) -> np.ndarray:
-        """d(sum_k seeds_k . psi(x_k))/dx_k for each point.
+    def linearize(self, points):
+        """Weight rows at the points and the pullback of d(sum_k seeds_k .
+        psi(x_k))/dx_k, which reuses the kernel of this forward pass.
 
-        Zero for eps = 0 (piecewise-constant weights).
+        The pullback is zero for eps = 0 (piecewise-constant weights).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
         if self.eps == 0.0:
-            return np.zeros_like(pts)
-        out = np.empty_like(pts)
+            return self.eval(pts), lambda seeds: np.zeros_like(pts)
+        psi = np.empty((pts.shape[0], self.n))
+        kernels = []
         for s in range(0, pts.shape[0], _CHUNK):
-            x = pts[s:s + _CHUNK]
-            w = seeds[s:s + _CHUNK]
-            d, u, psi = self._kernel(x)
-            # d log r / du = -sigmoid(-u)/log1p(exp(-u)); saturates at -1.
-            q = np.ones_like(u)
-            small = u <= 33.0
-            eu = np.exp(-u[small])
-            q[small] = (eu / (1.0 + eu)) / np.log1p(eu)
-            sbar = psi * (w - (psi * w).sum(axis=1, keepdims=True))
-            dbar = -sbar * q / self.eps
-            inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
-            out[s:s + _CHUNK] = (
-                x * inv_d.sum(axis=1, keepdims=True) - inv_d @ self.centers)
-        return out
+            d = cdist(pts[s:s + _CHUNK], self.centers)
+            np.divide(d, self.eps, out=psi[s:s + _CHUNK])
+            kernels.append((d,) + self._weights(psi[s:s + _CHUNK]))
+
+        def pullback(seeds):
+            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+            out = np.empty_like(pts)
+            for k, (d, small, eu, l1) in enumerate(kernels):
+                chunk = slice(k * _CHUNK, (k + 1) * _CHUNK)
+                p, w = psi[chunk], seeds[chunk]
+                # d log r / du = -sigmoid(-u)/log1p(exp(-u)); saturates at -1.
+                q = np.ones_like(d)
+                q[small] = (eu / (1.0 + eu)) / l1
+                dbar = -(p * (w - (p * w).sum(axis=1, keepdims=True))) * q \
+                    / self.eps
+                inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
+                out[chunk] = (pts[chunk] * inv_d.sum(axis=1, keepdims=True)
+                              - inv_d @ self.centers)
+            return out
+
+        return psi, pullback
+
+    def vjp(self, points, seeds) -> np.ndarray:
+        """One-off input gradient: ``linearize(points)`` pulled back once.
+        The flow-map gradient keeps the pullback of its own forward pass
+        instead."""
+        return self.linearize(points)[1](seeds)
 
 
 @dataclass
@@ -249,6 +269,25 @@ def _source_groups(x, mesh, assignments):
     return src, counts
 
 
+def _row_average(src, counts, rows) -> np.ndarray:
+    """Row i averages the weight rows of the samples in source cell i.
+
+    ``rows(chunk)`` gives the weight rows of the samples in a slice; they
+    are summed one ``_CHUNK`` slice at a time, so only one chunk of weights
+    need exist at once.
+    """
+    n = counts.size
+    mat = np.zeros((n, n))
+    for s in range(0, src.size, _CHUNK):
+        chunk_src = src[s:s + _CHUNK]
+        onehot = sp.csr_matrix(
+            (np.ones(chunk_src.size), (np.arange(chunk_src.size), chunk_src)),
+            shape=(chunk_src.size, n))
+        mat += onehot.T @ rows(slice(s, s + _CHUNK))
+    mat /= counts[:, None]
+    return mat
+
+
 def estimate_markov(pairs, mesh: UnstructuredMesh, pou: PartitionOfUnity,
                     assignments: Optional[np.ndarray] = None) -> UlamMatrix:
     """Monte-Carlo transition matrix from (x, T(x)) sample pairs.
@@ -265,18 +304,9 @@ def estimate_markov(pairs, mesh: UnstructuredMesh, pou: PartitionOfUnity,
     if pou.eps == 0.0:
         dst = mesh.assign(y)
         flat = np.bincount(src * n + dst, minlength=n * n).astype(float)
-        mat = flat.reshape(n, n)
+        mat = flat.reshape(n, n) / counts[:, None]
     else:
-        mat = np.zeros((n, n))
-        for s in range(0, x.shape[0], _CHUNK):
-            psi = pou.eval(y[s:s + _CHUNK])
-            chunk_src = src[s:s + _CHUNK]
-            onehot = sp.csr_matrix(
-                (np.ones(chunk_src.size), (np.arange(chunk_src.size),
-                                           chunk_src)),
-                shape=(chunk_src.size, n))
-            mat += onehot.T @ psi
-    mat /= counts[:, None]
+        mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
     return UlamMatrix(mat, mesh, pou.eps)
 
 
@@ -324,13 +354,15 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     x = sources.points if isinstance(sources, SampleCloud) \
         else np.atleast_2d(np.asarray(sources, float))
     src, counts = _source_groups(x, mesh, assignments)
-    y, pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
-    mhat = estimate_markov((x, y), mesh, pou, src)
+    y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
+    psi, pou_pullback = pou.linearize(y)
+    mhat = UlamMatrix(_row_average(src, counts, lambda chunk: psi[chunk]),
+                      mesh, pou.eps)
     diff = mhat.matrix - target.matrix
     loss = float(np.linalg.norm(diff))
     if loss == 0.0:
         return loss, np.zeros(velocity.n_params), mhat
     G = diff / loss
     seeds = G[src] / counts[src][:, None]
-    theta_grad, _ = pullback(pou.vjp(y, seeds))
+    theta_grad, _ = flow_pullback(pou_pullback(seeds))
     return loss, theta_grad, mhat

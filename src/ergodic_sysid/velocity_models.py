@@ -2,12 +2,17 @@
 
 The networks here are tiny, and the optimization drivers only ever need
 vector-Jacobian products, so reverse mode is written out by hand instead of
-pulling in an autodiff framework. Every model exposes
+pulling in an autodiff framework. Every differentiable model exposes
 
-    eval_batch(X)            -> (n, dim_out) values
-    vjp(X, seeds, need_x)    -> (flat parameter gradient, input gradient)
+    eval_batch(X)               -> (n, dim_out) values
+    linearize(X)                -> (values, pullback)
+    pullback(seeds, need_x)     -> (flat parameter gradient, input gradient)
 
-where the parameter gradient accumulates d(sum_k seeds_k . f(x_k))/d theta.
+where the parameter gradient accumulates d(sum_k seeds_k . f(x_k))/d theta
+and the input gradient (None unless need_x) is d/dx_k of the same sum. The
+pullback closes over the intermediates of the forward pass that made the
+values, so a reverse pass never reruns the network; ``flow_rk4_vjp`` chains
+the pullbacks of its stages the same way.
 """
 
 from __future__ import annotations
@@ -111,24 +116,33 @@ class MlpModel(_Parameterized):
         out = self._forward(X)[-1]
         return out * self.out_scale + self.out_shift
 
-    def vjp(self, X, seeds, need_x: bool = False):
-        """Accumulate d(sum seeds . f(X))/d theta; optionally d/dX too."""
+    def linearize(self, X):
+        """Values at X and the pullback that reuses their activations."""
         acts = self._forward(X)
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        grad = np.zeros_like(self.theta)
         layers = list(self._layers())
-        delta = seeds * self.out_scale
-        for li in range(len(layers) - 1, -1, -1):
-            w, _ = layers[li]
-            wsl, bsl, nin, nout = self._slices[li]
-            grad[wsl] = (delta.T @ acts[li]).ravel()
-            grad[bsl] = delta.sum(axis=0)
-            if li > 0 or need_x:
-                back = delta @ w
-                if li > 0:
-                    delta = back * (1.0 - acts[li] ** 2)
-        x_grad = back / self.in_scale if need_x else None
-        return grad, x_grad
+
+        def pullback(seeds, need_x: bool = False):
+            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+            grad = np.zeros_like(self.theta)
+            delta = seeds * self.out_scale
+            for li in range(len(layers) - 1, -1, -1):
+                w, _ = layers[li]
+                wsl, bsl, nin, nout = self._slices[li]
+                grad[wsl] = (delta.T @ acts[li]).ravel()
+                grad[bsl] = delta.sum(axis=0)
+                if li > 0 or need_x:
+                    back = delta @ w
+                    if li > 0:
+                        delta = back * (1.0 - acts[li] ** 2)
+            x_grad = back / self.in_scale if need_x else None
+            return grad, x_grad
+
+        return acts[-1] * self.out_scale + self.out_shift, pullback
+
+    def vjp(self, X, seeds, need_x: bool = False):
+        """One-off gradient: ``linearize(X)`` pulled back once. The drivers
+        keep the pullback of their own forward pass instead."""
+        return self.linearize(X)[1](seeds, need_x)
 
     def checkpoint(self) -> dict:
         return {
@@ -178,19 +192,24 @@ class LinearFeatureModel(_Parameterized):
         phi = self.features(np.atleast_2d(np.asarray(X, dtype=float)))
         return phi @ self.theta.reshape(self._dim_out, self.n_features).T
 
-    def vjp(self, X, seeds, need_x: bool = False):
+    def linearize(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
         phi = self.features(X)
-        grad = (seeds.T @ phi).ravel()
-        x_grad = None
-        if need_x:
-            if self.features_jac is None:
-                raise ValueError("features_jac required for input gradients")
-            jac = self.features_jac(X)
-            coef = seeds @ self.theta.reshape(self._dim_out, self.n_features)
-            x_grad = np.einsum("nf,nfd->nd", coef, jac)
-        return grad, x_grad
+        weights = self.theta.reshape(self._dim_out, self.n_features)
+
+        def pullback(seeds, need_x: bool = False):
+            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+            grad = (seeds.T @ phi).ravel()
+            x_grad = None
+            if need_x:
+                if self.features_jac is None:
+                    raise ValueError(
+                        "features_jac required for input gradients")
+                x_grad = np.einsum("nf,nfd->nd", seeds @ weights,
+                                   self.features_jac(X))
+            return grad, x_grad
+
+        return phi @ weights.T, pullback
 
 
 class FaceValuesModel(_Parameterized):
@@ -260,18 +279,25 @@ class MaskedVelocity:
         out[:, self.learned] = self.inner.eval_batch(X)
         return out
 
-    def vjp(self, X, seeds, need_x: bool = False):
+    def linearize(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        grad, x_grad = self.inner.vjp(X, seeds[:, self.learned], need_x)
-        if need_x:
-            if self.reference_jac_vjp is None:
-                raise ValueError("reference_jac_vjp required for input "
-                                 "gradients of a masked field")
-            pinned = seeds.copy()
-            pinned[:, self.learned] = 0.0
-            x_grad = x_grad + self.reference_jac_vjp(X, pinned)
-        return grad, x_grad
+        out = np.asarray(self.reference_rhs(X), dtype=float).copy()
+        values, inner_pullback = self.inner.linearize(X)
+        out[:, self.learned] = values
+
+        def pullback(seeds, need_x: bool = False):
+            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+            grad, x_grad = inner_pullback(seeds[:, self.learned], need_x)
+            if need_x:
+                if self.reference_jac_vjp is None:
+                    raise ValueError("reference_jac_vjp required for input "
+                                     "gradients of a masked field")
+                pinned = seeds.copy()
+                pinned[:, self.learned] = 0.0
+                x_grad = x_grad + self.reference_jac_vjp(X, pinned)
+            return grad, x_grad
+
+        return out, pullback
 
 
 def evaluate_velocity(velocity, X) -> np.ndarray:
@@ -282,6 +308,17 @@ def evaluate_velocity(velocity, X) -> np.ndarray:
     if hasattr(velocity, "rhs"):
         return np.asarray(velocity.rhs(X))
     return np.asarray(velocity(X))
+
+
+def linearize_velocity(velocity, X):
+    """Values of a velocity at points X and their pullback.
+
+    The pullback is None for a field without ``linearize`` (an OdeSystem
+    or a bare callable): it has no parameters to differentiate.
+    """
+    if hasattr(velocity, "linearize"):
+        return velocity.linearize(X)
+    return evaluate_velocity(velocity, X), None
 
 
 def flow_rk4(velocity, X, dt: float, substeps: int = 1) -> np.ndarray:
@@ -301,15 +338,18 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
     Returns (Y, pullback): Y is the flowed batch, and pullback(seed_grad)
     gives (theta_grad, x_grad), the gradients of sum(seed_grad . Y) with
     respect to the parameters and to X through every stage of every
-    substep. Only the pullback needs the velocity's ``vjp``.
+    substep. Each stage runs the velocity's ``linearize`` once and the
+    pullback reverses through the stage pullbacks it kept; only the
+    pullback needs a velocity that has ``linearize``.
     """
     x = np.atleast_2d(np.asarray(X, dtype=float)).copy()
     h = dt / substeps
-    stages = []  # the four stage inputs of every substep, in order
+    stages = []  # the pullbacks of the four stages of every substep
 
     def f(z):
-        stages.append(z)
-        return evaluate_velocity(velocity, z)
+        value, stage_pullback = linearize_velocity(velocity, z)
+        stages.append(stage_pullback)
+        return value
 
     for k in range(substeps):
         x = rk4_step(f, x, h)
@@ -319,20 +359,18 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
         theta_grad = np.zeros(velocity.n_params)
         gbar = np.atleast_2d(np.asarray(seed_grad, dtype=float))
         for k in reversed(range(substeps)):
-            z1, z2, z3, z4 = stages[4 * k:4 * k + 4]
+            p1, p2, p3, p4 = stages[4 * k:4 * k + 4]
             xbar = gbar.copy()
-            tg, u = velocity.vjp(z4, (h / 6.0) * gbar, need_x=True)
+            tg, u = p4((h / 6.0) * gbar, need_x=True)
             theta_grad += tg
             xbar += u
-            tg, u = velocity.vjp(z3, (h / 3.0) * gbar + h * u, need_x=True)
+            tg, u = p3((h / 3.0) * gbar + h * u, need_x=True)
             theta_grad += tg
             xbar += u
-            tg, u = velocity.vjp(z2, (h / 3.0) * gbar + 0.5 * h * u,
-                                 need_x=True)
+            tg, u = p2((h / 3.0) * gbar + 0.5 * h * u, need_x=True)
             theta_grad += tg
             xbar += u
-            tg, u = velocity.vjp(z1, (h / 6.0) * gbar + 0.5 * h * u,
-                                 need_x=True)
+            tg, u = p1((h / 6.0) * gbar + 0.5 * h * u, need_x=True)
             theta_grad += tg
             xbar += u
             gbar = xbar

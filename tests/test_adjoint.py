@@ -138,7 +138,8 @@ def test_linear_parameterization_chain_rule():
     rng = np.random.default_rng(9)
     face_grads = [rng.standard_normal(12)]
     face_grads[0][0] = 0.0
-    got = grad_parameters(face_grads, model, grid)
+    op = assemble_K(grid, model, 0.05, cfl_dt(grid, 0.05, 1.0))
+    got = grad_parameters(face_grads, model, op)
     centers = grid.centers()
     pts = centers.copy()
     pts[:, 0] -= 0.5 * grid.spacings[0]
@@ -160,6 +161,25 @@ def test_end_to_end_mlp_gradient():
     coords = rng.choice(theta.size, 5, replace=False)
     errs = finite_difference_check(loss_and_grad, theta, coords)
     assert max(errs.values()) < 1e-5
+
+
+def test_fvm_iteration_runs_the_network_once_per_axis(monkeypatch):
+    rng = np.random.default_rng(13)
+    grid = Grid([-1.0, -1.0], [1.0, 1.0], [6, 5])
+    mlp = MlpModel([2, 8, 2])
+    mlp.init_params(seed=6)
+    w = rng.random(grid.n_cells) + 0.1
+    target = Measure(w / w.sum(), grid)
+    loss_and_grad, _ = make_fvm_loss(target, mlp, grid, D=0.05,
+                                     eps_tele=1e-3)
+    rows = []
+    forward = MlpModel._forward
+    monkeypatch.setattr(MlpModel, "_forward",
+                        lambda self, X: rows.append(len(X))
+                        or forward(self, X))
+    loss_and_grad(mlp.get_params())
+    # one pass per axis, over the interior lower faces only
+    assert rows == [25, 24]
 
 
 def test_end_to_end_mlp_gradient_kl():

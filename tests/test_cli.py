@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -127,6 +128,23 @@ def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, bad)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_pfo_fit_with_empty_source_cells_exits_2(tmp_path, capsys):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "smoke_pfo.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    cfg["mesh"]["n_cells"] = 60
+    cfg["fit"]["n_sources"] = 40
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "mesh.n_cells: 60" in err and "fit.n_sources: 40" in err
+    empty = re.search(r"leave (\d+) source cells empty", err)
+    assert empty and int(empty.group(1)) >= 20
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def _nan_row_in_trajectory(cfg, tmp_path):

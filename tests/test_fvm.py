@@ -190,6 +190,17 @@ def test_nonconvergence_names_residual_and_bound():
     assert "3.200e-07" in str(err) and f"{STATIONARY_TOL:.0e}" in str(err)
 
 
+def test_stationary_refuses_to_clamp_negative_mass():
+    # not a Markov matrix: (I - M/2) rho = 1/4 has rho = (-1/8, 1/4), so a
+    # third of the l1 mass is negative
+    M = RegularizedMarkov(sp.csr_matrix(np.array([[0.0, -3.0],
+                                                  [0.0, 0.0]])), 0.5, None)
+    with pytest.raises(NonConvergenceError,
+                       match="negative mass 3.333e-01") as exc:
+        stationary_density(M)
+    assert exc.value.residual == pytest.approx(1.0 / 3.0)
+
+
 def test_van_der_pol_density_concentrates_on_cycle():
     from ergodic_sysid.systems import integrate_ode
     sys = make_system("van_der_pol", c=1.0)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ergodic_sysid import pfo
 from ergodic_sysid.fvm import RegularizedMarkov, stationary_density
 from ergodic_sysid.measure import SampleCloud
 from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
@@ -73,6 +76,56 @@ def test_pou_hard_indicator_at_zero_eps():
     pou = PartitionOfUnity(centers, 0.0)
     w = pou.eval(np.array([[0.2], [0.9]]))
     assert np.array_equal(w, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_pou_pullback_matches_fd_across_chunks(monkeypatch):
+    # 11 points in chunks of 4; far centres put some u = d/eps above the
+    # saturation threshold 33 of the kernel
+    monkeypatch.setattr(pfo, "_CHUNK", 4)
+    rng = np.random.default_rng(40)
+    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
+    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
+                         [[12.0, 0.0], [0.0, -14.0]]])
+    pou = PartitionOfUnity(centers, 0.3)
+    seeds = rng.standard_normal((11, 7))
+    psi, pullback = pou.linearize(pts)
+    assert np.array_equal(psi, pou.eval(pts))
+    assert np.any(np.linalg.norm(pts[:, None] - centers, axis=2) / 0.3 > 33)
+    got = pullback(seeds)
+    assert np.array_equal(pou.vjp(pts, seeds), got)
+    h = 1e-6
+    for i in range(pts.shape[0]):
+        for k in range(2):
+            e = np.zeros_like(pts)
+            e[i, k] = h
+            fd = ((pou.eval(pts + e) * seeds).sum()
+                  - (pou.eval(pts - e) * seeds).sum()) / (2 * h)
+            assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
+
+
+def test_pou_pullback_is_zero_at_zero_eps():
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(9, 2))
+    pou = PartitionOfUnity(rng.normal(size=(4, 2)), 0.0)
+    psi, pullback = pou.linearize(pts)
+    assert np.array_equal(psi, pou.eval(pts))
+    assert np.all(pullback(rng.standard_normal((9, 4))) == 0.0)
+
+
+def test_pou_eval_builds_the_kernel_in_place():
+    # every centre within u <= 33 of every point is the kernel's largest
+    # case: exp(-u) and log1p(exp(-u)) are then full-size too
+    rng = np.random.default_rng(42)
+    n_points, n_cells = 4000, 400
+    pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
+    pts = rng.random((n_points, 2))
+    tracemalloc.start()
+    try:
+        pou.eval(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * n_points * n_cells * 8
 
 
 def test_estimate_identity_map():
@@ -220,6 +273,30 @@ def test_flowmap_gradient_matches_fd():
         jm, _ = lg(theta - e)
         fd = (jp - jm) / 2e-6
         assert abs(fd - grad[c]) / max(abs(fd), abs(grad[c]), 1e-12) < 1e-3
+
+
+def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    x = SampleCloud(rng.normal(size=(120, 2)))
+    mesh = build_mesh(x, 6, seed=44)
+    pou = PartitionOfUnity(mesh.centers, 0.5)
+    target = flowmap_markov(lambda z: -z, mesh, pou, x, 0.1)
+    mlp = MlpModel([2, 4, 2])
+    mlp.init_params(seed=45)
+    calls = []
+    cdist = pfo.cdist
+
+    def counting(a, b, *metric, **kwargs):
+        if not metric:  # point-to-centre distances of the kernel
+            calls.append(len(a))
+        return cdist(a, b, *metric, **kwargs)
+
+    monkeypatch.setattr(pfo, "cdist", counting)
+    loss, grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, 0.1, target)
+    assert calls == [120]
+    assert loss > 0.0 and np.any(grad != 0.0)
+    assert np.array_equal(
+        mhat.matrix, flowmap_markov(mlp, mesh, pou, x, 0.1).matrix)
 
 
 def test_flowmap_gradient_blowup_raises():

@@ -3,12 +3,12 @@
 The delay map sends a state x to (y(x), y(T x), ..., y(T^{m-1} x)) for a
 scalar observable y; pushing invariant-measure samples through it yields
 the delay-coordinate invariant measure, which can separate systems whose
-state-coordinate statistics coincide. Two losses compare a candidate map
-against observed flow data: the state-space image mismatch alone, and that
-mismatch plus the delay-measure mismatch. The gradient builds the iterate
-chain x, T x, ..., T^((m-1) lag) x once, keeping the model's pullback of
-every step, and reverses through those pullbacks: the image term seeds the
-first, the delay term the whole chain.
+state-coordinate statistics coincide. ``loss_j2_grad`` compares a candidate
+map against observed flow data in two modes: the state-space image mismatch
+alone (loss j1), and that mismatch plus the delay-measure mismatch (loss
+j2). It builds the iterate chain x, T x, ..., T^((m-1) lag) x once, keeping
+the model's pullback of every step, and reverses through those pullbacks:
+the image term seeds the first, the delay term the whole chain.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .measure import SampleCloud, energy_mmd, energy_mmd_grad_x, \
-    subsample_stride
+from .measure import SampleCloud, energy_mmd_grad_x, subsample_stride
 from .systems import DiscreteMap, Trajectory, _check_finite
 
 MMD_MAX_POINTS = 4000
@@ -39,9 +38,10 @@ class DelayMapConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("embedding dimension m must be >= 1")
+            raise ValueError(
+                f"m must be >= 1 (the embedding dimension), got {self.m}")
         if self.lag < 1:
-            raise ValueError("lag must be >= 1")
+            raise ValueError(f"lag must be >= 1, got {self.lag}")
 
     def observe(self, states: np.ndarray) -> np.ndarray:
         if callable(self.observable):
@@ -120,31 +120,6 @@ def _prep(cloud: SampleCloud) -> SampleCloud:
     return subsample_stride(cloud, MMD_MAX_POINTS)
 
 
-def loss_j1(model, mu_samples: SampleCloud,
-            t_star_images: SampleCloud) -> float:
-    """Energy MMD between the model images of the samples and the observed
-    images."""
-    mu = _prep(mu_samples)
-    obs = _prep(t_star_images)
-    if mu.dim != obs.dim:
-        raise ValueError("sample and image clouds have different dimensions")
-    images = SampleCloud(_apply_map(model, mu.points))
-    return energy_mmd(images, obs)
-
-
-def loss_j2(model, mu_samples: SampleCloud, t_star_images: SampleCloud,
-            observed_delay: SampleCloud, cfg: DelayMapConfig) -> float:
-    """Image mismatch plus delay-measure mismatch."""
-    if observed_delay.dim != cfg.m:
-        raise ValueError(
-            f"observed delay cloud has dimension {observed_delay.dim}, "
-            f"config says m={cfg.m}")
-    j1 = loss_j1(model, mu_samples, t_star_images)
-    mu = _prep(mu_samples)
-    model_delay = pushforward_delay_measure(mu, model, cfg)
-    return j1 + energy_mmd(model_delay, _prep(observed_delay))
-
-
 def _delay_pushforward_grad(model, chain: list, pullbacks: list,
                             cfg: DelayMapConfig,
                             gbar: np.ndarray) -> np.ndarray:
@@ -198,27 +173,3 @@ def loss_j2_grad(model, mu_samples: SampleCloud,
         total = j1 + j_delay
     return total, theta_grad, parts
 
-
-def verify_conjugacy_diagnostics(model_t, model_s, mu_samples: SampleCloud,
-                                 cfg: DelayMapConfig) -> dict:
-    """Two indicators of whether maps T and S share delay statistics.
-
-    (a) the energy MMD between their (m+1)-dimensional delay-coordinate
-    pushforward measures, and (b) the maximum pointwise deviation
-    max |T(x) - S(x)| over the samples. Matching delay measures with a
-    nonzero pointwise gap is the signature of conjugate-but-distinct maps.
-    """
-    mu = _prep(mu_samples)
-    cfg_up = DelayMapConfig(cfg.observable, cfg.m + 1, cfg.lag)
-    cloud_t = pushforward_delay_measure(mu, model_t, cfg_up)
-    cloud_s = pushforward_delay_measure(mu, model_s, cfg_up)
-    delay_mmd = energy_mmd(cloud_t, cloud_s)
-    dev = np.linalg.norm(
-        _apply_map(model_t, mu.points) - _apply_map(model_s, mu.points),
-        axis=1)
-    return {
-        "delay_mmd": float(delay_mmd),
-        "max_pointwise_deviation": float(dev.max()),
-        "embedding_dimension": cfg_up.m,
-        "n_samples": mu.n,
-    }

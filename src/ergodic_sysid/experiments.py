@@ -14,14 +14,13 @@ import numpy as np
 
 from . import delay as delay_mod
 from . import fvm, io, pfo
-from .adjoint import grad_face_velocities, grad_parameters, solve_adjoint
 from .config import ConfigError, section
-from .measure import (Grid, Measure, SampleCloud, energy_mmd,
+from .measure import (Grid, SampleCloud, energy_mmd, grid_objective,
                       occupation_measure, subsample_stride, wasserstein2)
-from .optim import AdamState, fit_delay, fit_fvm, fit_pfo
+from .optim import AdamState, fit_delay, fit_fvm, fit_pfo, has_delay_term
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
-                      integrate_ode, integrate_sde, iterate_map,
-                      iterate_map_batch, make_system)
+                      integrate_ode, integrate_sde, iterate_map_batch,
+                      make_system)
 from .velocity_models import MaskedVelocity, MlpModel
 
 log = logging.getLogger("ergodic_sysid")
@@ -56,15 +55,28 @@ def _system_of(cfg: dict):
         raise ConfigError(f"system.params: {exc}")
 
 
-def _delay_keys(sec: dict, name: str, dim: int) -> dict:
-    """The section's observable, m and lag as keyword arguments, the
+def _checked(key: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a ValueError it raises reported as a
+    config error on ``key``. For the call that reads a config value only;
+    a fit is never wrapped, so its runtime failures keep exit code 3."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}")
+
+
+def _delay_config(sec: dict, name: str, dim: int):
+    """The delay map of the section's observable, m and lag, the
     observable's coordinate index checked against the data."""
     kwargs = _given(sec, "observable", "m", "lag")
     obs = kwargs.get("observable")
     if obs is not None and not 0 <= obs < dim:
         raise ConfigError(f"{name}.observable: index {obs} out of range "
                           f"for dim {dim}")
-    return kwargs
+    try:
+        return delay_mod.DelayMapConfig(**kwargs)
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{name}.{exc}")
 
 
 def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
@@ -103,7 +115,7 @@ def generate_trajectory(cfg: dict) -> Trajectory:
         x0 = rng.uniform(system.lo, system.hi)
     x0 = np.asarray(x0, dtype=float)
     if kind == "map":
-        traj = iterate_map(system, x0, n_steps + burn)
+        traj = Trajectory(iterate_map_batch(system, x0, n_steps + burn), 0.0)
     elif kind == "ode":
         traj = integrate_ode(system, x0, data["dt"], n_steps + burn,
                              **_given(data, "substeps"))
@@ -192,7 +204,8 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
             out_shift, out_scale = _fd_velocity_stats(traj, cols)
     mlp = MlpModel([dim_in] + hidden + [out_dim], in_shift, in_scale,
                    out_shift, out_scale)
-    mlp.init_params(**_given(model_cfg, "init"), **_seed_of(cfg, model_cfg))
+    _checked("model.init", mlp.init_params, **_given(model_cfg, "init"),
+             **_seed_of(cfg, model_cfg))
     if learned is None:
         return mlp
     system = _system_of(cfg)
@@ -241,6 +254,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
                   callback=_checkpoint_callback(outdir, every))
 
     if driver == "fvm":
+        if "objective" in fit_cfg:
+            _checked("fit.objective", grid_objective, fit_cfg["objective"])
         target_path = fit_cfg.get("target", str(outdir / "measure.json"))
         target = io.read_measure_json(target_path)
         if not isinstance(target.support, Grid):
@@ -283,8 +298,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     elif driver == "delay":
         traj = _load_trajectory(outdir)
-        dcfg = delay_mod.DelayMapConfig(
-            **_delay_keys(fit_cfg, "fit", traj.dim))
+        dcfg = _delay_config(fit_cfg, "fit", traj.dim)
+        if "loss" in fit_cfg:
+            _checked("fit.loss", has_delay_term, fit_cfg["loss"])
         model = make_model(cfg, traj.dim, traj, purpose="map")
         report = fit_delay(traj, model, dcfg,
                            **_given(fit_cfg, "loss", "max_points"), **common)
@@ -497,16 +513,15 @@ def cmd_eval(cfg: dict, outdir: Path) -> dict:
 # delay diagnostics
 
 
-def torus_pair_diagnostics(pair_a, pair_b, n_steps: int = 1000000,
-                           m: int = 3, lag: int = 1, observable: int = 0,
-                           hist_bins: int = 16, seed: int = 3) -> dict:
+def torus_pair_diagnostics(pair_a, pair_b,
+                           cfg=delay_mod.DelayMapConfig(),
+                           n_steps: int = 1000000, hist_bins: int = 16,
+                           seed: int = 3) -> dict:
     """State histograms cannot separate two torus rotations; their
-    delay-coordinate measures can. Returns both diagnostics plus a
-    same-system baseline for the delay mismatch."""
+    delay-coordinate measures under the delay map ``cfg`` can. Returns
+    both diagnostics plus a same-system baseline for the delay mismatch."""
     rng = np.random.default_rng(seed)
     x0a, x0b = rng.random(2), rng.random(2)
-    map_a = make_system("torus_rotation", alpha=pair_a[0], beta=pair_a[1])
-    map_b = make_system("torus_rotation", alpha=pair_b[0], beta=pair_b[1])
     # closed-form orbits: z_k = z_0 + k (alpha, beta) mod 1
     k = np.arange(n_steps)[:, None]
     orbit_a = (x0a + k * np.asarray(pair_a)) % 1.0
@@ -516,7 +531,6 @@ def torus_pair_diagnostics(pair_a, pair_b, n_steps: int = 1000000,
     hist_b = occupation_measure(orbit_b, grid, clip=True)
     state_l1 = float(np.abs(hist_a.weights - hist_b.weights).sum())
 
-    cfg = delay_mod.DelayMapConfig(observable, m, lag)
     cloud_a = delay_mod.delay_embed(Trajectory(orbit_a, 0.0), cfg)
     cloud_b = delay_mod.delay_embed(Trajectory(orbit_b, 0.0), cfg)
     ca = subsample_stride(cloud_a)
@@ -537,7 +551,7 @@ def torus_pair_diagnostics(pair_a, pair_b, n_steps: int = 1000000,
         "ratio": float(delay_mmd / baseline),
         "pair_a": list(map(float, pair_a)),
         "pair_b": list(map(float, pair_b)),
-        "m": m, "lag": lag, "n_steps": n_steps,
+        "m": cfg.m, "lag": cfg.lag, "n_steps": n_steps,
         "clouds": (ca, cb),
     }
 
@@ -548,7 +562,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     if mode == "torus_pair":
         result = torus_pair_diagnostics(
-            dcfg["pair_a"], dcfg["pair_b"], **_delay_keys(dcfg, "delay", 2),
+            dcfg["pair_a"], dcfg["pair_b"], _delay_config(dcfg, "delay", 2),
             **_given(dcfg, "n_steps", "hist_bins"), **_seed_of(cfg, dcfg))
         ca, cb = result.pop("clouds")
         io.write_cloud_csv(outdir / "delay_a.csv", ca)
@@ -560,8 +574,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         if not Path(path).exists():
             raise ConfigError(f"{path} not found; run simulate first")
         traj = io.read_trajectory_csv(path)
-        cfg_d = delay_mod.DelayMapConfig(
-            **_delay_keys(dcfg, "delay", traj.dim))
+        cfg_d = _delay_config(dcfg, "delay", traj.dim)
         cloud = delay_mod.delay_embed(traj, cfg_d)
         io.write_cloud_csv(outdir / "delay.csv", cloud)
         return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,

@@ -11,7 +11,7 @@ unique by teleportation blending with the uniform restart matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -248,12 +248,3 @@ def stationary_density(M: RegularizedMarkov) -> Measure:
         raise NonConvergenceError(residual)
     return Measure(rho, support=M.grid)
 
-
-def evolve_density(op: FvmOperator, rho0: Measure, n_steps: int) -> Measure:
-    """Apply the explicit update rho <- rho + K rho for n_steps steps."""
-    w = rho0.weights.copy()
-    for _ in range(n_steps):
-        w = w + op.K @ w
-    # CFL guarantees nonnegativity; clip rounding dust before renormalizing.
-    w = np.maximum(w, 0.0)
-    return Measure(w / w.sum(), support=op.grid)

@@ -1,5 +1,5 @@
-"""File formats: trajectory/cloud CSV, measure and mesh JSON, sparse
-operator dumps, model checkpoints, and fit reports.
+"""File formats: trajectory and cloud CSV, measure and mesh JSON, Ulam
+matrices as coordinate lists, model checkpoints, and fit reports.
 
 All writers are deterministic (stable key order, round-tripping float
 format) so reruns of a seeded experiment produce byte-identical artifacts;
@@ -9,7 +9,6 @@ wall-clock data is confined to a ``meta`` field.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,11 +45,6 @@ def read_trajectory_csv(path) -> Trajectory:
 def write_cloud_csv(path, cloud: SampleCloud):
     header = [f"x{i+1}" for i in range(cloud.dim)]
     _write_table(path, header, cloud.points)
-
-
-def read_cloud_csv(path) -> SampleCloud:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return SampleCloud(data)
 
 
 def _dump_json(path, payload: dict):
@@ -134,23 +128,6 @@ def read_ulam_matrix(path) -> UlamMatrix:
         mat[entries[:, 0].astype(int), entries[:, 1].astype(int)] = \
             entries[:, 2]
     return UlamMatrix(mat, eps=float(fields["eps"]))
-
-
-def write_operator_coo(path, op, meta_path=None):
-    """Debug dump of the assembled transport matrix plus grid metadata."""
-    coo = op.K.tocoo()
-    with open(path, "w") as fh:
-        fh.write("# row col value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {FLOAT_FMT % v}\n")
-    if meta_path is not None:
-        _dump_json(meta_path, {
-            "lo": op.grid.lo.tolist(),
-            "hi": op.grid.hi.tolist(),
-            "n_per_dim": op.grid.n_per_dim.tolist(),
-            "dt": op.dt,
-            "D": op.D,
-        })
 
 
 def write_checkpoint(path, payload: dict):

@@ -1,13 +1,14 @@
 """Discrete and empirical probability measures over box grids.
 
-Contains the occupation-measure histogram, the L2/KL/Wasserstein distance
-menu used as fitting objectives and error metrics, and the energy-distance
-MMD used for sample-cloud comparison.
+Contains the occupation-measure histogram, the grid objectives (L2,
+quadratic, KL) that the stationary-density fit matches, the sliced
+Wasserstein-2 distance used as an error metric, and the energy-distance MMD
+used for sample-cloud comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -22,7 +23,7 @@ class DomainError(ValueError):
 
 
 class SupportMismatchError(ValueError):
-    """Two measures do not share a common support."""
+    """Two sample clouds live in spaces of different dimension."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,37 +212,6 @@ def occupation_measure(traj, grid: Grid, clip: bool = False) -> Measure:
     return Measure(counts / counts.sum(), support=grid)
 
 
-def _common_support(a: Measure, b: Measure):
-    if a.n != b.n:
-        raise SupportMismatchError("measures have different sizes")
-    sa, sb = a.support, b.support
-    if isinstance(sa, Grid) and isinstance(sb, Grid):
-        if not sa.matches(sb):
-            raise SupportMismatchError("measures live on different grids")
-        return sa.cell_volume
-    if sa is not None and sb is not None and sa is not sb:
-        ca = getattr(sa, "centers", None)
-        cb = getattr(sb, "centers", None)
-        if ca is not None and cb is not None:
-            ca = ca() if callable(ca) else ca
-            cb = cb() if callable(cb) else cb
-            if ca.shape != cb.shape or not np.allclose(ca, cb):
-                raise SupportMismatchError("measures live on different cells")
-    return 1.0
-
-
-def l2_distance(a: Measure, b: Measure) -> float:
-    """(1/2) integral of the squared density difference over the box."""
-    vol = _common_support(a, b)
-    return grid_objective("l2")(a.weights, b.weights, vol)[0]
-
-
-def kl_divergence(a: Measure, b: Measure) -> float:
-    """KL(b || a) restricted to cells where both measures are positive."""
-    vol = _common_support(a, b)
-    return grid_objective("kl")(a.weights, b.weights, vol)[0]
-
-
 def grid_objective(name: str):
     """Objective value and d(objective)/d(weights) for grid measures.
 
@@ -355,33 +325,3 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
     val = val_cross / (n * m) - 0.5 * val_xx / (n * n) - 0.5 * dyy
     return float(val), grad
 
-
-def measure_to_cloud(m: Measure, n_samples: int, seed: int = 0,
-                     mode: str = "proportional") -> SampleCloud:
-    """Turn a cell-supported measure into a point cloud at the cell centers.
-
-    Modes: "weighted" keeps one weighted point per cell, "proportional"
-    apportions n_samples deterministically by largest remainder, and
-    "multinomial" resamples (deterministic per seed).
-    """
-    support = m.support
-    centers = getattr(support, "centers", None)
-    if centers is None:
-        raise ValueError("measure support does not expose cell centers")
-    centers = centers() if callable(centers) else centers
-    if mode == "weighted":
-        keep = m.weights > 0
-        return SampleCloud(centers[keep], m.weights[keep])
-    if mode == "proportional":
-        target = n_samples * m.weights
-        counts = np.floor(target).astype(int)
-        short = n_samples - counts.sum()
-        if short > 0:
-            order = np.argsort(-(target - counts), kind="stable")
-            counts[order[:short]] += 1
-        return SampleCloud(np.repeat(centers, counts, axis=0))
-    if mode == "multinomial":
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(n_samples, m.weights)
-        return SampleCloud(np.repeat(centers, counts, axis=0))
-    raise ValueError(f"unknown mode {mode!r}")

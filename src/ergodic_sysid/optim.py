@@ -116,8 +116,7 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
     state = None
     if resume:
         params = np.asarray(resume["params"], dtype=float)
-        state = AdamState.from_dict(resume["adam"]) \
-            if isinstance(resume["adam"], dict) else resume["adam"]
+        state = AdamState.from_dict(resume["adam"])
         state.lr = lr
         history = [float(v) for v in resume.get("history", [])]
     state = state or AdamState.for_params(params, lr=lr)
@@ -243,6 +242,14 @@ def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
 # Delay-measure fit
 
 
+def has_delay_term(loss: str) -> bool:
+    """Whether the named delay loss adds the delay-measure mismatch: "j1"
+    matches the images alone, "j2" adds the delay term."""
+    if loss not in ("j1", "j2"):
+        raise ValueError(f"unknown loss {loss!r}; expected 'j1' or 'j2'")
+    return loss == "j2"
+
+
 def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
                     max_points: int = 2000):
     """Prepare clouds from an observed trajectory and return the closure.
@@ -251,16 +258,16 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     observed delay cloud is the sliding-window embedding of the whole
     series.
     """
+    include_delay = has_delay_term(loss)
     states = observed.states
     keep = min(max_points, states.shape[0] - 1)
     idx = np.linspace(0, states.shape[0] - 2, keep).round().astype(int)
     mu_samples = SampleCloud(states[idx])
     images = SampleCloud(states[idx + 1])
     observed_delay = None
-    if loss == "j2":
+    if include_delay:
         observed_delay = delay_mod.subsample_stride(
             delay_mod.delay_embed(observed, cfg), max_points)
-    include_delay = loss == "j2"
 
     def loss_and_grad(theta):
         model.set_params(theta)
@@ -277,8 +284,6 @@ def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 500,
               clip_norm: float = 10.0, max_points: int = 2000,
               callback=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a discrete map to observed flow data by measure matching."""
-    if loss not in ("j1", "j2"):
-        raise ValueError("loss must be 'j1' or 'j2'")
     loss_and_grad, *_ = make_delay_loss(observed, model, cfg, loss,
                                         max_points)
     config = {"driver": "delay", "loss": loss, "m": cfg.m, "lag": cfg.lag,

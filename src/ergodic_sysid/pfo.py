@@ -30,7 +30,7 @@ from scipy.spatial.distance import cdist
 
 from .fvm import RegularizedMarkov, stationary_density
 from .measure import Measure, SampleCloud
-from .velocity_models import flow_rk4, flow_rk4_vjp
+from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
 _CHUNK = 16384
@@ -319,27 +319,6 @@ def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
     """
     chain = RegularizedMarkov(sp.csr_matrix(M.matrix.T), eps_tele, None)
     return Measure(stationary_density(chain).weights, support=M.mesh)
-
-
-def markov_distance(A: UlamMatrix, B: UlamMatrix) -> float:
-    """Frobenius norm of the difference between two transition matrices."""
-    if A.n != B.n:
-        raise ValueError("matrix size mismatch")
-    if A.mesh is not None and B.mesh is not None and A.mesh is not B.mesh:
-        if A.mesh.centers.shape != B.mesh.centers.shape or \
-                not np.allclose(A.mesh.centers, B.mesh.centers):
-            raise ValueError("matrices were estimated on different meshes")
-    return float(np.linalg.norm(A.matrix - B.matrix))
-
-
-def flowmap_markov(velocity, mesh: UnstructuredMesh, pou: PartitionOfUnity,
-                   sources: SampleCloud, flow_dt: float,
-                   substeps: int = 1) -> UlamMatrix:
-    """Transition matrix of the time-dt RK4 flow of a velocity field."""
-    x = sources.points if isinstance(sources, SampleCloud) \
-        else np.atleast_2d(np.asarray(sources, float))
-    y = flow_rk4(velocity, x, flow_dt, substeps)
-    return estimate_markov((x, y), mesh, pou)
 
 
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,

@@ -7,7 +7,7 @@ states and batches share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,21 +165,10 @@ def integrate_sde(sys: OdeSystem, diffusion_d: float, x0, dt: float,
     return Trajectory(states, dt, seed=seed)
 
 
-def iterate_map(map_: DiscreteMap, x0, n_iters: int) -> Trajectory:
-    """Record x, T(x), ..., T^n(x)."""
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_iters + 1, map_.dim))
-    states[0] = x
-    for k in range(1, n_iters + 1):
-        x = map_.step(x)
-        _check_finite(x, k)
-        states[k] = x
-    return Trajectory(states, 0.0)
-
-
 def iterate_map_batch(map_: DiscreteMap, x0: np.ndarray,
                       n_iters: int) -> np.ndarray:
-    """Iterate many initial conditions at once; returns (n_iters+1, n, d)."""
+    """Record x, T(x), ..., T^n(x) of one state (d,) or of a batch (n, d)
+    at once; returns an array of shape (n_iters+1,) + x0.shape."""
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_iters + 1,) + x.shape)
     out[0] = x

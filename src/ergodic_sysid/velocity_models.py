@@ -164,54 +164,6 @@ class MlpModel(_Parameterized):
         return model
 
 
-class LinearFeatureModel(_Parameterized):
-    """Linear-in-parameters field v(x) = Theta @ phi(x).
-
-    ``features(X) -> (n, F)``; ``features_jac(X) -> (n, F, dim_in)`` is only
-    required when input gradients are requested.
-    """
-
-    def __init__(self, features, n_features: int, dim_in: int,
-                 dim_out: int = 1, features_jac=None):
-        self.features = features
-        self.features_jac = features_jac
-        self.n_features = n_features
-        self._dim_in = dim_in
-        self._dim_out = dim_out
-        self.theta = np.zeros(dim_out * n_features)
-
-    @property
-    def dim_in(self) -> int:
-        return self._dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self._dim_out
-
-    def eval_batch(self, X) -> np.ndarray:
-        phi = self.features(np.atleast_2d(np.asarray(X, dtype=float)))
-        return phi @ self.theta.reshape(self._dim_out, self.n_features).T
-
-    def linearize(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        phi = self.features(X)
-        weights = self.theta.reshape(self._dim_out, self.n_features)
-
-        def pullback(seeds, need_x: bool = False):
-            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-            grad = (seeds.T @ phi).ravel()
-            x_grad = None
-            if need_x:
-                if self.features_jac is None:
-                    raise ValueError(
-                        "features_jac required for input gradients")
-                x_grad = np.einsum("nf,nfd->nd", seeds @ weights,
-                                   self.features_jac(X))
-            return grad, x_grad
-
-        return phi @ weights.T, pullback
-
-
 class FaceValuesModel(_Parameterized):
     """Velocity given directly by its values on the grid cell faces.
 
@@ -228,12 +180,6 @@ class FaceValuesModel(_Parameterized):
     def face_arrays(self):
         n = self.grid.n_cells
         return [self.theta[i * n:(i + 1) * n] for i in range(self.grid.dim)]
-
-    def set_from_field(self, velocity):
-        """Sample a velocity field at the lower-face centers."""
-        self.theta = np.concatenate([
-            evaluate_velocity(velocity, self.grid.face_centers(i))[:, i]
-            for i in range(self.grid.dim)])
 
 
 class MaskedVelocity:
@@ -319,17 +265,6 @@ def linearize_velocity(velocity, X):
     if hasattr(velocity, "linearize"):
         return velocity.linearize(X)
     return evaluate_velocity(velocity, X), None
-
-
-def flow_rk4(velocity, X, dt: float, substeps: int = 1) -> np.ndarray:
-    """Time-dt RK4 flow map of the velocity applied to a batch of points."""
-    x = np.atleast_2d(np.asarray(X, dtype=float)).copy()
-    h = dt / substeps
-    f = lambda z: evaluate_velocity(velocity, z)
-    for k in range(substeps):
-        x = rk4_step(f, x, h)
-        _check_finite(x, k + 1)
-    return x
 
 
 def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):

@@ -8,8 +8,7 @@ from ergodic_sysid.fvm import (RegularizedMarkov, assemble_K, cfl_dt,
                                stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure, grid_objective
 from ergodic_sysid.optim import finite_difference_check, make_fvm_loss
-from ergodic_sysid.velocity_models import (FaceValuesModel,
-                                           LinearFeatureModel, MlpModel)
+from ergodic_sysid.velocity_models import FaceValuesModel, MlpModel
 
 
 def _small_problem(seed=0, n=10, eps=1e-2, D=0.05):
@@ -132,9 +131,8 @@ def test_objective_sensitivities_match_fd():
 
 def test_linear_parameterization_chain_rule():
     grid = Grid([0.0], [1.0], [12])
-    feats = lambda X: np.column_stack([np.ones(len(X)), X[:, 0]])
-    model = LinearFeatureModel(feats, 2, dim_in=1, dim_out=1)
-    model.set_params(np.array([0.3, -0.8]))
+    model = MlpModel([1, 1])  # v(x) = w x + b, parameters (w, b)
+    model.set_params(np.array([-0.8, 0.3]))
     rng = np.random.default_rng(9)
     face_grads = [rng.standard_normal(12)]
     face_grads[0][0] = 0.0
@@ -143,8 +141,7 @@ def test_linear_parameterization_chain_rule():
     centers = grid.centers()
     pts = centers.copy()
     pts[:, 0] -= 0.5 * grid.spacings[0]
-    phi = feats(pts)
-    expected = np.array([face_grads[0] @ phi[:, 0], face_grads[0] @ phi[:, 1]])
+    expected = np.array([face_grads[0] @ pts[:, 0], face_grads[0].sum()])
     assert np.allclose(got, expected)
 
 

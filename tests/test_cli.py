@@ -114,10 +114,23 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("eval.balanced", lambda c: c.update(eval={"kind": "catmap_compare",
                                                "balanced": True}), "eval"),
     ("fit.solver", lambda c: c["fit"].update(solver="direct"), "simulate"),
+    ("fit.objective", lambda c: c["fit"].update(objective="l1"), "fit"),
+    ("model.init", lambda c: (c["model"].update(init="he"),
+                              c["fit"].update(driver="delay")), "fit"),
+    ("fit.loss", lambda c: c["fit"].update(driver="delay", loss="j3"),
+     "fit"),
+    ("fit.m", lambda c: c["fit"].update(driver="delay", m=0), "fit"),
+    ("fit.lag", lambda c: c["fit"].update(driver="delay", lag=0), "fit"),
+    ("delay.m", lambda c: c.update(delay={"m": 0}), "delay"),
+    ("delay.lag", lambda c: c.update(delay={
+        "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
+        "lag": 0}), "delay"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
-        "eval-model", "mesh-balanced", "eval-balanced", "fit-solver"])
+        "eval-model", "mesh-balanced", "eval-balanced", "fit-solver",
+        "fit-objective", "model-init", "fit-loss", "fit-m", "fit-lag",
+        "embed-m", "torus-lag"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -279,8 +292,8 @@ def test_delay_embed_m1_degenerates_to_series(tmp_path):
     cfg = {"seed": 0, "out": str(out),
            "delay": {"mode": "embed", "m": 1, "observable": 2}}
     assert main(["delay", "--config", _write(tmp_path, cfg)]) == 0
-    cloud = io.read_cloud_csv(out / "delay.csv")
-    assert np.allclose(cloud.points[:, 0], traj.states[:, 2])
+    cloud = np.loadtxt(out / "delay.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.allclose(cloud[:, 0], traj.states[:, 2])
 
 
 def test_delay_bad_observable_exits_2(tmp_path):
@@ -304,8 +317,8 @@ def test_round_trips_through_library_readers(tmp_path):
 
     cloud = SampleCloud(rng.normal(size=(30, 2)))
     io.write_cloud_csv(tmp_path / "c.csv", cloud)
-    assert np.array_equal(io.read_cloud_csv(tmp_path / "c.csv").points,
-                          cloud.points)
+    assert np.array_equal(np.loadtxt(tmp_path / "c.csv", delimiter=",",
+                                     skiprows=1, ndmin=2), cloud.points)
 
     grid = Grid([0.0, -1.0], [1.0, 1.0], [4, 5])
     w = rng.random(20)
@@ -337,19 +350,3 @@ def test_ulam_reader_rejects_column_orientation(tmp_path):
     path.write_text("# orientation=column n=2 eps=0.0\n0 0 1.0\n1 1 1.0\n")
     with pytest.raises(ValueError, match="orientation=row"):
         io.read_ulam_matrix(path)
-
-
-def test_operator_debug_dump(tmp_path):
-    from ergodic_sysid.fvm import assemble_K, cfl_dt
-    from ergodic_sysid.velocity_models import FaceValuesModel
-    grid = Grid([0.0], [1.0], [6])
-    model = FaceValuesModel(grid)
-    model.set_params(np.full(6, 0.4))
-    op = assemble_K(grid, model, 0.01, cfl_dt(grid, 0.01, 0.4))
-    io.write_operator_coo(tmp_path / "K.txt", op, tmp_path / "K_meta.json")
-    rows = np.loadtxt(tmp_path / "K.txt", skiprows=1, ndmin=2)
-    K = np.zeros((6, 6))
-    K[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
-    assert np.allclose(K, op.K.toarray())
-    meta = json.loads((tmp_path / "K_meta.json").read_text())
-    assert meta["n_per_dim"] == [6]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ergodic_sysid.measure import (DomainError, Grid, Measure, SampleCloud,
-                                   SupportMismatchError, energy_mmd,
-                                   energy_mmd_grad_x, grid_objective,
-                                   kl_divergence, l2_distance,
-                                   measure_to_cloud, occupation_measure,
+                                   energy_mmd, energy_mmd_grad_x,
+                                   grid_objective, occupation_measure,
                                    subsample_stride, wasserstein2)
-from ergodic_sysid.systems import iterate_map, make_system
+from ergodic_sysid.optim import make_fvm_loss
+from ergodic_sysid.systems import iterate_map_batch, make_system
+from ergodic_sysid.velocity_models import MlpModel
 
 
 def test_grid_index_round_trip():
@@ -43,13 +43,13 @@ def test_occupation_out_of_box():
 
 def test_occupation_catmap_marginal_matches_analytic():
     cat = make_system("cat_modified")
-    traj = iterate_map(cat, [0.531, 0.274], 100000)
+    states = iterate_map_batch(cat, [0.531, 0.274], 100000)
     grid = Grid([0.025, 0.025], [0.975, 0.975], [20, 20])
-    m = occupation_measure(traj, grid, clip=True)
+    m = occupation_measure(states, grid, clip=True)
     marginal = m.weights.reshape(20, 20, order="F").sum(axis=1)
     edges = np.linspace(0, 1, 21)
     expected = edges[1:] ** 10 - edges[:-1] ** 10  # integral of 10 x^9
-    n = len(traj)
+    n = len(states)
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert np.all(np.abs(marginal - expected) < 3 * sigma + 5.0 / n)
 
@@ -66,13 +66,19 @@ def test_measure_normalization_enforced():
         assert m.weights.min() >= 0.0
 
 
+def _objective(name, a: Measure, b: Measure) -> float:
+    """Value of the named grid objective of weights a against target b."""
+    vol = a.support.cell_volume if a.support is not None else 1.0
+    return grid_objective(name)(a.weights, b.weights, vol)[0]
+
+
 def test_l2_distance_values():
     grid = Grid([0.0], [1.0], [4])
     vol = grid.cell_volume
     a = Measure([1.0, 0, 0, 0], grid)
     b = Measure([0, 0, 1.0, 0], grid)
-    assert l2_distance(a, a) == 0.0
-    assert np.isclose(l2_distance(a, b), 1.0 / vol)
+    assert _objective("l2", a, a) == 0.0
+    assert np.isclose(_objective("l2", a, b), 1.0 / vol)
 
 
 def test_l2_distance_dense_oracle():
@@ -85,16 +91,17 @@ def test_l2_distance_dense_oracle():
     expected = 0.5 * sum(
         (a.weights[j] / vol - b.weights[j] / vol) ** 2 * vol
         for j in range(20))
-    assert np.isclose(l2_distance(a, b), expected)
-    assert np.isclose(l2_distance(a, b), l2_distance(b, a))
+    assert np.isclose(_objective("l2", a, b), expected)
+    assert np.isclose(_objective("l2", a, b), _objective("l2", b, a))
 
 
 def test_kl_divergence_values():
     grid = Grid([0.0], [1.0], [2])
     a = Measure([0.5, 0.5], grid)
     b = Measure([1.0, 0.0], grid)
-    assert kl_divergence(a, a) == 0.0
-    assert np.isclose(kl_divergence(a, b), np.log(2.0))
+    # KL(b || a): the target b against the candidate weights a
+    assert _objective("kl", a, a) == 0.0
+    assert np.isclose(_objective("kl", a, b), np.log(2.0))
 
 
 def test_kl_nonnegative_on_shared_support():
@@ -105,19 +112,20 @@ def test_kl_nonnegative_on_shared_support():
         wb = rng.random(30) + 1e-3
         a = Measure(wa / wa.sum(), grid)
         b = Measure(wb / wb.sum(), grid)
-        assert kl_divergence(a, b) >= 0.0
+        assert _objective("kl", a, b) >= 0.0
     # asymmetric in general
     wa = np.array([0.7, 0.2, 0.1])
     wb = np.array([0.1, 0.3, 0.6])
     a, b = Measure(wa), Measure(wb)
-    assert kl_divergence(a, b) != kl_divergence(b, a)
+    assert _objective("kl", a, b) != _objective("kl", b, a)
 
 
 def test_support_mismatch_rejected():
-    a = Measure([0.5, 0.5], Grid([0.0], [1.0], [2]))
-    b = Measure([0.5, 0.5], Grid([0.0], [2.0], [2]))
-    with pytest.raises(SupportMismatchError):
-        l2_distance(a, b)
+    # the stationary-density fit refuses a target from another grid
+    target = Measure([0.5, 0.5], Grid([0.0], [1.0], [2]))
+    with pytest.raises(ValueError, match="does not live on the fit grid"):
+        make_fvm_loss(target, MlpModel([1, 1]), Grid([0.0], [2.0], [2]),
+                      D=0.1, eps_tele=1e-3)
 
 
 def test_w2_two_point_transport():
@@ -205,30 +213,6 @@ def test_energy_mmd_grad_consistent():
         vp, _ = energy_mmd_grad_x(x + e, y)
         vm, _ = energy_mmd_grad_x(x - e, y)
         assert abs((vp - vm) / (2 * h) - grad[i, k]) < 1e-7
-
-
-def test_measure_to_cloud_modes():
-    grid = Grid([0.0], [1.0], [2])
-    one_hot = Measure([0.0, 1.0], grid)
-    cloud = measure_to_cloud(one_hot, 5)
-    assert np.allclose(cloud.points, 1.0)
-    half = Measure([0.5, 0.5], grid)
-    cloud = measure_to_cloud(half, 10, mode="proportional")
-    assert np.count_nonzero(cloud.points == 0.0) == 5
-    weighted = measure_to_cloud(half, 0, mode="weighted")
-    assert weighted.n == 2
-
-
-def test_measure_to_cloud_multinomial_round_trip():
-    rng = np.random.default_rng(11)
-    grid = Grid([0.0], [1.0], [8])
-    w = rng.random(8)
-    m = Measure(w / w.sum(), grid)
-    n = 20000
-    cloud = measure_to_cloud(m, n, seed=5, mode="multinomial")
-    back = occupation_measure(cloud.points, grid)
-    sigma = np.sqrt(m.weights * (1 - m.weights) / n)
-    assert np.all(np.abs(back.weights - m.weights) <= 3 * sigma + 1e-9)
 
 
 def test_subsample_stride_deterministic():

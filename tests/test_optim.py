@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from ergodic_sysid.delay import DelayMapConfig
-from ergodic_sysid.fvm import assemble_K, cfl_dt, stationary_density, teleport
+from ergodic_sysid.fvm import (assemble_K, cfl_dt, frozen_dt,
+                               stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.optim import (AdamState, adam_step, clip_by_global_norm,
                                  finite_difference_check, fit_delay, fit_fvm,
                                  fit_pfo, make_delay_loss, make_fvm_loss,
                                  make_pfo_loss)
-from ergodic_sysid.pfo import PartitionOfUnity, build_mesh, flowmap_markov
+from ergodic_sysid.pfo import PartitionOfUnity, build_mesh, estimate_markov
 from ergodic_sysid.systems import integrate_ode, make_system
-from ergodic_sysid.velocity_models import (LinearFeatureModel, MlpModel)
+from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
+
+
+def _flowmap(velocity, mesh, pou, sources, flow_dt, substeps=1):
+    """Transition matrix of the time-flow_dt RK4 flow of a velocity."""
+    y, _ = flow_rk4_vjp(velocity, sources.points, flow_dt, substeps)
+    return estimate_markov((sources.points, y), mesh, pou)
 
 
 def test_adam_zero_gradient_no_move():
@@ -48,21 +55,25 @@ def test_clip_by_global_norm():
     assert np.isclose(np.linalg.norm(clipped), 10.0)
 
 
+def _stationary_target(grid, velocity, D, eps, dt):
+    """Stationary density of a field on the fit's own discretization."""
+    op = assemble_K(grid, velocity, D, dt)
+    return Measure(stationary_density(teleport(op, eps)).weights, grid)
+
+
 def _double_well_target(grid, D, eps):
-    # stationary density of v(x) = x - x^3 on the fit's own discretization
-    feats = lambda X: np.column_stack([X[:, 0], X[:, 0] ** 3])
-    truth = LinearFeatureModel(feats, 2, dim_in=1, dim_out=1)
-    truth.set_params(np.array([1.0, -1.0]))
-    dt = cfl_dt(grid, D, 4.0, safety=0.9)
-    op = assemble_K(grid, truth, D, dt)
-    rho = stationary_density(teleport(op, eps))
-    return Measure(rho.weights, grid), truth, dt
+    # the field v(x) = x - x^3
+    return _stationary_target(grid, lambda X: X - X**3, D, eps,
+                              cfl_dt(grid, D, 4.0, safety=0.9))
 
 
 def test_fvm_fit_zero_gradient_at_truth():
     grid = Grid([-2.0], [2.0], [24])
     D, eps = 0.08, 1e-3
-    target, truth, dt = _double_well_target(grid, D, eps)
+    truth = MlpModel([1, 8, 1])
+    truth.init_params(seed=1)
+    dt = frozen_dt(grid, truth, D)
+    target = _stationary_target(grid, truth, D, eps, dt)
     loss_and_grad, _ = make_fvm_loss(target, truth, grid, D, eps, dt=dt)
     val, grad = loss_and_grad(truth.get_params())
     assert val < 1e-20
@@ -73,7 +84,7 @@ def test_fvm_fit_zero_gradient_at_truth():
 def test_fvm_fit_double_well_loss_drops_10x():
     grid = Grid([-2.0], [2.0], [32])
     D, eps = 0.08, 1e-3
-    target, _, _ = _double_well_target(grid, D, eps)
+    target = _double_well_target(grid, D, eps)
     mlp = MlpModel([1, 16, 1])
     mlp.init_params(seed=2)
     report = fit_fvm(target, mlp, grid, D, eps, n_iters=500, lr=1e-2,
@@ -84,7 +95,7 @@ def test_fvm_fit_double_well_loss_drops_10x():
 def test_fvm_fit_deterministic_history():
     grid = Grid([-2.0], [2.0], [16])
     D, eps = 0.08, 1e-2
-    target, _, _ = _double_well_target(grid, D, eps)
+    target = _double_well_target(grid, D, eps)
     histories = []
     for _ in range(2):
         mlp = MlpModel([1, 8, 1])
@@ -101,7 +112,7 @@ def test_pfo_fit_truth_is_noise_floor():
     cloud = SampleCloud(traj.states[::3])
     mesh = build_mesh(cloud, 20, seed=5)
     pou = PartitionOfUnity(mesh.centers, 0.4)
-    target = flowmap_markov(sys, mesh, pou, cloud, 0.05, substeps=1)
+    target = _flowmap(sys, mesh, pou, cloud, 0.05, substeps=1)
     loss_and_grad = make_pfo_loss(target, _wrap_system(sys), mesh, pou,
                                   cloud, 0.05)
     val, _ = loss_and_grad(np.zeros(0))
@@ -160,7 +171,7 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
 
     # stationary-density driver
     grid = Grid([-2.0], [2.0], [12])
-    target, _, _ = _double_well_target(grid, 0.08, 1e-2)
+    target = _double_well_target(grid, 0.08, 1e-2)
     mlp = MlpModel([1, 6, 1])
     mlp.init_params(seed=9)
     lng, _ = make_fvm_loss(target, mlp, grid, 0.08, 1e-2)
@@ -173,7 +184,7 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
     mesh = build_mesh(src, 4, seed=10)
     pou = PartitionOfUnity(mesh.centers, 0.7)
     rot = lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1)
-    target_m = flowmap_markov(rot, mesh, pou, src, 0.1)
+    target_m = _flowmap(rot, mesh, pou, src, 0.1)
     mlp2 = MlpModel([2, 6, 2])
     mlp2.init_params(seed=11)
     lng2 = make_pfo_loss(target_m, mlp2, mesh, pou, src, 0.1)
@@ -198,7 +209,7 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
 
 def test_resume_reproduces_full_history():
     grid = Grid([-2.0], [2.0], [16])
-    target, _, _ = _double_well_target(grid, 0.08, 1e-2)
+    target = _double_well_target(grid, 0.08, 1e-2)
 
     mlp = MlpModel([1, 8, 1])
     mlp.init_params(seed=13)

@@ -10,10 +10,15 @@ from ergodic_sysid.measure import SampleCloud
 from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
                                PartitionOfUnity, UlamMatrix,
                                UnstructuredMesh, build_mesh, estimate_markov,
-                               flowmap_markov, flowmap_markov_grad,
-                               invariant_density, markov_distance)
+                               flowmap_markov_grad, invariant_density)
 from ergodic_sysid.systems import IntegrationBlowupError, make_system
-from ergodic_sysid.velocity_models import MlpModel
+from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
+
+
+def _flowmap(velocity, mesh, pou, sources, flow_dt, substeps=1):
+    """Transition matrix of the time-flow_dt RK4 flow of a velocity."""
+    y, _ = flow_rk4_vjp(velocity, sources.points, flow_dt, substeps)
+    return estimate_markov((sources.points, y), mesh, pou)
 
 
 def _doubling_pairs(rng, n):
@@ -208,36 +213,6 @@ def test_invariant_density_matches_direct_solve_of_transposed_chain():
         assert np.abs(pi.weights - direct.weights).max() < 1e-10
 
 
-def test_markov_distance_oracle():
-    rng = np.random.default_rng(13)
-    mesh = UnstructuredMesh(rng.normal(size=(5, 2)))
-    a = rng.random((5, 5))
-    a /= a.sum(axis=1, keepdims=True)
-    b = rng.random((5, 5))
-    b /= b.sum(axis=1, keepdims=True)
-    A = UlamMatrix(a, mesh)
-    B = UlamMatrix(b, mesh)
-    assert markov_distance(A, A) == 0.0
-    perm = UlamMatrix(a[::-1], mesh)
-    assert markov_distance(A, perm) > 0.0
-    expected = np.sqrt(sum((a[i, j] - b[i, j]) ** 2
-                           for i in range(5) for j in range(5)))
-    assert np.isclose(markov_distance(A, B), expected)
-
-
-def test_markov_distance_rejects_mismatch():
-    rng = np.random.default_rng(14)
-    mesh_a = UnstructuredMesh(rng.normal(size=(3, 2)))
-    mesh_b = UnstructuredMesh(rng.normal(size=(3, 2)))
-    eye = np.eye(3)
-    A = UlamMatrix(eye, mesh_a)
-    B = UlamMatrix(eye, mesh_b)
-    with pytest.raises(ValueError):
-        markov_distance(A, B)
-    with pytest.raises(ValueError):
-        markov_distance(A, UlamMatrix(np.eye(4)))
-
-
 def test_flowmap_zero_velocity_is_identity():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(300, 2))
@@ -245,7 +220,7 @@ def test_flowmap_zero_velocity_is_identity():
     pou = PartitionOfUnity(mesh.centers, 0.0)
     mlp = MlpModel([2, 4, 2])
     mlp.init_params("zeros")
-    M = flowmap_markov(mlp, mesh, pou, SampleCloud(x), 0.05)
+    M = _flowmap(mlp, mesh, pou, SampleCloud(x), 0.05)
     assert np.allclose(M.matrix, np.eye(5))
 
 
@@ -255,7 +230,7 @@ def test_flowmap_gradient_matches_fd():
     mesh = build_mesh(x, 5, seed=19)
     pou = PartitionOfUnity(mesh.centers, 0.6)
     rot = lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1)
-    target = flowmap_markov(rot, mesh, pou, x, 0.1, substeps=2)
+    target = _flowmap(rot, mesh, pou, x, 0.1, substeps=2)
     mlp = MlpModel([2, 6, 2])
     mlp.init_params(seed=20)
     theta = mlp.get_params()
@@ -280,7 +255,7 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
     x = SampleCloud(rng.normal(size=(120, 2)))
     mesh = build_mesh(x, 6, seed=44)
     pou = PartitionOfUnity(mesh.centers, 0.5)
-    target = flowmap_markov(lambda z: -z, mesh, pou, x, 0.1)
+    target = _flowmap(lambda z: -z, mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=45)
     calls = []
@@ -296,7 +271,7 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
     assert calls == [120]
     assert loss > 0.0 and np.any(grad != 0.0)
     assert np.array_equal(
-        mhat.matrix, flowmap_markov(mlp, mesh, pou, x, 0.1).matrix)
+        mhat.matrix, _flowmap(mlp, mesh, pou, x, 0.1).matrix)
 
 
 def test_flowmap_gradient_blowup_raises():
@@ -304,7 +279,7 @@ def test_flowmap_gradient_blowup_raises():
     x = SampleCloud(rng.normal(size=(60, 2)))
     mesh = build_mesh(x, 4, seed=26)
     pou = PartitionOfUnity(mesh.centers, 0.5)
-    target = flowmap_markov(lambda z: -z, mesh, pou, x, 0.1)
+    target = _flowmap(lambda z: -z, mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2], out_scale=1e16)
     mlp.init_params(seed=27)
     with pytest.raises(IntegrationBlowupError):
@@ -324,7 +299,7 @@ def test_larger_eps_smooths_loss_landscape():
 
     def total_variation(eps):
         pou = PartitionOfUnity(mesh.centers, eps)
-        target = flowmap_markov(rot, mesh, pou, x, 0.1)
+        target = _flowmap(rot, mesh, pou, x, 0.1)
         vals = []
         for t in np.linspace(0.0, 3.0, 41):
             mlp.set_params(theta0 + t * direction)

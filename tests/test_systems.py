@@ -7,7 +7,8 @@ from scipy.stats import kstest
 from ergodic_sysid.systems import (CatalogMissError, DiscreteMap,
                                    IntegrationBlowupError, OdeSystem,
                                    builtin_systems, integrate_ode,
-                                   integrate_sde, iterate_map, make_system)
+                                   integrate_sde, iterate_map_batch,
+                                   make_system)
 
 
 def test_zero_field_constant_trajectory():
@@ -100,38 +101,39 @@ def test_blowup_raises_without_numpy_warnings():
 
 def test_torus_rotation_iterates():
     tr = make_system("torus_rotation", alpha=0.3, beta=0.7)
-    traj = iterate_map(tr, [0.0, 0.0], 4)
-    assert np.allclose(traj.states[:, 0], [0.0, 0.3, 0.6, 0.9, 0.2])
+    states = iterate_map_batch(tr, [0.0, 0.0], 4)
+    assert np.allclose(states[:, 0], [0.0, 0.3, 0.6, 0.9, 0.2])
 
 
 def test_identity_map_constant():
     ident = DiscreteMap("id", 2, lambda x: x)
-    traj = iterate_map(ident, [0.3, 0.4], 5)
-    assert np.allclose(traj.states, [0.3, 0.4])
+    states = iterate_map_batch(ident, [0.3, 0.4], 5)
+    assert states.shape == (6, 2)
+    assert np.allclose(states, [0.3, 0.4])
 
 
 def test_modified_cat_stays_in_unit_square():
     cat = make_system("cat_modified")
-    traj = iterate_map(cat, [0.37, 0.58], 2000)
-    assert traj.states.min() >= 0.0 and traj.states.max() <= 1.0
+    states = iterate_map_batch(cat, [0.37, 0.58], 2000)
+    assert states.min() >= 0.0 and states.max() <= 1.0
 
 
 def test_modified_cat_invariant_marginal():
     # invariant x-density is 10 x^9, i.e. CDF x^10
     cat = make_system("cat_modified")
-    traj = iterate_map(cat, [0.437591, 0.219486], 100000)
-    stat = kstest(traj.states[500:, 0], lambda t: t**10)
+    states = iterate_map_batch(cat, [0.437591, 0.219486], 100000)
+    stat = kstest(states[500:, 0], lambda t: t**10)
     assert stat.statistic < 0.02
 
 
 def test_torus_rotation_uniform_histogram():
     tr = make_system("torus_rotation", alpha=np.sqrt(2) - 1,
                      beta=np.sqrt(3) - 1)
-    traj = iterate_map(tr, [0.15, 0.35], 100000)
+    states = iterate_map_batch(tr, [0.15, 0.35], 100000)
     bins = 10
-    counts, _, _ = np.histogram2d(traj.states[:, 0], traj.states[:, 1],
+    counts, _, _ = np.histogram2d(states[:, 0], states[:, 1],
                                   bins=bins, range=[[0, 1], [0, 1]])
-    n = traj.states.shape[0]
+    n = states.shape[0]
     p = 1.0 / bins**2
     sigma = np.sqrt(n * p * (1 - p))
     assert np.abs(counts - n * p).max() < 3.0 * sigma

@@ -120,8 +120,10 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
             if np.any(counts == 0):
                 empty = True
                 break
-            sums = np.zeros_like(centers)
-            np.add.at(sums, assignment, points)
+            # per-column bincount sums in input order, as np.add.at did
+            sums = np.stack([np.bincount(assignment, weights=col,
+                                         minlength=n_cells)
+                             for col in points.T], axis=1)
             new_centers = sums / counts[:, None]
             shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
             centers = new_centers

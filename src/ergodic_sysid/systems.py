@@ -1,8 +1,10 @@
 """Benchmark dynamical systems (maps, ODEs, SDEs) and fixed-step integrators.
 
 All right-hand sides and map steps are vectorized over leading axes: they
-accept arrays of shape ``(..., d)`` and return the same shape, so single
-states and batches share one code path.
+accept arrays of shape ``(..., d)`` and return a new array of the same
+shape, so single states and batches share one code path. The catalog fields
+write their components into one preallocated output rather than stacking
+them: on one state the stacking dispatch cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import numpy as np
 # Any coordinate beyond this magnitude aborts integration instead of letting
 # overflow propagate into downstream statistics.
 BLOWUP_LIMIT = 1e12
+
+# Euler-Maruyama draws its Brownian increments this many steps at a time. A
+# Generator fills a block in the same order as one draw per step, so the
+# path does not depend on the block size; memory stays O(block).
+NOISE_BLOCK = 4096
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -156,12 +163,16 @@ def integrate_sde(sys: OdeSystem, diffusion_d: float, x0, dt: float,
     states[0] = x
     sigma = np.sqrt(2.0 * diffusion_d * dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            x = x + dt * sys.rhs(x)
+        for start in range(1, n_steps + 1, NOISE_BLOCK):
+            stop = min(start + NOISE_BLOCK, n_steps + 1)
             if sigma > 0.0:
-                x = x + sigma * rng.standard_normal(sys.dim)
-            _check_finite(x, k)
-            states[k] = x
+                noise = sigma * rng.standard_normal((stop - start, sys.dim))
+            for k in range(start, stop):
+                x = x + dt * sys.rhs(x)
+                if sigma > 0.0:
+                    x = x + noise[k - start]
+                _check_finite(x, k)
+                states[k] = x
     return Trajectory(states, dt, seed=seed)
 
 
@@ -188,15 +199,19 @@ def van_der_pol(c: float = 2.0) -> OdeSystem:
 
     def rhs(z):
         x, y = z[..., 0], z[..., 1]
-        return np.stack([y, c * (1.0 - x**2) * y - x], axis=-1)
+        out = np.empty(z.shape)
+        out[..., 0] = y
+        out[..., 1] = c * (1.0 - x**2) * y - x
+        return out
 
     def jac_vjp(z, g):
         x, y = z[..., 0], z[..., 1]
         gx, gy = g[..., 0], g[..., 1]
         # J = [[0, 1], [-2 c x y - 1, c (1 - x^2)]]
-        out_x = gy * (-2.0 * c * x * y - 1.0)
-        out_y = gx + gy * c * (1.0 - x**2)
-        return np.stack([out_x, out_y], axis=-1)
+        out = np.empty(z.shape)
+        out[..., 0] = gy * (-2.0 * c * x * y - 1.0)
+        out[..., 1] = gx + gy * c * (1.0 - x**2)
+        return out
 
     return OdeSystem("van_der_pol", 2, {"c": c}, rhs, jac_vjp)
 
@@ -207,16 +222,20 @@ def lorenz63(c1: float = 10.0, c2: float = 28.0,
 
     def rhs(s):
         x, y, z = s[..., 0], s[..., 1], s[..., 2]
-        return np.stack(
-            [c1 * (y - x), x * (c2 - z) - y, x * y - c3 * z], axis=-1)
+        out = np.empty(s.shape)
+        out[..., 0] = c1 * (y - x)
+        out[..., 1] = x * (c2 - z) - y
+        out[..., 2] = x * y - c3 * z
+        return out
 
     def jac_vjp(s, g):
         x, y, z = s[..., 0], s[..., 1], s[..., 2]
         g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
-        out_x = -c1 * g1 + (c2 - z) * g2 + y * g3
-        out_y = c1 * g1 - g2 + x * g3
-        out_z = -x * g2 - c3 * g3
-        return np.stack([out_x, out_y, out_z], axis=-1)
+        out = np.empty(s.shape)
+        out[..., 0] = -c1 * g1 + (c2 - z) * g2 + y * g3
+        out[..., 1] = c1 * g1 - g2 + x * g3
+        out[..., 2] = -x * g2 - c3 * g3
+        return out
 
     return OdeSystem("lorenz63", 3, {"c1": c1, "c2": c2, "c3": c3}, rhs,
                      jac_vjp)
@@ -251,7 +270,10 @@ def arnold_cat() -> DiscreteMap:
 
     def step(z):
         x, y = z[..., 0], z[..., 1]
-        return np.stack([(2.0 * x + y) % 1.0, (x + y) % 1.0], axis=-1)
+        out = np.empty(z.shape)
+        out[..., 0] = (2.0 * x + y) % 1.0
+        out[..., 1] = (x + y) % 1.0
+        return out
 
     return DiscreteMap("cat_arnold", 2, step,
                        lo=np.zeros(2), hi=np.ones(2))

@@ -67,6 +67,18 @@ class MlpModel(_Parameterized):
             self._slices.append((wslice, bslice, nin, nout))
         self.theta = np.zeros(offset)
 
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta
+
+    @theta.setter
+    def theta(self, value: np.ndarray):
+        # Every replacement of theta rebuilds the per-layer (w, b) views once,
+        # so a forward pass does not reslice the flat vector on each call.
+        self._theta = value
+        self._layers = [(value[wsl].reshape(nout, nin), value[bsl])
+                        for wsl, bsl, nin, nout in self._slices]
+
     @staticmethod
     def _affine(value, size, default):
         if value is None:
@@ -96,15 +108,11 @@ class MlpModel(_Parameterized):
         self.theta = theta
         return self.get_params()
 
-    def _layers(self):
-        for wsl, bsl, nin, nout in self._slices:
-            yield self.theta[wsl].reshape(nout, nin), self.theta[bsl]
-
     def _forward(self, X):
         z = (np.atleast_2d(np.asarray(X, dtype=float)) - self.in_shift) \
             / self.in_scale
         activations = [z]
-        layers = list(self._layers())
+        layers = self._layers
         for li, (w, b) in enumerate(layers):
             z = z @ w.T + b
             if li < len(layers) - 1:
@@ -119,7 +127,7 @@ class MlpModel(_Parameterized):
     def linearize(self, X):
         """Values at X and the pullback that reuses their activations."""
         acts = self._forward(X)
-        layers = list(self._layers())
+        layers = self._layers
 
         def pullback(seeds, need_x: bool = False):
             seeds = np.atleast_2d(np.asarray(seeds, dtype=float))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from ergodic_sysid.systems import (CatalogMissError, DiscreteMap,
-                                   IntegrationBlowupError, OdeSystem,
-                                   builtin_systems, integrate_ode,
+from ergodic_sysid.systems import (NOISE_BLOCK, CatalogMissError,
+                                   DiscreteMap, IntegrationBlowupError,
+                                   OdeSystem, builtin_systems, integrate_ode,
                                    integrate_sde, iterate_map_batch,
-                                   make_system)
+                                   make_system, rk4_step)
 
 
 def test_zero_field_constant_trajectory():
@@ -177,3 +177,69 @@ def test_jac_vjp_matches_finite_differences():
             e[k] = h
             fd[k] = g @ (sys.rhs(x + e) - sys.rhs(x - e)) / (2 * h)
         assert np.allclose(got, fd, rtol=1e-5, atol=1e-7), name
+
+
+def _catalog_functions():
+    """(function, arity, dim) for every field and map of the catalog."""
+    out = []
+    for name, factory in sorted(builtin_systems().items()):
+        sys = factory()
+        if isinstance(sys, DiscreteMap):
+            out.append(pytest.param(sys.step, 1, sys.dim, id=f"{name}.step"))
+        else:
+            out.append(pytest.param(sys.rhs, 1, sys.dim, id=f"{name}.rhs"))
+            if sys.jac_vjp is not None:
+                out.append(pytest.param(sys.jac_vjp, 2, sys.dim,
+                                        id=f"{name}.jac_vjp"))
+    return out
+
+
+@pytest.mark.parametrize("fn, arity, dim", _catalog_functions())
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)],
+                         ids=["state", "batch", "grid"])
+def test_catalog_batches_rowwise_into_a_new_array(fn, arity, dim, lead):
+    rng = np.random.default_rng(len(lead))
+    args = [rng.uniform(0.0, 1.0, lead + (dim,)) for _ in range(arity)]
+    before = [a.copy() for a in args]
+    out = fn(*args)
+    assert out.shape == lead + (dim,) and out.dtype == np.float64
+    for idx in np.ndindex(lead):
+        row = fn(*[a[idx] for a in args])
+        assert np.array_equal(out[idx], row), idx
+    out[...] = np.nan
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
+
+
+def test_integrate_ode_matches_stacked_reference():
+    def rhs(z):  # the van der Pol field as written with np.stack
+        x, y = z[..., 0], z[..., 1]
+        return np.stack([y, 1.5 * (1.0 - x**2) * y - x], axis=-1)
+
+    x0 = np.array([0.3, -0.2])
+    traj = integrate_ode(make_system("van_der_pol", c=1.5), x0, 0.05, 400,
+                         substeps=3)
+    x = x0.copy()
+    ref = [x]
+    for _ in range(400):
+        for _ in range(3):
+            x = rk4_step(rhs, x, 0.05 / 3)
+        ref.append(x)
+    assert np.array_equal(traj.states, np.array(ref))
+
+
+@pytest.mark.parametrize("n_steps", [1, 300, NOISE_BLOCK,
+                                     2 * NOISE_BLOCK + 37])
+def test_integrate_sde_matches_per_step_draws(n_steps):
+    sys = make_system("van_der_pol", c=1.0)
+    x0, dt, D, seed = np.array([1.0, 0.5]), 0.01, 0.3, 12
+    traj = integrate_sde(sys, D, x0, dt, n_steps, seed=seed)
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(2.0 * D * dt)
+    x = x0.copy()
+    ref = [x]
+    for _ in range(n_steps):
+        x = x + dt * sys.rhs(x)
+        x = x + sigma * rng.standard_normal(sys.dim)
+        ref.append(x)
+    assert np.array_equal(traj.states, np.array(ref))

@@ -208,3 +208,49 @@ def test_checkpoint_round_trip():
     clone = MlpModel.from_checkpoint(blob)
     x = np.random.default_rng(17).normal(size=(4, 2))
     assert np.array_equal(mlp.eval_batch(x), clone.eval_batch(x))
+
+
+def _reference_forward(sizes, theta, x):
+    """tanh MLP evaluated straight from slices of theta."""
+    z, offset = x, 0
+    for li, (nin, nout) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = theta[offset:offset + nin * nout].reshape(nout, nin)
+        offset += nin * nout
+        z = z @ w.T + theta[offset:offset + nout]
+        offset += nout
+        if li < len(sizes) - 2:
+            z = np.tanh(z)
+    return z
+
+
+@pytest.mark.parametrize("replace", ["set_params", "init_params",
+                                     "from_checkpoint"])
+def test_layer_views_follow_a_replaced_theta(replace):
+    sizes = [2, 7, 5, 2]
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(6, 2))
+    seeds = rng.normal(size=(6, 2))
+    mlp = MlpModel(sizes)
+    mlp.init_params(seed=1)
+    stale = mlp.eval_batch(x)
+    if replace == "set_params":
+        mlp.set_params(rng.normal(size=mlp.n_params))
+    elif replace == "init_params":
+        mlp.init_params(seed=2)
+    else:
+        blob = mlp.checkpoint()
+        blob["theta"] = rng.normal(size=mlp.n_params).tolist()
+        mlp = MlpModel.from_checkpoint(blob)
+    fresh = MlpModel(sizes)
+    fresh.set_params(mlp.get_params())
+    got = mlp.eval_batch(x)
+    assert not np.array_equal(got, stale)
+    assert np.array_equal(got, fresh.eval_batch(x))
+    assert np.allclose(got, _reference_forward(sizes, mlp.get_params(), x),
+                       rtol=1e-13, atol=1e-13)
+    values, pullback = mlp.linearize(x)
+    fresh_values, fresh_pullback = fresh.linearize(x)
+    assert np.array_equal(values, fresh_values)
+    for a, b in zip(pullback(seeds, need_x=True),
+                    fresh_pullback(seeds, need_x=True)):
+        assert np.array_equal(a, b)

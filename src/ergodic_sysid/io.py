@@ -19,6 +19,9 @@ from .systems import Trajectory
 from .velocity_models import MlpModel
 
 FLOAT_FMT = "%.17g"
+# Ulam matrix lines formatted and written per write call: one call per
+# block keeps the per-line cost low without holding the whole file's text.
+_WRITE_BLOCK = 4096
 
 
 def _write_table(path, header, array):
@@ -110,8 +113,12 @@ def write_ulam_matrix(path, M: UlamMatrix):
     coo = sp.coo_matrix(M.matrix)
     with open(path, "w") as fh:
         fh.write(f"# orientation=row n={M.n} eps={M.eps!r}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {FLOAT_FMT % v}\n")
+        line = "%d %d " + FLOAT_FMT + "\n"
+        for s in range(0, coo.nnz, _WRITE_BLOCK):
+            block = slice(s, s + _WRITE_BLOCK)
+            fh.write("".join([line % entry for entry in zip(
+                coo.row[block].tolist(), coo.col[block].tolist(),
+                coo.data[block].tolist())]))
 
 
 def read_ulam_matrix(path) -> UlamMatrix:

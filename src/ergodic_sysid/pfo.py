@@ -1,7 +1,8 @@
 """Data-adaptive Galerkin approximation of the transfer operator.
 
 Cells are the nearest-center regions of a k-means mesh built on observed
-samples; every estimator assigns points to cells by nearest center. Hard
+samples; every estimator assigns points to cells by nearest center, found
+through a kd-tree on the centers, with ties going to the lowest index. Hard
 cell indicators can be smoothed into a softplus-of-distance partition of
 unity so that the matrix entries become differentiable in any parameter
 moving the underlying map.
@@ -26,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .fvm import RegularizedMarkov, stationary_density
@@ -34,6 +36,8 @@ from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
 _CHUNK = 16384
+# Relative gap below which the kd-tree's two nearest centers count as tied.
+NEAR_TIE_RTOL = 1e-9
 
 
 class MeshBuildError(RuntimeError):
@@ -46,18 +50,26 @@ class EstimationError(RuntimeError):
         self.cell = cell
 
 
-def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return cdist(points, centers, "sqeuclidean")
+def assign_nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center of each point, equal to the ``argmin``
+    of the squared-distance matrix, ties included (lowest index wins).
 
-
-def assign_nearest(points: np.ndarray, centers: np.ndarray,
-                   chunk: int = _CHUNK) -> np.ndarray:
-    """Nearest-center assignment; ties resolve to the lowest index."""
+    A kd-tree on the centers gives each point its two nearest candidates.
+    Where their distances lie within ``NEAR_TIE_RTOL`` of each other, the
+    tree's rounding and its order among tied centers could disagree with
+    the ``argmin``, so those rows are decided by a dense ``cdist`` row;
+    elsewhere no rounding error can change the nearest center. Non-finite
+    points raise ``ValueError``.
+    """
     points = np.atleast_2d(points)
-    out = np.empty(points.shape[0], dtype=int)
-    for s in range(0, points.shape[0], chunk):
-        out[s:s + chunk] = np.argmin(
-            _pairwise_sq(points[s:s + chunk], centers), axis=1)
+    k = min(2, len(centers))
+    dist, idx = cKDTree(centers).query(points, k=k)
+    if k == 1:
+        return idx
+    out = idx[:, 0].copy()
+    d0, d1 = dist.T
+    tied = np.flatnonzero(d1 - d0 <= NEAR_TIE_RTOL * d1)
+    out[tied] = np.argmin(cdist(points[tied], centers, "sqeuclidean"), axis=1)
     return out
 
 

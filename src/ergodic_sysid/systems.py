@@ -102,6 +102,11 @@ class Trajectory:
 
 
 def _check_finite(x: np.ndarray, step: int):
+    # One dispatch passes every state inside the limit: the largest square
+    # cannot exceed the sum of squares. NaN, inf and overflow fail the
+    # comparison and fall through to the exact check.
+    if np.vdot(x, x) <= BLOWUP_LIMIT**2:
+        return
     mag = np.max(np.abs(x))
     if not np.isfinite(mag) or mag > BLOWUP_LIMIT:
         raise IntegrationBlowupError(step, float(mag))

@@ -168,6 +168,19 @@ def _nan_row_in_trajectory(cfg, tmp_path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_pfo_fit_with_a_non_finite_sample_exits_3(tmp_path, capsys):
+    # nearest-centre assignment rejects non-finite points; the trajectory
+    # reader refuses them first, so the fit exits 3 before any assignment
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "smoke_pfo.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    _nan_row_in_trajectory(cfg, tmp_path)
+    capsys.readouterr()
+    assert main(["fit", "--config", _write(tmp_path, cfg)]) == 3
+    assert "non-finite states" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def _simulate_and_histogram(cfg, tmp_path):
     for cmd in ("simulate", "histogram"):
         assert main([cmd, "--config", _write(tmp_path, cfg)]) == 0
@@ -343,6 +356,23 @@ def test_round_trips_through_library_readers(tmp_path):
     back_M = io.read_ulam_matrix(tmp_path / "M.txt")
     assert np.array_equal(back_M.matrix, mat)
     assert back_M.eps == 0.5
+
+
+def test_ulam_writer_matches_line_by_line_reference(tmp_path):
+    # 90 x 90 with zeros: more entries than one write block, and a last
+    # block that is partly full
+    rng = np.random.default_rng(12)
+    mat = rng.random((90, 90)) * (rng.random((90, 90)) < 0.7)
+    mat /= mat.sum(axis=1, keepdims=True)
+    M = UlamMatrix(mat, eps=0.05)
+    io.write_ulam_matrix(tmp_path / "M.txt", M)
+    nz = np.nonzero(mat)
+    assert nz[0].size > io._WRITE_BLOCK
+    expected = "# orientation=row n=90 eps=0.05\n" + "".join(
+        f"{r} {c} {io.FLOAT_FMT % mat[r, c]}\n" for r, c in zip(*nz))
+    assert (tmp_path / "M.txt").read_text() == expected
+    assert np.array_equal(io.read_ulam_matrix(tmp_path / "M.txt").matrix,
+                          mat)
 
 
 def test_ulam_reader_rejects_column_orientation(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
 from ergodic_sysid import pfo
 from ergodic_sysid.fvm import RegularizedMarkov, stationary_density
@@ -46,6 +47,50 @@ def test_two_blob_separation():
     assert np.array_equal(mesh.assign(pts), oracle)
     assert len(set(oracle[:80])) == 1 and len(set(oracle[80:])) == 1
     assert oracle[0] != oracle[-1]
+
+
+def _brute_force_nearest(points, centers):
+    return np.argmin(cdist(points, centers, "sqeuclidean"), axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_centers", [1, 2, 7, 400])
+def test_assign_nearest_equals_brute_force(dim, n_centers):
+    rng = np.random.default_rng(100 * dim + n_centers)
+    centers = rng.normal(size=(n_centers, dim))
+    # a cloud, a scaled-up cloud far from most centres, and the centres
+    points = np.vstack([rng.normal(size=(3000, dim)),
+                        5.0 * rng.normal(size=(200, dim)), centers])
+    got = pfo.assign_nearest(points, centers)
+    assert np.array_equal(got, _brute_force_nearest(points, centers))
+    assert np.array_equal(got[-n_centers:], np.arange(n_centers))
+
+
+def test_assign_nearest_ties_go_to_the_lowest_index():
+    # shuffled centres on the integer lattice; every half-integer midpoint
+    # is exactly equidistant from 2 (edge midpoints) or 4 (cell centres)
+    rng = np.random.default_rng(7)
+    lattice = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+    centers = rng.permutation(lattice)
+    half = np.arange(0.0, 5.5, 0.5)
+    grid = np.stack(np.meshgrid(half, half[:-2], indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    points = rng.permutation(grid[np.any(grid % 1.0 == 0.5, axis=1)])
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    tied = d2 == d2.min(axis=1, keepdims=True)
+    assert set(tied.sum(axis=1)) == {2, 4}
+    lowest = np.argmax(tied, axis=1)
+    assert np.array_equal(pfo.assign_nearest(points, centers), lowest)
+    assert np.array_equal(_brute_force_nearest(points, centers), lowest)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assign_nearest_rejects_non_finite_points(bad):
+    points = np.zeros((4, 2))
+    points[2, 1] = bad
+    with pytest.raises(ValueError):
+        pfo.assign_nearest(points, np.eye(2))
 
 
 def test_degenerate_samples_raise_after_restarts():

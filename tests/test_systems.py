@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from ergodic_sysid.systems import (NOISE_BLOCK, CatalogMissError,
-                                   DiscreteMap, IntegrationBlowupError,
-                                   OdeSystem, builtin_systems, integrate_ode,
-                                   integrate_sde, iterate_map_batch,
-                                   make_system, rk4_step)
+from ergodic_sysid.systems import (BLOWUP_LIMIT, NOISE_BLOCK,
+                                   CatalogMissError, DiscreteMap,
+                                   IntegrationBlowupError, OdeSystem,
+                                   _check_finite, builtin_systems,
+                                   integrate_ode, integrate_sde,
+                                   iterate_map_batch, make_system, rk4_step)
 
 
 def test_zero_field_constant_trajectory():
@@ -84,6 +85,16 @@ def test_blowup_names_step():
     with pytest.raises(IntegrationBlowupError) as err:
         integrate_ode(nan, [0.0], 1.0, 50)
     assert str(err.value) == "non-finite state at step 4"
+
+
+def test_check_finite_bounds_each_entry_not_the_norm():
+    # the sum of squares exceeds BLOWUP_LIMIT**2, but no entry the limit
+    inside = np.array([0.8e12, 0.8e12])
+    assert np.vdot(inside, inside) > BLOWUP_LIMIT**2
+    _check_finite(inside, 3)
+    with pytest.raises(IntegrationBlowupError) as err:
+        _check_finite(np.array([1.0000001e12, 0.0]), 3)
+    assert err.value.step == 3 and err.value.magnitude == 1.0000001e12
 
 
 def test_blowup_raises_without_numpy_warnings():

@@ -9,6 +9,10 @@ alone (loss j1), and that mismatch plus the delay-measure mismatch (loss
 j2). It builds the iterate chain x, T x, ..., T^((m-1) lag) x once, keeping
 the model's pullback of every step, and reverses through those pullbacks:
 the image term seeds the first, the delay term the whole chain.
+
+Nothing here thins a cloud: the caller hands over clouds of at most
+MMD_MAX_POINTS points, and the observed clouds keep their E|Y - Y'| across
+calls (``SampleCloud.self_distance``).
 """
 
 from __future__ import annotations
@@ -18,10 +22,18 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .measure import SampleCloud, energy_mmd_grad_x, subsample_stride
-from .systems import DiscreteMap, Trajectory, _check_finite
+from .measure import SampleCloud, energy_mmd_grad_x
+from .systems import DiscreteMap, Trajectory, iterate_map_batch
 
+# Largest cloud the O(n^2) energy-distance sums take; a fit asking for more
+# points is rejected, not thinned behind its back.
 MMD_MAX_POINTS = 4000
+
+
+def check_max_points(max_points: int):
+    """Reject a cloud size the energy-distance sums cannot take."""
+    if not 1 <= max_points <= MMD_MAX_POINTS:
+        raise ValueError(f"{max_points} is not in 1..{MMD_MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +61,6 @@ class DelayMapConfig:
         return states[..., int(self.observable)]
 
 
-def _apply_map(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, DiscreteMap):
-        return model.step(x)
-    if hasattr(model, "eval_batch"):
-        return model.eval_batch(x)
-    return model(x)
-
-
 def delay_embed(traj: Trajectory, cfg: DelayMapConfig) -> SampleCloud:
     """Sliding delay vectors of the observable series, one per start index."""
     series = cfg.observe(traj.states if isinstance(traj, Trajectory)
@@ -70,16 +74,6 @@ def delay_embed(traj: Trajectory, cfg: DelayMapConfig) -> SampleCloud:
     return SampleCloud(np.stack(cols, axis=1))
 
 
-def _map_chain(step, x: np.ndarray, n_steps: int) -> list:
-    """Iterates [x, T x, ..., T^n_steps x] of the map ``step``, each
-    checked for blow-up."""
-    chain = [x]
-    for k in range(n_steps):
-        chain.append(step(chain[-1]))
-        _check_finite(chain[-1], k + 1)
-    return chain
-
-
 def _linearized_chain(model, x: np.ndarray, n_steps: int):
     """The iterate chain of a model and the pullback of each of its steps:
     pullbacks[k] reverses the step from chain[k] to chain[k + 1]."""
@@ -90,15 +84,14 @@ def _linearized_chain(model, x: np.ndarray, n_steps: int):
         pullbacks.append(pullback)
         return value
 
-    return _map_chain(step, x, n_steps), pullbacks
+    return iterate_map_batch(DiscreteMap("model", x.shape[1], step), x,
+                             n_steps), pullbacks
 
 
-def _delay_coords(chain: list, cfg: DelayMapConfig) -> np.ndarray:
+def _delay_coords(chain: np.ndarray, cfg: DelayMapConfig) -> np.ndarray:
     """Observable at every lag-th iterate of a chain: the delay vectors."""
-    out = np.empty((chain[0].shape[0], cfg.m))
-    for k in range(cfg.m):
-        out[:, k] = cfg.observe(chain[k * cfg.lag])
-    return out
+    return np.stack([cfg.observe(chain[k * cfg.lag]) for k in range(cfg.m)],
+                    axis=1)
 
 
 def pushforward_delay_measure(samples: SampleCloud, model,
@@ -107,20 +100,16 @@ def pushforward_delay_measure(samples: SampleCloud, model,
 
     Iterates the map lag steps per delay slot, recording the observable at
     each slot; for the true map this reproduces delay_embed of a trajectory
-    exactly.
+    exactly. ``model`` is a DiscreteMap or a model with ``eval_batch``.
     """
-    x = samples.points if isinstance(samples, SampleCloud) \
-        else np.atleast_2d(np.asarray(samples, float))
-    chain = _map_chain(lambda z: _apply_map(model, z), x,
-                       (cfg.m - 1) * cfg.lag)
+    x = samples.points
+    if not hasattr(model, "step"):
+        model = DiscreteMap("model", x.shape[1], model.eval_batch)
+    chain = iterate_map_batch(model, x, (cfg.m - 1) * cfg.lag)
     return SampleCloud(_delay_coords(chain, cfg))
 
 
-def _prep(cloud: SampleCloud) -> SampleCloud:
-    return subsample_stride(cloud, MMD_MAX_POINTS)
-
-
-def _delay_pushforward_grad(model, chain: list, pullbacks: list,
+def _delay_pushforward_grad(model, chain: np.ndarray, pullbacks: list,
                             cfg: DelayMapConfig,
                             gbar: np.ndarray) -> np.ndarray:
     """Reverse pass of the delay map through the step pullbacks of the
@@ -141,35 +130,25 @@ def _delay_pushforward_grad(model, chain: list, pullbacks: list,
 def loss_j2_grad(model, mu_samples: SampleCloud,
                  t_star_images: SampleCloud,
                  observed_delay: Optional[SampleCloud],
-                 cfg: Optional[DelayMapConfig],
-                 include_delay: bool = True):
+                 cfg: Optional[DelayMapConfig]):
     """Loss value and parameter gradient for the map-matching losses.
 
-    include_delay=False gives the image-only loss; otherwise the delay term
-    is added. Returns (loss, theta_grad, parts) with the two contributions
-    reported separately in parts.
+    Without an observed delay cloud this is the image-only loss j1; with
+    one, the delay term is added (j2). Returns (loss, theta_grad, parts)
+    with the two contributions reported separately in parts.
     """
-    if include_delay:
-        if observed_delay is None or cfg is None:
-            raise ValueError("delay term requires observed_delay and cfg")
-        if observed_delay.dim != cfg.m:
-            raise ValueError("observed delay cloud dimension mismatch")
-    mu = _prep(mu_samples)
-    obs = _prep(t_star_images)
-    x = mu.points
-    delay_steps = (cfg.m - 1) * cfg.lag if include_delay else 0
-    chain, pullbacks = _linearized_chain(model, x, max(delay_steps, 1))
-    j1, gimg = energy_mmd_grad_x(chain[1], obs.points)
+    if observed_delay is not None and observed_delay.dim != cfg.m:
+        raise ValueError("observed delay cloud dimension mismatch")
+    n_steps = 1 if observed_delay is None else max((cfg.m - 1) * cfg.lag, 1)
+    chain, pullbacks = _linearized_chain(model, mu_samples.points, n_steps)
+    j1, gimg = energy_mmd_grad_x(chain[1], t_star_images.points,
+                                 t_star_images.self_distance)
     theta_grad, _ = pullbacks[0](gimg)
-    parts = {"state": j1, "delay": 0.0}
-    total = j1
-    if include_delay:
-        obs_delay = _prep(observed_delay)
-        j_delay, gdel = energy_mmd_grad_x(_delay_coords(chain, cfg),
-                                          obs_delay.points)
-        theta_grad = theta_grad + _delay_pushforward_grad(
-            model, chain, pullbacks, cfg, gdel)
-        parts["delay"] = j_delay
-        total = j1 + j_delay
-    return total, theta_grad, parts
-
+    if observed_delay is None:
+        return j1, theta_grad, {"state": j1, "delay": 0.0}
+    j_delay, gdel = energy_mmd_grad_x(_delay_coords(chain, cfg),
+                                      observed_delay.points,
+                                      observed_delay.self_distance)
+    theta_grad = theta_grad + _delay_pushforward_grad(
+        model, chain, pullbacks, cfg, gdel)
+    return j1 + j_delay, theta_grad, {"state": j1, "delay": j_delay}

@@ -249,6 +249,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     driver = fit_cfg.get("driver", "fvm")
     outdir.mkdir(parents=True, exist_ok=True)
     every = fit_cfg.get("checkpoint_every", 0)
+    if fit_cfg.get("n_iters", 0) < 0:
+        raise ConfigError(f"fit.n_iters: {fit_cfg['n_iters']} is negative")
     common = dict(**_given(fit_cfg, "n_iters", "lr", "clip_norm"),
                   **_seed_of(cfg, fit_cfg), resume=_load_resume(fit_cfg),
                   callback=_checkpoint_callback(outdir, every))
@@ -272,12 +274,14 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     elif driver == "pfo":
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
-        build_cloud = subsample_stride(
+        build_cloud = _checked(
+            "mesh.build_subsample", subsample_stride,
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
         mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
                               **_seed_of(cfg, mesh_cfg))
-        sources = subsample_stride(SampleCloud(traj.states[:-1]),
-                                   **_given(fit_cfg, max_points="n_sources"))
+        sources = _checked("fit.n_sources", subsample_stride,
+                           SampleCloud(traj.states[:-1]),
+                           **_given(fit_cfg, max_points="n_sources"))
         empty = int(np.count_nonzero(np.bincount(
             mesh.assign(sources.points), minlength=mesh.n) == 0))
         if empty:
@@ -301,6 +305,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         dcfg = _delay_config(fit_cfg, "fit", traj.dim)
         if "loss" in fit_cfg:
             _checked("fit.loss", has_delay_term, fit_cfg["loss"])
+        if "max_points" in fit_cfg:
+            _checked("fit.max_points", delay_mod.check_max_points,
+                     fit_cfg["max_points"])
         model = make_model(cfg, traj.dim, traj, purpose="map")
         report = fit_delay(traj, model, dcfg,
                            **_given(fit_cfg, "loss", "max_points"), **common)
@@ -337,8 +344,10 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     """Simulate the fitted field and compare occupation statistics against
     the observed samples; also dump the surrogate stationary density."""
     ev = section(cfg, "eval")
+    thin = _given(ev, "max_points")
     traj = _load_trajectory(outdir)
-    observed = SampleCloud(traj.states)
+    b = _checked("eval.max_points", subsample_stride,
+                 SampleCloud(traj.states), **thin)
     report = io.read_report_json(outdir / "report.json")
     fit_cfg = report["config"]
     model = _rebuild_fit_model(cfg, outdir, traj.dim)
@@ -348,14 +357,11 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     n_sim = ev.get("n_sim_steps", 200000)
     burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
     fitted = model_as_system(model, traj.dim)
-    x0 = observed.points[0]
-    sim = integrate_sde(fitted, D, x0, sim_dt, n_sim, seed=seed)
+    sim = integrate_sde(fitted, D, traj.states[0], sim_dt, n_sim, seed=seed)
     sim_cloud = SampleCloud(sim.states[burn:])
 
-    thin = _given(ev, "max_points")
     nproj = ev.get("n_projections", 64)  # reported in metrics.json
     a = subsample_stride(sim_cloud, **thin)
-    b = subsample_stride(observed, **thin)
     w2 = wasserstein2(a, b, n_projections=nproj, seed=seed)
     half = sim_cloud.n // 2
     self_w2 = wasserstein2(
@@ -488,6 +494,8 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
 
 def eval_refinement(cfg: dict, outdir: Path) -> dict:
     ev = section(cfg, "eval")
+    if ev.get("max_points", 1) < 1:
+        raise ConfigError(f"eval.max_points: {ev['max_points']} is below 1")
     result = vdp_refinement_study(
         **_given(ev, "grids", "diffusion", "eps_tele", "n_sde_steps",
                  "sde_dt", "max_points"), **_seed_of(cfg, ev))

@@ -156,7 +156,7 @@ class Measure:
         return self.weights.size
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleCloud:
     """Point samples, optionally weighted (uniform by default)."""
 
@@ -164,18 +164,19 @@ class SampleCloud:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.shape[0] == 0:
+        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        object.__setattr__(self, "points", points)
+        if points.shape[0] == 0:
             raise ValueError("empty sample cloud")
-        if not np.all(np.isfinite(self.points)):
+        if not np.all(np.isfinite(points)):
             raise ValueError("non-finite sample point")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.points.shape[0],):
+            if w.shape != (points.shape[0],):
                 raise ValueError("weights must match the number of points")
             if np.any(w < 0):
                 raise ValueError("negative sample weight")
-            self.weights = w / w.sum()
+            object.__setattr__(self, "weights", w / w.sum())
 
     @property
     def n(self) -> int:
@@ -190,9 +191,18 @@ class SampleCloud:
             return np.full(self.n, 1.0 / self.n)
         return self.weights
 
+    @cached_property
+    def self_distance(self) -> float:
+        """E|Y - Y'| under the weights, the constant term of every energy
+        distance against this cloud: computed on first use, then kept."""
+        w = self.effective_weights()
+        return _weighted_mean_distance(self.points, w, self.points, w)
+
 
 def subsample_stride(cloud: SampleCloud, max_points: int = 4000) -> SampleCloud:
     """Deterministic strided thinning used before O(n^2) pairwise sums."""
+    if max_points < 1:
+        raise ValueError(f"cannot thin a cloud to {max_points} points")
     if cloud.n <= max_points:
         return cloud
     idx = np.linspace(0, cloud.n - 1, max_points).round().astype(int)
@@ -290,18 +300,18 @@ def energy_mmd(a: SampleCloud, b: SampleCloud) -> float:
     """Energy-distance MMD: E|X-Y| - E|X-X'|/2 - E|Y-Y'|/2 (V-statistic)."""
     if a.dim != b.dim:
         raise SupportMismatchError("clouds have different dimensions")
-    wa, wb = a.effective_weights(), b.effective_weights()
-    cross = _weighted_mean_distance(a.points, wa, b.points, wb)
-    within_a = _weighted_mean_distance(a.points, wa, a.points, wa)
-    within_b = _weighted_mean_distance(b.points, wb, b.points, wb)
-    return max(cross - 0.5 * within_a - 0.5 * within_b, 0.0)
+    cross = _weighted_mean_distance(a.points, a.effective_weights(),
+                                    b.points, b.effective_weights())
+    return max(cross - 0.5 * a.self_distance - 0.5 * b.self_distance, 0.0)
 
 
-def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
+def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray, y_self: float,
                       chunk: int = 1024) -> tuple[float, np.ndarray]:
     """Energy MMD between uniform clouds and its gradient in the x points.
 
-    Zero-distance pairs contribute zero gradient (subgradient choice).
+    ``y_self`` is E|Y - Y'| of the y cloud, which does not depend on x
+    (``SampleCloud(y).self_distance``). Zero-distance pairs contribute zero
+    gradient (subgradient choice).
     """
     n, m = x.shape[0], y.shape[0]
     val_cross = 0.0
@@ -320,8 +330,6 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
         invx = np.divide(1.0, dxx, out=np.zeros_like(dxx), where=dxx > 0)
         grad[start:start + chunk] -= (
             xs * invx.sum(axis=1, keepdims=True) - invx @ x) / (n * n)
-    dyy = _weighted_mean_distance(y, np.full(m, 1.0 / m), y,
-                                  np.full(m, 1.0 / m))
-    val = val_cross / (n * m) - 0.5 * val_xx / (n * n) - 0.5 * dyy
+    val = val_cross / (n * m) - 0.5 * val_xx / (n * n) - 0.5 * y_self
     return float(val), grad
 

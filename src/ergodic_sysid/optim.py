@@ -21,7 +21,7 @@ import numpy as np
 from . import adjoint as adj
 from . import delay as delay_mod
 from . import fvm
-from .measure import Measure, SampleCloud, grid_objective
+from .measure import Measure, SampleCloud, grid_objective, subsample_stride
 from .pfo import PartitionOfUnity, UlamMatrix, UnstructuredMesh, \
     flowmap_markov_grad
 from .systems import Trajectory
@@ -256,24 +256,22 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
 
     Sample/image pairs come from consecutive trajectory states; the
     observed delay cloud is the sliding-window embedding of the whole
-    series.
+    series. Each is thinned to max_points here, once per fit, and keeps
+    its E|Y - Y'| across iterations.
     """
-    include_delay = has_delay_term(loss)
-    states = observed.states
-    keep = min(max_points, states.shape[0] - 1)
-    idx = np.linspace(0, states.shape[0] - 2, keep).round().astype(int)
-    mu_samples = SampleCloud(states[idx])
-    images = SampleCloud(states[idx + 1])
+    delay_mod.check_max_points(max_points)
+    mu_samples = subsample_stride(SampleCloud(observed.states[:-1]),
+                                  max_points)
+    images = subsample_stride(SampleCloud(observed.states[1:]), max_points)
     observed_delay = None
-    if include_delay:
-        observed_delay = delay_mod.subsample_stride(
+    if has_delay_term(loss):
+        observed_delay = subsample_stride(
             delay_mod.delay_embed(observed, cfg), max_points)
 
     def loss_and_grad(theta):
         model.set_params(theta)
         value, grad, _ = delay_mod.loss_j2_grad(
-            model, mu_samples, images, observed_delay, cfg,
-            include_delay=include_delay)
+            model, mu_samples, images, observed_delay, cfg)
         return value, grad
 
     return loss_and_grad, mu_samples, images, observed_delay

@@ -22,6 +22,7 @@ those weights with the same row-average helper as ``estimate_markov``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,7 +118,8 @@ def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
 def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
                max_iters: int = 100, tol: float = 1e-8,
                restarts: int = 5) -> UnstructuredMesh:
-    """k-means mesh over the samples (k-means++ seeding, Lloyd updates)."""
+    """k-means mesh over the samples (k-means++ seeding, Lloyd updates).
+    A restart whose centres still move by tol after max_iters warns."""
     points = samples.points if isinstance(samples, SampleCloud) \
         else np.atleast_2d(np.asarray(samples, float))
     if n_cells > points.shape[0]:
@@ -125,7 +127,7 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     for attempt in range(restarts):
         centers = _kmeans_pp(points, n_cells, rng)
-        empty = False
+        empty, shift = False, np.inf
         for _ in range(max_iters):
             assignment = assign_nearest(points, centers)
             counts = np.bincount(assignment, minlength=n_cells)
@@ -141,6 +143,10 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
             centers = new_centers
             if shift < tol:
                 break
+        else:
+            logging.getLogger("ergodic_sysid").warning(
+                "k-means restart %d stopped at max_iters=%d, last centre "
+                "shift %.3g >= tol %.3g", attempt, max_iters, shift, tol)
         if empty:
             continue
         assignment = assign_nearest(points, centers)

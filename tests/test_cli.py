@@ -125,12 +125,30 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("delay.lag", lambda c: c.update(delay={
         "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
         "lag": 0}), "delay"),
+    ("fit.max_points", lambda c: c["fit"].update(driver="delay",
+                                                 max_points=0), "fit"),
+    ("fit.max_points", lambda c: c["fit"].update(driver="delay",
+                                                 max_points=4001), "fit"),
+    ("fit.n_sources", lambda c: (c.update(mesh={"n_cells": 4}),
+                                 c["fit"].update(driver="pfo", n_sources=0)),
+     "fit"),
+    ("mesh.build_subsample", lambda c: (
+        c.update(mesh={"n_cells": 4, "build_subsample": 0}),
+        c["fit"].update(driver="pfo")), "fit"),
+    ("eval.max_points", lambda c: c.update(eval={"max_points": 0}), "eval"),
+    ("eval.max_points", lambda c: c.update(eval={"kind": "refinement",
+                                                 "max_points": 0}), "eval"),
+    ("fit.n_iters", lambda c: c["fit"].update(driver="delay", n_iters=-1),
+     "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
         "eval-model", "mesh-balanced", "eval-balanced", "fit-solver",
         "fit-objective", "model-init", "fit-loss", "fit-m", "fit-lag",
-        "embed-m", "torus-lag"])
+        "embed-m", "torus-lag", "fit-max_points-zero",
+        "fit-max_points-over-limit", "fit-n_sources-zero",
+        "mesh-build_subsample-zero", "eval-max_points-zero",
+        "refinement-max_points-zero", "fit-n_iters-negative"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

@@ -116,8 +116,7 @@ def test_loss_j1_zero_at_truth_and_permutation_invariant():
     rng = np.random.default_rng(4)
     mu = SampleCloud(rng.random((100, 2)))
     images = SampleCloud(mu.points + shift)
-    j1 = lambda obs: loss_j2_grad(truth, mu, obs, None, None,
-                                  include_delay=False)[0]
+    j1 = lambda obs: loss_j2_grad(truth, mu, obs, None, None)[0]
     assert abs(j1(images)) < 1e-12
     shuffled = SampleCloud(images.points[::-1])
     assert abs(j1(shuffled) - j1(images)) < 1e-12
@@ -130,8 +129,7 @@ def test_loss_j1_matches_direct_mmd():
     model = MlpModel([2, 5, 2])
     model.init_params(seed=5)
     direct = energy_mmd(SampleCloud(model.eval_batch(mu.points)), obs)
-    value, _, parts = loss_j2_grad(model, mu, obs, None, None,
-                                   include_delay=False)
+    value, _, parts = loss_j2_grad(model, mu, obs, None, None)
     assert np.isclose(value, direct)
     assert parts == {"state": value, "delay": 0.0}
 
@@ -149,7 +147,7 @@ def test_loss_j2_exact_model_and_lower_bound():
     mlp = MlpModel([2, 6, 2])
     mlp.init_params(seed=7)
     j2, _, parts = loss_j2_grad(mlp, mu, images, observed_delay, cfg)
-    j1 = loss_j2_grad(mlp, mu, images, None, None, include_delay=False)[0]
+    j1 = loss_j2_grad(mlp, mu, images, None, None)[0]
     assert j2 == parts["state"] + parts["delay"]
     assert parts["state"] == j1
     assert j2 >= j1 - 1e-12
@@ -165,24 +163,25 @@ def test_loss_j2_dimension_check():
                      DelayMapConfig(0, 3, 1))
 
 
-@pytest.mark.parametrize("m, lag, observable, include_delay",
+@pytest.mark.parametrize("m, lag, observable, with_delay",
                          [(3, 1, 0, True), (3, 2, 1, True), (1, 1, 0, True),
                           (3, 1, 0, False)])
-def test_loss_j2_gradient_matches_fd(m, lag, observable, include_delay):
+def test_loss_j2_gradient_matches_fd(m, lag, observable, with_delay):
     tr = make_system("torus_rotation", alpha=0.2, beta=0.5)
     rng = np.random.default_rng(8)
     mu = SampleCloud(rng.random((50, 2)))
     images = SampleCloud(tr.step(mu.points))
     cfg = DelayMapConfig(observable, m, lag)
-    observed_delay = pushforward_delay_measure(mu, tr, cfg)
+    # no observed delay cloud: the image-only loss j1
+    observed_delay = pushforward_delay_measure(mu, tr, cfg) if with_delay \
+        else None
     mlp = MlpModel([2, 8, 2])
     mlp.init_params(seed=9)
     theta = mlp.get_params()
 
     def lg(t):
         mlp.set_params(t)
-        v, g, _ = loss_j2_grad(mlp, mu, images, observed_delay, cfg,
-                               include_delay=include_delay)
+        v, g, _ = loss_j2_grad(mlp, mu, images, observed_delay, cfg)
         return v, g
 
     _, grad = lg(theta)

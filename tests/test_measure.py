@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -204,14 +206,15 @@ def test_energy_mmd_grad_consistent():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(30, 2))
     y = rng.normal(size=(25, 2)) + 0.4
-    val, grad = energy_mmd_grad_x(x, y)
+    y_self = SampleCloud(y).self_distance
+    val, grad = energy_mmd_grad_x(x, y, y_self)
     assert np.isclose(val, energy_mmd(SampleCloud(x), SampleCloud(y)))
     h = 1e-6
     for (i, k) in [(0, 0), (7, 1), (29, 0)]:
         e = np.zeros_like(x)
         e[i, k] = h
-        vp, _ = energy_mmd_grad_x(x + e, y)
-        vm, _ = energy_mmd_grad_x(x - e, y)
+        vp, _ = energy_mmd_grad_x(x + e, y, y_self)
+        vm, _ = energy_mmd_grad_x(x - e, y, y_self)
         assert abs((vp - vm) / (2 * h) - grad[i, k]) < 1e-7
 
 
@@ -221,6 +224,11 @@ def test_subsample_stride_deterministic():
     again = subsample_stride(cloud, 100)
     assert small.n == 100
     assert np.array_equal(small.points, again.points)
+    with pytest.raises(ValueError):
+        subsample_stride(cloud, 0)
+    # a cloud keeps its points, so its cached E|Y - Y'| stays valid
+    with pytest.raises(FrozenInstanceError):
+        small.points = again.points[:50]
 
 
 def test_grid_objective_gradients():

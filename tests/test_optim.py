@@ -3,7 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from ergodic_sysid.delay import DelayMapConfig
+from ergodic_sysid import measure
+from ergodic_sysid.delay import MMD_MAX_POINTS, DelayMapConfig
 from ergodic_sysid.fvm import (assemble_K, cfl_dt, frozen_dt,
                                stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
@@ -145,6 +146,34 @@ def test_delay_fit_zero_iterations_reports_initial_loss():
     assert report.loss_history == []
     assert report.initial_loss is not None and np.isfinite(
         report.initial_loss)
+
+
+def test_delay_fit_computes_each_observed_self_distance_once(monkeypatch):
+    # E|Y - Y'| of the image and observed delay clouds does not depend on
+    # the parameters: a j2 fit computes it once per cloud, not per iteration
+    calls = []
+    original = measure._weighted_mean_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "_weighted_mean_distance", counting)
+    traj = integrate_ode(make_system("lorenz63"), [1.0, 1.0, 20.0], 0.05, 120,
+                         substeps=5)
+    mlp = MlpModel([3, 4, 3])
+    mlp.init_params(seed=3)
+    report = fit_delay(traj, mlp, DelayMapConfig(0, 3, 1), n_iters=3,
+                       loss="j2", max_points=60)
+    assert len(report.loss_history) == 3
+    assert calls == [(60, 3), (60, 3)]
+
+
+def test_delay_fit_rejects_a_cloud_above_the_mmd_limit():
+    traj = integrate_ode(make_system("lorenz63"), [1.0, 1.0, 20.0], 0.05, 20)
+    with pytest.raises(ValueError, match="not in 1..4000"):
+        make_delay_loss(traj, MlpModel([3, 3]), DelayMapConfig(0, 3, 1),
+                        max_points=MMD_MAX_POINTS + 1)
 
 
 def test_delay_fit_histories_finite_and_deterministic():

@@ -34,6 +34,15 @@ def test_single_cell_mesh():
     assert mesh.counts[0] == 50
 
 
+def test_lloyd_at_its_cap_warns(caplog):
+    pts = np.random.default_rng(3).normal(size=(200, 2))
+    with caplog.at_level("WARNING", logger="ergodic_sysid"):
+        mesh = build_mesh(SampleCloud(pts), 5, seed=0, max_iters=1)
+    assert mesh.n == 5
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "max_iters=1" in caplog.text and "shift" in caplog.text
+
+
 def test_two_blob_separation():
     rng = np.random.default_rng(2)
     blob_a = rng.normal(size=(80, 2)) * 0.05

@@ -17,7 +17,7 @@ from . import fvm, io, pfo
 from .config import ConfigError, section
 from .measure import (Grid, SampleCloud, energy_mmd, grid_objective,
                       occupation_measure, subsample_stride, wasserstein2)
-from .optim import AdamState, fit_delay, fit_fvm, fit_pfo, has_delay_term
+from .optim import fit_delay, fit_fvm, fit_pfo, has_delay_term
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
                       integrate_ode, integrate_sde, iterate_map_batch,
                       make_system)
@@ -152,6 +152,14 @@ def build_grid(grid_cfg: dict, states=None) -> Grid:
     return Grid(lo - pad, hi + pad, n_per_dim)
 
 
+def _input_file(key: str, path):
+    """``path``, the file that config key ``key`` names; a missing file is
+    a config error on the key."""
+    if not Path(path).exists():
+        raise ConfigError(f"{key}: {path} not found")
+    return path
+
+
 def _load_trajectory(outdir: Path) -> Trajectory:
     path = outdir / "trajectory.csv"
     if not path.exists():
@@ -213,33 +221,6 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
                           dim=dim_in)
 
 
-def _checkpoint_callback(outdir: Path, every: int):
-    if every <= 0:
-        return None
-    hist = []
-
-    def callback(it, loss, params, state: AdamState):
-        hist.append(loss)
-        if (it + 1) % every == 0:
-            io.write_checkpoint(outdir / f"checkpoint_{it + 1:06d}.json", {
-                "iteration": it + 1,
-                "params": np.asarray(params).tolist(),
-                "adam": state.to_dict(),
-                "history": list(hist),
-            })
-
-    return callback
-
-
-def _load_resume(fit_cfg: dict):
-    path = fit_cfg.get("resume_from")
-    if not path:
-        return None
-    blob = io.read_checkpoint(path)
-    return {"params": np.asarray(blob["params"]),
-            "adam": blob["adam"], "history": blob["history"]}
-
-
 # ---------------------------------------------------------------------------
 # fit
 
@@ -248,18 +229,22 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     fit_cfg = section(cfg, "fit")
     driver = fit_cfg.get("driver", "fvm")
     outdir.mkdir(parents=True, exist_ok=True)
-    every = fit_cfg.get("checkpoint_every", 0)
     if fit_cfg.get("n_iters", 0) < 0:
         raise ConfigError(f"fit.n_iters: {fit_cfg['n_iters']} is negative")
-    common = dict(**_given(fit_cfg, "n_iters", "lr", "clip_norm"),
-                  **_seed_of(cfg, fit_cfg), resume=_load_resume(fit_cfg),
-                  callback=_checkpoint_callback(outdir, every))
+    resume = fit_cfg.get("resume_from")
+    common = dict(
+        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
+        **_seed_of(cfg, fit_cfg),
+        save=lambda blob: io.write_checkpoint(
+            outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
+        resume=io.read_checkpoint(_input_file("fit.resume_from", resume))
+        if resume else None)
 
     if driver == "fvm":
         if "objective" in fit_cfg:
             _checked("fit.objective", grid_objective, fit_cfg["objective"])
-        target_path = fit_cfg.get("target", str(outdir / "measure.json"))
-        target = io.read_measure_json(target_path)
+        target = io.read_measure_json(_input_file(
+            "fit.target", fit_cfg.get("target", outdir / "measure.json")))
         if not isinstance(target.support, Grid):
             raise ConfigError("fvm fit target must be grid-supported")
         grid = target.support
@@ -289,8 +274,11 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
                 f"mesh.n_cells: {mesh.n} cells for fit.n_sources: "
                 f"{sources.n} sources leave {empty} source cells empty; "
                 "lower mesh.n_cells or raise fit.n_sources")
-        pou = pfo.PartitionOfUnity(mesh.centers,
-                                   **_given(mesh_cfg, eps="pou_eps"))
+        pou = _checked("mesh.pou_eps", pfo.PartitionOfUnity, mesh.centers,
+                       **_given(mesh_cfg, eps="pou_eps"))
+        if pou.eps == 0.0:
+            raise ConfigError("mesh.pou_eps: the pfo fit needs a positive "
+                              "width; at 0 the cell weights have no gradient")
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
         model = make_model(cfg, traj.dim, traj, purpose="velocity")
@@ -578,10 +566,9 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         io.write_checkpoint(outdir / "diagnostics.json", result)
         return result
     if mode == "embed":
-        path = dcfg.get("trajectory", str(outdir / "trajectory.csv"))
-        if not Path(path).exists():
-            raise ConfigError(f"{path} not found; run simulate first")
-        traj = io.read_trajectory_csv(path)
+        traj = io.read_trajectory_csv(_input_file(
+            "delay.trajectory",
+            dcfg.get("trajectory", outdir / "trajectory.csv")))
         cfg_d = _delay_config(dcfg, "delay", traj.dim)
         cloud = delay_mod.delay_embed(traj, cfg_d)
         io.write_cloud_csv(outdir / "delay.csv", cloud)

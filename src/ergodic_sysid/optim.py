@@ -6,8 +6,11 @@ gradient back through the adjoint system), the transition-matrix fit
 (differentiable flow-map Markov matrix against an observed one), and the
 delay-measure fit (map-matching losses on sample clouds). Each driver is
 built around a ``loss_and_grad(theta)`` closure so the gradients can be
-finite-difference checked in isolation. The loop always runs the full
-iteration count; a resumed run executes only the remaining iterations.
+finite-difference checked in isolation. The loop owns a fit's state: it
+reads the model's parameters, keeps the only loss history, builds the
+checkpoints and resumes from them, and leaves the model at the final
+parameters. It always runs the full iteration count; a resumed run
+executes only the remaining iterations.
 """
 
 from __future__ import annotations
@@ -105,21 +108,31 @@ class FitReport:
         }
 
 
-def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
-              lr: float, clip_norm: float, config: dict, seed: int,
-              callback: Optional[Callable] = None,
+def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
+              clip_norm: float, config: dict, seed: int,
+              checkpoint_every: int = 0, save: Optional[Callable] = None,
               resume: Optional[dict] = None) -> FitReport:
-    """Adam loop until len(history) reaches n_iters (total, so a resumed
-    run executes only the remaining iterations)."""
+    """Adam loop on the model's parameters until the history holds n_iters
+    losses (total, so a resumed run executes only the remaining iterations).
+
+    Every ``checkpoint_every`` iterations ``save`` gets the checkpoint blob
+    {"iteration", "params", "adam", "history"}; ``resume`` takes such a
+    blob back. The model is left at the final parameters.
+    """
+    if n_iters < 0:
+        raise ValueError(f"n_iters {n_iters} is negative")
+    if checkpoint_every > 0 and save is None:
+        raise ValueError("checkpoint_every needs a save function")
     start = time.perf_counter()
-    history = []
-    state = None
     if resume:
         params = np.asarray(resume["params"], dtype=float)
         state = AdamState.from_dict(resume["adam"])
         state.lr = lr
-        history = [float(v) for v in resume.get("history", [])]
-    state = state or AdamState.for_params(params, lr=lr)
+        history = [float(v) for v in resume["history"]]
+    else:
+        params = model.get_params()
+        state = AdamState.for_params(params, lr=lr)
+        history = []
     initial_loss = history[0] if history else None
     if n_iters == 0 and initial_loss is None:
         initial_loss, _ = loss_and_grad(params)
@@ -133,8 +146,10 @@ def _run_loop(loss_and_grad: Callable, params: np.ndarray, n_iters: int,
             initial_loss = float(loss)
         grad = clip_by_global_norm(grad, clip_norm)
         params = adam_step(state, params, grad)
-        if callback is not None:
-            callback(len(history) - 1, float(loss), params, state)
+        if checkpoint_every > 0 and len(history) % checkpoint_every == 0:
+            save({"iteration": len(history), "params": params.tolist(),
+                  "adam": state.to_dict(), "history": list(history)})
+    model.set_params(params)
     return FitReport(history, params, time.perf_counter() - start, config,
                      seed, initial_loss=initial_loss)
 
@@ -184,20 +199,18 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
             objective: str = "l2", n_iters: int = 500, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0, callback=None,
-            resume: Optional[dict] = None) -> FitReport:
+            seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
+            save=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
     loss_and_grad, state = make_fvm_loss(target, velocity, grid, D, eps_tele,
                                          objective)
     config = {"driver": "fvm", "objective": objective, "D": D,
               "eps_tele": eps_tele, "n_iters": n_iters, "lr": lr,
               "clip_norm": clip_norm, "solver": "direct"}
-    report = _run_loop(loss_and_grad, velocity.get_params(), n_iters, lr,
-                       clip_norm, config, seed, callback=callback,
-                       resume=resume)
+    report = _run_loop(loss_and_grad, velocity, n_iters, lr, clip_norm,
+                       config, seed, checkpoint_every, save, resume)
     report.events.extend(state["events"])
     report.extras["dt"] = state["dt"]
-    velocity.set_params(report.final_params)
     return report
 
 
@@ -223,19 +236,16 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
 def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
             pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
             substeps: int = 1, n_iters: int = 500, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0,
-            callback=None, resume: Optional[dict] = None) -> FitReport:
+            seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
+            save=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so its flow-map transition matrix matches a target."""
     loss_and_grad = make_pfo_loss(target_matrix, velocity, mesh, pou,
                                   sources, flow_dt, substeps)
     config = {"driver": "pfo", "flow_dt": flow_dt, "substeps": substeps,
               "n_cells": mesh.n, "pou_eps": pou.eps, "n_iters": n_iters,
               "lr": lr, "clip_norm": clip_norm}
-    report = _run_loop(loss_and_grad, velocity.get_params(), n_iters, lr,
-                       clip_norm, config, seed, callback=callback,
-                       resume=resume)
-    velocity.set_params(report.final_params)
-    return report
+    return _run_loop(loss_and_grad, velocity, n_iters, lr, clip_norm,
+                     config, seed, checkpoint_every, save, resume)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,8 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
 def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 500,
               lr: float = 1e-3, seed: int = 0, loss: str = "j2",
               clip_norm: float = 10.0, max_points: int = 2000,
-              callback=None, resume: Optional[dict] = None) -> FitReport:
+              checkpoint_every: int = 0, save=None,
+              resume: Optional[dict] = None) -> FitReport:
     """Fit a discrete map to observed flow data by measure matching."""
     loss_and_grad, *_ = make_delay_loss(observed, model, cfg, loss,
                                         max_points)
@@ -288,11 +299,8 @@ def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 500,
               "observable": cfg.observable if not callable(cfg.observable)
               else "custom", "n_iters": n_iters, "lr": lr,
               "clip_norm": clip_norm}
-    report = _run_loop(loss_and_grad, model.get_params(), n_iters, lr,
-                       clip_norm, config, seed, callback=callback,
-                       resume=resume)
-    model.set_params(report.final_params)
-    return report
+    return _run_loop(loss_and_grad, model, n_iters, lr, clip_norm, config,
+                     seed, checkpoint_every, save, resume)
 
 
 def finite_difference_check(loss_and_grad, theta: np.ndarray, coords,

@@ -308,8 +308,8 @@ def _row_average(src, counts, rows) -> np.ndarray:
     return mat
 
 
-def estimate_markov(pairs, mesh: UnstructuredMesh, pou: PartitionOfUnity,
-                    assignments: Optional[np.ndarray] = None) -> UlamMatrix:
+def estimate_markov(pairs, mesh: UnstructuredMesh,
+                    pou: PartitionOfUnity) -> UlamMatrix:
     """Monte-Carlo transition matrix from (x, T(x)) sample pairs.
 
     Row i averages the smoothed cell weights of the images of the samples
@@ -319,7 +319,7 @@ def estimate_markov(pairs, mesh: UnstructuredMesh, pou: PartitionOfUnity,
     x, y = pairs
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    src, counts = _source_groups(x, mesh, assignments)
+    src, counts = _source_groups(x, mesh, None)
     n = mesh.n
     if pou.eps == 0.0:
         dst = mesh.assign(y)

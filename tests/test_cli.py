@@ -140,6 +140,14 @@ def test_unknown_config_key_exits_2(tmp_path):
                                                  "max_points": 0}), "eval"),
     ("fit.n_iters", lambda c: c["fit"].update(driver="delay", n_iters=-1),
      "fit"),
+    ("mesh.pou_eps", lambda c: (c.update(mesh={"n_cells": 4}),
+                                c["fit"].update(driver="pfo")), "fit"),
+    ("mesh.pou_eps", lambda c: (c.update(mesh={"n_cells": 4, "pou_eps": -1}),
+                                c["fit"].update(driver="pfo")), "fit"),
+    ("fit.resume_from", lambda c: c["fit"].update(
+        resume_from="no_such_checkpoint.json"), "fit"),
+    ("fit.target", lambda c: c["fit"].update(target="no_such_measure.json"),
+     "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -148,7 +156,9 @@ def test_unknown_config_key_exits_2(tmp_path):
         "embed-m", "torus-lag", "fit-max_points-zero",
         "fit-max_points-over-limit", "fit-n_sources-zero",
         "mesh-build_subsample-zero", "eval-max_points-zero",
-        "refinement-max_points-zero", "fit-n_iters-negative"])
+        "refinement-max_points-zero", "fit-n_iters-negative",
+        "pfo-pou_eps-missing", "pfo-pou_eps-negative", "missing-resume_from",
+        "missing-target"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

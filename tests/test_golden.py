@@ -1,9 +1,11 @@
 """Golden runs: each committed smoke config, rerun through the CLI
 (simulate, histogram, fit, and eval when the config has an eval section),
-reproduces its committed ``runs/`` artifacts byte for byte. Only the
-``meta`` block of ``report.json`` (wall-clock time) may differ."""
+reproduces its committed ``runs/`` artifacts byte for byte, also when the
+fit resumes from a committed checkpoint. Only the ``meta`` block of
+``report.json`` (wall-clock time) may differ."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -13,23 +15,46 @@ from ergodic_sysid.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["smoke_fit", "smoke_pfo", "smoke_delay"])
-def test_smoke_config_reproduces_committed_run(name, tmp_path):
-    config = ROOT / "configs" / f"{name}.json"
-    cfg = json.loads(config.read_text())
+def _run_and_compare(config: Path, cfg: dict, outdir: Path):
+    """Every command of the config into outdir, then every artifact
+    compared with the committed run."""
     golden = ROOT / cfg["out"]
     cmds = ("simulate", "histogram", "fit") + (("eval",) if "eval" in cfg
                                                 else ())
     for cmd in cmds:
         assert main([cmd, "--config", str(config),
-                     "--out", str(tmp_path)]) == 0
+                     "--out", str(outdir)]) == 0
     expected = sorted(p.name for p in golden.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    assert sorted(p.name for p in outdir.iterdir()) == expected
     for fname in expected:
-        got = (tmp_path / fname).read_bytes()
+        got = (outdir / fname).read_bytes()
         want = (golden / fname).read_bytes()
         if fname == "report.json":
             got, want = json.loads(got), json.loads(want)
             got.pop("meta")
             want.pop("meta")
         assert got == want, fname
+
+
+@pytest.mark.parametrize("name", ["smoke_fit", "smoke_pfo", "smoke_delay"])
+def test_smoke_config_reproduces_committed_run(name, tmp_path):
+    config = ROOT / "configs" / f"{name}.json"
+    _run_and_compare(config, json.loads(config.read_text()), tmp_path)
+
+
+@pytest.mark.parametrize("name, checkpoint", [
+    ("smoke_fit", "checkpoint_000005.json"),
+    ("smoke_pfo", "checkpoint_000003.json"),
+    ("smoke_delay", "checkpoint_000003.json")])
+def test_resumed_smoke_config_reproduces_committed_run(name, checkpoint,
+                                                       tmp_path):
+    # the run resumes from a copy of its committed checkpoint; the
+    # checkpoints it writes after that must match the committed ones
+    cfg = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    shutil.copy(ROOT / cfg["out"] / checkpoint, outdir / checkpoint)
+    cfg["fit"]["resume_from"] = str(outdir / checkpoint)
+    config = tmp_path / "resume.json"
+    config.write_text(json.dumps(cfg))
+    _run_and_compare(config, cfg, outdir)

@@ -236,33 +236,54 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
     assert max(errs.values()) < 1e-3
 
 
-def test_resume_reproduces_full_history():
+def _resume_problem():
     grid = Grid([-2.0], [2.0], [16])
     target = _double_well_target(grid, 0.08, 1e-2)
 
-    mlp = MlpModel([1, 8, 1])
-    mlp.init_params(seed=13)
-    full = fit_fvm(target, mlp, grid, 0.08, 1e-2, n_iters=12, lr=1e-2)
+    def fit(n_iters, **loop):
+        mlp = MlpModel([1, 8, 1])
+        mlp.init_params(seed=13)  # dt freezing keys off the initial field
+        report = fit_fvm(target, mlp, grid, 0.08, 1e-2, n_iters=n_iters,
+                         lr=1e-2, **loop)
+        return report, mlp
 
-    mlp2 = MlpModel([1, 8, 1])
-    mlp2.init_params(seed=13)
-    snapshot = {}
+    return fit
 
-    def grab(it, loss, params, state):
-        if it == 5:
-            snapshot.update(params=params.copy(),
-                            adam=state.to_dict())
 
-    first = fit_fvm(target, mlp2, grid, 0.08, 1e-2, n_iters=6, lr=1e-2,
-                    callback=grab)
-    resume = {"params": snapshot["params"], "adam": snapshot["adam"],
-              "history": first.loss_history}
-    mlp3 = MlpModel([1, 8, 1])
-    mlp3.init_params(seed=13)  # dt freezing keys off the initial field
-    resumed = fit_fvm(target, mlp3, grid, 0.08, 1e-2, n_iters=12, lr=1e-2,
-                      resume=resume)
+def test_resume_reproduces_full_history():
+    fit = _resume_problem()
+    full, _ = fit(12)
+    saved = []
+    fit(6, checkpoint_every=6, save=saved.append)
+    resumed, mlp = fit(12, resume=saved[-1])
     assert resumed.loss_history == full.loss_history
     assert np.allclose(resumed.final_params, full.final_params)
+    assert np.array_equal(mlp.get_params(), resumed.final_params)
+
+
+def test_resume_of_a_resumed_run_matches_one_run():
+    # checkpoints carry the whole history, so a checkpoint written by a
+    # resumed run resumes like one written by an uninterrupted run
+    fit = _resume_problem()
+    full_saves, hop1, hop2, hop3 = [], [], [], []
+    full, _ = fit(10, checkpoint_every=3, save=full_saves.append)
+    fit(3, checkpoint_every=3, save=hop1.append)
+    fit(6, checkpoint_every=3, save=hop2.append, resume=hop1[-1])
+    resumed, _ = fit(10, checkpoint_every=3, save=hop3.append,
+                     resume=hop2[-1])
+    assert [b["iteration"] for b in full_saves] == [3, 6, 9]
+    assert hop1 + hop2 + hop3 == full_saves
+    assert resumed.loss_history == full.loss_history
+    assert resumed.initial_loss == full.initial_loss
+    assert np.array_equal(resumed.final_params, full.final_params)
+
+
+def test_loop_rejects_negative_n_iters_and_checkpoints_without_save():
+    fit = _resume_problem()
+    with pytest.raises(ValueError, match="negative"):
+        fit(-1)
+    with pytest.raises(ValueError, match="save"):
+        fit(4, checkpoint_every=2)
 
 
 def test_fit_drivers_share_the_n_iters_default():

@@ -8,6 +8,7 @@ code. Seeds flow from the config; nothing here touches global RNG state.
 from __future__ import annotations
 
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import fvm, io, pfo
 from .config import ConfigError, section
 from .measure import (Grid, SampleCloud, energy_mmd, grid_objective,
                       occupation_measure, subsample_stride, wasserstein2)
-from .optim import fit_delay, fit_fvm, fit_pfo, has_delay_term
+from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo, has_delay_term
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
                       integrate_ode, integrate_sde, iterate_map_batch,
                       make_system)
@@ -27,6 +28,12 @@ log = logging.getLogger("ergodic_sysid")
 
 # fit.eps_tele when neither the config nor the fit report sets it
 _EPS_TELE = 1e-4
+
+# Independent Euler-Maruyama paths stepped as one batch by the fvm eval and
+# the refinement study. One path pays numpy dispatch on every step of a
+# batch-1 model call; 8 to 32 paths all cost about the same on the bench's
+# 2-64-64-2 field, a quarter of one path's time for the same pooled steps.
+SIM_PATHS = 16
 
 
 def _given(sec: dict, *keys, **renamed) -> dict:
@@ -80,14 +87,23 @@ def _delay_config(sec: dict, name: str, dim: int):
 
 
 def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
-    """Wrap a velocity model so the integrators can consume it."""
+    """Wrap a velocity model so the integrators can step a batch of
+    states (K, d) through it."""
+    return OdeSystem(name, dim, {}, model.eval_batch)
 
-    def rhs(x):
-        if x.ndim == 1:
-            return model.eval_batch(x[None])[0]
-        return model.eval_batch(x)
 
-    return OdeSystem(name, dim, {}, rhs)
+def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
+               dt: float, n_steps: int, burn_in: int,
+               seed: int) -> np.ndarray:
+    """Euler-Maruyama paths from the K rows of x0, stepped as one batch.
+    Each path discards ``burn_in`` steps and then records
+    ceil((n_steps - burn_in) / K) steps, so together they record at least
+    the n_steps - burn_in of one path of n_steps. Returns the recorded
+    states path-major, shape (K, steps per path, d)."""
+    per_path = math.ceil((n_steps - burn_in) / x0.shape[0])
+    states = integrate_sde(system, diffusion_d, x0, dt, burn_in + per_path,
+                           seed=seed)
+    return states[burn_in + 1:].swapaxes(0, 1)
 
 
 def unit_torus_grid(bins: int) -> Grid:
@@ -120,12 +136,13 @@ def generate_trajectory(cfg: dict) -> Trajectory:
         traj = integrate_ode(system, x0, data["dt"], n_steps + burn,
                              **_given(data, "substeps"))
     elif kind == "sde":
-        traj = integrate_sde(system, data.get("diffusion", 0.0), x0,
-                             data["dt"], n_steps + burn, seed=seed)
+        traj = Trajectory(integrate_sde(system, data.get("diffusion", 0.0),
+                                        x0, data["dt"], n_steps + burn,
+                                        seed=seed), data["dt"])
     else:
         raise ConfigError(f"unknown data kind {kind!r}")
     if burn:
-        traj = Trajectory(traj.states[burn:], traj.dt, seed=traj.seed)
+        traj = Trajectory(traj.states[burn:], traj.dt)
     return traj
 
 
@@ -229,16 +246,23 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     fit_cfg = section(cfg, "fit")
     driver = fit_cfg.get("driver", "fvm")
     outdir.mkdir(parents=True, exist_ok=True)
-    if fit_cfg.get("n_iters", 0) < 0:
-        raise ConfigError(f"fit.n_iters: {fit_cfg['n_iters']} is negative")
-    resume = fit_cfg.get("resume_from")
+    n_iters = fit_cfg.get("n_iters", N_ITERS)
+    if n_iters < 0:
+        raise ConfigError(f"fit.n_iters: {n_iters} is negative")
+    resume = None
+    if fit_cfg.get("resume_from"):
+        path = _input_file("fit.resume_from", fit_cfg["resume_from"])
+        resume = io.read_checkpoint(path)
+        if len(resume["history"]) > n_iters:
+            raise ConfigError(
+                f"fit.resume_from: {path} holds {len(resume['history'])} "
+                f"iterations, more than fit.n_iters = {n_iters}")
     common = dict(
-        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
-        **_seed_of(cfg, fit_cfg),
+        **_given(fit_cfg, "lr", "clip_norm", "checkpoint_every"),
+        **_seed_of(cfg, fit_cfg), n_iters=n_iters,
         save=lambda blob: io.write_checkpoint(
             outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
-        resume=io.read_checkpoint(_input_file("fit.resume_from", resume))
-        if resume else None)
+        resume=resume)
 
     if driver == "fvm":
         if "objective" in fit_cfg:
@@ -330,9 +354,24 @@ def _rebuild_fit_model(cfg: dict, outdir: Path, dim: int):
 
 def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     """Simulate the fitted field and compare occupation statistics against
-    the observed samples; also dump the surrogate stationary density."""
+    the observed samples; also dump the surrogate stationary density.
+
+    The simulation runs ``SIM_PATHS`` independent paths, started from
+    observed states strided along the trajectory. Each path discards the
+    full ``eval.sim_burn_in`` steps. After that the paths together record
+    the ``eval.n_sim_steps - eval.sim_burn_in`` steps of one path of
+    ``eval.n_sim_steps`` (rounded up to a multiple of the path count), and
+    their states are pooled. The noise floor is the distance between the
+    pooled states of one half of the paths and those of the other half.
+    """
     ev = section(cfg, "eval")
     thin = _given(ev, "max_points")
+    sim_dt = ev.get("sim_dt", 0.01)
+    n_sim = ev.get("n_sim_steps", 200000)
+    burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
+    if not 0 <= burn < n_sim:
+        raise ConfigError(f"eval.sim_burn_in: {burn} is outside "
+                          f"[0, eval.n_sim_steps = {n_sim})")
     traj = _load_trajectory(outdir)
     b = _checked("eval.max_points", subsample_stride,
                  SampleCloud(traj.states), **thin)
@@ -341,20 +380,18 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     model = _rebuild_fit_model(cfg, outdir, traj.dim)
     D = ev.get("diffusion", fit_cfg.get("D", 0.0))
     seed = _seed_of(cfg, ev).get("seed", 1)
-    sim_dt = ev.get("sim_dt", 0.01)
-    n_sim = ev.get("n_sim_steps", 200000)
-    burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
-    fitted = model_as_system(model, traj.dim)
-    sim = integrate_sde(fitted, D, traj.states[0], sim_dt, n_sim, seed=seed)
-    sim_cloud = SampleCloud(sim.states[burn:])
+    starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points
+    paths = _sde_paths(model_as_system(model, traj.dim), D, starts,
+                       sim_dt, n_sim, burn, seed)
+    pooled = lambda p: SampleCloud(p.reshape(-1, traj.dim))
+    half = len(paths) // 2
 
     nproj = ev.get("n_projections", 64)  # reported in metrics.json
-    a = subsample_stride(sim_cloud, **thin)
+    a = subsample_stride(pooled(paths), **thin)
     w2 = wasserstein2(a, b, n_projections=nproj, seed=seed)
-    half = sim_cloud.n // 2
     self_w2 = wasserstein2(
-        subsample_stride(SampleCloud(sim_cloud.points[:half]), **thin),
-        subsample_stride(SampleCloud(sim_cloud.points[half:]), **thin),
+        subsample_stride(pooled(paths[:half]), **thin),
+        subsample_stride(pooled(paths[half:]), **thin),
         n_projections=nproj, seed=seed)
 
     target = io.read_measure_json(outdir / "measure.json")
@@ -371,7 +408,8 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
                "w2_squared": float(w2**2),
                "self_w2_noise_floor": float(self_w2),
                "n_sim_samples": int(a.n), "n_observed_samples": int(b.n),
-               "n_projections": nproj}
+               "n_projections": nproj, "n_sim_paths": len(paths),
+               "sim_burn_in": int(burn)}
     io.write_checkpoint(outdir / "metrics.json", metrics)
     return metrics
 
@@ -451,14 +489,16 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
                          max_points: int = 4000, c: float = 1.0) -> dict:
     """Stationary-density error of the true field across grid resolutions.
 
-    The reference is the occupation measure of a long stochastically forced
-    trajectory; the error is the sample-cloud Wasserstein-2 distance.
+    The reference is the pooled occupation measure of ``SIM_PATHS``
+    stochastically forced paths from (1.5, 0); each burns in for
+    int(0.05 n_sde_steps) steps, as one path of n_sde_steps would. The
+    error is the sample-cloud Wasserstein-2 distance.
     """
     system = make_system("van_der_pol", c=c)
-    sde = integrate_sde(system, diffusion, np.array([1.5, 0.0]), sde_dt,
-                        n_sde_steps, seed=seed)
-    burn = int(0.05 * n_sde_steps)
-    cloud = SampleCloud(sde.states[burn:])
+    x0 = np.tile([1.5, 0.0], (SIM_PATHS, 1))
+    paths = _sde_paths(system, diffusion, x0, sde_dt, n_sde_steps,
+                       int(0.05 * n_sde_steps), seed)
+    cloud = SampleCloud(paths.reshape(-1, 2))
     ref = subsample_stride(cloud, max_points)
     lo = cloud.points.min(axis=0) - 0.2
     hi = cloud.points.max(axis=0) + 0.2

@@ -209,13 +209,18 @@ class RegularizedMarkov:
 
     def lu(self):
         """Sparse LU of B = I - (1-eps) M, shared by the stationary and
-        adjoint solves. Requires eps > 0 for B to be nonsingular."""
+        adjoint solves. Requires eps > 0 for B to be nonsingular.
+
+        The columns are ordered by minimum degree on the pattern of
+        B^T + B: an fvm chain's B has a symmetric nearest-neighbour
+        pattern, on which this ordering fills about half as much as
+        scipy's default COLAMD and factorizes faster."""
         if self.eps <= 0.0:
             raise ValueError("direct factorization requires eps > 0")
         if self._lu is None:
             B = (sp.identity(self.n, format="csc")
                  - (1.0 - self.eps) * self.M.tocsc())
-            self._lu = splu(B.tocsc())
+            self._lu = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._lu
 
 

@@ -29,6 +29,9 @@ from .pfo import PartitionOfUnity, UlamMatrix, UnstructuredMesh, \
     flowmap_markov_grad
 from .systems import Trajectory
 
+# iterations of a fit whose caller does not set n_iters
+N_ITERS = 500
+
 
 @dataclass
 class AdamState:
@@ -121,6 +124,10 @@ def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
     """
     if n_iters < 0:
         raise ValueError(f"n_iters {n_iters} is negative")
+    if resume and len(resume["history"]) > n_iters:
+        raise ValueError(f"the resume checkpoint holds "
+                         f"{len(resume['history'])} iterations, more than "
+                         f"n_iters {n_iters}")
     if checkpoint_every > 0 and save is None:
         raise ValueError("checkpoint_every needs a save function")
     start = time.perf_counter()
@@ -198,7 +205,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
-            objective: str = "l2", n_iters: int = 500, lr: float = 1e-3,
+            objective: str = "l2", n_iters: int = N_ITERS, lr: float = 1e-3,
             seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
             save=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
@@ -235,7 +242,7 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
 
 def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
             pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
-            substeps: int = 1, n_iters: int = 500, lr: float = 1e-3,
+            substeps: int = 1, n_iters: int = N_ITERS, lr: float = 1e-3,
             seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
             save=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so its flow-map transition matrix matches a target."""
@@ -287,7 +294,7 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     return loss_and_grad, mu_samples, images, observed_delay
 
 
-def fit_delay(observed: Trajectory, model, cfg, n_iters: int = 500,
+def fit_delay(observed: Trajectory, model, cfg, n_iters: int = N_ITERS,
               lr: float = 1e-3, seed: int = 0, loss: str = "j2",
               clip_norm: float = 10.0, max_points: int = 2000,
               checkpoint_every: int = 0, save=None,

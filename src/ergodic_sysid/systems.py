@@ -80,7 +80,6 @@ class Trajectory:
 
     states: np.ndarray
     dt: float
-    seed: Optional[int] = None
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -150,12 +149,16 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
 
 
 def integrate_sde(sys: OdeSystem, diffusion_d: float, x0, dt: float,
-                  n_steps: int, seed: int) -> Trajectory:
-    """Euler-Maruyama path of dX = rhs(X) dt + sqrt(2 D) dW.
+                  n_steps: int, seed: int) -> np.ndarray:
+    """Euler-Maruyama path of dX = rhs(X) dt + sqrt(2 D) dW from one state
+    (d,), or K independent paths stepped as one batch from states (K, d);
+    returns an array of shape (n_steps+1,) + x0.shape.
 
     The isotropic noise scale sqrt(2 D) makes the associated density
     evolution carry the diffusion term D * Laplacian. D = 0 reduces to the
-    deterministic explicit-Euler path.
+    deterministic explicit-Euler path. Each step's increments fill one
+    x0-shaped draw, so the paths of a batch are independent and a (d,)
+    start draws exactly what a (1, d) start does.
     """
     if diffusion_d < 0:
         raise ValueError("diffusion must be nonnegative")
@@ -163,22 +166,24 @@ def integrate_sde(sys: OdeSystem, diffusion_d: float, x0, dt: float,
         raise ValueError("dt must be positive")
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).copy()
+    if x.ndim not in (1, 2) or x.shape[-1] != sys.dim:
+        raise ValueError(f"x0 must have shape ({sys.dim},) or (K, {sys.dim})")
     _check_finite(x, 0)
-    states = np.empty((n_steps + 1, sys.dim))
+    states = np.empty((n_steps + 1,) + x.shape)
     states[0] = x
     sigma = np.sqrt(2.0 * diffusion_d * dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, NOISE_BLOCK):
             stop = min(start + NOISE_BLOCK, n_steps + 1)
             if sigma > 0.0:
-                noise = sigma * rng.standard_normal((stop - start, sys.dim))
+                noise = sigma * rng.standard_normal((stop - start,) + x.shape)
             for k in range(start, stop):
                 x = x + dt * sys.rhs(x)
                 if sigma > 0.0:
                     x = x + noise[k - start]
                 _check_finite(x, k)
                 states[k] = x
-    return Trajectory(states, dt, seed=seed)
+    return states
 
 
 def iterate_map_batch(map_: DiscreteMap, x0: np.ndarray,

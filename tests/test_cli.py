@@ -148,6 +148,8 @@ def test_unknown_config_key_exits_2(tmp_path):
         resume_from="no_such_checkpoint.json"), "fit"),
     ("fit.target", lambda c: c["fit"].update(target="no_such_measure.json"),
      "fit"),
+    ("eval.sim_burn_in", lambda c: c.update(eval={
+        "n_sim_steps": 100, "sim_burn_in": 100}), "eval"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -158,7 +160,7 @@ def test_unknown_config_key_exits_2(tmp_path):
         "mesh-build_subsample-zero", "eval-max_points-zero",
         "refinement-max_points-zero", "fit-n_iters-negative",
         "pfo-pou_eps-missing", "pfo-pou_eps-negative", "missing-resume_from",
-        "missing-target"])
+        "missing-target", "eval-sim_burn_in-past-n_sim_steps"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -286,6 +288,24 @@ def test_fit_determinism_and_resume(tmp_path):
     assert main(["fit", "--config", _write(tmp_path, cfg, "resume.json")]) == 0
     resumed = io.read_report_json(tmp_path / "run" / "report.json")
     assert resumed["loss_history"] == first["loss_history"]
+
+
+def test_resume_past_fit_n_iters_exits_2(tmp_path, capsys):
+    # the committed smoke checkpoint holds 5 iterations; a fit of 3 cannot
+    # resume from it
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "smoke_fit.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    cfg_path = _write(tmp_path, cfg)
+    for cmd in ("simulate", "histogram"):
+        assert main([cmd, "--config", cfg_path]) == 0
+    cfg["fit"].update(n_iters=3, resume_from=str(
+        root / "runs" / "smoke" / "checkpoint_000005.json"))
+    capsys.readouterr()
+    assert main(["fit", "--config", _write(tmp_path, cfg, "resume.json")]) \
+        == 2
+    assert "fit.resume_from" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_eval_ground_truth_model_at_noise_floor(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ergodic_sysid.experiments import vdp_refinement_study
 from ergodic_sysid.fvm import (STATIONARY_TOL, AssemblyError,
                                DegenerateDynamicsError, NonConvergenceError,
                                RegularizedMarkov, assemble_K, cfl_dt,
@@ -254,3 +255,13 @@ def test_frozen_dt_is_half_the_cfl_bound_at_the_sup_norm():
     # a zero field falls back to a tiny speed instead of an infinite step
     faces.set_params(np.zeros(faces.n_params))
     assert frozen_dt(grid, faces, 0.1) == cfl_dt(grid, 0.1, 1e-9) * 0.5
+
+
+def test_vdp_refinement_study_is_monotone():
+    # the stationary density of the true van der Pol field approaches the
+    # pooled SDE reference as the grid refines; 250k steps of 4e-3 cover
+    # the 1000 time units of the default 1M steps of 1e-3
+    study = vdp_refinement_study(n_sde_steps=250000, sde_dt=4e-3)
+    w2 = [row["w2"] for row in study["rows"]]
+    assert [row["n_per_dim"] for row in study["rows"]] == [25, 50, 100]
+    assert study["monotone"] and np.all(np.diff(w2) < 0), w2

@@ -286,6 +286,14 @@ def test_loop_rejects_negative_n_iters_and_checkpoints_without_save():
         fit(4, checkpoint_every=2)
 
 
+def test_loop_rejects_a_resume_past_n_iters():
+    fit = _resume_problem()
+    saved = []
+    fit(6, checkpoint_every=6, save=saved.append)
+    with pytest.raises(ValueError, match="6 iterations, more than n_iters 3"):
+        fit(3, resume=saved[-1])
+
+
 def test_fit_drivers_share_the_n_iters_default():
     for fit in (fit_fvm, fit_pfo, fit_delay):
         assert inspect.signature(fit).parameters["n_iters"].default == 500

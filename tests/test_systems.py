@@ -45,11 +45,11 @@ def test_van_der_pol_limit_cycle_bounded():
 
 def test_em_zero_diffusion_equals_explicit_euler():
     sys = make_system("van_der_pol", c=1.0)
-    traj = integrate_sde(sys, 0.0, [1.0, 0.5], 0.01, 200, seed=4)
+    states = integrate_sde(sys, 0.0, [1.0, 0.5], 0.01, 200, seed=4)
     x = np.array([1.0, 0.5])
     for _ in range(200):
         x = x + 0.01 * sys.rhs(x)
-    assert np.array_equal(traj.states[-1], x)
+    assert np.array_equal(states[-1], x)
 
 
 def test_em_matches_rk4_to_first_order():
@@ -57,22 +57,22 @@ def test_em_matches_rk4_to_first_order():
     dt = 1e-3
     em = integrate_sde(sys, 0.0, [1.0, 0.5], dt, 500, seed=0)
     rk = integrate_ode(sys, [1.0, 0.5], dt, 500)
-    err = np.abs(em.states - rk.states).max()
+    err = np.abs(em - rk.states).max()
     assert err < 5.0 * dt
 
 
 def test_brownian_increment_variance():
     sys = OdeSystem("still", 1, {}, lambda x: np.zeros_like(x))
     D, dt = 0.5, 0.01
-    traj = integrate_sde(sys, D, [0.0], dt, 100000, seed=8)
-    incr = np.diff(traj.states[:, 0])
+    states = integrate_sde(sys, D, [0.0], dt, 100000, seed=8)
+    incr = np.diff(states[:, 0])
     assert abs(incr.var() / (2 * D * dt) - 1.0) < 0.1
 
 
 def test_lorenz63_sde_bounded():
     sys = make_system("lorenz63")
-    traj = integrate_sde(sys, 10.0, [1.0, 1.0, 20.0], 0.005, 20000, seed=1)
-    assert np.abs(traj.states).max() < 200.0
+    states = integrate_sde(sys, 10.0, [1.0, 1.0, 20.0], 0.005, 20000, seed=1)
+    assert np.abs(states).max() < 200.0
 
 
 def test_blowup_names_step():
@@ -170,7 +170,7 @@ def test_sde_reproducible_per_seed():
     sys = make_system("lorenz63")
     a = integrate_sde(sys, 5.0, [1.0, 1.0, 20.0], 0.01, 500, seed=3)
     b = integrate_sde(sys, 5.0, [1.0, 1.0, 20.0], 0.01, 500, seed=3)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a, b)
 
 
 def test_jac_vjp_matches_finite_differences():
@@ -244,7 +244,7 @@ def test_integrate_ode_matches_stacked_reference():
 def test_integrate_sde_matches_per_step_draws(n_steps):
     sys = make_system("van_der_pol", c=1.0)
     x0, dt, D, seed = np.array([1.0, 0.5]), 0.01, 0.3, 12
-    traj = integrate_sde(sys, D, x0, dt, n_steps, seed=seed)
+    states = integrate_sde(sys, D, x0, dt, n_steps, seed=seed)
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(2.0 * D * dt)
     x = x0.copy()
@@ -253,4 +253,51 @@ def test_integrate_sde_matches_per_step_draws(n_steps):
         x = x + dt * sys.rhs(x)
         x = x + sigma * rng.standard_normal(sys.dim)
         ref.append(x)
-    assert np.array_equal(traj.states, np.array(ref))
+    assert np.array_equal(states, np.array(ref))
+
+
+@pytest.mark.parametrize("n_steps", [1, 300, NOISE_BLOCK,
+                                     2 * NOISE_BLOCK + 37])
+def test_integrate_sde_batch_matches_per_step_draws(n_steps):
+    # each step draws one (K, d) block of increments for the K paths
+    sys = make_system("van_der_pol", c=1.0)
+    x0 = np.array([[1.0, 0.5], [-2.0, 0.1], [0.3, -1.2]])
+    dt, D, seed = 0.01, 0.3, 12
+    states = integrate_sde(sys, D, x0, dt, n_steps, seed=seed)
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(2.0 * D * dt)
+    x = x0.copy()
+    ref = [x]
+    for _ in range(n_steps):
+        x = x + dt * sys.rhs(x)
+        x = x + sigma * rng.standard_normal(x0.shape)
+        ref.append(x)
+    assert states.shape == (n_steps + 1,) + x0.shape
+    assert np.array_equal(states, np.array(ref))
+
+
+def test_integrate_sde_batch_of_one_is_the_single_path():
+    sys = make_system("lorenz63")
+    x0 = np.array([1.0, 1.0, 20.0])
+    single = integrate_sde(sys, 5.0, x0, 0.01, 2 * NOISE_BLOCK + 5, seed=3)
+    batch = integrate_sde(sys, 5.0, x0[None], 0.01, 2 * NOISE_BLOCK + 5,
+                          seed=3)
+    assert batch.shape == (single.shape[0], 1, 3)
+    assert np.array_equal(batch[:, 0], single)
+
+
+def test_integrate_sde_blowup_in_one_path_raises():
+    # the second path starts where x' = x^3 escapes; the first stays at 0
+    explode = OdeSystem("explode", 1, {}, lambda x: x**3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError) as err:
+            integrate_sde(explode, 0.0, [[0.0], [2.0]], 0.5, 50, seed=0)
+    assert err.value.step > 0
+
+
+def test_integrate_sde_rejects_a_start_of_the_wrong_shape():
+    sys = make_system("van_der_pol")
+    for x0 in ([1.0, 0.5, 0.0], [[1.0], [0.5]], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            integrate_sde(sys, 0.1, x0, 0.01, 5, seed=0)

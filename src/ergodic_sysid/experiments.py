@@ -106,6 +106,14 @@ def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
     return states[burn_in + 1:].swapaxes(0, 1)
 
 
+def _max_box_escape(states: np.ndarray, observed: np.ndarray) -> float:
+    """Largest Euclidean distance from one of ``states`` (..., d) to the
+    bounding box of the ``observed`` states (n, d); 0 when all lie in it."""
+    lo, hi = observed.min(axis=0), observed.max(axis=0)
+    gap = np.maximum(np.maximum(lo - states, states - hi), 0.0)
+    return float(np.sqrt(np.max(np.sum(gap * gap, axis=-1))))
+
+
 def unit_torus_grid(bins: int) -> Grid:
     """Cells exactly tiling [0,1]^2 (centers at (k + 1/2)/bins)."""
     half = 0.5 / bins
@@ -363,6 +371,9 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     ``eval.n_sim_steps`` (rounded up to a multiple of the path count), and
     their states are pooled. The noise floor is the distance between the
     pooled states of one half of the paths and those of the other half.
+    The pooled W2 of many short paths hides a field that leaves the data
+    slowly, so ``sim_max_escape`` reports the largest distance of a
+    recorded state from the observed states' bounding box.
     """
     ev = section(cfg, "eval")
     thin = _given(ev, "max_points")
@@ -409,7 +420,8 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
                "self_w2_noise_floor": float(self_w2),
                "n_sim_samples": int(a.n), "n_observed_samples": int(b.n),
                "n_projections": nproj, "n_sim_paths": len(paths),
-               "sim_burn_in": int(burn)}
+               "sim_burn_in": int(burn),
+               "sim_max_escape": _max_box_escape(paths, traj.states)}
     io.write_checkpoint(outdir / "metrics.json", metrics)
     return metrics
 

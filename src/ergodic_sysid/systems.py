@@ -2,9 +2,11 @@
 
 All right-hand sides and map steps are vectorized over leading axes: they
 accept arrays of shape ``(..., d)`` and return a new array of the same
-shape, so single states and batches share one code path. The catalog fields
-write their components into one preallocated output rather than stacking
-them: on one state the stacking dispatch cost more than the arithmetic.
+shape, so single states and batches share one code path. The catalog ODEs
+write each field once, component by component (``OdeSystem.field``), and
+``_stacked`` gives its array form. ``integrate_ode`` steps its one state on
+Python floats through the field: on two or three components numpy's
+per-operation dispatch costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -47,6 +49,16 @@ class OdeSystem:
     ``jac_vjp(x, g)`` optionally returns the vector-Jacobian product
     g^T (d rhs / dx), needed when a known field participates in
     reverse-mode flow-map differentiation.
+
+    ``field(x1, ..., xd)`` optionally gives the same right-hand side one
+    component at a time and returns its d components as a tuple. It must
+    do the arithmetic of ``rhs`` operation for operation, so that on Python
+    floats it gives ``rhs``'s values bit for bit; ``integrate_ode`` steps
+    it in place of ``rhs``. Write a square as ``x * x``, never ``x**2``: on
+    a Python float ``**`` calls libm ``pow``, whose rounding may differ
+    from numpy's, and it raises ``OverflowError`` where a product gives
+    ``inf``. An overflowing product thus yields ``inf`` or ``nan``, which
+    the integrator's finiteness check reports as a blow-up.
     """
 
     name: str
@@ -54,6 +66,7 @@ class OdeSystem:
     params: dict
     rhs: Callable[[np.ndarray], np.ndarray]
     jac_vjp: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    field: Optional[Callable[..., tuple]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -126,6 +139,11 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
 
     ``substeps`` internal RK4 steps are taken per recorded sample; use ~10
     when the recorded interval is too coarse for direct integration.
+
+    The state is stepped as a list of Python floats through ``sys.field``,
+    or through ``sys.rhs`` on a rebuilt array when the system has no
+    field; either way each operation is that of ``rk4_step``, in its order,
+    so the trajectory is the one ``rk4_step`` gives on arrays.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -135,16 +153,24 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
     if x.shape != (sys.dim,):
         raise ValueError(f"x0 must have shape ({sys.dim},)")
     _check_finite(x, 0)
+    f = sys.field or (lambda *c: sys.rhs(np.array(c)).tolist())
     h = dt / substeps
+    hh, h6 = 0.5 * h, h / 6.0
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x
+    x = x.tolist()
     # A blow-up overflows inside the step; _check_finite reports it once.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             for _ in range(substeps):
-                x = rk4_step(sys.rhs, x, h)
-            _check_finite(x, k)
+                k1 = f(*x)
+                k2 = f(*[a + hh * b for a, b in zip(x, k1)])
+                k3 = f(*[a + hh * b for a, b in zip(x, k2)])
+                k4 = f(*[a + h * b for a, b in zip(x, k3)])
+                x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
             states[k] = x
+            _check_finite(states[k], k)
     return Trajectory(states, dt)
 
 
@@ -204,51 +230,48 @@ def iterate_map_batch(map_: DiscreteMap, x0: np.ndarray,
 # Builtin catalog
 
 
+def _stacked(fn):
+    """Array form of a component-wise function: each (..., d) argument is
+    passed as its d components, and the returned components are written
+    into one new array shaped like the first argument."""
+
+    def stacked(*arrays):
+        out = np.empty(arrays[0].shape)
+        parts = fn(*(a[..., i] for a in arrays for i in range(a.shape[-1])))
+        for i, part in enumerate(parts):
+            out[..., i] = part
+        return out
+
+    return stacked
+
+
 def van_der_pol(c: float = 2.0) -> OdeSystem:
     """Van der Pol oscillator: dx = y, dy = c (1 - x^2) y - x."""
 
-    def rhs(z):
-        x, y = z[..., 0], z[..., 1]
-        out = np.empty(z.shape)
-        out[..., 0] = y
-        out[..., 1] = c * (1.0 - x**2) * y - x
-        return out
+    def field(x, y):
+        return y, c * (1.0 - x * x) * y - x
 
-    def jac_vjp(z, g):
-        x, y = z[..., 0], z[..., 1]
-        gx, gy = g[..., 0], g[..., 1]
+    def vjp(x, y, gx, gy):
         # J = [[0, 1], [-2 c x y - 1, c (1 - x^2)]]
-        out = np.empty(z.shape)
-        out[..., 0] = gy * (-2.0 * c * x * y - 1.0)
-        out[..., 1] = gx + gy * c * (1.0 - x**2)
-        return out
+        return gy * (-2.0 * c * x * y - 1.0), gx + gy * c * (1.0 - x * x)
 
-    return OdeSystem("van_der_pol", 2, {"c": c}, rhs, jac_vjp)
+    return OdeSystem("van_der_pol", 2, {"c": c}, _stacked(field),
+                     _stacked(vjp), field)
 
 
 def lorenz63(c1: float = 10.0, c2: float = 28.0,
              c3: float = 8.0 / 3.0) -> OdeSystem:
     """Lorenz-63: dx = c1 (y - x), dy = x (c2 - z) - y, dz = x y - c3 z."""
 
-    def rhs(s):
-        x, y, z = s[..., 0], s[..., 1], s[..., 2]
-        out = np.empty(s.shape)
-        out[..., 0] = c1 * (y - x)
-        out[..., 1] = x * (c2 - z) - y
-        out[..., 2] = x * y - c3 * z
-        return out
+    def field(x, y, z):
+        return c1 * (y - x), x * (c2 - z) - y, x * y - c3 * z
 
-    def jac_vjp(s, g):
-        x, y, z = s[..., 0], s[..., 1], s[..., 2]
-        g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
-        out = np.empty(s.shape)
-        out[..., 0] = -c1 * g1 + (c2 - z) * g2 + y * g3
-        out[..., 1] = c1 * g1 - g2 + x * g3
-        out[..., 2] = -x * g2 - c3 * g3
-        return out
+    def vjp(x, y, z, g1, g2, g3):
+        return (-c1 * g1 + (c2 - z) * g2 + y * g3, c1 * g1 - g2 + x * g3,
+                -x * g2 - c3 * g3)
 
-    return OdeSystem("lorenz63", 3, {"c1": c1, "c2": c2, "c3": c3}, rhs,
-                     jac_vjp)
+    return OdeSystem("lorenz63", 3, {"c1": c1, "c2": c2, "c3": c3},
+                     _stacked(field), _stacked(vjp), field)
 
 
 def lorenz96(dim: int = 30, forcing: float = 8.0) -> OdeSystem:

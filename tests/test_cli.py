@@ -9,6 +9,7 @@ import pytest
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
 from ergodic_sysid.config import validate_config
+from ergodic_sysid.experiments import _max_box_escape
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
 from ergodic_sysid.systems import Trajectory, make_system, integrate_ode
@@ -326,6 +327,19 @@ def test_eval_ground_truth_model_at_noise_floor(tmp_path):
         "self_w2_noise_floor"] + 1.0
     density = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
     assert density.shape == (144, 3)
+
+
+def test_max_box_escape_of_hand_built_paths():
+    # observed box: x in [-1, 1], y in [0, 2]
+    observed = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]])
+    inside = np.array([[[0.0, 1.0], [1.0, 2.0]], [[-1.0, 0.0], [0.5, 0.5]]])
+    assert _max_box_escape(inside, observed) == 0.0
+    paths = inside.copy()
+    paths[0, 1] = [0.5, -0.5]   # 0.5 below the box
+    paths[1, 0] = [4.0, 6.0]    # (3, 4) beyond a corner
+    assert _max_box_escape(paths, observed) == 5.0
+    paths[1, 0] = [-1.5, 1.0]   # 0.5 left of the box
+    assert _max_box_escape(paths, observed) == 0.5
 
 
 def test_delay_torus_pair_diagnostics(tmp_path):

@@ -222,6 +222,17 @@ def test_catalog_batches_rowwise_into_a_new_array(fn, arity, dim, lead):
         assert np.array_equal(a, b)
 
 
+def _rk4_reference(rhs, x0, h, n_steps, substeps):
+    """States of rk4_step on arrays, recorded every ``substeps`` steps."""
+    x = np.array(x0, dtype=float)
+    ref = [x]
+    for _ in range(n_steps):
+        for _ in range(substeps):
+            x = rk4_step(rhs, x, h)
+        ref.append(x)
+    return np.array(ref)
+
+
 def test_integrate_ode_matches_stacked_reference():
     def rhs(z):  # the van der Pol field as written with np.stack
         x, y = z[..., 0], z[..., 1]
@@ -230,13 +241,81 @@ def test_integrate_ode_matches_stacked_reference():
     x0 = np.array([0.3, -0.2])
     traj = integrate_ode(make_system("van_der_pol", c=1.5), x0, 0.05, 400,
                          substeps=3)
-    x = x0.copy()
-    ref = [x]
-    for _ in range(400):
-        for _ in range(3):
-            x = rk4_step(rhs, x, 0.05 / 3)
-        ref.append(x)
-    assert np.array_equal(traj.states, np.array(ref))
+    assert np.array_equal(traj.states, _rk4_reference(rhs, x0, 0.05 / 3,
+                                                      400, 3))
+
+
+def test_integrate_ode_matches_stacked_reference_lorenz63():
+    def rhs(s):  # the Lorenz-63 field as written with np.stack
+        x, y, z = s[..., 0], s[..., 1], s[..., 2]
+        return np.stack([10.0 * (y - x), x * (28.0 - z) - y,
+                         x * y - (8.0 / 3.0) * z], axis=-1)
+
+    x0 = np.array([1.0, 1.0, 20.0])
+    traj = integrate_ode(make_system("lorenz63"), x0, 0.02, 500, substeps=4)
+    assert np.array_equal(traj.states, _rk4_reference(rhs, x0, 0.02 / 4,
+                                                      500, 4))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("van_der_pol", {"c": 0.3}), ("van_der_pol", {"c": 1.0}),
+    ("van_der_pol", {"c": 2.0}), ("van_der_pol", {"c": 7.25}),
+    ("lorenz63", {}), ("lorenz63", {"c1": 9.5, "c2": 31.7, "c3": 1.1})])
+def test_field_is_rhs_bit_for_bit(name, params):
+    # the float path of integrate_ode steps the field; an x**2 in it would
+    # call libm pow on floats, whose rounding may differ from numpy's
+    sys = make_system(name, **params)
+    rng = np.random.default_rng(3)
+    scale = 10.0 ** rng.uniform(-3.0, 5.0, (5, 7, 1))
+    batch = scale * rng.standard_normal((5, 7, sys.dim))
+    out = sys.rhs(batch)
+    for idx in np.ndindex(5, 7):
+        row = batch[idx]
+        field = sys.field(*row.tolist())
+        assert all(type(v) is float for v in field)
+        assert np.array_equal(_bits(field), _bits(sys.rhs(row))), idx
+        assert np.array_equal(_bits(field), _bits(out[idx])), idx
+
+
+def test_integrate_ode_steps_the_field_not_the_rhs():
+    def refuse(x):
+        raise AssertionError("rhs called")
+
+    vdp = make_system("van_der_pol", c=1.5)
+    sys = OdeSystem("vdp_field", 2, {}, refuse, field=vdp.field)
+    traj = integrate_ode(sys, [0.3, -0.2], 0.05, 200, substeps=3)
+    ref = integrate_ode(vdp, [0.3, -0.2], 0.05, 200, substeps=3)
+    assert np.array_equal(traj.states, ref.states)
+
+
+@pytest.mark.parametrize("name", ["van_der_pol", "lorenz63"])
+def test_integrate_ode_without_a_field_steps_the_rhs(name):
+    # a field-less system goes through rhs on arrays, bit for bit the same
+    sys = make_system(name)
+    plain = OdeSystem(name, sys.dim, {}, sys.rhs)
+    x0 = [1.0, 1.0, 20.0][:sys.dim]
+    traj = integrate_ode(plain, x0, 0.02, 300, substeps=4)
+    ref = integrate_ode(sys, x0, 0.02, 300, substeps=4)
+    assert np.array_equal(traj.states, ref.states)
+
+
+# step and magnitude recorded from the array path that rk4_step gave
+@pytest.mark.parametrize("dt, substeps, step, magnitude", [
+    (1e-5, 1, 3, 1.593053780654601e+18),
+    (2e-5, 2, 2, 8.717080916296262e+65),
+    (2e-5, 4, 2, np.nan)])
+def test_lorenz63_blowup_on_the_float_path(dt, substeps, step, magnitude):
+    sys = make_system("lorenz63")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError) as err:
+            integrate_ode(sys, [1e6, 1e6, 1e6], dt, 200, substeps=substeps)
+    assert err.value.step == step
+    assert np.array_equal(err.value.magnitude, magnitude, equal_nan=True)
 
 
 @pytest.mark.parametrize("n_steps", [1, 300, NOISE_BLOCK,

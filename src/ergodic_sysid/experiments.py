@@ -275,6 +275,12 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     if driver == "fvm":
         if "objective" in fit_cfg:
             _checked("fit.objective", grid_objective, fit_cfg["objective"])
+        eps_tele = fit_cfg.get("eps_tele", _EPS_TELE)
+        if not 0 < eps_tele <= 1:
+            raise ConfigError(f"fit.eps_tele: {eps_tele} is outside (0, 1]")
+        D = fit_cfg.get("diffusion", 0.0)
+        if not D >= 0:
+            raise ConfigError(f"fit.diffusion: {D} must be nonnegative")
         target = io.read_measure_json(_input_file(
             "fit.target", fit_cfg.get("target", outdir / "measure.json")))
         if not isinstance(target.support, Grid):
@@ -283,11 +289,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         traj = _load_trajectory(outdir) if (outdir / "trajectory.csv").exists() \
             else None
         model = make_model(cfg, grid.dim, traj, purpose="velocity")
-        report = fit_fvm(
-            target, model, grid,
-            D=fit_cfg.get("diffusion", 0.0),
-            eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
-            **_given(fit_cfg, "objective"), **common)
+        report = fit_fvm(target, model, grid, D=D, eps_tele=eps_tele,
+                         **_given(fit_cfg, "objective"), **common)
     elif driver == "pfo":
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
@@ -519,7 +522,7 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
         n = int(n)
         grid = Grid(lo, hi, [n, n])
         dt = fvm.cfl_dt(grid, diffusion, float(np.abs(
-            system.rhs(grid.centers())).max()), safety=0.9)
+            system.rhs(grid.centers())).max()))
         op = fvm.assemble_K(grid, system, diffusion, dt)
         M = fvm.teleport(op, eps_tele)
         rho = fvm.stationary_density(M)
@@ -547,7 +550,11 @@ def eval_refinement(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> dict:
-    kind = section(cfg, "eval").get("kind", "fvm_density")
+    ev = section(cfg, "eval")
+    if not ev.get("diffusion", 0.0) >= 0:
+        raise ConfigError(
+            f"eval.diffusion: {ev['diffusion']} must be nonnegative")
+    kind = ev.get("kind", "fvm_density")
     if kind == "fvm_density":
         return eval_fvm_density(cfg, outdir)
     if kind == "catmap_compare":

@@ -91,7 +91,6 @@ class FitReport:
     config: dict
     seed: int
     initial_loss: Optional[float] = None
-    events: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -105,7 +104,6 @@ class FitReport:
             "config": self.config,
             "seed": self.seed,
             "initial_loss": self.initial_loss,
-            "events": self.events,
             "extras": self.extras,
             "meta": {"wall_clock_s": self.wall_clock_s},
         }
@@ -167,32 +165,22 @@ def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
 
 def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
                   objective: str = "l2", dt: Optional[float] = None):
-    """Closure computing the density-matching loss and its gradient.
+    """The density-matching loss-and-gradient closure, and its time step.
 
-    The time step is frozen up front (half the CFL bound at the initial
-    field) so the objective stays fixed across iterations; if the field
-    grows past the bound the step is halved and the event recorded. Each
-    call factorizes the teleported chain once; the stationary and adjoint
-    solves share that LU, so eps_tele must be positive.
+    The time step ``dt`` (``fvm.frozen_dt`` at the initial field unless
+    given) is a constant of the objective: every call assembles at it,
+    however large the field grows. Each call factorizes the teleported
+    chain once; the stationary and adjoint solves share that LU, so
+    eps_tele must be positive.
     """
     if not target.support.matches(grid):
         raise ValueError("target measure does not live on the fit grid")
     obj = grid_objective(objective)
-    state = {"dt": dt or fvm.frozen_dt(grid, velocity, D), "events": []}
+    dt = dt or fvm.frozen_dt(grid, velocity, D)
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
-        step = state["dt"]
-        while True:
-            try:
-                op = fvm.assemble_K(grid, velocity, D, step)
-                break
-            except fvm.AssemblyError:
-                step *= 0.5
-                state["dt"] = step
-                state["events"].append(f"halved dt to {step:.3e}")
-                if step < 1e-16:
-                    raise
+        op = fvm.assemble_K(grid, velocity, D, dt)
         M = fvm.teleport(op, eps_tele)
         rho = fvm.stationary_density(M)
         value, djdrho = obj(rho.weights, target.weights, grid.cell_volume)
@@ -201,7 +189,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
         grad = adj.grad_parameters(face_grads, velocity, op)
         return value, grad
 
-    return loss_and_grad, state
+    return loss_and_grad, dt
 
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
@@ -209,15 +197,14 @@ def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
             seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
             save=None, resume: Optional[dict] = None) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
-    loss_and_grad, state = make_fvm_loss(target, velocity, grid, D, eps_tele,
-                                         objective)
+    loss_and_grad, dt = make_fvm_loss(target, velocity, grid, D, eps_tele,
+                                      objective)
     config = {"driver": "fvm", "objective": objective, "D": D,
               "eps_tele": eps_tele, "n_iters": n_iters, "lr": lr,
               "clip_norm": clip_norm, "solver": "direct"}
     report = _run_loop(loss_and_grad, velocity, n_iters, lr, clip_norm,
                        config, seed, checkpoint_every, save, resume)
-    report.events.extend(state["events"])
-    report.extras["dt"] = state["dt"]
+    report.extras["dt"] = dt
     return report
 
 

@@ -16,7 +16,7 @@ def _small_problem(seed=0, n=10, eps=1e-2, D=0.05):
     grid = Grid([0.0], [1.0], [n])
     model = FaceValuesModel(grid)
     model.set_params(rng.uniform(-1.0, 1.0, size=n))
-    dt = cfl_dt(grid, D, 1.0, safety=0.9)
+    dt = cfl_dt(grid, D, 1.0)
     op = assemble_K(grid, model, D, dt)
     M = teleport(op, eps)
     rho = stationary_density(M)
@@ -42,7 +42,7 @@ def test_random_consistent_rhs_residuals():
     grid = Grid([0.0, 0.0], [1.0, 1.0], [10, 10])
     model = FaceValuesModel(grid)
     model.set_params(rng.uniform(-1, 1, size=model.n_params))
-    dt = cfl_dt(grid, 0.02, 1.0, safety=0.9)
+    dt = cfl_dt(grid, 0.02, 1.0)
     op = assemble_K(grid, model, 0.02, dt)
     M = teleport(op, 1e-3)
     rho = stationary_density(M)
@@ -78,14 +78,16 @@ def test_boundary_faces_have_zero_gradient():
     assert grads[0][0] == 0.0  # lower wall face of the first cell
 
 
-def test_face_gradients_match_finite_differences():
+# the second time step is 50 times the first, far past the CFL bound
+@pytest.mark.parametrize("dt_factor", [1.0, 50.0], ids=["cfl", "50x-cfl"])
+def test_face_gradients_match_finite_differences(dt_factor):
     rng = np.random.default_rng(7)
     n, D, eps = 8, 0.05, 1e-2
     grid = Grid([0.0], [1.0], [n])
     model = FaceValuesModel(grid)
     theta0 = rng.uniform(-1.0, 1.0, size=n)
     model.set_params(theta0)
-    dt = cfl_dt(grid, D, 2.0, safety=0.9)
+    dt = cfl_dt(grid, D, 2.0) * dt_factor
     target_w = rng.random(n)
     target = Measure(target_w / target_w.sum(), grid)
     obj = grid_objective("l2")

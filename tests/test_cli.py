@@ -151,6 +151,10 @@ def test_unknown_config_key_exits_2(tmp_path):
      "fit"),
     ("eval.sim_burn_in", lambda c: c.update(eval={
         "n_sim_steps": 100, "sim_burn_in": 100}), "eval"),
+    ("fit.eps_tele", lambda c: c["fit"].update(eps_tele=0), "fit"),
+    ("fit.eps_tele", lambda c: c["fit"].update(eps_tele=1.5), "fit"),
+    ("fit.diffusion", lambda c: c["fit"].update(diffusion=-0.1), "fit"),
+    ("eval.diffusion", lambda c: c.update(eval={"diffusion": -0.1}), "eval"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -161,7 +165,9 @@ def test_unknown_config_key_exits_2(tmp_path):
         "mesh-build_subsample-zero", "eval-max_points-zero",
         "refinement-max_points-zero", "fit-n_iters-negative",
         "pfo-pou_eps-missing", "pfo-pou_eps-negative", "missing-resume_from",
-        "missing-target", "eval-sim_burn_in-past-n_sim_steps"])
+        "missing-target", "eval-sim_burn_in-past-n_sim_steps",
+        "fit-eps_tele-zero", "fit-eps_tele-above-one",
+        "fit-diffusion-negative", "eval-diffusion-negative"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -220,11 +226,9 @@ def _simulate_and_histogram(cfg, tmp_path):
 @pytest.mark.parametrize("prepare, edit, command, message", [
     (_nan_row_in_trajectory, lambda c: None, "histogram",
      "non-finite states"),
-    (_simulate_and_histogram, lambda c: c["fit"].update(eps_tele=0),
-     "fit", "requires eps > 0"),
     (lambda c, p: None, lambda c: c["data"].update(x0=[1e6, 1e6], dt=0.5),
      "simulate", "non-finite state at step 1"),
-], ids=["nan-trajectory-row", "eps-tele-zero-direct", "simulate-blowup"])
+], ids=["nan-trajectory-row", "simulate-blowup"])
 def test_runtime_failure_exits_3(prepare, edit, command, message, tmp_path,
                                  capsys):
     cfg = _smoke_config(str(tmp_path / "run"))

@@ -22,20 +22,20 @@ def _random_operator(rng, with_diffusion=True):
     model = FaceValuesModel(grid)
     model.set_params(rng.uniform(-1.5, 1.5, size=model.n_params))
     D = rng.uniform(0.01, 0.4) if with_diffusion else 0.0
-    dt = cfl_dt(grid, D, 1.5, safety=0.9)
+    dt = cfl_dt(grid, D, 1.5)
     return assemble_K(grid, model, D, dt), grid
 
 
 def test_cfl_formula_value():
     grid = Grid([0.0, 0.0], [1.0, 1.0], [11, 11])
-    got = cfl_dt(grid, 0.001, 1.0, safety=1.0)
-    assert np.isclose(got, 0.25 * 0.01 / (0.001 + 0.1 * 1.0))
+    got = cfl_dt(grid, 0.001, 1.0)
+    assert np.isclose(got, 0.9 * 0.25 * 0.01 / (0.001 + 0.1 * 1.0))
 
 
 def test_cfl_halves_with_double_diffusion():
     grid = Grid([0.0], [1.0], [11])
-    a = cfl_dt(grid, 0.2, 0.0, safety=1.0)
-    b = cfl_dt(grid, 0.4, 0.0, safety=1.0)
+    a = cfl_dt(grid, 0.2, 0.0)
+    b = cfl_dt(grid, 0.4, 0.0)
     assert np.isclose(a, 2.0 * b)
 
 
@@ -43,7 +43,7 @@ def test_cfl_decreases_with_dimension():
     vals = []
     for d in (1, 2, 3):
         grid = Grid([0.0] * d, [1.0] * d, [6] * d)
-        vals.append(cfl_dt(grid, 0.1, 1.0, safety=1.0))
+        vals.append(cfl_dt(grid, 0.1, 1.0))
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -65,7 +65,7 @@ def test_assemble_1d_constant_advection_oracle():
     model = FaceValuesModel(grid)
     v = 0.7
     model.set_params(np.full(5, v))
-    dt = cfl_dt(grid, 0.0, v, safety=0.9)
+    dt = cfl_dt(grid, 0.0, v)
     op = assemble_K(grid, model, 0.0, dt)
     K = op.K.toarray()
     c = dt / grid.spacings[0] * v
@@ -81,7 +81,7 @@ def test_assemble_1d_diffusion_stencil():
     grid = Grid([0.0], [1.0], [5])
     model = FaceValuesModel(grid)
     D = 0.05
-    dt = cfl_dt(grid, D, 0.0, safety=0.9)
+    dt = cfl_dt(grid, D, 0.0)
     op = assemble_K(grid, model, D, dt)
     K = op.K.toarray()
     r = dt * D / grid.spacings[0] ** 2
@@ -92,14 +92,34 @@ def test_assemble_1d_diffusion_stencil():
     assert np.isclose(K[0, 0], -r)  # wall cell loses one face
 
 
-def test_assemble_rejects_cfl_violation():
-    grid = Grid([0.0], [1.0], [8])
+def test_density_at_one_teleport_rate_does_not_depend_on_dt():
+    # gamma = eps / ((1 - eps) dt) is the restart rate per unit time; at
+    # 100 dt, far past the CFL bound, I + K has negative diagonal entries
+    # and the M-matrix solve still gives the same positive density
+    sys = make_system("van_der_pol", c=1.0)
+    grid = Grid([-3.0, -4.0], [3.0, 4.0], [16, 16])
+    D, eps = 0.05, 1e-3
+    dt = frozen_dt(grid, sys, D)
+    r = 100.0 * eps / (1.0 - eps)
+    rhos = []
+    for step, e in ((dt, eps), (100.0 * dt, r / (1.0 + r))):
+        op = assemble_K(grid, sys, D, step)
+        rhos.append(stationary_density(teleport(op, e)).weights)
+    assert 1.0 + op.K.diagonal().min() < -1.0
+    assert rhos[0].min() > 0.0 and rhos[1].min() > 0.0
+    assert np.abs(rhos[1] - rhos[0]).sum() < 1e-12 * rhos[0].sum()
+
+
+def test_assemble_rejects_a_non_finite_face():
+    grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
     model = FaceValuesModel(grid)
-    model.set_params(np.full(8, 2.0))
-    bad_dt = cfl_dt(grid, 0.0, 2.0, safety=1.0) * 3.0
-    with pytest.raises(AssemblyError) as err:
-        assemble_K(grid, model, 0.0, bad_dt)
-    assert 0 <= err.value.cell < 8
+    theta = np.full(model.n_params, 0.5)
+    face = grid.n_cells + 6  # axis-1 lower face of cell 6, interior
+    theta[face] = np.nan
+    model.set_params(theta)
+    with pytest.raises(AssemblyError, match="absolute sum nan") as err:
+        assemble_K(grid, model, 0.1, 0.01)
+    assert err.value.cell in (6 - grid.strides[1], 6)
 
 
 def test_random_operators_markov_property():
@@ -224,7 +244,7 @@ def test_evolve_pure_diffusion_heat_oracle():
     grid = Grid([0.0], [1.0], [10])
     model = FaceValuesModel(grid)
     D = 0.1
-    dt = cfl_dt(grid, D, 0.0, safety=0.9)
+    dt = cfl_dt(grid, D, 0.0)
     op = assemble_K(grid, model, D, dt)
     w = np.zeros(10)
     w[3] = 1.0

@@ -65,7 +65,7 @@ def _stationary_target(grid, velocity, D, eps, dt):
 def _double_well_target(grid, D, eps):
     # the field v(x) = x - x^3
     return _stationary_target(grid, lambda X: X - X**3, D, eps,
-                              cfl_dt(grid, D, 4.0, safety=0.9))
+                              cfl_dt(grid, D, 4.0))
 
 
 def test_fvm_fit_zero_gradient_at_truth():

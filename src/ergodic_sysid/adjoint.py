@@ -1,17 +1,19 @@
 """Adjoint-state gradients through the stationary-density constraint.
 
-Differentiating the fixed-point constraint M_eps(theta) rho = rho with the
-simplex normalization rho . 1 = 1 yields one linear solve in the multiplier
-lambda,
+The density rho is the fixed point of the teleported chain,
+B rho = (eps/N) 1 with 1 . rho = 1, where B = I - (1-eps) M (see ``fvm``).
+Differentiating that constraint gives the multiplier lambda of one
+nonsingular transposed solve on the LU of B that the stationary solve
+already factorized,
 
-    (M_eps^T - I) lambda = -dJ/drho + (dJ/drho . rho) 1,
+    -B^T lambda = -dJ/drho + (dJ/drho . rho) 1,
 
 followed by the closed-form derivative with respect to each interior face
-velocity. The system is singular with kernel span{1} and the right-hand
-side is consistent by construction; the gauge lambda . 1 = 0 is fixed
-explicitly (harmless, since the face gradient only sees differences of
-lambda). It is solved on the same sparse LU as the stationary density, so
-one factorization serves both solves of an iteration.
+velocity. The right-hand side is orthogonal to rho, and B^{-1} 1 =
+(N/eps) rho because 1^T B = eps 1^T, so the solution already satisfies the
+gauge lambda . 1 = 0; subtracting the mean only removes its rounding. The
+face gradient sees differences of lambda only, so the gauge does not
+change it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fvm import FvmOperator, RegularizedMarkov
-from .measure import Measure
+
+ADJOINT_TOL = 1e-10  # bound on the l2 residual, relative to max(1, ||rhs||)
 
 
 class AdjointSolveError(RuntimeError):
@@ -38,42 +41,28 @@ class AdjointSolution:
     residual: float
 
 
-def _weights(rho) -> np.ndarray:
-    return rho.weights if isinstance(rho, Measure) else np.asarray(rho, float)
+def solve_adjoint(M: RegularizedMarkov, rho: np.ndarray,
+                  dJ_drho) -> AdjointSolution:
+    """Multiplier lambda of the stationary constraint, gauge lambda . 1 = 0.
 
-
-def adjoint_rhs(dJ_drho: np.ndarray, rho) -> np.ndarray:
-    """Simplex-projected right-hand side; orthogonal to rho by construction."""
-    g = np.asarray(dJ_drho, dtype=float)
-    r = _weights(rho)
-    return -g + (g @ r)
-
-
-def solve_adjoint(M: RegularizedMarkov, rho, dJ_drho,
-                  tol: float = 1e-10) -> AdjointSolution:
-    """Solve the singular-consistent adjoint system, gauge lambda . 1 = 0.
-
-    Reuses the sparse LU of B = I - (1-eps) M shared with the stationary
-    solve: the gauge-fixed system is a rank-one update of -B^T and falls to
-    a Sherman-Morrison step. Requires eps > 0; raises ``AdjointSolveError``
-    if the residual exceeds tol relative to the right-hand side.
+    One transposed solve on the LU of B shared with the stationary solve.
+    Raises ``AdjointSolveError`` if the residual of the teleported system,
+    ||-B^T lambda + eps sum(lambda)/N - rhs||_2, exceeds ``ADJOINT_TOL``
+    relative to the right-hand side.
     """
-    n = M.n
-    rhs = adjoint_rhs(dJ_drho, rho)
-    lu = M.lu()
-    y = -lu.solve(rhs, trans="T")
-    u = np.full(n, (1.0 + M.eps) / n)
-    z = -lu.solve(u, trans="T")
-    lam = y - z * (y.sum() / (1.0 + z.sum()))
-    lam = lam - lam.mean()
-    residual = float(np.linalg.norm(M.apply_transpose(lam) - lam - rhs))
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
+    g = np.asarray(dJ_drho, dtype=float)
+    rhs = -g + (g @ rho)
+    lam = -M.lu().solve(rhs, trans="T")
+    lam -= lam.mean()
+    residual = float(np.linalg.norm(
+        M.eps * lam.sum() / M.n - M.B.T @ lam - rhs))
+    if residual > ADJOINT_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise AdjointSolveError(residual)
     return AdjointSolution(lam, residual)
 
 
-def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov, rho,
-                         adj: AdjointSolution) -> list:
+def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov,
+                         rho: np.ndarray, adj: AdjointSolution) -> list:
     """dJ/d(face velocity) for every lower face, zero on boundary faces.
 
     For the face between cells j-S_i and j the derivative is
@@ -84,15 +73,14 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov, rho,
     with H the Heaviside step (H(0) = 0, matching the upwind split
     v^- = min(0, v)). The donor cell is upstream of the face.
     """
-    r = _weights(rho)
-    lam = adj.lam if isinstance(adj, AdjointSolution) else np.asarray(adj)
+    lam = adj.lam
     grid = op.grid
     grads = []
     for i, j in enumerate(grid.lower_faces):
         g = np.zeros(grid.n_cells)
         jm = j - grid.strides[i]
         v = op.face_velocities[i][j]
-        donor = np.where(v > 0, r[jm], r[j])
+        donor = np.where(v > 0, rho[jm], rho[j])
         g[j] = (1.0 - M.eps) * (op.dt / grid.spacings[i]) \
             * (lam[j] - lam[jm]) * donor
         grads.append(g)

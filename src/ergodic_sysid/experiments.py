@@ -26,7 +26,7 @@ from .velocity_models import MaskedVelocity, MlpModel
 
 log = logging.getLogger("ergodic_sysid")
 
-# fit.eps_tele when neither the config nor the fit report sets it
+# fit.eps_tele when the config does not set it
 _EPS_TELE = 1e-4
 
 # Independent Euler-Maruyama paths stepped as one batch by the fvm eval and
@@ -144,9 +144,12 @@ def generate_trajectory(cfg: dict) -> Trajectory:
         traj = integrate_ode(system, x0, data["dt"], n_steps + burn,
                              **_given(data, "substeps"))
     elif kind == "sde":
-        traj = Trajectory(integrate_sde(system, data.get("diffusion", 0.0),
-                                        x0, data["dt"], n_steps + burn,
-                                        seed=seed), data["dt"])
+        D = data.get("diffusion", 0.0)
+        if not D >= 0:
+            raise ConfigError(f"data.diffusion: {D} must be nonnegative")
+        traj = Trajectory(integrate_sde(system, D, x0, data["dt"],
+                                        n_steps + burn, seed=seed),
+                          data["dt"])
     else:
         raise ConfigError(f"unknown data kind {kind!r}")
     if burn:
@@ -281,10 +284,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         D = fit_cfg.get("diffusion", 0.0)
         if not D >= 0:
             raise ConfigError(f"fit.diffusion: {D} must be nonnegative")
-        target = io.read_measure_json(_input_file(
+        target = _checked("fit.target", io.read_measure_json, _input_file(
             "fit.target", fit_cfg.get("target", outdir / "measure.json")))
-        if not isinstance(target.support, Grid):
-            raise ConfigError("fvm fit target must be grid-supported")
         grid = target.support
         traj = _load_trajectory(outdir) if (outdir / "trajectory.csv").exists() \
             else None
@@ -391,8 +392,12 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
                  SampleCloud(traj.states), **thin)
     report = io.read_report_json(outdir / "report.json")
     fit_cfg = report["config"]
+    if fit_cfg["driver"] != "fvm":
+        raise ConfigError(f"eval.kind: fvm_density evaluates an fvm fit, "
+                          f"and {outdir / 'report.json'} holds a "
+                          f"{fit_cfg['driver']} fit")
     model = _rebuild_fit_model(cfg, outdir, traj.dim)
-    D = ev.get("diffusion", fit_cfg.get("D", 0.0))
+    D = ev.get("diffusion", fit_cfg["D"])
     seed = _seed_of(cfg, ev).get("seed", 1)
     starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points
     paths = _sde_paths(model_as_system(model, traj.dim), D, starts,
@@ -410,11 +415,9 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
 
     target = io.read_measure_json(outdir / "measure.json")
     grid = target.support
-    dt = report["extras"].get("dt") or fvm.frozen_dt(grid, model, D)
-    op = fvm.assemble_K(grid, model, D, dt)
-    M = fvm.teleport(op, fit_cfg.get("eps_tele", _EPS_TELE))
-    rho = fvm.stationary_density(M)
-    heat = np.column_stack([grid.centers(), rho.weights])
+    op = fvm.assemble_K(grid, model, D, report["extras"]["dt"])
+    rho = fvm.stationary_density(fvm.teleport(op, fit_cfg["eps_tele"]))
+    heat = np.column_stack([grid.centers(), rho])
     io._write_table(outdir / "density.csv",
                     [f"x{i+1}" for i in range(grid.dim)] + ["weight"], heat)
 
@@ -524,10 +527,9 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
         dt = fvm.cfl_dt(grid, diffusion, float(np.abs(
             system.rhs(grid.centers())).max()))
         op = fvm.assemble_K(grid, system, diffusion, dt)
-        M = fvm.teleport(op, eps_tele)
-        rho = fvm.stationary_density(M)
-        keep = rho.weights > 0
-        dens_cloud = SampleCloud(grid.centers()[keep], rho.weights[keep])
+        rho = fvm.stationary_density(fvm.teleport(op, eps_tele))
+        keep = rho > 0
+        dens_cloud = SampleCloud(grid.centers()[keep], rho[keep])
         w2 = wasserstein2(dens_cloud, ref, seed=seed)
         rows.append({"n_per_dim": n, "w2": float(w2)})
     w2s = [r["w2"] for r in rows]
@@ -539,6 +541,9 @@ def eval_refinement(cfg: dict, outdir: Path) -> dict:
     ev = section(cfg, "eval")
     if ev.get("max_points", 1) < 1:
         raise ConfigError(f"eval.max_points: {ev['max_points']} is below 1")
+    if "eps_tele" in ev and not 0 < ev["eps_tele"] <= 1:
+        raise ConfigError(f"eval.eps_tele: {ev['eps_tele']} is outside "
+                          "(0, 1]")
     result = vdp_refinement_study(
         **_given(ev, "grids", "diffusion", "eps_tele", "n_sde_steps",
                  "sde_dt", "max_points"), **_seed_of(cfg, ev))

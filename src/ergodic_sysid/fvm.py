@@ -5,13 +5,14 @@ advection-diffusion transport.
 grid with first-order upwind fluxes, central diffusion, and zero-flux walls
 (velocity and diffusion vanish on boundary faces). K has nonnegative
 off-diagonals and zero column sums: it generates a Markov process.
-Teleportation to the uniform restart with weight eps makes the stationary
-density unique; rho solves B rho = (eps/N) 1 with
-B = I - (1-eps)(I + K) = eps I - (1-eps) K. For eps > 0 and every dt > 0,
-B is a nonsingular M-matrix (Berman & Plemmons, Nonnegative Matrices in
-the Mathematical Sciences, 1994), so rho is positive. The CFL bound, which
-keeps I + K nonnegative, matters only to an explicit chain, and none is
-iterated here.
+Teleporting the update M = I + K to the uniform restart with weight eps
+makes the stationary density unique: rho solves B rho = (eps/N) 1 with
+B = I - (1-eps) M = eps I - (1-eps) K. ``RegularizedMarkov`` holds B and
+its sparse LU, which this stationary solve and the adjoint solve share.
+For eps > 0 and every dt > 0, B is a nonsingular M-matrix (Berman &
+Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994), so rho
+is positive. The CFL bound, which keeps I + K nonnegative, matters only to
+an explicit chain, and none is iterated here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .measure import Grid, Measure
+from .measure import Grid
 from .velocity_models import evaluate_velocity, linearize_velocity
 
 COLSUM_TOL = 1e-12
@@ -103,7 +104,6 @@ class FvmOperator:
     grid: Grid
     K: sp.csr_matrix
     dt: float
-    D: float
     face_velocities: list
     face_pullbacks: Optional[list]
 
@@ -179,68 +179,58 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
     if not colsums.max() <= COLSUM_TOL:  # a NaN sum fails this test too
         j = int(colsums.argmax())  # the first NaN, if there is one
         raise AssemblyError(j, grid.flat_to_multi(j), float(colsums[j]))
-    return FvmOperator(grid, K, dt, D, face_v, pullbacks)
+    return FvmOperator(grid, K, dt, face_v, pullbacks)
 
 
 class RegularizedMarkov:
-    """Teleported update matrix (1-eps)(I+K) + eps U, U = ones/N.
+    """B = I - (1-eps) M for a column-stochastic update M, and its LU.
 
-    Stored matrix-free as the sparse I+K plus the rank-one uniform term;
-    one application costs a sparse multiply plus a mean.
+    The teleported update (1-eps) M + (eps/N) 1 1^T has its normalized
+    fixed point where B rho = (eps/N) 1, and 1^T M = 1^T gives
+    1^T B = eps 1^T. For eps in (0, 1], B is nonsingular when M is
+    nonnegative, and for M = I + K at any dt (see the module docstring).
+    B is built once; the stationary and adjoint solves share its LU.
     """
 
-    def __init__(self, M: sp.csr_matrix, eps: float, grid: Optional[Grid]):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
-        self.M = M
+    def __init__(self, M: sp.spmatrix, eps: float):
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps = {eps} is outside (0, 1]: the chain "
+                             "needs eps > 0 for a unique fixed point")
         self.eps = eps
-        self.grid = grid
         self.n = M.shape[0]
-        self._MT = None
+        self.B = (sp.identity(self.n, format="csc")
+                  - (1.0 - eps) * M.tocsc())
         self._lu = None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (1.0 - self.eps) * (self.M @ x) + self.eps * (x.sum() / self.n)
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        if self._MT is None:
-            self._MT = self.M.T.tocsr()
-        return (1.0 - self.eps) * (self._MT @ y) \
-            + self.eps * (y.sum() / self.n)
-
     def lu(self):
-        """Sparse LU of B = I - (1-eps) M, shared by the stationary and
-        adjoint solves. Requires eps > 0 for B to be nonsingular.
+        """Sparse LU of B, computed on first use.
 
         The columns are ordered by minimum degree on the pattern of
         B^T + B: an fvm chain's B has a symmetric nearest-neighbour
         pattern, on which this ordering fills about half as much as
         scipy's default COLAMD and factorizes faster."""
-        if self.eps <= 0.0:
-            raise ValueError("direct factorization requires eps > 0")
         if self._lu is None:
-            B = (sp.identity(self.n, format="csc")
-                 - (1.0 - self.eps) * self.M.tocsc())
-            self._lu = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._lu = splu(self.B, permc_spec="MMD_AT_PLUS_A")
         return self._lu
 
 
 def teleport(op: FvmOperator, eps: float) -> RegularizedMarkov:
-    """Blend the explicit update I+K with the uniform restart matrix."""
+    """The matrix B of the explicit update I + K teleported with weight
+    eps to the uniform restart; eps must lie in (0, 1]."""
     M = (sp.identity(op.n_cells, format="csr") + op.K).tocsr()
-    return RegularizedMarkov(M, eps, op.grid)
+    return RegularizedMarkov(M, eps)
 
 
-def stationary_density(M: RegularizedMarkov) -> Measure:
-    """Normalized positive fixed point of the regularized chain.
+def stationary_density(M: RegularizedMarkov) -> np.ndarray:
+    """Weights of the normalized positive fixed point of the chain.
 
-    Solves the nonsingular sparse system (I - (1-eps) M) rho = (eps/N) 1 on
-    the LU shared with the adjoint solve, exact up to factorization
-    rounding (an iteration could pass a residual test on a slowly mixing
-    chain long before its slow modes converge). Requires eps > 0. Raises
-    ``NonConvergenceError`` if the negative entries of the solution hold
-    more than ``STATIONARY_TOL`` of its l1 mass (they are clamped to zero
-    below that), or if the l1 residual exceeds ``STATIONARY_TOL``.
+    Solves B rho = (eps/N) 1 on the LU shared with the adjoint solve,
+    exact up to factorization rounding (an iteration could pass a residual
+    test on a slowly mixing chain long before its slow modes converge).
+    Raises ``NonConvergenceError`` if the negative entries of the solution
+    hold more than ``STATIONARY_TOL`` of its l1 mass (they are clamped to
+    zero below that), or if the l1 residual of the fixed point,
+    ||eps sum(rho)/N - B rho||_1, exceeds ``STATIONARY_TOL``.
     """
     n = M.n
     rho = M.lu().solve(np.full(n, M.eps / n))
@@ -249,8 +239,7 @@ def stationary_density(M: RegularizedMarkov) -> Measure:
         raise NonConvergenceError(negative, "negative mass")
     rho = np.maximum(rho, 0.0)
     rho /= rho.sum()
-    residual = float(np.abs(M.apply(rho) - rho).sum())
+    residual = float(np.abs(M.eps * rho.sum() / n - M.B @ rho).sum())
     if residual > STATIONARY_TOL:
         raise NonConvergenceError(residual)
-    return Measure(rho, support=M.grid)
-
+    return rho

@@ -62,31 +62,20 @@ def _load_json(path) -> dict:
 
 
 def write_measure_json(path, m: Measure):
-    payload = {"weights": m.weights.tolist()}
-    if isinstance(m.support, Grid):
-        payload["grid"] = {
-            "lo": m.support.lo.tolist(),
-            "hi": m.support.hi.tolist(),
-            "n_per_dim": m.support.n_per_dim.tolist(),
-        }
-    elif isinstance(m.support, UnstructuredMesh):
-        payload["cells"] = m.support.centers.tolist()
-    else:
-        payload["cells"] = list(range(m.n))
-    _dump_json(path, payload)
+    g = m.support
+    _dump_json(path, {"weights": m.weights.tolist(),
+                      "grid": {"lo": g.lo.tolist(), "hi": g.hi.tolist(),
+                               "n_per_dim": g.n_per_dim.tolist()}})
 
 
 def read_measure_json(path) -> Measure:
+    """The grid measure in ``path``; ValueError if it names no grid."""
     blob = _load_json(path)
-    weights = np.asarray(blob["weights"], dtype=float)
-    if "grid" in blob:
-        g = blob["grid"]
-        support = Grid(g["lo"], g["hi"], g["n_per_dim"])
-    else:
-        cells = np.asarray(blob["cells"], dtype=float)
-        support = UnstructuredMesh(np.atleast_2d(cells)) \
-            if cells.ndim > 1 else tuple(blob["cells"])
-    return Measure(weights, support=support)
+    if "grid" not in blob:
+        raise ValueError(f"{path} holds no grid")
+    g = blob["grid"]
+    return Measure(blob["weights"],
+                   support=Grid(g["lo"], g["hi"], g["n_per_dim"]))
 
 
 def write_mesh_json(path, mesh: UnstructuredMesh):

@@ -164,26 +164,26 @@ def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
 
 
 def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
-                  objective: str = "l2", dt: Optional[float] = None):
+                  objective: str = "l2"):
     """The density-matching loss-and-gradient closure, and its time step.
 
-    The time step ``dt`` (``fvm.frozen_dt`` at the initial field unless
-    given) is a constant of the objective: every call assembles at it,
-    however large the field grows. Each call factorizes the teleported
-    chain once; the stationary and adjoint solves share that LU, so
-    eps_tele must be positive.
+    The time step ``dt``, ``fvm.frozen_dt`` at the initial field, is a
+    constant of the objective: every call assembles at it, however large
+    the field grows. Each call factorizes the teleported chain once; the
+    stationary and adjoint solves share that LU, so eps_tele must lie in
+    (0, 1].
     """
     if not target.support.matches(grid):
         raise ValueError("target measure does not live on the fit grid")
     obj = grid_objective(objective)
-    dt = dt or fvm.frozen_dt(grid, velocity, D)
+    dt = fvm.frozen_dt(grid, velocity, D)
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
         op = fvm.assemble_K(grid, velocity, D, dt)
         M = fvm.teleport(op, eps_tele)
         rho = fvm.stationary_density(M)
-        value, djdrho = obj(rho.weights, target.weights, grid.cell_volume)
+        value, djdrho = obj(rho, target.weights, grid.cell_volume)
         sol = adj.solve_adjoint(M, rho, djdrho)
         face_grads = adj.grad_face_velocities(op, M, rho, sol)
         grad = adj.grad_parameters(face_grads, velocity, op)

@@ -337,8 +337,8 @@ def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
     teleported by eps_tele > 0 toward the uniform restart so the fixed
     point is unique and positive; eps_tele = 0 raises ``ValueError``.
     """
-    chain = RegularizedMarkov(sp.csr_matrix(M.matrix.T), eps_tele, None)
-    return Measure(stationary_density(chain).weights, support=M.mesh)
+    chain = RegularizedMarkov(sp.csr_matrix(M.matrix.T), eps_tele)
+    return Measure(stationary_density(chain), support=M.mesh)
 
 
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,

@@ -30,27 +30,57 @@ def test_constant_sensitivity_gives_zero_multiplier():
 
 
 def test_two_cell_elimination_oracle():
-    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5, None)
+    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5)
     rho = np.array([0.5, 0.5])
     sol = solve_adjoint(M, rho, np.array([1.0, 0.0]))
     # (M^T - I) lam = (-0.5, 0.5) with gauge lam.1 = 0 solves to (1, -1)
     assert np.allclose(sol.lam, [1.0, -1.0], atol=1e-10)
 
 
-def test_random_consistent_rhs_residuals():
-    rng = np.random.default_rng(5)
+def _grid_chain(eps, seed=5):
+    """A random face-value field's chain on a 10 x 10 grid, its operator,
+    and the generator that drew it."""
+    rng = np.random.default_rng(seed)
     grid = Grid([0.0, 0.0], [1.0, 1.0], [10, 10])
     model = FaceValuesModel(grid)
     model.set_params(rng.uniform(-1, 1, size=model.n_params))
-    dt = cfl_dt(grid, 0.02, 1.0)
-    op = assemble_K(grid, model, 0.02, dt)
-    M = teleport(op, 1e-3)
+    op = assemble_K(grid, model, 0.02, cfl_dt(grid, 0.02, 1.0))
+    return op, teleport(op, eps), rng
+
+
+def test_random_consistent_rhs_residuals():
+    _, M, rng = _grid_chain(1e-3)
     rho = stationary_density(M)
     for _ in range(5):
         g = rng.standard_normal(M.n)
-        sol = solve_adjoint(M, rho, g, tol=1e-8)
+        sol = solve_adjoint(M, rho, g)
         assert sol.residual < 1e-8
         assert abs(sol.lam.sum()) < 1e-8 * M.n
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.2])
+def test_one_solve_matches_dense_bordered_system(eps):
+    # the multiplier of the teleported update M_eps = (1-eps)(I + K) +
+    # eps U: (M_eps^T - I) lambda = rhs bordered by the gauge lambda . 1 = 0
+    op, M, rng = _grid_chain(eps)
+    rho = stationary_density(M)
+    g = rng.standard_normal(M.n)
+    n = M.n
+    m_eps = (1.0 - eps) * (np.eye(n) + op.K.toarray()) + eps / n
+    bordered = np.vstack([m_eps.T - np.eye(n), np.ones((1, n))])
+    rhs = -g + g @ rho
+    oracle = np.linalg.lstsq(bordered, np.append(rhs, 0.0), rcond=None)[0]
+    lam = solve_adjoint(M, rho, g).lam
+    assert np.linalg.norm(lam - oracle) < 1e-12 * np.linalg.norm(oracle)
+
+
+def test_lu_solve_of_ones_is_scaled_density():
+    # 1^T B = eps 1^T gives B^{-1} 1 = (N/eps) rho, so the adjoint
+    # solution of a right-hand side orthogonal to rho sums to zero
+    _, M, _ = _grid_chain(1e-3)
+    rho = stationary_density(M)
+    got = M.lu().solve(np.ones(M.n))
+    assert np.allclose(got, M.n / M.eps * rho, rtol=1e-12, atol=0.0)
 
 
 def test_gauge_invariance_of_face_gradients():
@@ -97,13 +127,13 @@ def test_face_gradients_match_finite_differences(dt_factor):
         op = assemble_K(grid, model, D, dt)
         M = teleport(op, eps)
         rho = stationary_density(M)
-        return obj(rho.weights, target.weights, grid.cell_volume)[0]
+        return obj(rho, target.weights, grid.cell_volume)[0]
 
     model.set_params(theta0)
     op = assemble_K(grid, model, D, dt)
     M = teleport(op, eps)
     rho = stationary_density(M)
-    val, djdrho = obj(rho.weights, target.weights, grid.cell_volume)
+    val, djdrho = obj(rho, target.weights, grid.cell_volume)
     sol = solve_adjoint(M, rho, djdrho)
     face = grad_face_velocities(op, M, rho, sol)[0]
     h = 1e-6

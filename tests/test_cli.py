@@ -91,6 +91,13 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
 
 
+def _gridless_measure(cfg):
+    """A measure file on bare cells, in the config's output directory."""
+    path = Path(cfg["out"]) / "cells.json"
+    path.write_text(json.dumps({"weights": [0.5, 0.5], "cells": [0, 1]}))
+    return str(path)
+
+
 @pytest.mark.parametrize("key, edit, command", [
     ("system.name", lambda c: c["system"].update(name="vanderpol"),
      "simulate"),
@@ -155,6 +162,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("fit.eps_tele", lambda c: c["fit"].update(eps_tele=1.5), "fit"),
     ("fit.diffusion", lambda c: c["fit"].update(diffusion=-0.1), "fit"),
     ("eval.diffusion", lambda c: c.update(eval={"diffusion": -0.1}), "eval"),
+    ("data.diffusion", lambda c: c["data"].update(kind="sde", diffusion=-0.1),
+     "simulate"),
+    ("eval.eps_tele", lambda c: c.update(eval={"kind": "refinement",
+                                               "eps_tele": 0}), "eval"),
+    ("eval.eps_tele", lambda c: c.update(eval={"kind": "refinement",
+                                               "eps_tele": 1.5}), "eval"),
+    ("fit.target", lambda c: c["fit"].update(target=_gridless_measure(c)),
+     "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -167,7 +182,9 @@ def test_unknown_config_key_exits_2(tmp_path):
         "pfo-pou_eps-missing", "pfo-pou_eps-negative", "missing-resume_from",
         "missing-target", "eval-sim_burn_in-past-n_sim_steps",
         "fit-eps_tele-zero", "fit-eps_tele-above-one",
-        "fit-diffusion-negative", "eval-diffusion-negative"])
+        "fit-diffusion-negative", "eval-diffusion-negative",
+        "sde-diffusion-negative", "refinement-eps_tele-zero",
+        "refinement-eps_tele-above-one", "target-without-grid"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -178,6 +195,20 @@ def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, bad)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_fvm_density_eval_of_a_delay_fit_exits_2(tmp_path, capsys):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "smoke_delay.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    cfg["eval"] = {"kind": "fvm_density", "n_sim_steps": 2000}
+    cfg_path = _write(tmp_path, cfg)
+    for cmd in ("simulate", "histogram", "fit"):
+        assert main([cmd, "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path]) == 2
+    assert "eval.kind" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_pfo_fit_with_empty_source_cells_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from ergodic_sysid.systems import integrate_sde, make_system
 from ergodic_sysid.velocity_models import FaceValuesModel
 
 
-def _random_operator(rng, with_diffusion=True):
+def _random_operator(rng):
     dim = rng.integers(1, 4)
     n_per_dim = rng.integers(3, 7, size=dim)
     lo = rng.uniform(-2, 0, size=dim)
@@ -21,7 +21,7 @@ def _random_operator(rng, with_diffusion=True):
     grid = Grid(lo, hi, n_per_dim)
     model = FaceValuesModel(grid)
     model.set_params(rng.uniform(-1.5, 1.5, size=model.n_params))
-    D = rng.uniform(0.01, 0.4) if with_diffusion else 0.0
+    D = rng.uniform(0.01, 0.4)
     dt = cfl_dt(grid, D, 1.5)
     return assemble_K(grid, model, D, dt), grid
 
@@ -104,7 +104,7 @@ def test_density_at_one_teleport_rate_does_not_depend_on_dt():
     rhos = []
     for step, e in ((dt, eps), (100.0 * dt, r / (1.0 + r))):
         op = assemble_K(grid, sys, D, step)
-        rhos.append(stationary_density(teleport(op, e)).weights)
+        rhos.append(stationary_density(teleport(op, e)))
     assert 1.0 + op.K.diagonal().min() < -1.0
     assert rhos[0].min() > 0.0 and rhos[1].min() > 0.0
     assert np.abs(rhos[1] - rhos[0]).sum() < 1e-12 * rhos[0].sum()
@@ -132,52 +132,37 @@ def test_random_operators_markov_property():
         assert IK.toarray().min() >= -1e-14
 
 
-def test_teleport_identity_at_zero_eps():
-    rng = np.random.default_rng(22)
-    op, grid = _random_operator(rng)
-    M = teleport(op, 0.0)
-    x = rng.random(grid.n_cells)
-    assert np.allclose(M.apply(x), x + op.K @ x)
-
-
 def test_teleport_dense_example():
-    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5, None)
-    dense = np.column_stack([M.apply(e) for e in np.eye(2)])
+    # the teleported update I - B + (eps/N) 1 1^T of M = I at eps 0.5
+    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5)
+    dense = np.eye(2) - M.B.toarray() + M.eps / M.n
     assert np.allclose(dense, [[0.75, 0.25], [0.25, 0.75]])
-
-
-def test_teleport_strict_positivity():
-    rng = np.random.default_rng(23)
-    op, grid = _random_operator(rng, with_diffusion=False)
-    M = teleport(op, 0.05)
-    w = rng.random(grid.n_cells)
-    w /= w.sum()
-    out = M.apply(w)
-    assert out.min() > 0.0
-    assert np.isclose(out.sum(), 1.0)
 
 
 def test_teleport_eps_validated():
     rng = np.random.default_rng(24)
     op, _ = _random_operator(rng)
-    with pytest.raises(ValueError):
-        teleport(op, 1.5)
+    for eps in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            teleport(op, eps)
 
 
 def test_stationary_symmetric_two_cell():
-    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5, None)
+    M = RegularizedMarkov(sp.identity(2, format="csr"), 0.5)
     rho = stationary_density(M)
-    assert np.allclose(rho.weights, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(rho, [0.5, 0.5], atol=1e-12)
 
 
 def test_stationary_residual_postcondition():
+    # rho is the fixed point of the explicit teleported update
+    # (1-eps)(I + K) + eps U, written here from K and not from B
     rng = np.random.default_rng(25)
     op, grid = _random_operator(rng)
-    M = teleport(op, 1e-3)
-    tol = 1e-12
-    rho = stationary_density(M)
-    assert np.abs(M.apply(rho.weights) - rho.weights).sum() < tol
-    assert rho.weights.min() > 0.0
+    eps = 1e-3
+    rho = stationary_density(teleport(op, eps))
+    update = (1.0 - eps) * (rho + op.K @ rho) + eps * rho.sum() / rho.size
+    assert np.abs(update - rho).sum() < 1e-12
+    assert rho.min() > 0.0
 
 
 def test_stationary_direct_matches_power():
@@ -188,10 +173,9 @@ def test_stationary_direct_matches_power():
         op, grid = _random_operator(rng)
         M = teleport(op, eps)
         n = M.n
-        B = np.eye(n) - (1.0 - eps) * M.M.toarray()
-        oracle = np.linalg.solve(B, np.full(n, eps / n))
+        oracle = np.linalg.solve(M.B.toarray(), np.full(n, eps / n))
         b = stationary_density(M)
-        assert np.abs(oracle / oracle.sum() - b.weights).max() < 1e-9
+        assert np.abs(oracle / oracle.sum() - b).max() < 1e-9
 
 
 def test_stationary_requires_teleportation():
@@ -199,7 +183,7 @@ def test_stationary_requires_teleportation():
     # I - M is singular; the solve refuses it instead of guessing
     swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="eps > 0"):
-        stationary_density(RegularizedMarkov(swap, 0.0, None))
+        stationary_density(RegularizedMarkov(swap, 0.0))
     with pytest.raises(ValueError, match="eps > 0"):
         invariant_density(UlamMatrix(swap.toarray()), eps_tele=0.0)
 
@@ -214,7 +198,7 @@ def test_stationary_refuses_to_clamp_negative_mass():
     # not a Markov matrix: (I - M/2) rho = 1/4 has rho = (-1/8, 1/4), so a
     # third of the l1 mass is negative
     M = RegularizedMarkov(sp.csr_matrix(np.array([[0.0, -3.0],
-                                                  [0.0, 0.0]])), 0.5, None)
+                                                  [0.0, 0.0]])), 0.5)
     with pytest.raises(NonConvergenceError,
                        match="negative mass 3.333e-01") as exc:
         stationary_density(M)
@@ -236,7 +220,7 @@ def test_van_der_pol_density_concentrates_on_cycle():
     # diffusion at this resolution (~18% of the box area)
     d = np.min(np.linalg.norm(centers[:, None, :] - cycle[None, ::10, :],
                               axis=2), axis=1)
-    mass_near = rho.weights[d < 0.5].sum()
+    mass_near = rho[d < 0.5].sum()
     assert mass_near >= 0.95
 
 

@@ -59,7 +59,7 @@ def test_clip_by_global_norm():
 def _stationary_target(grid, velocity, D, eps, dt):
     """Stationary density of a field on the fit's own discretization."""
     op = assemble_K(grid, velocity, D, dt)
-    return Measure(stationary_density(teleport(op, eps)).weights, grid)
+    return Measure(stationary_density(teleport(op, eps)), grid)
 
 
 def _double_well_target(grid, D, eps):
@@ -75,7 +75,7 @@ def test_fvm_fit_zero_gradient_at_truth():
     truth.init_params(seed=1)
     dt = frozen_dt(grid, truth, D)
     target = _stationary_target(grid, truth, D, eps, dt)
-    loss_and_grad, _ = make_fvm_loss(target, truth, grid, D, eps, dt=dt)
+    loss_and_grad, _ = make_fvm_loss(target, truth, grid, D, eps)
     val, grad = loss_and_grad(truth.get_params())
     assert val < 1e-20
     assert np.linalg.norm(grad) < 1e-6 * (1 + np.linalg.norm(

@@ -69,13 +69,20 @@ def write_measure_json(path, m: Measure):
 
 
 def read_measure_json(path) -> Measure:
-    """The grid measure in ``path``; ValueError if it names no grid."""
+    """The grid measure in ``path``; ValueError if it names no grid or
+    holds no weight for each of its cells."""
     blob = _load_json(path)
     if "grid" not in blob:
         raise ValueError(f"{path} holds no grid")
+    if "weights" not in blob:
+        raise ValueError(f"{path} holds no weights")
     g = blob["grid"]
-    return Measure(blob["weights"],
-                   support=Grid(g["lo"], g["hi"], g["n_per_dim"]))
+    grid = Grid(g["lo"], g["hi"], g["n_per_dim"])
+    n = np.size(blob["weights"])
+    if n != grid.n_cells:
+        raise ValueError(f"{path} holds {n} weights for {grid.n_cells} "
+                         "grid cells")
+    return Measure(blob["weights"], support=grid)
 
 
 def write_mesh_json(path, mesh: UnstructuredMesh):

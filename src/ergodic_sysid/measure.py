@@ -16,6 +16,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 WEIGHT_TOL = 1e-12
+# Rows of x per block of the pairwise-distance kernels.
+_CHUNK = 1024
 
 
 class DomainError(ValueError):
@@ -288,11 +290,28 @@ def wasserstein2(a: SampleCloud, b: SampleCloud, n_projections: int = 64,
     return float(np.sqrt(total / n_projections))
 
 
-def _weighted_mean_distance(x, wx, y, wy, chunk: int = 1024) -> float:
+def _chunk_buffer(x, *others) -> np.ndarray:
+    """One flat buffer for the largest block of x's rows against others."""
+    return np.empty(min(x.shape[0], _CHUNK) * max(o.shape[0] for o in others))
+
+
+def _distance_blocks(x, y, buf):
+    """(rows, cdist(x[rows], y)) for each ``_CHUNK`` rows of x.
+
+    Every block is a C-contiguous view of the front of the flat ``buf``
+    (cdist rejects any other ``out``), valid until the next is yielded.
+    """
+    m = y.shape[0]
+    for start in range(0, x.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        r = x[rows].shape[0]
+        yield rows, cdist(x[rows], y, out=buf[:r * m].reshape(r, m))
+
+
+def _weighted_mean_distance(x, wx, y, wy) -> float:
     total = 0.0
-    for start in range(0, x.shape[0], chunk):
-        block = cdist(x[start:start + chunk], y)
-        total += wx[start:start + chunk] @ block @ wy
+    for rows, block in _distance_blocks(x, y, _chunk_buffer(x, y)):
+        total += wx[rows] @ block @ wy
     return float(total)
 
 
@@ -305,31 +324,28 @@ def energy_mmd(a: SampleCloud, b: SampleCloud) -> float:
     return max(cross - 0.5 * a.self_distance - 0.5 * b.self_distance, 0.0)
 
 
-def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray, y_self: float,
-                      chunk: int = 1024) -> tuple[float, np.ndarray]:
+def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
+                      y_self: float) -> tuple[float, np.ndarray]:
     """Energy MMD between uniform clouds and its gradient in the x points.
 
     ``y_self`` is E|Y - Y'| of the y cloud, which does not depend on x
     (``SampleCloud(y).self_distance``). Zero-distance pairs contribute zero
-    gradient (subgradient choice).
+    gradient (subgradient choice). The call holds one chunk buffer of
+    ``_CHUNK * max(n, m)`` floats: each block of distances, x-y and then
+    x-x, is made in it and turned into its reciprocals in place.
     """
     n, m = x.shape[0], y.shape[0]
-    val_cross = 0.0
-    val_xx = 0.0
+    buf = _chunk_buffer(x, y, x)
     grad = np.zeros_like(x)
-    for start in range(0, n, chunk):
-        xs = x[start:start + chunk]
-        dxy = cdist(xs, y)
-        val_cross += dxy.sum()
-        inv = np.divide(1.0, dxy, out=np.zeros_like(dxy), where=dxy > 0)
-        # d|x - y|/dx = (x - y)/|x - y|
-        grad[start:start + chunk] += (
-            xs * inv.sum(axis=1, keepdims=True) - inv @ y) / (n * m)
-        dxx = cdist(xs, x)
-        val_xx += dxx.sum()
-        invx = np.divide(1.0, dxx, out=np.zeros_like(dxx), where=dxx > 0)
-        grad[start:start + chunk] -= (
-            xs * invx.sum(axis=1, keepdims=True) - invx @ x) / (n * n)
-    val = val_cross / (n * m) - 0.5 * val_xx / (n * n) - 0.5 * y_self
+    sums = []
+    for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):
+        total = 0.0
+        for rows, d in _distance_blocks(x, other, buf):
+            total += d.sum()
+            np.divide(1.0, d, out=d, where=d > 0)
+            # d|x - y|/dx = (x - y)/|x - y|
+            grad[rows] += sign * (x[rows] * d.sum(axis=1, keepdims=True)
+                                  - d @ other) / pairs
+        sums.append(total)
+    val = sums[0] / (n * m) - 0.5 * sums[1] / (n * n) - 0.5 * y_self
     return float(val), grad
-

@@ -229,22 +229,30 @@ class PartitionOfUnity:
         for s in range(0, pts.shape[0], _CHUNK):
             d = cdist(pts[s:s + _CHUNK], self.centers)
             np.divide(d, self.eps, out=psi[s:s + _CHUNK])
-            kernels.append((d,) + self._weights(psi[s:s + _CHUNK]))
+            small, eu, l1 = self._weights(psi[s:s + _CHUNK])
+            # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask u <= 33,
+            # kept with the mask's flat indices; it saturates at 1 beyond.
+            kernels.append((d, np.flatnonzero(small), (eu / (1.0 + eu)) / l1))
 
         def pullback(seeds):
             seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
             out = np.empty_like(pts)
-            for k, (d, small, eu, l1) in enumerate(kernels):
+            for k, (d, masked, q) in enumerate(kernels):
                 chunk = slice(k * _CHUNK, (k + 1) * _CHUNK)
                 p, w = psi[chunk], seeds[chunk]
-                # d log r / du = -sigmoid(-u)/log1p(exp(-u)); saturates at -1.
-                q = np.ones_like(d)
-                q[small] = (eu / (1.0 + eu)) / l1
-                dbar = -(p * (w - (p * w).sum(axis=1, keepdims=True))) * q \
-                    / self.eps
-                inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
-                out[chunk] = (pts[chunk] * inv_d.sum(axis=1, keepdims=True)
-                              - inv_d @ self.centers)
+                # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d, zero
+                # at d = 0, built in one C-ordered array in place (so that
+                # t.ravel() is a view the flat mask indices address)
+                t = np.multiply(p, w, order="C")
+                np.subtract(w, t.sum(axis=1, keepdims=True), out=t)
+                t *= p
+                np.negative(t, out=t)
+                np.multiply.at(t.ravel(), masked, q)
+                t /= self.eps
+                np.divide(t, d, out=t, where=d > 0)
+                t[d == 0] = 0.0
+                out[chunk] = (pts[chunk] * t.sum(axis=1, keepdims=True)
+                              - t @ self.centers)
             return out
 
         return psi, pullback

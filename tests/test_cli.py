@@ -91,11 +91,26 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
 
 
-def _gridless_measure(cfg):
-    """A measure file on bare cells, in the config's output directory."""
-    path = Path(cfg["out"]) / "cells.json"
-    path.write_text(json.dumps({"weights": [0.5, 0.5], "cells": [0, 1]}))
+def _measure_file(cfg, blob):
+    """The measure file ``blob``, in the config's output directory."""
+    path = Path(cfg["out"]) / "target.json"
+    path.write_text(json.dumps(blob))
     return str(path)
+
+
+def _gridless_measure(cfg):
+    return _measure_file(cfg, {"weights": [0.5, 0.5], "cells": [0, 1]})
+
+
+_GRID_8X8 = {"lo": [-2.0, -3.0], "hi": [2.0, 3.0], "n_per_dim": [8, 8]}
+
+
+def _weightless_measure(cfg):
+    return _measure_file(cfg, {"grid": _GRID_8X8})
+
+
+def _short_measure(cfg):
+    return _measure_file(cfg, {"weights": [1.0 / 59] * 59, "grid": _GRID_8X8})
 
 
 @pytest.mark.parametrize("key, edit, command", [
@@ -170,6 +185,10 @@ def _gridless_measure(cfg):
                                                "eps_tele": 1.5}), "eval"),
     ("fit.target", lambda c: c["fit"].update(target=_gridless_measure(c)),
      "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=_weightless_measure(c)),
+     "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=_short_measure(c)),
+     "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -184,7 +203,8 @@ def _gridless_measure(cfg):
         "fit-eps_tele-zero", "fit-eps_tele-above-one",
         "fit-diffusion-negative", "eval-diffusion-negative",
         "sde-diffusion-negative", "refinement-eps_tele-zero",
-        "refinement-eps_tele-above-one", "target-without-grid"])
+        "refinement-eps_tele-above-one", "target-without-grid",
+        "target-without-weights", "target-weights-short-of-grid"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

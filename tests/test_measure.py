@@ -1,8 +1,11 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from ergodic_sysid import measure
 from ergodic_sysid.measure import (DomainError, Grid, Measure, SampleCloud,
                                    energy_mmd, energy_mmd_grad_x,
                                    grid_objective, occupation_measure,
@@ -216,6 +219,74 @@ def test_energy_mmd_grad_consistent():
         vp, _ = energy_mmd_grad_x(x + e, y, y_self)
         vm, _ = energy_mmd_grad_x(x - e, y, y_self)
         assert abs((vp - vm) / (2 * h) - grad[i, k]) < 1e-7
+
+
+def _dense_energy_mmd_grad_x(x, y, y_self):
+    """energy_mmd_grad_x written out in one block of each distance matrix."""
+    n, m = x.shape[0], y.shape[0]
+    val = cdist(x, y).mean() - 0.5 * cdist(x, x).mean() - 0.5 * y_self
+    grad = np.zeros_like(x)
+    for other, scale in ((y, 1.0 / (n * m)), (x, -1.0 / (n * n))):
+        d = cdist(x, other)
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+        grad += scale * (x * inv.sum(axis=1, keepdims=True) - inv @ other)
+    return val, grad
+
+
+def test_energy_mmd_grad_x_across_chunks(monkeypatch):
+    # 30 x rows in chunks of 7 (the last one partial) against 25 y points;
+    # x holds a duplicate and a copy of a y point, so both the x-y and the
+    # x-x blocks hold zero distances off the diagonal
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(30, 3))
+    y = rng.normal(size=(25, 3)) + 0.4
+    x[5] = x[0]
+    x[9] = y[3]
+    y_self = SampleCloud(y).self_distance
+    one_chunk = energy_mmd_grad_x(x, y, y_self)
+    monkeypatch.setattr(measure, "_CHUNK", 7)
+    val, grad = energy_mmd_grad_x(x, y, y_self)
+    ref_val, ref_grad = _dense_energy_mmd_grad_x(x, y, y_self)
+    assert np.all(np.isfinite(grad))
+    assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
+    assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+    assert np.isclose(val, one_chunk[0], rtol=1e-13, atol=0)
+    assert np.allclose(grad, one_chunk[1], rtol=1e-12, atol=1e-15)
+    # y longer than x: the blocks of x-y outgrow those of x-x
+    val, grad = energy_mmd_grad_x(x[:11], y, y_self)
+    ref_val, ref_grad = _dense_energy_mmd_grad_x(x[:11], y, y_self)
+    assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
+    assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+def test_weighted_energy_mmd_across_chunks(monkeypatch):
+    monkeypatch.setattr(measure, "_CHUNK", 7)
+    rng = np.random.default_rng(14)
+    a = SampleCloud(rng.normal(size=(23, 2)), rng.random(23))
+    b = SampleCloud(rng.normal(size=(17, 2)) + 0.5, rng.random(17))
+    mean = {(s, t): s.weights @ cdist(s.points, t.points) @ t.weights
+            for s in (a, b) for t in (a, b)}
+    assert np.isclose(a.self_distance, mean[a, a], rtol=1e-13, atol=0)
+    assert np.isclose(b.self_distance, mean[b, b], rtol=1e-13, atol=0)
+    dense = mean[a, b] - 0.5 * mean[a, a] - 0.5 * mean[b, b]
+    assert dense > 0.01
+    assert np.isclose(energy_mmd(a, b), dense, rtol=1e-12, atol=0)
+    assert np.isclose(energy_mmd(b, a), dense, rtol=1e-12, atol=0)
+
+
+def test_energy_mmd_grad_x_holds_one_chunk_buffer():
+    # numpy reports its data buffers to tracemalloc, so the peak counts
+    # every block and temporary of the call
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(2000, 3))
+    y = rng.normal(size=(1500, 3))
+    tracemalloc.start()
+    try:
+        energy_mmd_grad_x(x, y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1024 * 2000 * 8
 
 
 def test_subsample_stride_deterministic():

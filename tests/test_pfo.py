@@ -162,6 +162,44 @@ def test_pou_pullback_matches_fd_across_chunks(monkeypatch):
             assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
 
 
+def test_pou_pullback_on_a_centre(monkeypatch):
+    # a point on a centre (d = 0, where the pullback takes zero for that
+    # pair), 9 points in chunks of 4, far centres past the saturation u > 33
+    monkeypatch.setattr(pfo, "_CHUNK", 4)
+    rng = np.random.default_rng(43)
+    eps = 0.3
+    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
+                         [[12.0, 0.0], [0.0, -14.0]]])
+    pts = rng.uniform(-2.0, 2.0, size=(9, 2))
+    pts[6] = centers[2]
+    seeds = rng.standard_normal((9, 7))
+    pou = PartitionOfUnity(centers, eps)
+    got = pou.vjp(pts, seeds)
+    # the pullback written out densely
+    d = cdist(pts, centers)
+    small = d / eps <= 33.0
+    assert d[6, 2] == 0.0 and not small.all()
+    eu = np.exp(-d[small] / eps)
+    q = np.ones_like(d)
+    q[small] = (eu / (1.0 + eu)) / np.log1p(eu)
+    p = pou.eval(pts)
+    dbar = -(p * (seeds - (p * seeds).sum(axis=1, keepdims=True))) * q / eps
+    inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
+    want = pts * inv_d.sum(axis=1, keepdims=True) - inv_d @ centers
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    # |x - c| is symmetric about the centre, so central differences there
+    # see the same zero slope as the pullback; the kink leaves an O(h)
+    # error on that point's row, hence the smaller step
+    h = 1e-7
+    for i in range(pts.shape[0]):
+        for k in range(2):
+            e = np.zeros_like(pts)
+            e[i, k] = h
+            fd = ((pou.eval(pts + e) * seeds).sum()
+                  - (pou.eval(pts - e) * seeds).sum()) / (2 * h)
+            assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
+
+
 def test_pou_pullback_is_zero_at_zero_eps():
     rng = np.random.default_rng(41)
     pts = rng.normal(size=(9, 2))
@@ -185,6 +223,23 @@ def test_pou_eval_builds_the_kernel_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 4.75 * n_points * n_cells * 8
+
+
+def test_pou_pullback_builds_dbar_in_place():
+    # every centre within u <= 33 of every point, as in the eval test above
+    rng = np.random.default_rng(44)
+    n_points, n_cells = 4000, 400
+    pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
+    pts = rng.random((n_points, 2))
+    seeds = rng.standard_normal((n_points, n_cells))
+    _, pullback = pou.linearize(pts)
+    tracemalloc.start()
+    try:
+        pullback(seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_points * n_cells * 8
 
 
 def test_estimate_identity_map():

@@ -12,7 +12,7 @@ from .fvm import (FvmOperator, RegularizedMarkov, cfl_dt, assemble_K,
                   teleport, stationary_density)
 from .adjoint import (AdjointSolution, solve_adjoint, grad_face_velocities,
                       grad_parameters)
-from .velocity_models import MlpModel, FaceValuesModel, MaskedVelocity
+from .velocity_models import MlpModel, FaceValuesModel
 from .pfo import (UnstructuredMesh, PartitionOfUnity, UlamMatrix, build_mesh,
                   estimate_markov, invariant_density)
 from .delay import DelayMapConfig, delay_embed, pushforward_delay_measure

@@ -24,13 +24,13 @@ SCHEMA = {
     },
     "data": {
         "kind": str,          # ode | sde | map
-        "x0": (list, str),
+        "x0": list,
         "dt": _NUM,
         "n_steps": int,
         "substeps": int,
         "diffusion": _NUM,
         "burn_in": int,
-        "seed": int,
+        "seed": int,          # noise of the sde kind
     },
     "grid": {
         "lo": list,
@@ -47,14 +47,11 @@ SCHEMA = {
     },
     "model": {
         "hidden": list,
-        "init": str,
         "seed": int,
-        "mask_learned": list,
-        "whiten": bool,
     },
     "fit": {
         "driver": str,        # fvm | pfo | delay
-        "objective": str,
+        "objective": str,     # l2 | kl
         "lr": _NUM,
         "n_iters": int,
         "eps_tele": _NUM,
@@ -62,7 +59,7 @@ SCHEMA = {
         "flow_dt": _NUM,
         "substeps": int,
         "n_sources": int,
-        "loss": str,
+        "loss": str,          # j1 | j2
         "m": int,
         "lag": int,
         "observable": int,

@@ -22,7 +22,7 @@ from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo, has_delay_term
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
                       integrate_ode, integrate_sde, iterate_map_batch,
                       make_system)
-from .velocity_models import MaskedVelocity, MlpModel
+from .velocity_models import MlpModel
 
 log = logging.getLogger("ergodic_sysid")
 
@@ -128,33 +128,42 @@ def generate_trajectory(cfg: dict) -> Trajectory:
     data = section(cfg, "data")
     system = _system_of(cfg)
     kind = data.get("kind", "ode")
-    burn = data.get("burn_in", 0)
+    if kind not in ("ode", "sde", "map"):
+        raise ConfigError(f"data.kind: unknown data kind {kind!r}")
+    is_map = isinstance(system, DiscreteMap)
+    if (kind == "map") != is_map:
+        raise ConfigError(
+            f"data.kind: {kind!r} does not apply to {system.name}; expected "
+            + ("'map'" if is_map else "'ode' or 'sde'"))
+    x0 = _checked("data.x0", np.asarray, data["x0"], dtype=float)
+    if x0.shape != (system.dim,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"data.x0: expected {system.dim} finite numbers, "
+                          f"got {data['x0']}")
     n_steps = data["n_steps"]
-    seed = _seed_of(cfg, data).get("seed", 0)
-    x0 = data.get("x0", "auto")
-    if isinstance(x0, str):
-        if not isinstance(system, DiscreteMap):
-            raise ConfigError("x0 'auto' is only supported for maps")
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(system.lo, system.hi)
-    x0 = np.asarray(x0, dtype=float)
+    if n_steps < 1:
+        raise ConfigError(f"data.n_steps: {n_steps} is below 1")
+    burn = data.get("burn_in", 0)
+    if burn < 0:
+        raise ConfigError(f"data.burn_in: {burn} is negative")
     if kind == "map":
-        traj = Trajectory(iterate_map_batch(system, x0, n_steps + burn), 0.0)
-    elif kind == "ode":
-        traj = integrate_ode(system, x0, data["dt"], n_steps + burn,
-                             **_given(data, "substeps"))
+        dt = 0.0
+        states = iterate_map_batch(system, x0, n_steps + burn)
+    else:
+        dt = data["dt"]
+        if not dt > 0:
+            raise ConfigError(f"data.dt: {dt} must be positive")
+    if kind == "ode":
+        if data.get("substeps", 1) < 1:
+            raise ConfigError(f"data.substeps: {data['substeps']} is below 1")
+        states = integrate_ode(system, x0, dt, n_steps + burn,
+                               **_given(data, "substeps")).states
     elif kind == "sde":
         D = data.get("diffusion", 0.0)
         if not D >= 0:
             raise ConfigError(f"data.diffusion: {D} must be nonnegative")
-        traj = Trajectory(integrate_sde(system, D, x0, data["dt"],
-                                        n_steps + burn, seed=seed),
-                          data["dt"])
-    else:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    if burn:
-        traj = Trajectory(traj.states[burn:], traj.dt)
-    return traj
+        seed = _seed_of(cfg, data).get("seed", 0)
+        states = integrate_sde(system, D, x0, dt, n_steps + burn, seed=seed)
+    return Trajectory(states[burn:], dt)
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> dict:
@@ -211,42 +220,38 @@ def cmd_histogram(cfg: dict, outdir: Path) -> dict:
 # model construction
 
 
-def _fd_velocity_stats(traj: Trajectory, columns) -> tuple:
-    diffs = (traj.states[1:] - traj.states[:-1]) / max(traj.dt, 1e-12)
-    sel = diffs[:, columns]
-    return sel.mean(axis=0), np.maximum(sel.std(axis=0), 1e-8)
+def _fd_velocity_stats(traj: Trajectory) -> tuple:
+    # Column-major, so that numpy sums each component pairwise along
+    # contiguous memory rather than row by row.
+    diffs = np.asfortranarray(
+        (traj.states[1:] - traj.states[:-1]) / max(traj.dt, 1e-12))
+    return diffs.mean(axis=0), np.maximum(diffs.std(axis=0), 1e-8)
 
 
 def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
-    """Build the velocity/map model named by the config.
+    """The Xavier-initialised MLP of the config's model section, from
+    dim_in states to dim_in values.
 
-    Whitening affines are frozen from the observed data (state statistics
-    on the input side; finite-difference velocity or state statistics on
-    the output side depending on purpose).
+    With a trajectory, its fixed whitening affines are frozen from the
+    data: the input side from the state statistics, the output side from
+    the finite-difference velocity statistics, or from the state
+    statistics when ``purpose`` is "map". Without one (an fvm fit of an
+    external target), both affines are the identity.
     """
     model_cfg = section(cfg, "model", required=False)
     hidden = [int(h) for h in model_cfg.get("hidden", [64, 64])]
-    learned = model_cfg.get("mask_learned")
-    whiten = model_cfg.get("whiten", True)
-    out_dim = len(learned) if learned is not None else dim_in
     in_shift = in_scale = out_shift = out_scale = None
-    if whiten and traj is not None:
+    if traj is not None:
         in_shift = traj.states.mean(axis=0)
         in_scale = np.maximum(traj.states.std(axis=0), 1e-8)
-        cols = learned if learned is not None else list(range(dim_in))
         if purpose == "map":
-            out_shift, out_scale = in_shift[cols], in_scale[cols]
+            out_shift, out_scale = in_shift, in_scale
         else:
-            out_shift, out_scale = _fd_velocity_stats(traj, cols)
-    mlp = MlpModel([dim_in] + hidden + [out_dim], in_shift, in_scale,
+            out_shift, out_scale = _fd_velocity_stats(traj)
+    mlp = MlpModel([dim_in] + hidden + [dim_in], in_shift, in_scale,
                    out_shift, out_scale)
-    _checked("model.init", mlp.init_params, **_given(model_cfg, "init"),
-             **_seed_of(cfg, model_cfg))
-    if learned is None:
-        return mlp
-    system = _system_of(cfg)
-    return MaskedVelocity(mlp, learned, system.rhs, system.jac_vjp,
-                          dim=dim_in)
+    mlp.init_params(**_seed_of(cfg, model_cfg))
+    return mlp
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +298,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         report = fit_fvm(target, model, grid, D=D, eps_tele=eps_tele,
                          **_given(fit_cfg, "objective"), **common)
     elif driver == "pfo":
+        if fit_cfg.get("substeps", 1) < 1:
+            raise ConfigError(
+                f"fit.substeps: {fit_cfg['substeps']} is below 1")
         traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
         build_cloud = _checked(
@@ -339,25 +347,12 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         raise ConfigError(f"unknown fit driver {driver!r}")
 
     io.write_report_json(outdir / "report.json", report)
-    inner = model.inner if isinstance(model, MaskedVelocity) else model
-    io.write_checkpoint(outdir / "model.json", inner.checkpoint())
+    io.write_checkpoint(outdir / "model.json", model.checkpoint())
     log.info("fit %s: %d iterations, final loss %s", driver,
              len(report.loss_history), report.final_loss)
     return {"report": str(outdir / "report.json"),
             "final_loss": report.final_loss,
             "n_iters": len(report.loss_history)}
-
-
-def _rebuild_fit_model(cfg: dict, outdir: Path, dim: int):
-    """Model with trained parameters from model.json, mask reapplied."""
-    blob = io.read_checkpoint(outdir / "model.json")
-    inner = io.load_model(blob)
-    learned = section(cfg, "model", required=False).get("mask_learned")
-    if learned is None:
-        return inner
-    system = _system_of(cfg)
-    return MaskedVelocity(inner, learned, system.rhs, system.jac_vjp,
-                          dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
         raise ConfigError(f"eval.kind: fvm_density evaluates an fvm fit, "
                           f"and {outdir / 'report.json'} holds a "
                           f"{fit_cfg['driver']} fit")
-    model = _rebuild_fit_model(cfg, outdir, traj.dim)
+    model = io.load_model(io.read_checkpoint(outdir / "model.json"))
     D = ev.get("diffusion", fit_cfg["D"])
     seed = _seed_of(cfg, ev).get("seed", 1)
     starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .measure import Grid
-from .velocity_models import evaluate_velocity, linearize_velocity
+from .velocity_models import linearize_velocity
 
 COLSUM_TOL = 1e-12
 STATIONARY_TOL = 1e-9  # bound on the l1 fixed-point residual of rho
@@ -84,8 +84,8 @@ def frozen_dt(grid: Grid, velocity, D: float) -> float:
     if hasattr(velocity, "face_arrays"):
         v_inf = max(float(np.abs(a).max()) for a in velocity.face_arrays())
     else:
-        v_inf = float(np.abs(evaluate_velocity(velocity,
-                                               grid.centers())).max())
+        v_inf = float(np.abs(linearize_velocity(velocity,
+                                                grid.centers())[0]).max())
     return cfl_dt(grid, D, max(v_inf, 1e-9)) * 0.5
 
 

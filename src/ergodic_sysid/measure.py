@@ -1,9 +1,9 @@
 """Discrete and empirical probability measures over box grids.
 
-Contains the occupation-measure histogram, the grid objectives (L2,
-quadratic, KL) that the stationary-density fit matches, the sliced
-Wasserstein-2 distance used as an error metric, and the energy-distance MMD
-used for sample-cloud comparison.
+Contains the occupation-measure histogram, the grid objectives (L2, KL)
+that the stationary-density fit matches, the sliced Wasserstein-2 distance
+used as an error metric, and the energy-distance MMD used for sample-cloud
+comparison.
 """
 
 from __future__ import annotations
@@ -235,11 +235,6 @@ def grid_objective(name: str):
             diff = w - t
             return float(diff @ diff / (2.0 * vol)), diff / vol
         return l2
-    if name == "quadratic":
-        def quad(w, t, vol):
-            diff = w - t
-            return float(0.5 * diff @ diff), diff.copy()
-        return quad
     if name == "kl":
         def kl(w, t, vol):
             mask = (w > 0) & (t > 0)
@@ -248,7 +243,7 @@ def grid_objective(name: str):
             grad[mask] = -t[mask] / w[mask]
             return val, grad
         return kl
-    raise ValueError(f"unknown objective {name!r}")
+    raise ValueError(f"unknown objective {name!r}; expected 'l2' or 'kl'")
 
 
 def _quantile_w2_squared(xa, wa, xb, wb) -> float:

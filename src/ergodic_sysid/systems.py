@@ -149,6 +149,8 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.dim,):
         raise ValueError(f"x0 must have shape ({sys.dim},)")

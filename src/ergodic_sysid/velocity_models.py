@@ -93,13 +93,8 @@ class MlpModel(_Parameterized):
     def dim_out(self) -> int:
         return self.layer_sizes[-1]
 
-    def init_params(self, init: str = "xavier", seed: int = 0) -> np.ndarray:
-        """Xavier-uniform weights with zero biases, or all zeros."""
-        if init == "zeros":
-            self.theta = np.zeros_like(self.theta)
-            return self.get_params()
-        if init != "xavier":
-            raise ValueError(f"unknown init scheme {init!r}")
+    def init_params(self, seed: int = 0) -> np.ndarray:
+        """Xavier-uniform weights with zero biases."""
         rng = np.random.default_rng(seed)
         theta = np.zeros_like(self.theta)
         for wsl, bsl, nin, nout in self._slices:
@@ -190,89 +185,15 @@ class FaceValuesModel(_Parameterized):
         return [self.theta[i * n:(i + 1) * n] for i in range(self.grid.dim)]
 
 
-class MaskedVelocity:
-    """Learn a subset of the velocity components, pin the rest.
-
-    Pinned components come from a known reference field; its vector-Jacobian
-    product is only needed when flow maps of the combined field are
-    differentiated with respect to the state.
-    """
-
-    def __init__(self, inner, learned, reference_rhs, reference_jac_vjp=None,
-                 dim=None):
-        self.inner = inner
-        self.learned = np.asarray(sorted(learned), dtype=int)
-        self.reference_rhs = reference_rhs
-        self.reference_jac_vjp = reference_jac_vjp
-        self.dim = dim if dim is not None else inner.dim_in
-        if inner.dim_out != self.learned.size:
-            raise ValueError("inner model must output one value per "
-                             "learned component")
-
-    @property
-    def dim_in(self) -> int:
-        return self.dim
-
-    @property
-    def dim_out(self) -> int:
-        return self.dim
-
-    @property
-    def n_params(self) -> int:
-        return self.inner.n_params
-
-    def get_params(self):
-        return self.inner.get_params()
-
-    def set_params(self, theta):
-        self.inner.set_params(theta)
-
-    def eval_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.asarray(self.reference_rhs(X), dtype=float).copy()
-        out[:, self.learned] = self.inner.eval_batch(X)
-        return out
-
-    def linearize(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.asarray(self.reference_rhs(X), dtype=float).copy()
-        values, inner_pullback = self.inner.linearize(X)
-        out[:, self.learned] = values
-
-        def pullback(seeds, need_x: bool = False):
-            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-            grad, x_grad = inner_pullback(seeds[:, self.learned], need_x)
-            if need_x:
-                if self.reference_jac_vjp is None:
-                    raise ValueError("reference_jac_vjp required for input "
-                                     "gradients of a masked field")
-                pinned = seeds.copy()
-                pinned[:, self.learned] = 0.0
-                x_grad = x_grad + self.reference_jac_vjp(X, pinned)
-            return grad, x_grad
-
-        return out, pullback
-
-
-def evaluate_velocity(velocity, X) -> np.ndarray:
-    """Evaluate a model, an OdeSystem, or a bare callable at points X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if hasattr(velocity, "eval_batch"):
-        return np.asarray(velocity.eval_batch(X))
-    if hasattr(velocity, "rhs"):
-        return np.asarray(velocity.rhs(X))
-    return np.asarray(velocity(X))
-
-
 def linearize_velocity(velocity, X):
-    """Values of a velocity at points X and their pullback.
+    """Values of a model or an OdeSystem at points X and their pullback.
 
-    The pullback is None for a field without ``linearize`` (an OdeSystem
-    or a bare callable): it has no parameters to differentiate.
+    The pullback is None for an OdeSystem: it has no parameters to
+    differentiate.
     """
     if hasattr(velocity, "linearize"):
         return velocity.linearize(X)
-    return evaluate_velocity(velocity, X), None
+    return velocity.rhs(X), None
 
 
 def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
@@ -285,6 +206,8 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
     pullback reverses through the stage pullbacks it kept; only the
     pullback needs a velocity that has ``linearize``.
     """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     x = np.atleast_2d(np.asarray(X, dtype=float)).copy()
     h = dt / substeps
     stages = []  # the pullbacks of the four stages of every substep

@@ -1,18 +1,23 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodic_sysid
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
 from ergodic_sysid.config import validate_config
 from ergodic_sysid.experiments import _max_box_escape
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
-from ergodic_sysid.systems import Trajectory, make_system, integrate_ode
+from ergodic_sysid.systems import (Trajectory, integrate_ode, integrate_sde,
+                                   iterate_map_batch, make_system)
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -53,6 +58,58 @@ def test_simulate_deterministic_bytes(tmp_path):
     first = (tmp_path / "run" / "trajectory.csv").read_bytes()
     assert main(["simulate", "--config", cfg_path]) == 0
     assert (tmp_path / "run" / "trajectory.csv").read_bytes() == first
+
+
+def test_simulate_map_writes_the_iterates_after_burn_in(tmp_path):
+    cfg = {"seed": 0, "out": str(tmp_path / "run"),
+           "system": {"name": "torus_rotation",
+                      "params": {"alpha": 0.31, "beta": 0.17}},
+           "data": {"kind": "map", "x0": [0.1, 0.7], "n_steps": 50,
+                    "burn_in": 7}}
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    traj = io.read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
+    orbit = iterate_map_batch(make_system("torus_rotation", alpha=0.31,
+                                          beta=0.17), np.array([0.1, 0.7]),
+                              57)
+    assert np.array_equal(traj.states, orbit[7:])
+    assert traj.dt == 0.0
+
+
+def test_simulate_sde_writes_the_euler_maruyama_path(tmp_path):
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg["data"].update(kind="sde", diffusion=0.1, dt=0.01, n_steps=300,
+                       burn_in=20, seed=4)
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    traj = io.read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
+    path = integrate_sde(make_system("van_der_pol", c=1.0), 0.1, [1.5, 0.0],
+                         0.01, 320, seed=4)
+    assert np.array_equal(traj.states, path[20:])
+
+
+def test_cli_module_exit_codes_as_a_process(tmp_path):
+    # runs ``python -m ergodic_sysid.cli``, so the ``sys.exit(main())``
+    # wiring is what sets each exit code
+    src = Path(ergodic_sysid.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def simulate(edit):
+        cfg = _smoke_config(str(tmp_path / "run"))
+        edit(cfg["data"])
+        return subprocess.run(
+            [sys.executable, "-m", "ergodic_sysid.cli", "simulate",
+             "--config", _write(tmp_path, cfg)],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    ok = simulate(lambda data: None)
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["n_samples"] == 301
+    unknown = simulate(lambda data: data.update(step_count=10))
+    assert unknown.returncode == 2
+    assert "data.step_count: unknown key" in unknown.stderr
+    blowup = simulate(lambda data: data.update(x0=[1e6, 1e6]))
+    assert blowup.returncode == 3
+    assert "non-finite state at step 1" in blowup.stderr
 
 
 def test_simulate_lorenz96_dimension(tmp_path):
@@ -189,6 +246,26 @@ def _short_measure(cfg):
      "fit"),
     ("fit.target", lambda c: c["fit"].update(target=_short_measure(c)),
      "fit"),
+    ("model.mask_learned", lambda c: c["model"].update(mask_learned=[0]),
+     "fit"),
+    ("model.whiten", lambda c: c["model"].update(whiten=False), "fit"),
+    ("fit.objective", lambda c: c["fit"].update(objective="quadratic"),
+     "fit"),
+    ("data.x0", lambda c: c["data"].update(x0="auto"), "simulate"),
+    ("data.x0", lambda c: c["data"].update(x0=[1.5]), "simulate"),
+    ("data.substeps", lambda c: c["data"].update(substeps=-1), "simulate"),
+    ("data.substeps", lambda c: c["data"].update(substeps=0), "simulate"),
+    ("fit.substeps", lambda c: (c.update(mesh={"n_cells": 4,
+                                               "pou_eps": 0.05}),
+                                c["fit"].update(driver="pfo", substeps=0)),
+     "fit"),
+    ("data.n_steps", lambda c: c["data"].update(n_steps=0), "simulate"),
+    ("data.burn_in", lambda c: c["data"].update(burn_in=-5), "simulate"),
+    ("data.kind", lambda c: c["data"].update(kind="map"), "simulate"),
+    ("data.kind", lambda c: c.update(system={"name": "torus_rotation"}),
+     "simulate"),
+    ("data.kind", lambda c: c["data"].update(kind="pde"), "simulate"),
+    ("data.dt", lambda c: c["data"].update(dt=0), "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -204,7 +281,12 @@ def _short_measure(cfg):
         "fit-diffusion-negative", "eval-diffusion-negative",
         "sde-diffusion-negative", "refinement-eps_tele-zero",
         "refinement-eps_tele-above-one", "target-without-grid",
-        "target-without-weights", "target-weights-short-of-grid"])
+        "target-without-weights", "target-weights-short-of-grid",
+        "model-mask_learned", "model-whiten", "fit-objective-quadratic",
+        "data-x0-auto", "data-x0-wrong-length", "data-substeps-negative",
+        "data-substeps-zero", "fit-substeps-zero", "data-n_steps-zero",
+        "data-burn_in-negative", "map-kind-of-an-ode", "ode-kind-of-a-map",
+        "data-kind-unknown", "data-dt-zero"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

@@ -309,7 +309,7 @@ def test_grid_objective_gradients():
     t = rng.random(12)
     t /= t.sum()
     vol = 0.37
-    for name in ("l2", "quadratic", "kl"):
+    for name in ("l2", "kl"):
         obj = grid_objective(name)
         val, grad = obj(w, t, vol)
         for _ in range(10):

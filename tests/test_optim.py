@@ -13,8 +13,13 @@ from ergodic_sysid.optim import (AdamState, adam_step, clip_by_global_norm,
                                  fit_pfo, make_delay_loss, make_fvm_loss,
                                  make_pfo_loss)
 from ergodic_sysid.pfo import PartitionOfUnity, build_mesh, estimate_markov
-from ergodic_sysid.systems import integrate_ode, make_system
+from ergodic_sysid.systems import OdeSystem, integrate_ode, make_system
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
+
+
+def _field(fn, dim=2):
+    """The field of an array function, as an OdeSystem the drivers take."""
+    return OdeSystem("field", dim, {}, fn)
 
 
 def _flowmap(velocity, mesh, pou, sources, flow_dt, substeps=1):
@@ -64,7 +69,7 @@ def _stationary_target(grid, velocity, D, eps, dt):
 
 def _double_well_target(grid, D, eps):
     # the field v(x) = x - x^3
-    return _stationary_target(grid, lambda X: X - X**3, D, eps,
+    return _stationary_target(grid, _field(lambda X: X - X**3, 1), D, eps,
                               cfl_dt(grid, D, 4.0))
 
 
@@ -130,7 +135,7 @@ def _wrap_system(sys):
         def get_params(self):
             return np.zeros(0)
 
-        def eval_batch(self, X):
+        def rhs(self, X):
             return sys.rhs(X)
 
     return _Wrapper()
@@ -212,7 +217,7 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
     src = SampleCloud(rng.normal(size=(120, 2)))
     mesh = build_mesh(src, 4, seed=10)
     pou = PartitionOfUnity(mesh.centers, 0.7)
-    rot = lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1)
+    rot = _field(lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1))
     target_m = _flowmap(rot, mesh, pou, src, 0.1)
     mlp2 = MlpModel([2, 6, 2])
     mlp2.init_params(seed=11)

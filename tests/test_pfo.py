@@ -12,8 +12,14 @@ from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
                                PartitionOfUnity, UlamMatrix,
                                UnstructuredMesh, build_mesh, estimate_markov,
                                flowmap_markov_grad, invariant_density)
-from ergodic_sysid.systems import IntegrationBlowupError, make_system
+from ergodic_sysid.systems import (IntegrationBlowupError, OdeSystem,
+                                   make_system)
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
+
+
+def _field(fn, dim=2):
+    """The field of an array function, as an OdeSystem the drivers take."""
+    return OdeSystem("field", dim, {}, fn)
 
 
 def _flowmap(velocity, mesh, pou, sources, flow_dt, substeps=1):
@@ -328,7 +334,7 @@ def test_flowmap_zero_velocity_is_identity():
     mesh = build_mesh(SampleCloud(x), 5, seed=17)
     pou = PartitionOfUnity(mesh.centers, 0.0)
     mlp = MlpModel([2, 4, 2])
-    mlp.init_params("zeros")
+    mlp.set_params(np.zeros(mlp.n_params))
     M = _flowmap(mlp, mesh, pou, SampleCloud(x), 0.05)
     assert np.allclose(M.matrix, np.eye(5))
 
@@ -338,7 +344,7 @@ def test_flowmap_gradient_matches_fd():
     x = SampleCloud(rng.normal(size=(150, 2)))
     mesh = build_mesh(x, 5, seed=19)
     pou = PartitionOfUnity(mesh.centers, 0.6)
-    rot = lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1)
+    rot = _field(lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1))
     target = _flowmap(rot, mesh, pou, x, 0.1, substeps=2)
     mlp = MlpModel([2, 6, 2])
     mlp.init_params(seed=20)
@@ -364,7 +370,7 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
     x = SampleCloud(rng.normal(size=(120, 2)))
     mesh = build_mesh(x, 6, seed=44)
     pou = PartitionOfUnity(mesh.centers, 0.5)
-    target = _flowmap(lambda z: -z, mesh, pou, x, 0.1)
+    target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=45)
     calls = []
@@ -388,7 +394,7 @@ def test_flowmap_gradient_blowup_raises():
     x = SampleCloud(rng.normal(size=(60, 2)))
     mesh = build_mesh(x, 4, seed=26)
     pou = PartitionOfUnity(mesh.centers, 0.5)
-    target = _flowmap(lambda z: -z, mesh, pou, x, 0.1)
+    target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2], out_scale=1e16)
     mlp.init_params(seed=27)
     with pytest.raises(IntegrationBlowupError):
@@ -399,7 +405,7 @@ def test_larger_eps_smooths_loss_landscape():
     rng = np.random.default_rng(21)
     x = SampleCloud(rng.normal(size=(200, 2)))
     mesh = build_mesh(x, 12, seed=22)
-    rot = lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1)
+    rot = _field(lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1))
     mlp = MlpModel([2, 8, 2])
     mlp.init_params(seed=23)
     theta0 = mlp.get_params()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ergodic_sysid.measure import Grid
-from ergodic_sysid.systems import make_system
-from ergodic_sysid.velocity_models import (FaceValuesModel, MaskedVelocity,
-                                           MlpModel, flow_rk4_vjp)
+from ergodic_sysid.systems import integrate_ode, make_system
+from ergodic_sysid.velocity_models import (FaceValuesModel, MlpModel,
+                                           flow_rk4_vjp)
 
 
 def _grad_check(model, x, seeds, rtol=1e-6):
@@ -28,7 +28,7 @@ def _grad_check(model, x, seeds, rtol=1e-6):
 
 def test_zero_weights_zero_output():
     mlp = MlpModel([2, 8, 2])
-    mlp.init_params("zeros")
+    mlp.set_params(np.zeros(mlp.n_params))
     assert np.all(mlp.eval_batch(np.random.default_rng(0).normal(
         size=(5, 2))) == 0.0)
 
@@ -113,38 +113,6 @@ def test_init_deterministic_and_xavier_variance():
     w1 = t1[:64 * 64]
     target = 2.0 / (64 + 64)
     assert abs(w1.var() / target - 1.0) < 0.2
-    assert np.all(mlp.init_params("zeros") == 0.0)
-
-
-def test_masked_velocity_pins_reference():
-    sys = make_system("lorenz63")
-    inner = MlpModel([3, 4, 1])
-    inner.init_params("zeros")
-    masked = MaskedVelocity(inner, [0], sys.rhs, sys.jac_vjp)
-    x = np.random.default_rng(10).normal(size=(5, 3))
-    out = masked.eval_batch(x)
-    ref = sys.rhs(x)
-    assert np.allclose(out[:, 0], 0.0)
-    assert np.allclose(out[:, 1:], ref[:, 1:])
-
-
-def test_masked_velocity_gradients():
-    sys = make_system("lorenz63")
-    inner = MlpModel([3, 6, 1])
-    inner.init_params(seed=12)
-    masked = MaskedVelocity(inner, [0], sys.rhs, sys.jac_vjp)
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(4, 3))
-    seeds = rng.normal(size=(4, 3))
-    _grad_check(masked, x, seeds)
-    _, xg = masked.linearize(x)[1](seeds, need_x=True)
-    h = 1e-6
-    for i, k in [(0, 0), (2, 1), (3, 2)]:
-        e = np.zeros_like(x)
-        e[i, k] = h
-        fd = ((masked.eval_batch(x + e) * seeds).sum()
-              - (masked.eval_batch(x - e) * seeds).sum()) / (2 * h)
-        assert abs(fd - xg[i, k]) / max(abs(fd), 1e-9) < 1e-5
 
 
 def test_face_values_model_round_trip():
@@ -162,13 +130,23 @@ def test_face_values_model_round_trip():
 
 
 def test_flow_rk4_matches_integrator():
-    from ergodic_sysid.systems import integrate_ode
     sys = make_system("van_der_pol", c=1.0)
     x0 = np.array([[1.0, 0.3], [-0.5, 0.8]])
     flowed, _ = flow_rk4_vjp(sys, x0, 0.3, substeps=6)
     for i in range(2):
         traj = integrate_ode(sys, x0[i], 0.05, 6)
         assert np.allclose(flowed[i], traj.states[-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+@pytest.mark.parametrize("flow", [
+    lambda sys, x0, s: integrate_ode(sys, x0, 0.3, 5, substeps=s),
+    lambda sys, x0, s: flow_rk4_vjp(sys, x0, 0.3, substeps=s)],
+    ids=["integrate_ode", "flow_rk4_vjp"])
+def test_substeps_below_one_raise(flow, substeps):
+    # -1 would step backwards in time and 0 would divide by zero
+    with pytest.raises(ValueError, match="substeps must be at least 1"):
+        flow(make_system("van_der_pol"), np.array([1.0, 0.3]), substeps)
 
 
 def test_flow_rk4_vjp_finite_difference():

@@ -29,6 +29,11 @@ log = logging.getLogger("ergodic_sysid")
 # fit.eps_tele when the config does not set it
 _EPS_TELE = 1e-4
 
+# data keys that a data kind does not read. data.seed on "ode" and
+# data.substeps on "sde" are left out: configs in use set them.
+_UNREAD_DATA_KEYS = {"ode": ("diffusion",),
+                     "map": ("diffusion", "dt", "substeps")}
+
 # Independent Euler-Maruyama paths stepped as one batch by the fvm eval and
 # the refinement study. One path pays numpy dispatch on every step of a
 # batch-1 model call; 8 to 32 paths all cost about the same on the bench's
@@ -60,6 +65,14 @@ def _system_of(cfg: dict):
         raise ConfigError(f"system.name: {exc.args[0]}")
     except TypeError as exc:
         raise ConfigError(f"system.params: {exc}")
+
+
+def _reject_unread(sec, keys, reader: str):
+    """A config error on the first of ``keys`` that the section sets,
+    although ``reader`` (the data kind or fit driver) does not read it."""
+    for key in keys:
+        if key in sec:
+            raise ConfigError(f"{sec.name}.{key}: {reader} does not read it")
 
 
 def _checked(key: str, call, *args, **kwargs):
@@ -135,6 +148,8 @@ def generate_trajectory(cfg: dict) -> Trajectory:
         raise ConfigError(
             f"data.kind: {kind!r} does not apply to {system.name}; expected "
             + ("'map'" if is_map else "'ode' or 'sde'"))
+    _reject_unread(data, _UNREAD_DATA_KEYS.get(kind, ()),
+                   f"data.kind {kind!r}")
     x0 = _checked("data.x0", np.asarray, data["x0"], dtype=float)
     if x0.shape != (system.dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"data.x0: expected {system.dim} finite numbers, "
@@ -280,6 +295,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
         resume=resume)
 
+    if driver in ("fvm", "delay"):
+        _reject_unread(fit_cfg, ("substeps", "flow_dt", "n_sources"),
+                       f"the {driver} driver")
     if driver == "fvm":
         if "objective" in fit_cfg:
             _checked("fit.objective", grid_objective, fit_cfg["objective"])

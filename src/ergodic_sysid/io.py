@@ -112,9 +112,13 @@ def write_ulam_matrix(path, M: UlamMatrix):
         line = "%d %d " + FLOAT_FMT + "\n"
         for s in range(0, coo.nnz, _WRITE_BLOCK):
             block = slice(s, s + _WRITE_BLOCK)
-            fh.write("".join([line % entry for entry in zip(
-                coo.row[block].tolist(), coo.col[block].tolist(),
-                coo.data[block].tolist())]))
+            rows = coo.row[block].tolist()
+            # one % of the block's repeated line on its (row, col, value)s
+            entries = [None] * (3 * len(rows))
+            entries[0::3] = rows
+            entries[1::3] = coo.col[block].tolist()
+            entries[2::3] = coo.data[block].tolist()
+            fh.write(line * len(rows) % tuple(entries))
 
 
 def read_ulam_matrix(path) -> UlamMatrix:

@@ -39,6 +39,10 @@ ROWSUM_TOL = 1e-12
 _CHUNK = 16384
 # Relative gap below which the kd-tree's two nearest centers count as tied.
 NEAR_TIE_RTOL = 1e-9
+# Relative margin by which build_mesh's distance bounds must separate a
+# point's own centre from the others before Lloyd skips its query: far above
+# NEAR_TIE_RTOL and the rounding of the bound updates.
+BOUND_MARGIN = 1e-6
 
 
 class MeshBuildError(RuntimeError):
@@ -51,27 +55,34 @@ class EstimationError(RuntimeError):
         self.cell = cell
 
 
-def assign_nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center of each point, equal to the ``argmin``
-    of the squared-distance matrix, ties included (lowest index wins).
+def _nearest_two(points: np.ndarray, centers: np.ndarray):
+    """(index, d_nearest, d_second) of each point: the index of its nearest
+    center as ``assign_nearest`` gives it, and the kd-tree's distances to
+    its nearest and second-nearest centers (inf when there is one center).
 
-    A kd-tree on the centers gives each point its two nearest candidates.
-    Where their distances lie within ``NEAR_TIE_RTOL`` of each other, the
-    tree's rounding and its order among tied centers could disagree with
-    the ``argmin``, so those rows are decided by a dense ``cdist`` row;
-    elsewhere no rounding error can change the nearest center. Non-finite
-    points raise ``ValueError``.
+    Where the two distances lie within ``NEAR_TIE_RTOL`` of each other,
+    the tree's rounding and its order among tied centers could disagree
+    with the ``argmin`` of the squared distances, so those rows are decided
+    by a dense ``cdist`` row; elsewhere no rounding error can change the
+    nearest center. Non-finite points raise ``ValueError``.
     """
     points = np.atleast_2d(points)
-    k = min(2, len(centers))
-    dist, idx = cKDTree(centers).query(points, k=k)
-    if k == 1:
-        return idx
-    out = idx[:, 0].copy()
+    if len(centers) == 1:
+        d0, idx = cKDTree(centers).query(points, k=1)
+        return idx, d0, np.full_like(d0, np.inf)
+    dist, idx = cKDTree(centers).query(points, k=2)
     d0, d1 = dist.T
+    out = idx[:, 0].copy()
     tied = np.flatnonzero(d1 - d0 <= NEAR_TIE_RTOL * d1)
     out[tied] = np.argmin(cdist(points[tied], centers, "sqeuclidean"), axis=1)
-    return out
+    return out, d0, d1
+
+
+def assign_nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center of each point, equal to the ``argmin``
+    of the squared-distance matrix, ties included (lowest index wins);
+    see ``_nearest_two``."""
+    return _nearest_two(points, centers)[0]
 
 
 @dataclass
@@ -101,17 +112,38 @@ class UnstructuredMesh:
 
 
 def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """k-means++ seeds: each next center is a point drawn with probability
+    proportional to its squared distance to the nearest center so far.
+
+    The squared distances are summed column by column, in coordinate order,
+    on a transposed copy of the points. Up to 7 coordinates this is bit for
+    bit numpy's row sum ``((points - c) ** 2).sum(axis=1)``. From 8 on,
+    numpy's pairwise row sum adds in another order, so seeds drawn there
+    can differ from that formula's; no config, test or workload here builds
+    such a mesh.
+    """
     n = points.shape[0]
+    cols = np.ascontiguousarray(points.T)
+    term = np.empty(n)
+
+    def sq_dist(c):
+        out = np.subtract(cols[0], c[0])
+        out *= out
+        for col, x in zip(cols[1:], c[1:]):
+            np.subtract(col, x, out=term)
+            out += np.multiply(term, term, out=term)
+        return out
+
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    dist = ((points - centers[0]) ** 2).sum(axis=1)
+    dist = sq_dist(centers[0])
     for i in range(1, k):
         total = dist.sum()
         if total <= 0:
             centers[i] = points[rng.integers(n)]
         else:
             centers[i] = points[rng.choice(n, p=dist / total)]
-        dist = np.minimum(dist, ((points - centers[i]) ** 2).sum(axis=1))
+        np.minimum(dist, sq_dist(centers[i]), out=dist)
     return centers
 
 
@@ -119,7 +151,27 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
                max_iters: int = 100, tol: float = 1e-8,
                restarts: int = 5) -> UnstructuredMesh:
     """k-means mesh over the samples (k-means++ seeding, Lloyd updates).
-    A restart whose centres still move by tol after max_iters warns."""
+    A restart whose centres still move by tol after max_iters warns.
+
+    Every Lloyd step assigns each point to the cell that ``assign_nearest``
+    gives it, but queries again only the points whose cell could have
+    changed (Hamerly, "Making k-means even faster", SDM 2010). From its
+    last query each point keeps an upper bound on the distance to its own
+    centre and a lower bound on the distance to every other centre. When
+    the centres move, the triangle inequality keeps both bounds if the upper
+    one grows by the own centre's move and the lower one shrinks by the
+    largest move. A point is queried again unless
+
+        upper < lower * (1 - BOUND_MARGIN) - BOUND_MARGIN * drift,
+
+    where drift sums the largest moves since the seeding. A point that
+    passes lies far outside ``NEAR_TIE_RTOL`` of a tie, so
+    ``assign_nearest`` would take the kd-tree's nearest centre without the
+    dense tie-break, and that centre is the point's own: the skip gives the
+    same cell as a query. The margin's relative part covers the tie rule.
+    Its drift part covers the rounding of the bound updates, which grows
+    with the distances at the last query, at most ``lower + drift``.
+    """
     points = samples.points if isinstance(samples, SampleCloud) \
         else np.atleast_2d(np.asarray(samples, float))
     if n_cells > points.shape[0]:
@@ -127,9 +179,9 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     for attempt in range(restarts):
         centers = _kmeans_pp(points, n_cells, rng)
-        empty, shift = False, np.inf
+        assignment, upper, lower = _nearest_two(points, centers)
+        empty, shift, drift = False, np.inf, 0.0
         for _ in range(max_iters):
-            assignment = assign_nearest(points, centers)
             counts = np.bincount(assignment, minlength=n_cells)
             if np.any(counts == 0):
                 empty = True
@@ -139,8 +191,16 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
                                          minlength=n_cells)
                              for col in points.T], axis=1)
             new_centers = sums / counts[:, None]
-            shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
+            move = np.linalg.norm(new_centers - centers, axis=1)
+            shift = np.max(move)
             centers = new_centers
+            upper += move[assignment]
+            lower -= shift
+            drift += shift
+            stale = np.flatnonzero(upper >= lower * (1.0 - BOUND_MARGIN)
+                                   - BOUND_MARGIN * drift)
+            assignment[stale], upper[stale], lower[stale] = \
+                _nearest_two(points[stale], centers)
             if shift < tol:
                 break
         else:
@@ -149,7 +209,6 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
                 "shift %.3g >= tol %.3g", attempt, max_iters, shift, tol)
         if empty:
             continue
-        assignment = assign_nearest(points, centers)
         counts = np.bincount(assignment, minlength=n_cells)
         if np.any(counts == 0):
             continue

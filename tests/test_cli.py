@@ -266,6 +266,26 @@ def _short_measure(cfg):
      "simulate"),
     ("data.kind", lambda c: c["data"].update(kind="pde"), "simulate"),
     ("data.dt", lambda c: c["data"].update(dt=0), "simulate"),
+    ("fit.substeps", lambda c: c["fit"].update(substeps=2), "fit"),
+    ("fit.flow_dt", lambda c: c["fit"].update(flow_dt=0.1), "fit"),
+    ("fit.n_sources", lambda c: c["fit"].update(n_sources=100), "fit"),
+    ("fit.substeps", lambda c: c["fit"].update(driver="delay", substeps=2),
+     "fit"),
+    ("fit.flow_dt", lambda c: c["fit"].update(driver="delay", flow_dt=0.1),
+     "fit"),
+    ("fit.n_sources", lambda c: c["fit"].update(driver="delay",
+                                                n_sources=100), "fit"),
+    ("data.diffusion", lambda c: c["data"].update(diffusion=0.3),
+     "simulate"),
+    ("data.diffusion", lambda c: (c.update(system={"name": "torus_rotation"}),
+                                  c["data"].update(kind="map",
+                                                   diffusion=0.3)),
+     "simulate"),
+    ("data.dt", lambda c: (c.update(system={"name": "torus_rotation"}),
+                           c["data"].update(kind="map")), "simulate"),
+    ("data.substeps", lambda c: (c.update(system={"name": "torus_rotation"}),
+                                 c["data"].update(kind="map"),
+                                 c["data"].pop("dt")), "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -286,7 +306,10 @@ def _short_measure(cfg):
         "data-x0-auto", "data-x0-wrong-length", "data-substeps-negative",
         "data-substeps-zero", "fit-substeps-zero", "data-n_steps-zero",
         "data-burn_in-negative", "map-kind-of-an-ode", "ode-kind-of-a-map",
-        "data-kind-unknown", "data-dt-zero"])
+        "data-kind-unknown", "data-dt-zero", "fvm-fit-substeps",
+        "fvm-fit-flow_dt", "fvm-fit-n_sources", "delay-fit-substeps",
+        "delay-fit-flow_dt", "delay-fit-n_sources", "ode-data-diffusion",
+        "map-data-diffusion", "map-data-dt", "map-data-substeps"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

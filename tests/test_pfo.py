@@ -13,7 +13,7 @@ from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
                                UnstructuredMesh, build_mesh, estimate_markov,
                                flowmap_markov_grad, invariant_density)
 from ergodic_sysid.systems import (IntegrationBlowupError, OdeSystem,
-                                   make_system)
+                                   integrate_ode, make_system)
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
 
 
@@ -112,6 +112,140 @@ def test_degenerate_samples_raise_after_restarts():
     pts = np.zeros((20, 2))
     with pytest.raises(MeshBuildError):
         build_mesh(SampleCloud(pts), 2, seed=0)
+
+
+def _row_sum_kmeans_pp(points, k, rng):
+    """k-means++ seeds from numpy's row sum of squared differences."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    dist = ((points - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = dist.sum()
+        if total <= 0:
+            centers[i] = points[rng.integers(n)]
+        else:
+            centers[i] = points[rng.choice(n, p=dist / total)]
+        dist = np.minimum(dist, ((points - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def _plain_lloyd(points, n_cells, seed, max_iters=100, tol=1e-8,
+                 restarts=5):
+    """build_mesh with a full assign_nearest at every Lloyd step: the
+    centres, the counts and the index of the restart that succeeded."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(restarts):
+        centers = _row_sum_kmeans_pp(points, n_cells, rng)
+        for _ in range(max_iters):
+            assignment = pfo.assign_nearest(points, centers)
+            counts = np.bincount(assignment, minlength=n_cells)
+            if np.any(counts == 0):
+                break
+            sums = np.stack([np.bincount(assignment, weights=col,
+                                         minlength=n_cells)
+                             for col in points.T], axis=1)
+            new_centers = sums / counts[:, None]
+            shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
+            centers = new_centers
+            if shift < tol:
+                break
+        if np.all(counts > 0):
+            counts = np.bincount(pfo.assign_nearest(points, centers),
+                                 minlength=n_cells)
+            if np.all(counts > 0):
+                return centers, counts, attempt
+    raise MeshBuildError("no restart left every cell occupied")
+
+
+def _vdp_points():
+    return integrate_ode(make_system("van_der_pol", c=1.0), [1.5, 0.0],
+                         0.05, 3000, substeps=2).states
+
+
+def _blobs(dim):
+    rng = np.random.default_rng(dim)
+    means = 3.0 * rng.normal(size=(5, dim))
+    return np.concatenate([m + rng.normal(size=(300, dim)) for m in means])
+
+
+def _duplicates():
+    # a lattice of three copies of each point: duplicated points and
+    # centres equidistant from lattice points give exact ties
+    lattice = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)),
+                       axis=-1).reshape(-1, 2)
+    return np.repeat(lattice, 3, axis=0)
+
+
+@pytest.mark.parametrize("points, n_cells, seed, kwargs", [
+    (_vdp_points, 40, 1, {}),
+    (lambda: _blobs(3), 20, 2, {}),
+    (lambda: _blobs(7), 20, 3, {}),
+    (lambda: _vdp_points() + 1e4, 40, 1, {}),
+    (_duplicates, 7, 1, {}),
+    (lambda: _blobs(3), 1, 4, {}),
+    (_vdp_points, 40, 1, {"max_iters": 1}),
+], ids=["vdp-2d", "blobs-3d", "blobs-7d", "vdp-shifted-1e4",
+        "duplicates", "one-cell", "max_iters-1"])
+def test_build_mesh_equals_plain_lloyd(points, n_cells, seed, kwargs,
+                                       caplog):
+    points = points()
+    with caplog.at_level("WARNING", logger="ergodic_sysid"):
+        mesh = build_mesh(SampleCloud(points), n_cells, seed=seed, **kwargs)
+    centers, counts, _ = _plain_lloyd(points, n_cells, seed, **kwargs)
+    assert np.array_equal(mesh.centers, centers)
+    assert np.array_equal(mesh.counts, counts)
+    assert len(caplog.records) == ("max_iters" in kwargs)
+
+
+def test_build_mesh_with_exact_ties_runs_the_dense_tie_break(monkeypatch):
+    tied_rows = []
+    dense = pfo.cdist
+    monkeypatch.setattr(pfo, "cdist", lambda a, b, *metric: (
+        tied_rows.append(len(a)), dense(a, b, *metric))[1])
+    mesh = build_mesh(SampleCloud(_duplicates()), 6, seed=3)
+    assert sum(tied_rows) > 0
+    assert np.array_equal(mesh.centers, _plain_lloyd(_duplicates(), 6, 3)[0])
+
+
+def test_build_mesh_equals_plain_lloyd_after_a_restart(monkeypatch):
+    points = np.repeat(np.random.default_rng(2699).normal(size=(97, 2)), 3,
+                       axis=0)
+    centers, counts, attempt = _plain_lloyd(points, 46, 2699)
+    assert attempt == 1
+    seeded = []
+    kmeans_pp = pfo._kmeans_pp
+    monkeypatch.setattr(pfo, "_kmeans_pp", lambda *args: (
+        seeded.append(1), kmeans_pp(*args))[1])
+    mesh = build_mesh(SampleCloud(points), 46, seed=2699)
+    assert len(seeded) == 2
+    assert np.array_equal(mesh.centers, centers)
+    assert np.array_equal(mesh.counts, counts)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_kmeans_pp_draws_the_row_sum_seeds(dim):
+    points = np.random.default_rng(dim).normal(size=(2000, dim)) \
+        * np.geomspace(0.1, 10.0, dim)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(pfo._kmeans_pp(points, 30, rng_a),
+                          _row_sum_kmeans_pp(points, 30, rng_b))
+    assert rng_a.random() == rng_b.random()
+
+
+def test_lloyd_queries_under_half_of_the_points_per_step(monkeypatch,
+                                                         caplog):
+    points = _vdp_points()
+    rows = []
+    nearest_two = pfo._nearest_two
+    monkeypatch.setattr(pfo, "_nearest_two", lambda p, c: (
+        rows.append(len(p)), nearest_two(p, c))[1])
+    with caplog.at_level("WARNING", logger="ergodic_sysid"):
+        build_mesh(SampleCloud(points), 40, seed=1)
+    assert not caplog.records
+    steps = len(rows) - 1  # one query after the seeding, then one per step
+    assert steps > 10
+    assert sum(rows) < 0.5 * steps * len(points)
 
 
 def test_pou_equidistant_split():

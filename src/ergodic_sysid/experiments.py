@@ -16,9 +16,9 @@ import numpy as np
 from . import delay as delay_mod
 from . import fvm, io, pfo
 from .config import ConfigError, section
-from .measure import (Grid, SampleCloud, energy_mmd, grid_objective,
-                      occupation_measure, subsample_stride, wasserstein2)
-from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo, has_delay_term
+from .measure import (Grid, SampleCloud, energy_mmd, occupation_measure,
+                      subsample_stride, wasserstein2)
+from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
                       integrate_ode, integrate_sde, iterate_map_batch,
                       make_system)
@@ -28,11 +28,6 @@ log = logging.getLogger("ergodic_sysid")
 
 # fit.eps_tele when the config does not set it
 _EPS_TELE = 1e-4
-
-# data keys that a data kind does not read. data.seed on "ode" and
-# data.substeps on "sde" are left out: configs in use set them.
-_UNREAD_DATA_KEYS = {"ode": ("diffusion",),
-                     "map": ("diffusion", "dt", "substeps")}
 
 # Independent Euler-Maruyama paths stepped as one batch by the fvm eval and
 # the refinement study. One path pays numpy dispatch on every step of a
@@ -67,14 +62,6 @@ def _system_of(cfg: dict):
         raise ConfigError(f"system.params: {exc}")
 
 
-def _reject_unread(sec, keys, reader: str):
-    """A config error on the first of ``keys`` that the section sets,
-    although ``reader`` (the data kind or fit driver) does not read it."""
-    for key in keys:
-        if key in sec:
-            raise ConfigError(f"{sec.name}.{key}: {reader} does not read it")
-
-
 def _checked(key: str, call, *args, **kwargs):
     """``call(*args, **kwargs)``, a ValueError it raises reported as a
     config error on ``key``. For the call that reads a config value only;
@@ -89,14 +76,10 @@ def _delay_config(sec: dict, name: str, dim: int):
     """The delay map of the section's observable, m and lag, the
     observable's coordinate index checked against the data."""
     kwargs = _given(sec, "observable", "m", "lag")
-    obs = kwargs.get("observable")
-    if obs is not None and not 0 <= obs < dim:
-        raise ConfigError(f"{name}.observable: index {obs} out of range "
-                          f"for dim {dim}")
-    try:
-        return delay_mod.DelayMapConfig(**kwargs)
-    except ValueError as exc:  # its message starts with the field's name
-        raise ConfigError(f"{name}.{exc}")
+    if kwargs.get("observable", 0) >= dim:
+        raise ConfigError(f"{name}.observable: index {kwargs['observable']} "
+                          f"out of range for dim {dim}")
+    return delay_mod.DelayMapConfig(**kwargs)
 
 
 def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
@@ -140,42 +123,26 @@ def unit_torus_grid(bins: int) -> Grid:
 def generate_trajectory(cfg: dict) -> Trajectory:
     data = section(cfg, "data")
     system = _system_of(cfg)
-    kind = data.get("kind", "ode")
-    if kind not in ("ode", "sde", "map"):
-        raise ConfigError(f"data.kind: unknown data kind {kind!r}")
+    kind = data["kind"]
     is_map = isinstance(system, DiscreteMap)
     if (kind == "map") != is_map:
         raise ConfigError(
             f"data.kind: {kind!r} does not apply to {system.name}; expected "
             + ("'map'" if is_map else "'ode' or 'sde'"))
-    _reject_unread(data, _UNREAD_DATA_KEYS.get(kind, ()),
-                   f"data.kind {kind!r}")
     x0 = _checked("data.x0", np.asarray, data["x0"], dtype=float)
     if x0.shape != (system.dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"data.x0: expected {system.dim} finite numbers, "
                           f"got {data['x0']}")
     n_steps = data["n_steps"]
-    if n_steps < 1:
-        raise ConfigError(f"data.n_steps: {n_steps} is below 1")
     burn = data.get("burn_in", 0)
-    if burn < 0:
-        raise ConfigError(f"data.burn_in: {burn} is negative")
+    dt = 0.0 if kind == "map" else data["dt"]
     if kind == "map":
-        dt = 0.0
         states = iterate_map_batch(system, x0, n_steps + burn)
-    else:
-        dt = data["dt"]
-        if not dt > 0:
-            raise ConfigError(f"data.dt: {dt} must be positive")
-    if kind == "ode":
-        if data.get("substeps", 1) < 1:
-            raise ConfigError(f"data.substeps: {data['substeps']} is below 1")
+    elif kind == "ode":
         states = integrate_ode(system, x0, dt, n_steps + burn,
                                **_given(data, "substeps")).states
-    elif kind == "sde":
+    else:
         D = data.get("diffusion", 0.0)
-        if not D >= 0:
-            raise ConfigError(f"data.diffusion: {D} must be nonnegative")
         seed = _seed_of(cfg, data).get("seed", 0)
         states = integrate_sde(system, D, x0, dt, n_steps + burn, seed=seed)
     return Trajectory(states[burn:], dt)
@@ -191,12 +158,10 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
             "dim": traj.dim}
 
 
-def build_grid(grid_cfg: dict, states=None) -> Grid:
+def build_grid(grid_cfg: dict, states: np.ndarray) -> Grid:
     n_per_dim = grid_cfg["n_per_dim"]
     if "lo" in grid_cfg and "hi" in grid_cfg:
         return Grid(grid_cfg["lo"], grid_cfg["hi"], n_per_dim)
-    if states is None:
-        raise ConfigError("grid needs lo/hi or trajectory data for auto box")
     margin = grid_cfg.get("auto_box_margin", 0.05)
     lo = states.min(axis=0)
     hi = states.max(axis=0)
@@ -275,11 +240,9 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
 
 def cmd_fit(cfg: dict, outdir: Path) -> dict:
     fit_cfg = section(cfg, "fit")
-    driver = fit_cfg.get("driver", "fvm")
+    driver = fit_cfg["driver"]
     outdir.mkdir(parents=True, exist_ok=True)
     n_iters = fit_cfg.get("n_iters", N_ITERS)
-    if n_iters < 0:
-        raise ConfigError(f"fit.n_iters: {n_iters} is negative")
     resume = None
     if fit_cfg.get("resume_from"):
         path = _input_file("fit.resume_from", fit_cfg["resume_from"])
@@ -288,47 +251,34 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             raise ConfigError(
                 f"fit.resume_from: {path} holds {len(resume['history'])} "
                 f"iterations, more than fit.n_iters = {n_iters}")
-    common = dict(
-        **_given(fit_cfg, "lr", "clip_norm", "checkpoint_every"),
-        **_seed_of(cfg, fit_cfg), n_iters=n_iters,
+    loop = dict(
+        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
+        **_seed_of(cfg, fit_cfg),
         save=lambda blob: io.write_checkpoint(
             outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
         resume=resume)
 
-    if driver in ("fvm", "delay"):
-        _reject_unread(fit_cfg, ("substeps", "flow_dt", "n_sources"),
-                       f"the {driver} driver")
     if driver == "fvm":
-        if "objective" in fit_cfg:
-            _checked("fit.objective", grid_objective, fit_cfg["objective"])
-        eps_tele = fit_cfg.get("eps_tele", _EPS_TELE)
-        if not 0 < eps_tele <= 1:
-            raise ConfigError(f"fit.eps_tele: {eps_tele} is outside (0, 1]")
-        D = fit_cfg.get("diffusion", 0.0)
-        if not D >= 0:
-            raise ConfigError(f"fit.diffusion: {D} must be nonnegative")
         target = _checked("fit.target", io.read_measure_json, _input_file(
             "fit.target", fit_cfg.get("target", outdir / "measure.json")))
         grid = target.support
         traj = _load_trajectory(outdir) if (outdir / "trajectory.csv").exists() \
             else None
         model = make_model(cfg, grid.dim, traj, purpose="velocity")
-        report = fit_fvm(target, model, grid, D=D, eps_tele=eps_tele,
-                         **_given(fit_cfg, "objective"), **common)
+        report = fit_fvm(target, model, grid,
+                         D=fit_cfg.get("diffusion", 0.0),
+                         eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
+                         **_given(fit_cfg, "objective"), **loop)
     elif driver == "pfo":
-        if fit_cfg.get("substeps", 1) < 1:
-            raise ConfigError(
-                f"fit.substeps: {fit_cfg['substeps']} is below 1")
-        traj = _load_trajectory(outdir)
         mesh_cfg = section(cfg, "mesh")
-        build_cloud = _checked(
-            "mesh.build_subsample", subsample_stride,
+        pou_eps = mesh_cfg["pou_eps"]
+        traj = _load_trajectory(outdir)
+        build_cloud = subsample_stride(
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
         mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
                               **_seed_of(cfg, mesh_cfg))
-        sources = _checked("fit.n_sources", subsample_stride,
-                           SampleCloud(traj.states[:-1]),
-                           **_given(fit_cfg, max_points="n_sources"))
+        sources = subsample_stride(SampleCloud(traj.states[:-1]),
+                                   **_given(fit_cfg, max_points="n_sources"))
         empty = int(np.count_nonzero(np.bincount(
             mesh.assign(sources.points), minlength=mesh.n) == 0))
         if empty:
@@ -336,33 +286,22 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
                 f"mesh.n_cells: {mesh.n} cells for fit.n_sources: "
                 f"{sources.n} sources leave {empty} source cells empty; "
                 "lower mesh.n_cells or raise fit.n_sources")
-        pou = _checked("mesh.pou_eps", pfo.PartitionOfUnity, mesh.centers,
-                       **_given(mesh_cfg, eps="pou_eps"))
-        if pou.eps == 0.0:
-            raise ConfigError("mesh.pou_eps: the pfo fit needs a positive "
-                              "width; at 0 the cell weights have no gradient")
+        pou = pfo.PartitionOfUnity(mesh.centers, pou_eps)
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
         model = make_model(cfg, traj.dim, traj, purpose="velocity")
         report = fit_pfo(
             target, model, mesh, pou, sources,
             flow_dt=fit_cfg.get("flow_dt", traj.dt),
-            **_given(fit_cfg, "substeps"), **common)
+            **_given(fit_cfg, "substeps"), **loop)
         io.write_mesh_json(outdir / "mesh.json", mesh)
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
-    elif driver == "delay":
+    else:  # delay
         traj = _load_trajectory(outdir)
         dcfg = _delay_config(fit_cfg, "fit", traj.dim)
-        if "loss" in fit_cfg:
-            _checked("fit.loss", has_delay_term, fit_cfg["loss"])
-        if "max_points" in fit_cfg:
-            _checked("fit.max_points", delay_mod.check_max_points,
-                     fit_cfg["max_points"])
         model = make_model(cfg, traj.dim, traj, purpose="map")
         report = fit_delay(traj, model, dcfg,
-                           **_given(fit_cfg, "loss", "max_points"), **common)
-    else:
-        raise ConfigError(f"unknown fit driver {driver!r}")
+                           **_given(fit_cfg, "loss", "max_points"), **loop)
 
     io.write_report_json(outdir / "report.json", report)
     io.write_checkpoint(outdir / "model.json", model.checkpoint())
@@ -397,12 +336,11 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     sim_dt = ev.get("sim_dt", 0.01)
     n_sim = ev.get("n_sim_steps", 200000)
     burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
-    if not 0 <= burn < n_sim:
-        raise ConfigError(f"eval.sim_burn_in: {burn} is outside "
-                          f"[0, eval.n_sim_steps = {n_sim})")
+    if burn >= n_sim:
+        raise ConfigError(f"eval.sim_burn_in: {burn} is not below "
+                          f"eval.n_sim_steps = {n_sim}")
     traj = _load_trajectory(outdir)
-    b = _checked("eval.max_points", subsample_stride,
-                 SampleCloud(traj.states), **thin)
+    b = subsample_stride(SampleCloud(traj.states), **thin)
     report = io.read_report_json(outdir / "report.json")
     fit_cfg = report["config"]
     if fit_cfg["driver"] != "fvm":
@@ -490,10 +428,7 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u, pou0)
     pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
 
-    k = int(round(np.sqrt(n_cells)))
-    if k * k != n_cells:
-        raise ConfigError("catmap comparison needs a square cell count")
-    grid = unit_torus_grid(k)
+    grid = unit_torus_grid(math.isqrt(n_cells))
     mesh_g = pfo.UnstructuredMesh(grid.centers())
     pou_g = pfo.PartitionOfUnity(mesh_g.centers, 0.0)
     m_uniform = pfo.estimate_markov((src, dst), mesh_g, pou_g)
@@ -552,11 +487,6 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
 
 def eval_refinement(cfg: dict, outdir: Path) -> dict:
     ev = section(cfg, "eval")
-    if ev.get("max_points", 1) < 1:
-        raise ConfigError(f"eval.max_points: {ev['max_points']} is below 1")
-    if "eps_tele" in ev and not 0 < ev["eps_tele"] <= 1:
-        raise ConfigError(f"eval.eps_tele: {ev['eps_tele']} is outside "
-                          "(0, 1]")
     result = vdp_refinement_study(
         **_given(ev, "grids", "diffusion", "eps_tele", "n_sde_steps",
                  "sde_dt", "max_points"), **_seed_of(cfg, ev))
@@ -568,18 +498,12 @@ def eval_refinement(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> dict:
-    ev = section(cfg, "eval")
-    if not ev.get("diffusion", 0.0) >= 0:
-        raise ConfigError(
-            f"eval.diffusion: {ev['diffusion']} must be nonnegative")
-    kind = ev.get("kind", "fvm_density")
+    kind = section(cfg, "eval")["kind"]
     if kind == "fvm_density":
         return eval_fvm_density(cfg, outdir)
     if kind == "catmap_compare":
         return eval_catmap_compare(cfg, outdir)
-    if kind == "refinement":
-        return eval_refinement(cfg, outdir)
-    raise ConfigError(f"unknown eval kind {kind!r}")
+    return eval_refinement(cfg, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +555,8 @@ def torus_pair_diagnostics(pair_a, pair_b,
 
 def cmd_delay(cfg: dict, outdir: Path) -> dict:
     dcfg = section(cfg, "delay")
-    mode = dcfg.get("mode", "embed")
     outdir.mkdir(parents=True, exist_ok=True)
-    if mode == "torus_pair":
+    if dcfg["mode"] == "torus_pair":
         result = torus_pair_diagnostics(
             dcfg["pair_a"], dcfg["pair_b"], _delay_config(dcfg, "delay", 2),
             **_given(dcfg, "n_steps", "hist_bins"), **_seed_of(cfg, dcfg))
@@ -642,13 +565,10 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         io.write_cloud_csv(outdir / "delay_b.csv", cb)
         io.write_checkpoint(outdir / "diagnostics.json", result)
         return result
-    if mode == "embed":
-        traj = io.read_trajectory_csv(_input_file(
-            "delay.trajectory",
-            dcfg.get("trajectory", outdir / "trajectory.csv")))
-        cfg_d = _delay_config(dcfg, "delay", traj.dim)
-        cloud = delay_mod.delay_embed(traj, cfg_d)
-        io.write_cloud_csv(outdir / "delay.csv", cloud)
-        return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,
-                "m": cfg_d.m}
-    raise ConfigError(f"unknown delay mode {mode!r}")
+    traj = io.read_trajectory_csv(_input_file(
+        "delay.trajectory", dcfg.get("trajectory", outdir / "trajectory.csv")))
+    cfg_d = _delay_config(dcfg, "delay", traj.dim)
+    cloud = delay_mod.delay_embed(traj, cfg_d)
+    io.write_cloud_csv(outdir / "delay.csv", cloud)
+    return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,
+            "m": cfg_d.m}

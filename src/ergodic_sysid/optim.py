@@ -10,7 +10,8 @@ finite-difference checked in isolation. The loop owns a fit's state: it
 reads the model's parameters, keeps the only loss history, builds the
 checkpoints and resumes from them, and leaves the model at the final
 parameters. It always runs the full iteration count; a resumed run
-executes only the remaining iterations.
+executes only the remaining iterations. The drivers pass their ``**loop``
+keywords through, so the loop's signature is the only home of its defaults.
 """
 
 from __future__ import annotations
@@ -109,12 +110,14 @@ class FitReport:
         }
 
 
-def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
-              clip_norm: float, config: dict, seed: int,
-              checkpoint_every: int = 0, save: Optional[Callable] = None,
+def _run_loop(loss_and_grad: Callable, model, config: dict, *,
+              n_iters: int = N_ITERS, lr: float = 1e-3, seed: int = 0,
+              clip_norm: float = 10.0, checkpoint_every: int = 0,
+              save: Optional[Callable] = None,
               resume: Optional[dict] = None) -> FitReport:
     """Adam loop on the model's parameters until the history holds n_iters
     losses (total, so a resumed run executes only the remaining iterations).
+    The report's config is ``config`` with n_iters, lr and clip_norm added.
 
     Every ``checkpoint_every`` iterations ``save`` gets the checkpoint blob
     {"iteration", "params", "adam", "history"}; ``resume`` takes such a
@@ -155,7 +158,9 @@ def _run_loop(loss_and_grad: Callable, model, n_iters: int, lr: float,
             save({"iteration": len(history), "params": params.tolist(),
                   "adam": state.to_dict(), "history": list(history)})
     model.set_params(params)
-    return FitReport(history, params, time.perf_counter() - start, config,
+    return FitReport(history, params, time.perf_counter() - start,
+                     dict(config, n_iters=n_iters, lr=lr,
+                          clip_norm=clip_norm),
                      seed, initial_loss=initial_loss)
 
 
@@ -193,17 +198,13 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 
 
 def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
-            objective: str = "l2", n_iters: int = N_ITERS, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
-            save=None, resume: Optional[dict] = None) -> FitReport:
+            objective: str = "l2", **loop) -> FitReport:
     """Fit a velocity so the stationary density matches a target measure."""
     loss_and_grad, dt = make_fvm_loss(target, velocity, grid, D, eps_tele,
                                       objective)
     config = {"driver": "fvm", "objective": objective, "D": D,
-              "eps_tele": eps_tele, "n_iters": n_iters, "lr": lr,
-              "clip_norm": clip_norm, "solver": "direct"}
-    report = _run_loop(loss_and_grad, velocity, n_iters, lr, clip_norm,
-                       config, seed, checkpoint_every, save, resume)
+              "eps_tele": eps_tele, "solver": "direct"}
+    report = _run_loop(loss_and_grad, velocity, config, **loop)
     report.extras["dt"] = dt
     return report
 
@@ -229,17 +230,13 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
 
 def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
             pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
-            substeps: int = 1, n_iters: int = N_ITERS, lr: float = 1e-3,
-            seed: int = 0, clip_norm: float = 10.0, checkpoint_every: int = 0,
-            save=None, resume: Optional[dict] = None) -> FitReport:
+            substeps: int = 1, **loop) -> FitReport:
     """Fit a velocity so its flow-map transition matrix matches a target."""
     loss_and_grad = make_pfo_loss(target_matrix, velocity, mesh, pou,
                                   sources, flow_dt, substeps)
     config = {"driver": "pfo", "flow_dt": flow_dt, "substeps": substeps,
-              "n_cells": mesh.n, "pou_eps": pou.eps, "n_iters": n_iters,
-              "lr": lr, "clip_norm": clip_norm}
-    return _run_loop(loss_and_grad, velocity, n_iters, lr, clip_norm,
-                     config, seed, checkpoint_every, save, resume)
+              "n_cells": mesh.n, "pou_eps": pou.eps}
+    return _run_loop(loss_and_grad, velocity, config, **loop)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +278,15 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     return loss_and_grad, mu_samples, images, observed_delay
 
 
-def fit_delay(observed: Trajectory, model, cfg, n_iters: int = N_ITERS,
-              lr: float = 1e-3, seed: int = 0, loss: str = "j2",
-              clip_norm: float = 10.0, max_points: int = 2000,
-              checkpoint_every: int = 0, save=None,
-              resume: Optional[dict] = None) -> FitReport:
+def fit_delay(observed: Trajectory, model, cfg, loss: str = "j2",
+              max_points: int = 2000, **loop) -> FitReport:
     """Fit a discrete map to observed flow data by measure matching."""
     loss_and_grad, *_ = make_delay_loss(observed, model, cfg, loss,
                                         max_points)
     config = {"driver": "delay", "loss": loss, "m": cfg.m, "lag": cfg.lag,
               "observable": cfg.observable if not callable(cfg.observable)
-              else "custom", "n_iters": n_iters, "lr": lr,
-              "clip_norm": clip_norm}
-    return _run_loop(loss_and_grad, model, n_iters, lr, clip_norm, config,
-                     seed, checkpoint_every, save, resume)
+              else "custom"}
+    return _run_loop(loss_and_grad, model, config, **loop)
 
 
 def finite_difference_check(loss_and_grad, theta: np.ndarray, coords,

@@ -12,7 +12,7 @@ import pytest
 import ergodic_sysid
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
-from ergodic_sysid.config import validate_config
+from ergodic_sysid.config import READERS, SCHEMA, SELECTORS, validate_config
 from ergodic_sysid.experiments import _max_box_escape
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
@@ -79,6 +79,7 @@ def test_simulate_sde_writes_the_euler_maruyama_path(tmp_path):
     cfg = _smoke_config(str(tmp_path / "run"))
     cfg["data"].update(kind="sde", diffusion=0.1, dt=0.01, n_steps=300,
                        burn_in=20, seed=4)
+    cfg["data"].pop("substeps")
     assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
     traj = io.read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
     path = integrate_sde(make_system("van_der_pol", c=1.0), 0.1, [1.5, 0.0],
@@ -178,8 +179,8 @@ def _short_measure(cfg):
     ("data.n_steps", lambda c: c["data"].pop("n_steps"), "simulate"),
     ("mesh.n_cells", lambda c: c.update(mesh={"pou_eps": 0.05},
                                         fit={"driver": "pfo"}), "fit"),
-    ("fit.observable", lambda c: c["fit"].update(driver="delay",
-                                                 observable=5), "fit"),
+    ("fit.observable", lambda c: c.update(fit={"driver": "delay",
+                                               "observable": 5}), "fit"),
     ("fit.observable", lambda c: c["fit"].update(driver="delay",
                                                  observable=-1), "fit"),
     ("model.kind", lambda c: c["model"].update(kind="mlp"), "simulate"),
@@ -220,8 +221,8 @@ def _short_measure(cfg):
                                                  "max_points": 0}), "eval"),
     ("fit.n_iters", lambda c: c["fit"].update(driver="delay", n_iters=-1),
      "fit"),
-    ("mesh.pou_eps", lambda c: (c.update(mesh={"n_cells": 4}),
-                                c["fit"].update(driver="pfo")), "fit"),
+    ("mesh.pou_eps", lambda c: c.update(mesh={"n_cells": 4},
+                                        fit={"driver": "pfo"}), "fit"),
     ("mesh.pou_eps", lambda c: (c.update(mesh={"n_cells": 4, "pou_eps": -1}),
                                 c["fit"].update(driver="pfo")), "fit"),
     ("fit.resume_from", lambda c: c["fit"].update(
@@ -286,6 +287,57 @@ def _short_measure(cfg):
     ("data.substeps", lambda c: (c.update(system={"name": "torus_rotation"}),
                                  c["data"].update(kind="map"),
                                  c["data"].pop("dt")), "simulate"),
+    ("data.substeps", lambda c: c["data"].update(kind="sde"), "simulate"),
+    ("fit.lr", lambda c: c["fit"].update(lr=-1), "simulate"),
+    ("fit.flow_dt", lambda c: c.update(fit={"driver": "pfo", "flow_dt": 0}),
+     "simulate"),
+    ("fit.clip_norm", lambda c: c["fit"].update(clip_norm=-1), "simulate"),
+    ("fit.checkpoint_every", lambda c: c["fit"].update(checkpoint_every=-1),
+     "simulate"),
+    ("mesh.n_cells", lambda c: c.update(mesh={"n_cells": 0, "pou_eps": 0.05}),
+     "simulate"),
+    ("mesh.pou_eps", lambda c: c.update(mesh={"n_cells": 4, "pou_eps": 0}),
+     "simulate"),
+    ("eval.sim_dt", lambda c: c.update(eval={"sim_dt": 0}), "simulate"),
+    ("eval.n_projections", lambda c: c.update(eval={"n_projections": 0}),
+     "simulate"),
+    ("eval.n_sim_steps", lambda c: c.update(eval={"n_sim_steps": 0}),
+     "simulate"),
+    ("eval.sde_dt", lambda c: c.update(eval={"kind": "refinement",
+                                             "sde_dt": 0}), "simulate"),
+    ("eval.n_sde_steps", lambda c: c.update(eval={"kind": "refinement",
+                                                  "n_sde_steps": 0}),
+     "simulate"),
+    ("eval.n_cells", lambda c: c.update(eval={"kind": "catmap_compare",
+                                              "n_cells": 10}), "simulate"),
+    ("eval.n_initial", lambda c: c.update(eval={"kind": "catmap_compare",
+                                                "n_initial": 0}), "simulate"),
+    ("eval.n_iters", lambda c: c.update(eval={"kind": "catmap_compare",
+                                              "n_iters": 0}), "simulate"),
+    ("eval.quad_points", lambda c: c.update(eval={"kind": "catmap_compare",
+                                                  "quad_points": 0}),
+     "simulate"),
+    ("grid.auto_box_margin", lambda c: c["grid"].update(auto_box_margin=-1),
+     "simulate"),
+    ("delay.n_steps", lambda c: c.update(delay={
+        "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
+        "n_steps": 0}), "simulate"),
+    ("delay.hist_bins", lambda c: c.update(delay={
+        "mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
+        "hist_bins": 1}), "simulate"),
+    ("fit.eps_tele", lambda c: c.update(fit={"driver": "pfo",
+                                             "eps_tele": 0.001}), "simulate"),
+    ("fit.target", lambda c: c.update(fit={"driver": "delay",
+                                           "target": "measure.json"}),
+     "simulate"),
+    ("eval.eps_tele", lambda c: c.update(eval={"eps_tele": 0.001}),
+     "simulate"),
+    ("eval.max_points", lambda c: c.update(eval={"kind": "catmap_compare",
+                                                 "max_points": 100}),
+     "simulate"),
+    ("delay.hist_bins", lambda c: c.update(delay={"hist_bins": 8}),
+     "simulate"),
+    ("delay.seed", lambda c: c.update(delay={"seed": 3}), "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -309,7 +361,18 @@ def _short_measure(cfg):
         "data-kind-unknown", "data-dt-zero", "fvm-fit-substeps",
         "fvm-fit-flow_dt", "fvm-fit-n_sources", "delay-fit-substeps",
         "delay-fit-flow_dt", "delay-fit-n_sources", "ode-data-diffusion",
-        "map-data-diffusion", "map-data-dt", "map-data-substeps"])
+        "map-data-diffusion", "map-data-dt", "map-data-substeps",
+        "sde-data-substeps", "fit-lr-negative", "fit-flow_dt-zero",
+        "fit-clip_norm-negative", "fit-checkpoint_every-negative",
+        "mesh-n_cells-zero", "mesh-pou_eps-zero", "eval-sim_dt-zero",
+        "eval-n_projections-zero", "eval-n_sim_steps-zero",
+        "refinement-sde_dt-zero", "refinement-n_sde_steps-zero",
+        "catmap-n_cells-not-square", "catmap-n_initial-zero",
+        "catmap-n_iters-zero", "catmap-quad_points-zero",
+        "grid-auto_box_margin-negative", "torus-n_steps-zero",
+        "torus-hist_bins-one", "pfo-fit-eps_tele", "delay-fit-target",
+        "fvm_density-eps_tele", "catmap-max_points", "embed-hist_bins",
+        "embed-seed"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -317,9 +380,11 @@ def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
         == 0
     bad = _smoke_config(str(tmp_path / "run"))
     edit(bad)
+    written = sorted((tmp_path / "run").iterdir())
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, bad)]) == 2
     assert key in capsys.readouterr().err
+    assert sorted((tmp_path / "run").iterdir()) == written
 
 
 def test_fvm_density_eval_of_a_delay_fit_exits_2(tmp_path, capsys):
@@ -402,6 +467,16 @@ def test_validate_config_makes_numbers_floats_once():
     assert cfg["fit"]["lr"] == 1.0 and type(cfg["fit"]["lr"]) is float
     assert type(cfg["fit"]["n_iters"]) is int
     assert type(cfg["system"]["params"]["dim"]) is int
+
+
+def test_reader_table_names_schema_keys_and_allowed_values():
+    assert set(READERS) == set(SELECTORS)
+    for name, (selector, default) in SELECTORS.items():
+        choices = SCHEMA[name][selector][1]
+        assert default in choices
+        assert set(READERS[name]) == set(choices)
+        for keys in READERS[name].values():
+            assert set(keys) <= set(SCHEMA[name]) - {selector}
 
 
 def test_unknown_flag_exits_2(tmp_path):

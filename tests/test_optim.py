@@ -8,7 +8,8 @@ from ergodic_sysid.delay import MMD_MAX_POINTS, DelayMapConfig
 from ergodic_sysid.fvm import (assemble_K, cfl_dt, frozen_dt,
                                stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
-from ergodic_sysid.optim import (AdamState, adam_step, clip_by_global_norm,
+from ergodic_sysid.optim import (AdamState, _run_loop, adam_step,
+                                 clip_by_global_norm,
                                  finite_difference_check, fit_delay, fit_fvm,
                                  fit_pfo, make_delay_loss, make_fvm_loss,
                                  make_pfo_loss)
@@ -300,5 +301,14 @@ def test_loop_rejects_a_resume_past_n_iters():
 
 
 def test_fit_drivers_share_the_n_iters_default():
+    # the loop's signature is the only home of its defaults; the drivers
+    # pass their loop keywords through
+    loop = inspect.signature(_run_loop).parameters
+    assert loop["n_iters"].default == 500
+    keywords = {"n_iters", "lr", "seed", "clip_norm", "checkpoint_every",
+                "save", "resume"}
+    assert keywords <= set(loop)
     for fit in (fit_fvm, fit_pfo, fit_delay):
-        assert inspect.signature(fit).parameters["n_iters"].default == 500
+        params = inspect.signature(fit).parameters
+        assert not keywords & set(params)
+        assert params["loop"].kind is inspect.Parameter.VAR_KEYWORD

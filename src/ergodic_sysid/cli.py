@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-    ergodic-sysid <command> --config cfg.json [--seed N] [--out DIR]
+    ergodic-sysid <command> --config cfg.json [--out DIR]
 
 Commands: simulate | histogram | fit | eval | delay. Exit codes: 0 on
 success, 2 on configuration errors (unknown or missing keys, bad values,
@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the output directory")
     return parser
@@ -60,8 +58,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         outdir = Path(args.out or cfg.get("out", "runs/" +
                                           cfg.get("name", "run")))
         result = _COMMANDS[args.command](cfg, outdir)

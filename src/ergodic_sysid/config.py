@@ -4,10 +4,11 @@ a config mistake exits with code 2 naming its key before any work.
 ``SCHEMA`` gives each key its type and its bound or list of choices.
 ``READERS`` names the keys that only some values of a section's selector
 (``data.kind``, ``fit.driver``, ``eval.kind``, ``delay.mode``) read;
-``SELECTORS`` gives each selector's default. ``validate_config`` rejects
-unknown keys, wrong types, values out of bounds or choices, and keys the
-selected value does not read. Checks that compare two keys or look at the
-data stay with the command."""
+``SELECTORS`` gives each selector's default, and ``SECTION_READERS`` the
+sections that only some values of a selector read. ``validate_config``
+rejects unknown keys, wrong types, values out of bounds or choices, and
+keys or sections the selected value does not read. Checks that compare
+two keys or look at the data stay with the command."""
 
 from __future__ import annotations
 
@@ -40,11 +41,12 @@ _MMD_POINTS = Bound(f"in 1..{MMD_MAX_POINTS}",
 _SQUARE = Bound("a square >= 1", lambda v: v >= 1 and math.isqrt(v) ** 2 == v)
 
 # section -> key -> type, or (type, bound or tuple of choices). A float
-# entry takes any number and stores it as a float; None marks a free-form
+# entry takes any number and stores it as a float; a list entry with a
+# bound takes a list of ints, each within it; None marks a free-form
 # numeric dict.
 SCHEMA = {
     "name": str,
-    "seed": int,
+    "seed": (int, _NONNEG),
     "out": str,
     "system": {
         "name": str,
@@ -58,12 +60,12 @@ SCHEMA = {
         "substeps": (int, _ONE_UP),
         "diffusion": (float, _NONNEG),
         "burn_in": (int, _NONNEG),
-        "seed": int,
+        "seed": (int, _NONNEG),
     },
     "grid": {
         "lo": list,
         "hi": list,
-        "n_per_dim": list,
+        "n_per_dim": (list, _TWO_UP),
         "auto_box_margin": (float, _NONNEG),
         "clip": bool,
     },
@@ -71,11 +73,11 @@ SCHEMA = {
         "n_cells": (int, _ONE_UP),
         "pou_eps": (float, _POSITIVE),
         "build_subsample": (int, _ONE_UP),
-        "seed": int,
+        "seed": (int, _NONNEG),
     },
     "model": {
-        "hidden": list,
-        "seed": int,
+        "hidden": (list, _ONE_UP),
+        "seed": (int, _NONNEG),
     },
     "fit": {
         "driver": (str, ("fvm", "pfo", "delay")),
@@ -94,7 +96,7 @@ SCHEMA = {
         "max_points": (int, _MMD_POINTS),
         "checkpoint_every": (int, _NONNEG),
         "clip_norm": (float, _NONNEG),
-        "seed": int,
+        "seed": (int, _NONNEG),
         "resume_from": str,
         "target": str,
     },
@@ -104,14 +106,14 @@ SCHEMA = {
         "sim_dt": (float, _POSITIVE),
         "sim_burn_in": (int, _NONNEG),
         "diffusion": (float, _NONNEG),
-        "seed": int,
+        "seed": (int, _NONNEG),
         "n_projections": (int, _ONE_UP),
         "max_points": (int, _ONE_UP),
         "n_cells": (int, _SQUARE),
         "n_initial": (int, _ONE_UP),
         "n_iters": (int, _ONE_UP),
         "quad_points": (int, _ONE_UP),
-        "grids": list,
+        "grids": (list, _TWO_UP),
         "eps_tele": (float, _UNIT),
         "n_sde_steps": (int, _ONE_UP),
         "sde_dt": (float, _POSITIVE),
@@ -125,7 +127,7 @@ SCHEMA = {
         "lag": (int, _ONE_UP),
         "observable": (int, _NONNEG),
         "hist_bins": (int, _TWO_UP),
-        "seed": int,
+        "seed": (int, _NONNEG),
         "trajectory": str,
     },
 }
@@ -159,6 +161,10 @@ READERS = {
               "embed": ("trajectory",)},
 }
 
+# section -> (the section whose selector decides, the values that read
+# it), for a whole section that only some of that selector's values read
+SECTION_READERS = {"mesh": ("fit", ("pfo",))}
+
 
 def _check_value(value, allowed, path):
     """The value, checked against its schema entry; numbers a schema entry
@@ -188,6 +194,9 @@ def _check_value(value, allowed, path):
             f"{path}: expected {name}, got {type(value).__name__}")
     if kind is float:
         value = float(value)
+    if kind is list and rule is not None:
+        return [_check_value(v, (int, rule), f"{path}[{i}]")
+                for i, v in enumerate(value)]
     if isinstance(rule, Bound):
         if not rule.holds(value):
             raise ConfigError(f"{path}: {value} must be {rule.text}")
@@ -199,8 +208,8 @@ def _check_value(value, allowed, path):
 
 def _check_readers(cfg: dict):
     """Set each present section's selector to its default if the config
-    leaves it out, and reject the keys that the selected value does not
-    read."""
+    leaves it out, and reject the keys and sections that the selected
+    value does not read."""
     for name, (selector, default) in SELECTORS.items():
         if name not in cfg:
             continue
@@ -212,6 +221,12 @@ def _check_readers(cfg: dict):
             raise ConfigError(
                 f"{', '.join(unread)}: {name}.{selector} {value!r} does not "
                 "read " + ("it" if len(unread) == 1 else "them"))
+    for name, (owner, values) in SECTION_READERS.items():
+        selector, default = SELECTORS[owner]
+        value = cfg.get(owner, {}).get(selector, default)
+        if name in cfg and value not in values:
+            raise ConfigError(
+                f"{name}: {owner}.{selector} {value!r} does not read it")
 
 
 def validate_config(cfg: dict) -> dict:

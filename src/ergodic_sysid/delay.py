@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .measure import SampleCloud, energy_mmd_grad_x
-from .systems import DiscreteMap, Trajectory, iterate_map_batch
+from .systems import DiscreteMap, iterate_map_batch
 
 # Largest cloud the O(n^2) energy-distance sums take; a fit asking for more
 # points is rejected, not thinned behind its back.
@@ -61,10 +61,10 @@ class DelayMapConfig:
         return states[..., int(self.observable)]
 
 
-def delay_embed(traj: Trajectory, cfg: DelayMapConfig) -> SampleCloud:
-    """Sliding delay vectors of the observable series, one per start index."""
-    series = cfg.observe(traj.states if isinstance(traj, Trajectory)
-                         else np.atleast_2d(np.asarray(traj, float)))
+def delay_embed(states: np.ndarray, cfg: DelayMapConfig) -> SampleCloud:
+    """Sliding delay vectors of the observable series of the (N, d)
+    trajectory states, one per start index."""
+    series = cfg.observe(states)
     n_out = series.size - (cfg.m - 1) * cfg.lag
     if n_out < 1:
         raise ValueError(
@@ -94,18 +94,15 @@ def _delay_coords(chain: np.ndarray, cfg: DelayMapConfig) -> np.ndarray:
                     axis=1)
 
 
-def pushforward_delay_measure(samples: SampleCloud, model,
+def pushforward_delay_measure(samples: SampleCloud, system: DiscreteMap,
                               cfg: DelayMapConfig) -> SampleCloud:
     """Apply the delay map pointwise to invariant-measure samples.
 
     Iterates the map lag steps per delay slot, recording the observable at
     each slot; for the true map this reproduces delay_embed of a trajectory
-    exactly. ``model`` is a DiscreteMap or a model with ``eval_batch``.
+    exactly.
     """
-    x = samples.points
-    if not hasattr(model, "step"):
-        model = DiscreteMap("model", x.shape[1], model.eval_batch)
-    chain = iterate_map_batch(model, x, (cfg.m - 1) * cfg.lag)
+    chain = iterate_map_batch(system, samples.points, (cfg.m - 1) * cfg.lag)
     return SampleCloud(_delay_coords(chain, cfg))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import delay as delay_mod
 from . import fvm, io, pfo
-from .config import ConfigError, section
+from .config import ConfigError, Section, section
 from .measure import (Grid, SampleCloud, energy_mmd, occupation_measure,
                       subsample_stride, wasserstein2)
 from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo
@@ -82,10 +82,10 @@ def _delay_config(sec: dict, name: str, dim: int):
     return delay_mod.DelayMapConfig(**kwargs)
 
 
-def model_as_system(model, dim: int, name: str = "fitted") -> OdeSystem:
+def model_as_system(model, dim: int) -> OdeSystem:
     """Wrap a velocity model so the integrators can step a batch of
     states (K, d) through it."""
-    return OdeSystem(name, dim, {}, model.eval_batch)
+    return OdeSystem("fitted", dim, {}, model.eval_batch)
 
 
 def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
@@ -158,10 +158,16 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
             "dim": traj.dim}
 
 
-def build_grid(grid_cfg: dict, states: np.ndarray) -> Grid:
+def build_grid(grid_cfg: Section, states: np.ndarray) -> Grid:
+    """The config's box grid over the states: ``grid.lo`` and ``grid.hi``
+    come as a pair, else the states' box padded by the margin is used."""
     n_per_dim = grid_cfg["n_per_dim"]
-    if "lo" in grid_cfg and "hi" in grid_cfg:
-        return Grid(grid_cfg["lo"], grid_cfg["hi"], n_per_dim)
+    if len(n_per_dim) != states.shape[1]:
+        raise ConfigError(f"grid.n_per_dim: {len(n_per_dim)} entries for "
+                          f"{states.shape[1]}-dimensional data")
+    if "lo" in grid_cfg or "hi" in grid_cfg:
+        return _checked("grid.lo, grid.hi", Grid, grid_cfg["lo"],
+                        grid_cfg["hi"], n_per_dim)
     margin = grid_cfg.get("auto_box_margin", 0.05)
     lo = states.min(axis=0)
     hi = states.max(axis=0)
@@ -188,7 +194,7 @@ def cmd_histogram(cfg: dict, outdir: Path) -> dict:
     grid_cfg = section(cfg, "grid")
     traj = _load_trajectory(outdir)
     grid = build_grid(grid_cfg, traj.states)
-    m = occupation_measure(traj, grid, **_given(grid_cfg, "clip"))
+    m = occupation_measure(traj.states, grid, **_given(grid_cfg, "clip"))
     path = outdir / "measure.json"
     io.write_measure_json(path, m)
     log.info("wrote %s (%d cells)", path, m.n)
@@ -219,7 +225,6 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
     external target), both affines are the identity.
     """
     model_cfg = section(cfg, "model", required=False)
-    hidden = [int(h) for h in model_cfg.get("hidden", [64, 64])]
     in_shift = in_scale = out_shift = out_scale = None
     if traj is not None:
         in_shift = traj.states.mean(axis=0)
@@ -228,8 +233,8 @@ def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
             out_shift, out_scale = in_shift, in_scale
         else:
             out_shift, out_scale = _fd_velocity_stats(traj)
-    mlp = MlpModel([dim_in] + hidden + [dim_in], in_shift, in_scale,
-                   out_shift, out_scale)
+    mlp = MlpModel([dim_in, *model_cfg.get("hidden", [64, 64]), dim_in],
+                   in_shift, in_scale, out_shift, out_scale)
     mlp.init_params(**_seed_of(cfg, model_cfg))
     return mlp
 
@@ -424,14 +429,12 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     states, src, dst = catmap_dataset(n_initial, n_iters, seed)
     build = subsample_stride(SampleCloud(states), 200000)
     mesh_u = pfo.build_mesh(build, n_cells, seed=seed)
-    pou0 = pfo.PartitionOfUnity(mesh_u.centers, 0.0)
-    m_unstructured = pfo.estimate_markov((src, dst), mesh_u, pou0)
+    m_unstructured = pfo.estimate_markov((src, dst), mesh_u)
     pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
 
     grid = unit_torus_grid(math.isqrt(n_cells))
     mesh_g = pfo.UnstructuredMesh(grid.centers())
-    pou_g = pfo.PartitionOfUnity(mesh_g.centers, 0.0)
-    m_uniform = pfo.estimate_markov((src, dst), mesh_g, pou_g)
+    m_uniform = pfo.estimate_markov((src, dst), mesh_g)
     pi_g = pfo.invariant_density(m_uniform, eps_tele=1e-8)
 
     rng = np.random.default_rng(seed + 1)
@@ -528,8 +531,8 @@ def torus_pair_diagnostics(pair_a, pair_b,
     hist_b = occupation_measure(orbit_b, grid, clip=True)
     state_l1 = float(np.abs(hist_a.weights - hist_b.weights).sum())
 
-    cloud_a = delay_mod.delay_embed(Trajectory(orbit_a, 0.0), cfg)
-    cloud_b = delay_mod.delay_embed(Trajectory(orbit_b, 0.0), cfg)
+    cloud_a = delay_mod.delay_embed(orbit_a, cfg)
+    cloud_b = delay_mod.delay_embed(orbit_b, cfg)
     ca = subsample_stride(cloud_a)
     cb = subsample_stride(cloud_b)
     delay_mmd = energy_mmd(ca, cb)
@@ -568,7 +571,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
     traj = io.read_trajectory_csv(_input_file(
         "delay.trajectory", dcfg.get("trajectory", outdir / "trajectory.csv")))
     cfg_d = _delay_config(dcfg, "delay", traj.dim)
-    cloud = delay_mod.delay_embed(traj, cfg_d)
+    cloud = delay_mod.delay_embed(traj.states, cfg_d)
     io.write_cloud_csv(outdir / "delay.csv", cloud)
     return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,
             "m": cfg_d.m}

@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .measure import Grid
-from .velocity_models import linearize_velocity
 
 COLSUM_TOL = 1e-12
 STATIONARY_TOL = 1e-9  # bound on the l1 fixed-point residual of rho
@@ -84,8 +83,7 @@ def frozen_dt(grid: Grid, velocity, D: float) -> float:
     if hasattr(velocity, "face_arrays"):
         v_inf = max(float(np.abs(a).max()) for a in velocity.face_arrays())
     else:
-        v_inf = float(np.abs(linearize_velocity(velocity,
-                                                grid.centers())[0]).max())
+        v_inf = float(np.abs(velocity.linearize(grid.centers())[0]).max())
     return cfl_dt(grid, D, max(v_inf, 1e-9)) * 0.5
 
 
@@ -98,7 +96,7 @@ class FvmOperator:
     face of a cell is the lower face of its axis-i successor. For a field
     evaluated at the faces, ``face_pullbacks[i]`` is the pullback of its
     values at the interior lower faces ``grid.lower_faces[i]``, kept for
-    the parameter gradient (see ``linearize_velocity``).
+    the parameter gradient (None for an ``OdeSystem``).
     """
 
     grid: Grid
@@ -116,9 +114,9 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
     """Build K = sum_i (dt/dx_i) K_i with upwind advection and central
     diffusion, validating that every column sums to zero.
 
-    ``velocity`` is a field evaluated at the interior face centers (the
-    wall faces carry zero flux), or an object with ``face_arrays()``
-    supplying the face values directly.
+    ``velocity`` is a model or an ``OdeSystem``, linearized at the
+    interior face centers (the wall faces carry zero flux), or an object
+    with ``face_arrays()`` supplying the face values directly.
     """
     if D < 0:
         raise ValueError("D must be nonnegative")
@@ -137,8 +135,7 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
     else:
         pullbacks = []
         for i, low in enumerate(grid.lower_faces):
-            values, pullback = linearize_velocity(
-                velocity, grid.face_centers(i)[low])
+            values, pullback = velocity.linearize(grid.face_centers(i)[low])
             face_v[i][low] = values[:, i]
             pullbacks.append(pullback)
 

@@ -212,13 +212,12 @@ def subsample_stride(cloud: SampleCloud, max_points: int = 4000) -> SampleCloud:
     return SampleCloud(cloud.points[idx], w)
 
 
-def occupation_measure(traj, grid: Grid, clip: bool = False) -> Measure:
-    """Histogram of trajectory samples over the grid cells.
+def occupation_measure(states, grid: Grid, clip: bool = False) -> Measure:
+    """Histogram of the (N, d) trajectory states over the grid cells.
 
     weights[j] = (# samples in cell j) / N. Out-of-box samples raise a
     DomainError unless clip=True moves them to the nearest boundary cell.
     """
-    states = traj.states if hasattr(traj, "states") else np.asarray(traj)
     idx = grid.locate(states, clip=clip)
     counts = np.bincount(idx, minlength=grid.n_cells).astype(float)
     return Measure(counts / counts.sum(), support=grid)

@@ -267,7 +267,7 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     observed_delay = None
     if has_delay_term(loss):
         observed_delay = subsample_stride(
-            delay_mod.delay_embed(observed, cfg), max_points)
+            delay_mod.delay_embed(observed.states, cfg), max_points)
 
     def loss_and_grad(theta):
         model.set_params(theta)

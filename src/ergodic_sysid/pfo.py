@@ -2,10 +2,10 @@
 
 Cells are the nearest-center regions of a k-means mesh built on observed
 samples; every estimator assigns points to cells by nearest center, found
-through a kd-tree on the centers, with ties going to the lowest index. Hard
-cell indicators can be smoothed into a softplus-of-distance partition of
-unity so that the matrix entries become differentiable in any parameter
-moving the underlying map.
+through a kd-tree on the centers, with ties going to the lowest index.
+``estimate_markov`` counts transitions between cells, or averages the
+weights of a softplus-of-distance partition of unity, whose entries are
+differentiable in any parameter moving the underlying map.
 
 Estimated matrices here are ROW-stochastic (row = source cell), unlike the
 column-stochastic finite-volume chains. ``invariant_density`` is the one
@@ -172,19 +172,17 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
     Its drift part covers the rounding of the bound updates, which grows
     with the distances at the last query, at most ``lower + drift``.
     """
-    points = samples.points if isinstance(samples, SampleCloud) \
-        else np.atleast_2d(np.asarray(samples, float))
+    points = samples.points
     if n_cells > points.shape[0]:
         raise ValueError("more cells than samples")
     rng = np.random.default_rng(seed)
     for attempt in range(restarts):
         centers = _kmeans_pp(points, n_cells, rng)
         assignment, upper, lower = _nearest_two(points, centers)
-        empty, shift, drift = False, np.inf, 0.0
+        shift, drift = np.inf, 0.0
         for _ in range(max_iters):
             counts = np.bincount(assignment, minlength=n_cells)
             if np.any(counts == 0):
-                empty = True
                 break
             # per-column bincount sums in input order, as np.add.at did
             sums = np.stack([np.bincount(assignment, weights=col,
@@ -207,8 +205,6 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
             logging.getLogger("ergodic_sysid").warning(
                 "k-means restart %d stopped at max_iters=%d, last centre "
                 "shift %.3g >= tol %.3g", attempt, max_iters, shift, tol)
-        if empty:
-            continue
         counts = np.bincount(assignment, minlength=n_cells)
         if np.any(counts == 0):
             continue
@@ -222,19 +218,19 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
 class PartitionOfUnity:
     """Softplus-of-distance cell weights sharing the mesh centers.
 
-    psi_i(x) = r_i / sum_j r_j with r_i = log(1 + exp(-|c_i - x| / eps)).
-    eps = 0 degenerates to the hard nearest-center indicator. The ratio is
-    formed in log space (softmax over log r_i) so that large distances
-    cannot underflow the normalization.
+    psi_i(x) = r_i / sum_j r_j with r_i = log(1 + exp(-|c_i - x| / eps)),
+    eps > 0. The ratio is formed in log space (softmax over log r_i) so that
+    large distances cannot underflow the normalization. The counting
+    estimator of hard cells is ``estimate_markov`` without a partition.
     """
 
     centers: np.ndarray
-    eps: float = 0.0
+    eps: float
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
     @property
     def n(self) -> int:
@@ -261,11 +257,6 @@ class PartitionOfUnity:
     def eval(self, points) -> np.ndarray:
         """Weight rows, each nonnegative and summing to one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.eps == 0.0:
-            idx = assign_nearest(pts, self.centers)
-            out = np.zeros((pts.shape[0], self.n))
-            out[np.arange(pts.shape[0]), idx] = 1.0
-            return out
         out = np.empty((pts.shape[0], self.n))
         for s in range(0, pts.shape[0], _CHUNK):
             u = out[s:s + _CHUNK]
@@ -276,13 +267,8 @@ class PartitionOfUnity:
 
     def linearize(self, points):
         """Weight rows at the points and the pullback of d(sum_k seeds_k .
-        psi(x_k))/dx_k, which reuses the kernel of this forward pass.
-
-        The pullback is zero for eps = 0 (piecewise-constant weights).
-        """
+        psi(x_k))/dx_k, which reuses the kernel of this forward pass."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.eps == 0.0:
-            return self.eval(pts), lambda seeds: np.zeros_like(pts)
         psi = np.empty((pts.shape[0], self.n))
         kernels = []
         for s in range(0, pts.shape[0], _CHUNK):
@@ -376,24 +362,24 @@ def _row_average(src, counts, rows) -> np.ndarray:
 
 
 def estimate_markov(pairs, mesh: UnstructuredMesh,
-                    pou: PartitionOfUnity) -> UlamMatrix:
+                    pou: Optional[PartitionOfUnity] = None) -> UlamMatrix:
     """Monte-Carlo transition matrix from (x, T(x)) sample pairs.
 
-    Row i averages the smoothed cell weights of the images of the samples
-    in source cell i; with eps = 0 this is exactly the counting estimator
-    (fraction of cell-i samples landing in cell j).
+    Without a partition this is the counting estimator: entry (i, j) is the
+    fraction of cell-i samples whose image lands in cell j, and the matrix
+    records eps 0. With one, row i averages the smoothed cell weights of
+    the images of the samples in source cell i.
     """
     x, y = pairs
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     src, counts = _source_groups(x, mesh, None)
     n = mesh.n
-    if pou.eps == 0.0:
+    if pou is None:
         dst = mesh.assign(y)
         flat = np.bincount(src * n + dst, minlength=n * n).astype(float)
-        mat = flat.reshape(n, n) / counts[:, None]
-    else:
-        mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
+        return UlamMatrix(flat.reshape(n, n) / counts[:, None], mesh)
+    mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
     return UlamMatrix(mat, mesh, pou.eps)
 
 
@@ -409,7 +395,8 @@ def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
 
 
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
-                        pou: PartitionOfUnity, sources, flow_dt: float,
+                        pou: PartitionOfUnity, sources: SampleCloud,
+                        flow_dt: float,
                         target: UlamMatrix, substeps: int = 1,
                         assignments: Optional[np.ndarray] = None):
     """Frobenius mismatch to a target matrix and its parameter gradient.
@@ -417,8 +404,7 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     Reverse mode runs through the smoothed cell weights and the RK4 stages;
     mesh centers stay frozen. Returns (loss, theta_grad, matrix).
     """
-    x = sources.points if isinstance(sources, SampleCloud) \
-        else np.atleast_2d(np.asarray(sources, float))
+    x = sources.points
     src, counts = _source_groups(x, mesh, assignments)
     y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
     psi, pou_pullback = pou.linearize(y)

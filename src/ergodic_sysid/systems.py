@@ -75,6 +75,10 @@ class OdeSystem:
             if not np.isfinite(val):
                 raise ValueError(f"parameter {key} is not finite")
 
+    def linearize(self, x):
+        """``rhs(x)`` and a None pullback: no parameters to differentiate."""
+        return self.rhs(x), None
+
 
 @dataclass(frozen=True)
 class DiscreteMap:

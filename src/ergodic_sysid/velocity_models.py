@@ -12,7 +12,8 @@ where the parameter gradient accumulates d(sum_k seeds_k . f(x_k))/d theta
 and the input gradient (None unless need_x) is d/dx_k of the same sum. The
 pullback closes over the intermediates of the forward pass that made the
 values, so a reverse pass never reruns the network; ``flow_rk4_vjp`` chains
-the pullbacks of its stages the same way.
+the pullbacks of its stages the same way. ``systems.OdeSystem.linearize``
+gives a known field the same call, with a None pullback.
 """
 
 from __future__ import annotations
@@ -185,17 +186,6 @@ class FaceValuesModel(_Parameterized):
         return [self.theta[i * n:(i + 1) * n] for i in range(self.grid.dim)]
 
 
-def linearize_velocity(velocity, X):
-    """Values of a model or an OdeSystem at points X and their pullback.
-
-    The pullback is None for an OdeSystem: it has no parameters to
-    differentiate.
-    """
-    if hasattr(velocity, "linearize"):
-        return velocity.linearize(X)
-    return velocity.rhs(X), None
-
-
 def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
     """RK4 flow map of a batch of points and its reverse-mode derivative.
 
@@ -203,8 +193,8 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
     gives (theta_grad, x_grad), the gradients of sum(seed_grad . Y) with
     respect to the parameters and to X through every stage of every
     substep. Each stage runs the velocity's ``linearize`` once and the
-    pullback reverses through the stage pullbacks it kept; only the
-    pullback needs a velocity that has ``linearize``.
+    pullback reverses through the stage pullbacks it kept, which only a
+    model has: an ``OdeSystem`` flows forward but cannot be pulled back.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
@@ -213,7 +203,7 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
     stages = []  # the pullbacks of the four stages of every substep
 
     def f(z):
-        value, stage_pullback = linearize_velocity(velocity, z)
+        value, stage_pullback = velocity.linearize(z)
         stages.append(stage_pullback)
         return value
 

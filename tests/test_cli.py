@@ -12,7 +12,8 @@ import pytest
 import ergodic_sysid
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
-from ergodic_sysid.config import READERS, SCHEMA, SELECTORS, validate_config
+from ergodic_sysid.config import (READERS, SCHEMA, SECTION_READERS,
+                                  SELECTORS, validate_config)
 from ergodic_sysid.experiments import _max_box_escape
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
@@ -338,6 +339,26 @@ def _short_measure(cfg):
     ("delay.hist_bins", lambda c: c.update(delay={"hist_bins": 8}),
      "simulate"),
     ("delay.seed", lambda c: c.update(delay={"seed": 3}), "simulate"),
+    ("data.seed", lambda c: c["data"].update(kind="sde", seed=-1),
+     "simulate"),
+    ("model.seed", lambda c: c["model"].update(seed=-1), "simulate"),
+    ("grid.n_per_dim", lambda c: c["grid"].update(n_per_dim=[1, 1]),
+     "simulate"),
+    ("model.hidden", lambda c: c["model"].update(hidden=[0]), "simulate"),
+    ("eval.grids", lambda c: c.update(eval={"kind": "refinement",
+                                            "grids": [25, 1]}), "simulate"),
+    ("grid.hi", lambda c: c["grid"].update(lo=[-3.0, -3.0]), "histogram"),
+    ("grid.lo", lambda c: c["grid"].update(hi=[3.0, 3.0]), "histogram"),
+    ("grid.n_per_dim", lambda c: c["grid"].update(n_per_dim=[8]),
+     "histogram"),
+    ("grid.lo, grid.hi", lambda c: c["grid"].update(lo=[3.0, 3.0],
+                                                    hi=[-3.0, -3.0]),
+     "histogram"),
+    ("grid.lo, grid.hi", lambda c: c["grid"].update(lo=[-3.0], hi=[3.0]),
+     "histogram"),
+    ("mesh: fit.driver 'fvm'", lambda c: c.update(mesh={"n_cells": 4,
+                                                        "pou_eps": 0.05}),
+     "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -372,7 +393,11 @@ def _short_measure(cfg):
         "grid-auto_box_margin-negative", "torus-n_steps-zero",
         "torus-hist_bins-one", "pfo-fit-eps_tele", "delay-fit-target",
         "fvm_density-eps_tele", "catmap-max_points", "embed-hist_bins",
-        "embed-seed"])
+        "embed-seed", "data-seed-negative", "model-seed-negative",
+        "grid-n_per_dim-one", "model-hidden-zero", "refinement-grids-one",
+        "grid-lo-without-hi", "grid-hi-without-lo",
+        "grid-n_per_dim-wrong-length", "grid-lo-above-hi",
+        "grid-lo-hi-wrong-length", "fvm-fit-mesh"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -477,13 +502,19 @@ def test_reader_table_names_schema_keys_and_allowed_values():
         assert set(READERS[name]) == set(choices)
         for keys in READERS[name].values():
             assert set(keys) <= set(SCHEMA[name]) - {selector}
+    for name, (owner, values) in SECTION_READERS.items():
+        assert name in SCHEMA and name not in SELECTORS
+        assert set(values) <= set(SCHEMA[owner][SELECTORS[owner][0]][1])
 
 
-def test_unknown_flag_exits_2(tmp_path):
+def test_unknown_flag_exits_2(tmp_path, capsys):
     cfg_path = _write(tmp_path, _smoke_config(str(tmp_path / "run")))
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", cfg_path, "--threads", "2"])
-    assert exc.value.code == 2
+    for flag in (["--threads", "2"], ["--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg_path, *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_config_exits_2(tmp_path):

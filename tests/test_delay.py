@@ -4,8 +4,7 @@ import pytest
 from ergodic_sysid.delay import (DelayMapConfig, delay_embed, loss_j2_grad,
                                  pushforward_delay_measure)
 from ergodic_sysid.measure import SampleCloud, energy_mmd
-from ergodic_sysid.systems import (DiscreteMap, Trajectory,
-                                   iterate_map_batch, make_system)
+from ergodic_sysid.systems import DiscreteMap, iterate_map_batch, make_system
 from ergodic_sysid.velocity_models import MlpModel
 
 
@@ -17,8 +16,7 @@ def _shift_map(shift):
 
 
 def test_constant_signal_embeds_to_constant_vectors():
-    traj = Trajectory(np.full((20, 1), 3.2), 0.0)
-    cloud = delay_embed(traj, DelayMapConfig(0, 4, 1))
+    cloud = delay_embed(np.full((20, 1), 3.2), DelayMapConfig(0, 4, 1))
     assert cloud.points.shape == (17, 4)
     assert np.all(cloud.points == 3.2)
 
@@ -34,14 +32,13 @@ def test_torus_embedding_first_vector():
 def test_m_one_collapses_to_observable_series():
     rng = np.random.default_rng(0)
     states = rng.normal(size=(30, 2))
-    cloud = delay_embed(Trajectory(states, 0.0), DelayMapConfig(1, 1, 1))
+    cloud = delay_embed(states, DelayMapConfig(1, 1, 1))
     assert np.array_equal(cloud.points[:, 0], states[:, 1])
 
 
 def test_too_short_trajectory_rejected():
-    traj = Trajectory(np.zeros((4, 1)), 0.0)
     with pytest.raises(ValueError):
-        delay_embed(traj, DelayMapConfig(0, 3, 2))
+        delay_embed(np.zeros((4, 1)), DelayMapConfig(0, 3, 2))
 
 
 def test_lag_respected():
@@ -141,7 +138,8 @@ def test_loss_j2_exact_model_and_lower_bound():
     mu = SampleCloud(rng.random((60, 2)))
     images = SampleCloud(mu.points + shift)
     cfg = DelayMapConfig(0, 3, 1)
-    observed_delay = pushforward_delay_measure(mu, truth, cfg)
+    observed_delay = pushforward_delay_measure(
+        mu, DiscreteMap("truth", 2, truth.eval_batch), cfg)
     assert abs(loss_j2_grad(truth, mu, images, observed_delay, cfg)[0]) \
         < 1e-12
     mlp = MlpModel([2, 6, 2])

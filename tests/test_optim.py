@@ -136,8 +136,8 @@ def _wrap_system(sys):
         def get_params(self):
             return np.zeros(0)
 
-        def rhs(self, X):
-            return sys.rhs(X)
+        def linearize(self, X):
+            return sys.linearize(X)
 
     return _Wrapper()
 

@@ -264,17 +264,17 @@ def test_pou_rows_normalized_any_eps():
     rng = np.random.default_rng(5)
     centers = rng.normal(size=(7, 3))
     pts = rng.normal(size=(1000, 3)) * 3.0
-    for eps in (0.0, 1e-3, 0.5, 5.0):
+    for eps in (1e-3, 0.5, 5.0):
         w = PartitionOfUnity(centers, eps).eval(pts)
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-10
         assert w.min() >= 0.0
 
 
-def test_pou_hard_indicator_at_zero_eps():
-    centers = np.array([[0.0], [1.0]])
-    pou = PartitionOfUnity(centers, 0.0)
-    w = pou.eval(np.array([[0.2], [0.9]]))
-    assert np.array_equal(w, [[1.0, 0.0], [0.0, 1.0]])
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_pou_rejects_a_hard_partition(eps):
+    # the hard cells' counting estimator is estimate_markov without one
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        PartitionOfUnity(np.array([[0.0], [1.0]]), eps)
 
 
 def test_pou_pullback_matches_fd_across_chunks(monkeypatch):
@@ -340,15 +340,6 @@ def test_pou_pullback_on_a_centre(monkeypatch):
             assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
 
 
-def test_pou_pullback_is_zero_at_zero_eps():
-    rng = np.random.default_rng(41)
-    pts = rng.normal(size=(9, 2))
-    pou = PartitionOfUnity(rng.normal(size=(4, 2)), 0.0)
-    psi, pullback = pou.linearize(pts)
-    assert np.array_equal(psi, pou.eval(pts))
-    assert np.all(pullback(rng.standard_normal((9, 4))) == 0.0)
-
-
 def test_pou_eval_builds_the_kernel_in_place():
     # every centre within u <= 33 of every point is the kernel's largest
     # case: exp(-u) and log1p(exp(-u)) are then full-size too
@@ -386,8 +377,7 @@ def test_estimate_identity_map():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(500, 2))
     mesh = build_mesh(SampleCloud(x), 6, seed=7)
-    pou = PartitionOfUnity(mesh.centers, 0.0)
-    M = estimate_markov((x, x), mesh, pou)
+    M = estimate_markov((x, x), mesh)
     assert np.allclose(M.matrix, np.eye(6))
 
 
@@ -395,7 +385,7 @@ def test_estimate_doubling_map_within_binomial():
     rng = np.random.default_rng(0)
     x, y = _doubling_pairs(rng, 10000)
     mesh = UnstructuredMesh(np.array([[0.25], [0.75]]))
-    M = estimate_markov((x, y), mesh, PartitionOfUnity(mesh.centers, 0.0))
+    M = estimate_markov((x, y), mesh)
     counts = np.bincount(mesh.assign(x), minlength=2)
     for i in range(2):
         sigma = np.sqrt(0.25 / counts[i])
@@ -409,8 +399,9 @@ def test_row_stochastic_for_random_maps_any_eps():
         y = np.tanh(x @ rng.normal(size=(2, 2))) + 0.1 * rng.normal(
             size=(400, 2))
         mesh = build_mesh(SampleCloud(x), 9, seed=rng.integers(100))
-        M = estimate_markov((x, y), mesh,
-                            PartitionOfUnity(mesh.centers, eps))
+        pou = PartitionOfUnity(mesh.centers, eps) if eps > 0 else None
+        M = estimate_markov((x, y), mesh, pou)
+        assert M.eps == eps
         assert np.abs(M.matrix.sum(axis=1) - 1.0).max() < 1e-12
         assert M.matrix.min() >= 0.0
 
@@ -419,7 +410,7 @@ def test_estimate_empty_source_cell():
     x = np.full((10, 1), 0.1)
     mesh = UnstructuredMesh(np.array([[0.0], [5.0]]))
     with pytest.raises(EstimationError):
-        estimate_markov((x, x), mesh, PartitionOfUnity(mesh.centers, 0.0))
+        estimate_markov((x, x), mesh)
 
 
 def test_eps_to_zero_consistency():
@@ -428,7 +419,7 @@ def test_eps_to_zero_consistency():
     cat = make_system("cat_modified")
     y = cat.step(x)
     mesh = build_mesh(SampleCloud(x), 16, seed=11)
-    M0 = estimate_markov((x, y), mesh, PartitionOfUnity(mesh.centers, 0.0))
+    M0 = estimate_markov((x, y), mesh)
     devs = []
     for eps in (1.0, 0.1, 0.01, 0.001):
         Me = estimate_markov((x, y), mesh,
@@ -442,7 +433,7 @@ def test_invariant_density_doubling():
     rng = np.random.default_rng(12)
     x, y = _doubling_pairs(rng, 20000)
     mesh = UnstructuredMesh(np.array([[0.25], [0.75]]))
-    M = estimate_markov((x, y), mesh, PartitionOfUnity(mesh.centers, 0.0))
+    M = estimate_markov((x, y), mesh)
     pi = invariant_density(M, eps_tele=1e-10)
     assert np.abs(pi.weights - 0.5).max() < 0.02
     # residual postcondition under the iterated operator
@@ -466,10 +457,9 @@ def test_flowmap_zero_velocity_is_identity():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(300, 2))
     mesh = build_mesh(SampleCloud(x), 5, seed=17)
-    pou = PartitionOfUnity(mesh.centers, 0.0)
     mlp = MlpModel([2, 4, 2])
     mlp.set_params(np.zeros(mlp.n_params))
-    M = _flowmap(mlp, mesh, pou, SampleCloud(x), 0.05)
+    M = _flowmap(mlp, mesh, None, SampleCloud(x), 0.05)
     assert np.allclose(M.matrix, np.eye(5))
 
 

@@ -279,6 +279,8 @@ def test_field_is_rhs_bit_for_bit(name, params):
         assert all(type(v) is float for v in field)
         assert np.array_equal(_bits(field), _bits(sys.rhs(row))), idx
         assert np.array_equal(_bits(field), _bits(out[idx])), idx
+    values, pullback = sys.linearize(batch)
+    assert np.array_equal(_bits(values), _bits(out)) and pullback is None
 
 
 def test_integrate_ode_steps_the_field_not_the_rhs():

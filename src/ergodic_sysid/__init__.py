@@ -8,11 +8,11 @@ from .systems import (OdeSystem, DiscreteMap, Trajectory, integrate_ode,
                       make_system)
 from .measure import (Grid, Measure, SampleCloud, occupation_measure,
                       wasserstein2, energy_mmd)
-from .fvm import (FvmOperator, RegularizedMarkov, cfl_dt, assemble_K,
-                  teleport, stationary_density)
+from .fvm import (FvmOperator, RegularizedMarkov, cfl_dt, face_velocities,
+                  assemble_K, teleport, stationary_density)
 from .adjoint import (AdjointSolution, solve_adjoint, grad_face_velocities,
                       grad_parameters)
-from .velocity_models import MlpModel, FaceValuesModel
+from .velocity_models import MlpModel
 from .pfo import (UnstructuredMesh, PartitionOfUnity, UlamMatrix, build_mesh,
                   estimate_markov, invariant_density)
 from .delay import DelayMapConfig, delay_embed, pushforward_delay_measure

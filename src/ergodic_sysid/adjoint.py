@@ -87,20 +87,17 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov,
     return grads
 
 
-def grad_parameters(face_grads: list, velocity,
-                    op: FvmOperator) -> np.ndarray:
+def grad_parameters(face_grads: list, pullbacks: list, grid) -> np.ndarray:
     """Chain face gradients into the velocity parameterization.
 
-    Seeds the pullbacks that ``assemble_K`` kept, one per dimension: the
-    i-th output component at the interior lower faces gets the
-    corresponding face gradient. No model forward pass is rerun.
+    Seeds the pullbacks that ``fvm.face_velocities`` returned, one per
+    dimension: the i-th output component at the interior lower faces gets
+    the corresponding face gradient. No model forward pass is rerun.
     """
-    if hasattr(velocity, "face_arrays"):
-        return np.concatenate(face_grads)
-    total = np.zeros(velocity.n_params)
-    for i, pullback in enumerate(op.face_pullbacks):
-        j = op.grid.lower_faces[i]
-        seeds = np.zeros((j.size, velocity.dim_out))
+    total = 0.0
+    for i, pullback in enumerate(pullbacks):
+        j = grid.lower_faces[i]
+        seeds = np.zeros((j.size, grid.dim))
         seeds[:, i] = face_grads[i][j]
         tg, _ = pullback(seeds)
         total += tg

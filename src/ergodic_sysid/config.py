@@ -42,8 +42,8 @@ _SQUARE = Bound("a square >= 1", lambda v: v >= 1 and math.isqrt(v) ** 2 == v)
 
 # section -> key -> type, or (type, bound or tuple of choices). A float
 # entry takes any number and stores it as a float; a list entry with a
-# bound takes a list of ints, each within it; None marks a free-form
-# numeric dict.
+# bound takes a nonempty list of ints, each within it; None marks a
+# free-form numeric dict.
 SCHEMA = {
     "name": str,
     "seed": (int, _NONNEG),
@@ -195,6 +195,8 @@ def _check_value(value, allowed, path):
     if kind is float:
         value = float(value)
     if kind is list and rule is not None:
+        if not value:
+            raise ConfigError(f"{path}: must hold at least one element")
         return [_check_value(v, (int, rule), f"{path}[{i}]")
                 for i, v in enumerate(value)]
     if isinstance(rule, Bound):

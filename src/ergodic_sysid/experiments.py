@@ -371,7 +371,8 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
 
     target = io.read_measure_json(outdir / "measure.json")
     grid = target.support
-    op = fvm.assemble_K(grid, model, D, report["extras"]["dt"])
+    face_v, _ = fvm.face_velocities(grid, model)
+    op = fvm.assemble_K(grid, face_v, D, report["extras"]["dt"])
     rho = fvm.stationary_density(fvm.teleport(op, fit_cfg["eps_tele"]))
     heat = np.column_stack([grid.centers(), rho])
     io._write_table(outdir / "density.csv",
@@ -477,7 +478,8 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
         grid = Grid(lo, hi, [n, n])
         dt = fvm.cfl_dt(grid, diffusion, float(np.abs(
             system.rhs(grid.centers())).max()))
-        op = fvm.assemble_K(grid, system, diffusion, dt)
+        face_v, _ = fvm.face_velocities(grid, system)
+        op = fvm.assemble_K(grid, face_v, diffusion, dt)
         rho = fvm.stationary_density(fvm.teleport(op, eps_tele))
         keep = rho > 0
         dens_cloud = SampleCloud(grid.centers()[keep], rho[keep])

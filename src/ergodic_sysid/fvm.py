@@ -1,10 +1,12 @@
 """Upwind finite-volume surrogate for the stationary density of
 advection-diffusion transport.
 
-``assemble_K`` discretizes d(rho)/dt = -div(rho v) + D lap(rho) on a box
-grid with first-order upwind fluxes, central diffusion, and zero-flux walls
-(velocity and diffusion vanish on boundary faces). K has nonnegative
-off-diagonals and zero column sums: it generates a Markov process.
+``face_velocities`` evaluates a field at the interior lower faces of a box
+grid. ``assemble_K`` takes those face velocities and discretizes
+d(rho)/dt = -div(rho v) + D lap(rho) with first-order upwind fluxes,
+central diffusion, and zero-flux walls (velocity and diffusion vanish on
+boundary faces). K has nonnegative off-diagonals and zero column sums: it
+generates a Markov process.
 Teleporting the update M = I + K to the uniform restart with weight eps
 makes the stationary density unique: rho solves B rho = (eps/N) 1 with
 B = I - (1-eps) M = eps I - (1-eps) K. ``RegularizedMarkov`` holds B and
@@ -18,7 +20,6 @@ an explicit chain, and none is iterated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,72 +73,70 @@ def cfl_dt(grid: Grid, D: float, v_inf: float) -> float:
     return 0.9 * bound
 
 
-def frozen_dt(grid: Grid, velocity, D: float) -> float:
-    """Half of ``cfl_dt`` at the field's sup norm over the grid (its face
-    values when the model has them, else its values at the cell centers).
+def frozen_dt(grid: Grid, field, D: float) -> float:
+    """Half of ``cfl_dt`` at the field's sup norm over the cell centers.
 
     The teleported fixed point depends on dt, so a fit freezes this step
     from the initial field and keeps it for every iteration, whatever the
     field grows to.
     """
-    if hasattr(velocity, "face_arrays"):
-        v_inf = max(float(np.abs(a).max()) for a in velocity.face_arrays())
-    else:
-        v_inf = float(np.abs(velocity.linearize(grid.centers())[0]).max())
+    v_inf = float(np.abs(field.linearize(grid.centers())[0]).max())
     return cfl_dt(grid, D, max(v_inf, 1e-9)) * 0.5
+
+
+def face_velocities(grid: Grid, field):
+    """The field's normal velocity on every lower face, and its pullbacks.
+
+    ``field`` is a model or an ``OdeSystem``; it is linearized once per
+    axis i at the interior lower faces ``grid.lower_faces[i]``. Returns
+    (face_v, pullbacks): ``face_v[i]`` holds component i at the lower face
+    of every cell in flat order, zero on the wall faces, and
+    ``pullbacks[i]`` is the pullback of those interior values (None for an
+    ``OdeSystem``), which ``adjoint.grad_parameters`` seeds.
+    """
+    face_v = np.zeros((grid.dim, grid.n_cells))
+    pullbacks = []
+    for i, low in enumerate(grid.lower_faces):
+        values, pullback = field.linearize(grid.face_centers(i)[low])
+        face_v[i, low] = values[:, i]
+        pullbacks.append(pullback)
+    return face_v, pullbacks
 
 
 @dataclass
 class FvmOperator:
-    """Assembled transport generator K with its grid and face data.
+    """Assembled transport generator K with its grid and face velocities.
 
     ``face_velocities[i]`` holds the lower-face normal velocity of every
     cell along dimension i (flat order, zero on boundary faces); the upper
-    face of a cell is the lower face of its axis-i successor. For a field
-    evaluated at the faces, ``face_pullbacks[i]`` is the pullback of its
-    values at the interior lower faces ``grid.lower_faces[i]``, kept for
-    the parameter gradient (None for an ``OdeSystem``).
+    face of a cell is the lower face of its axis-i successor.
     """
 
     grid: Grid
     K: sp.csr_matrix
     dt: float
-    face_velocities: list
-    face_pullbacks: Optional[list]
-
-    @property
-    def n_cells(self) -> int:
-        return self.grid.n_cells
+    face_velocities: np.ndarray
 
 
-def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
+def assemble_K(grid: Grid, face_v, D: float, dt: float) -> FvmOperator:
     """Build K = sum_i (dt/dx_i) K_i with upwind advection and central
     diffusion, validating that every column sums to zero.
 
-    ``velocity`` is a model or an ``OdeSystem``, linearized at the
-    interior face centers (the wall faces carry zero flux), or an object
-    with ``face_arrays()`` supplying the face values directly.
+    ``face_v`` is a (dim, n_cells) array of lower-face normal velocities,
+    as ``face_velocities`` returns; its wall entries are replaced by zero,
+    since the walls carry no flux.
     """
     if D < 0:
         raise ValueError("D must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = grid.n_cells
+    face_v = np.asarray(face_v, dtype=float)
+    if face_v.shape != (grid.dim, n):
+        raise ValueError(f"face velocities have shape {face_v.shape}, the "
+                         f"grid needs {(grid.dim, n)}")
     strides = grid.strides
-    face_v = [np.zeros(n) for _ in range(grid.dim)]
-    pullbacks = None
-    if hasattr(velocity, "face_arrays"):
-        if not velocity.grid.matches(grid):
-            raise ValueError("face-value model bound to a different grid")
-        for i, arr in enumerate(velocity.face_arrays()):
-            low = grid.lower_faces[i]
-            face_v[i][low] = arr[low]
-    else:
-        pullbacks = []
-        for i, low in enumerate(grid.lower_faces):
-            values, pullback = velocity.linearize(grid.face_centers(i)[low])
-            face_v[i][low] = values[:, i]
-            pullbacks.append(pullback)
+    walled = np.zeros_like(face_v)
 
     diag = np.zeros(n)
     rows, cols, data = [], [], []
@@ -146,7 +145,8 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
         scale = dt / dx
         low_idx = grid.lower_faces[i]
         up_idx = low_idx - strides[i]
-        v = face_v[i]
+        v = walled[i]
+        v[low_idx] = face_v[i, low_idx]
         w = np.zeros(n)
         w[up_idx] = v[low_idx]
         d_low = np.zeros(n)
@@ -176,7 +176,7 @@ def assemble_K(grid: Grid, velocity, D: float, dt: float) -> FvmOperator:
     if not colsums.max() <= COLSUM_TOL:  # a NaN sum fails this test too
         j = int(colsums.argmax())  # the first NaN, if there is one
         raise AssemblyError(j, grid.flat_to_multi(j), float(colsums[j]))
-    return FvmOperator(grid, K, dt, face_v, pullbacks)
+    return FvmOperator(grid, K, dt, walled)
 
 
 class RegularizedMarkov:
@@ -214,7 +214,7 @@ class RegularizedMarkov:
 def teleport(op: FvmOperator, eps: float) -> RegularizedMarkov:
     """The matrix B of the explicit update I + K teleported with weight
     eps to the uniform restart; eps must lie in (0, 1]."""
-    M = (sp.identity(op.n_cells, format="csr") + op.K).tocsr()
+    M = (sp.identity(op.grid.n_cells, format="csr") + op.K).tocsr()
     return RegularizedMarkov(M, eps)
 
 

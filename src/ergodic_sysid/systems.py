@@ -47,8 +47,10 @@ class OdeSystem:
     """Continuous-time system dx/dt = rhs(x).
 
     ``jac_vjp(x, g)`` optionally returns the vector-Jacobian product
-    g^T (d rhs / dx), needed when a known field participates in
-    reverse-mode flow-map differentiation.
+    g^T (d rhs / dx). Nothing calls it yet: ``flow_rk4_vjp`` cannot pull
+    back an ``OdeSystem``. It is checked against finite differences and
+    kept as the input pullback of the planned ``CatalogModel``, whose
+    parameters are a catalog system's own (ROADMAP item 2).
 
     ``field(x1, ..., xd)`` optionally gives the same right-hand side one
     component at a time and returns its d components as a tuple. It must

@@ -1,19 +1,22 @@
-"""Parameterized velocity fields and maps with built-in reverse mode.
+"""A parameterized velocity field or map with built-in reverse mode.
 
 The networks here are tiny, and the optimization drivers only ever need
 vector-Jacobian products, so reverse mode is written out by hand instead of
-pulling in an autodiff framework. Every differentiable model exposes
+pulling in an autodiff framework. ``MlpModel`` holds its parameters in one
+flat vector ``theta`` and exposes
 
-    eval_batch(X)               -> (n, dim_out) values
+    eval_batch(X)               -> (n, m) values
     linearize(X)                -> (values, pullback)
     pullback(seeds, need_x)     -> (flat parameter gradient, input gradient)
 
 where the parameter gradient accumulates d(sum_k seeds_k . f(x_k))/d theta
 and the input gradient (None unless need_x) is d/dx_k of the same sum. The
 pullback closes over the intermediates of the forward pass that made the
-values, so a reverse pass never reruns the network; ``flow_rk4_vjp`` chains
-the pullbacks of its stages the same way. ``systems.OdeSystem.linearize``
-gives a known field the same call, with a None pullback.
+values, so a reverse pass never reruns the network. ``fvm.face_velocities``
+keeps the pullbacks of its per-axis face passes for
+``adjoint.grad_parameters``, and ``flow_rk4_vjp`` chains the pullbacks of
+its stages the same way. ``systems.OdeSystem.linearize`` gives a known
+field the same call, with a None pullback.
 """
 
 from __future__ import annotations
@@ -23,26 +26,7 @@ import numpy as np
 from .systems import rk4_step, _check_finite
 
 
-class _Parameterized:
-    """Models whose parameters are one flat vector ``theta``."""
-
-    theta: np.ndarray
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.size
-
-    def get_params(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_params(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta.shape:
-            raise ValueError("parameter vector has the wrong length")
-        self.theta = theta.copy()
-
-
-class MlpModel(_Parameterized):
+class MlpModel:
     """Fully-connected network, tanh hidden layers, linear output.
 
     Optional fixed input/output affine maps (whitening) are part of the
@@ -87,12 +71,17 @@ class MlpModel(_Parameterized):
         return np.broadcast_to(np.asarray(value, dtype=float), (size,)).copy()
 
     @property
-    def dim_in(self) -> int:
-        return self.layer_sizes[0]
+    def n_params(self) -> int:
+        return self.theta.size
 
-    @property
-    def dim_out(self) -> int:
-        return self.layer_sizes[-1]
+    def get_params(self) -> np.ndarray:
+        return self.theta.copy()
+
+    def set_params(self, theta: np.ndarray):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.theta.shape:
+            raise ValueError("parameter vector has the wrong length")
+        self.theta = theta.copy()
 
     def init_params(self, seed: int = 0) -> np.ndarray:
         """Xavier-uniform weights with zero biases."""
@@ -166,24 +155,6 @@ class MlpModel(_Parameterized):
                     blob.get("out_scale"))
         model.set_params(np.asarray(blob["theta"]))
         return model
-
-
-class FaceValuesModel(_Parameterized):
-    """Velocity given directly by its values on the grid cell faces.
-
-    Parameters are the per-dimension arrays of lower-face normal velocities
-    in flat cell order, so the face-gradient arrays of the adjoint method
-    are exactly the parameter gradient. Values on boundary faces are pinned
-    to zero by the assembly regardless of the stored parameters.
-    """
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.theta = np.zeros(grid.dim * grid.n_cells)
-
-    def face_arrays(self):
-        n = self.grid.n_cells
-        return [self.theta[i * n:(i + 1) * n] for i in range(self.grid.dim)]
 
 
 def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):

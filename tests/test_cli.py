@@ -359,6 +359,11 @@ def _short_measure(cfg):
     ("mesh: fit.driver 'fvm'", lambda c: c.update(mesh={"n_cells": 4,
                                                         "pou_eps": 0.05}),
      "simulate"),
+    ("eval.grids", lambda c: c.update(eval={"kind": "refinement",
+                                            "grids": []}), "simulate"),
+    ("grid.n_per_dim", lambda c: c["grid"].update(n_per_dim=[]),
+     "simulate"),
+    ("model.hidden", lambda c: c["model"].update(hidden=[]), "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -397,7 +402,8 @@ def _short_measure(cfg):
         "grid-n_per_dim-one", "model-hidden-zero", "refinement-grids-one",
         "grid-lo-without-hi", "grid-hi-without-lo",
         "grid-n_per_dim-wrong-length", "grid-lo-above-hi",
-        "grid-lo-hi-wrong-length", "fvm-fit-mesh"])
+        "grid-lo-hi-wrong-length", "fvm-fit-mesh", "refinement-grids-empty",
+        "grid-n_per_dim-empty", "model-hidden-empty"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))

@@ -6,11 +6,12 @@ from ergodic_sysid.experiments import vdp_refinement_study
 from ergodic_sysid.fvm import (STATIONARY_TOL, AssemblyError,
                                DegenerateDynamicsError, NonConvergenceError,
                                RegularizedMarkov, assemble_K, cfl_dt,
-                               frozen_dt, stationary_density, teleport)
+                               face_velocities, frozen_dt, stationary_density,
+                               teleport)
 from ergodic_sysid.measure import Grid
 from ergodic_sysid.pfo import UlamMatrix, invariant_density
-from ergodic_sysid.systems import integrate_sde, make_system
-from ergodic_sysid.velocity_models import FaceValuesModel
+from ergodic_sysid.systems import OdeSystem, integrate_sde, make_system
+from ergodic_sysid.velocity_models import MlpModel
 
 
 def _random_operator(rng):
@@ -19,11 +20,10 @@ def _random_operator(rng):
     lo = rng.uniform(-2, 0, size=dim)
     hi = lo + rng.uniform(0.5, 3, size=dim)
     grid = Grid(lo, hi, n_per_dim)
-    model = FaceValuesModel(grid)
-    model.set_params(rng.uniform(-1.5, 1.5, size=model.n_params))
+    face_v = rng.uniform(-1.5, 1.5, size=(grid.dim, grid.n_cells))
     D = rng.uniform(0.01, 0.4)
     dt = cfl_dt(grid, D, 1.5)
-    return assemble_K(grid, model, D, dt), grid
+    return assemble_K(grid, face_v, D, dt), grid
 
 
 def test_cfl_formula_value():
@@ -55,18 +55,23 @@ def test_cfl_degenerate():
 
 def test_assemble_zero_field_zero_matrix():
     grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-    model = FaceValuesModel(grid)
-    op = assemble_K(grid, model, 0.0, 0.01)
+    op = assemble_K(grid, np.zeros((2, grid.n_cells)), 0.0, 0.01)
     assert op.K.nnz == 0 or np.all(op.K.data == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 15), (1, 16), (3, 16), (32,)])
+def test_assemble_rejects_face_velocities_of_another_shape(shape):
+    grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
+    with pytest.raises(ValueError, match=r"the grid needs \(2, 16\)"):
+        assemble_K(grid, np.zeros(shape), 0.1, 0.01)
 
 
 def test_assemble_1d_constant_advection_oracle():
     grid = Grid([0.0], [1.0], [5])
-    model = FaceValuesModel(grid)
     v = 0.7
-    model.set_params(np.full(5, v))
     dt = cfl_dt(grid, 0.0, v)
-    op = assemble_K(grid, model, 0.0, dt)
+    op = assemble_K(grid, np.full((1, 5), v), 0.0, dt)
+    assert op.face_velocities[0, 0] == 0.0  # the lower wall carries no flux
     K = op.K.toarray()
     c = dt / grid.spacings[0] * v
     expected = np.zeros((5, 5))
@@ -79,10 +84,9 @@ def test_assemble_1d_constant_advection_oracle():
 
 def test_assemble_1d_diffusion_stencil():
     grid = Grid([0.0], [1.0], [5])
-    model = FaceValuesModel(grid)
     D = 0.05
     dt = cfl_dt(grid, D, 0.0)
-    op = assemble_K(grid, model, D, dt)
+    op = assemble_K(grid, np.zeros((1, 5)), D, dt)
     K = op.K.toarray()
     r = dt * D / grid.spacings[0] ** 2
     for j in range(1, 4):
@@ -100,10 +104,11 @@ def test_density_at_one_teleport_rate_does_not_depend_on_dt():
     grid = Grid([-3.0, -4.0], [3.0, 4.0], [16, 16])
     D, eps = 0.05, 1e-3
     dt = frozen_dt(grid, sys, D)
+    face_v, _ = face_velocities(grid, sys)
     r = 100.0 * eps / (1.0 - eps)
     rhos = []
     for step, e in ((dt, eps), (100.0 * dt, r / (1.0 + r))):
-        op = assemble_K(grid, sys, D, step)
+        op = assemble_K(grid, face_v, D, step)
         rhos.append(stationary_density(teleport(op, e)))
     assert 1.0 + op.K.diagonal().min() < -1.0
     assert rhos[0].min() > 0.0 and rhos[1].min() > 0.0
@@ -112,13 +117,10 @@ def test_density_at_one_teleport_rate_does_not_depend_on_dt():
 
 def test_assemble_rejects_a_non_finite_face():
     grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-    model = FaceValuesModel(grid)
-    theta = np.full(model.n_params, 0.5)
-    face = grid.n_cells + 6  # axis-1 lower face of cell 6, interior
-    theta[face] = np.nan
-    model.set_params(theta)
+    face_v = np.full((2, grid.n_cells), 0.5)
+    face_v[1, 6] = np.nan  # axis-1 lower face of cell 6, interior
     with pytest.raises(AssemblyError, match="absolute sum nan") as err:
-        assemble_K(grid, model, 0.1, 0.01)
+        assemble_K(grid, face_v, 0.1, 0.01)
     assert err.value.cell in (6 - grid.strides[1], 6)
 
 
@@ -210,7 +212,7 @@ def test_van_der_pol_density_concentrates_on_cycle():
     sys = make_system("van_der_pol", c=1.0)
     grid = Grid([-3.0, -3.5], [3.0, 3.5], [100, 100])
     dt = cfl_dt(grid, 1e-3, float(np.abs(sys.rhs(grid.centers())).max()))
-    op = assemble_K(grid, sys, 1e-3, dt)
+    op = assemble_K(grid, face_velocities(grid, sys)[0], 1e-3, dt)
     M = teleport(op, 1e-8)
     rho = stationary_density(M)
     cycle = integrate_ode(sys, [1.5, 0.0], 0.02, 2000).states[1000:]
@@ -226,10 +228,9 @@ def test_van_der_pol_density_concentrates_on_cycle():
 
 def test_evolve_pure_diffusion_heat_oracle():
     grid = Grid([0.0], [1.0], [10])
-    model = FaceValuesModel(grid)
     D = 0.1
     dt = cfl_dt(grid, D, 0.0)
-    op = assemble_K(grid, model, D, dt)
+    op = assemble_K(grid, np.zeros((1, 10)), D, dt)
     w = np.zeros(10)
     w[3] = 1.0
     # independent dense heat stencil with zero-flux walls
@@ -248,17 +249,37 @@ def test_evolve_pure_diffusion_heat_oracle():
         last_l1 = l1
 
 
+def test_face_velocities_layout():
+    grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 3])
+    sys = make_system("van_der_pol", c=1.0)
+    face_v, pullbacks = face_velocities(grid, sys)
+    assert face_v.shape == (2, grid.n_cells)
+    for i, low in enumerate(grid.lower_faces):
+        expected = np.zeros(grid.n_cells)
+        expected[low] = sys.rhs(grid.face_centers(i))[low, i]
+        assert np.array_equal(face_v[i], expected)
+    assert pullbacks == [None, None]
+    mlp = MlpModel([2, 5, 2])
+    mlp.init_params(seed=3)
+    face_v, pullbacks = face_velocities(grid, mlp)
+    assert len(pullbacks) == 2 and all(map(callable, pullbacks))
+    for i, low in enumerate(grid.lower_faces):
+        values = mlp.eval_batch(grid.face_centers(i)[low])
+        assert np.array_equal(face_v[i, low], values[:, i])
+
+
 def test_frozen_dt_is_half_the_cfl_bound_at_the_sup_norm():
     grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 5])
-    faces = FaceValuesModel(grid)
-    faces.set_params(np.linspace(-3.0, 2.0, faces.n_params))
-    assert frozen_dt(grid, faces, 0.1) == cfl_dt(grid, 0.1, 3.0) * 0.5
     field = make_system("van_der_pol", c=1.0)
     v_inf = np.abs(field.rhs(grid.centers())).max()
     assert frozen_dt(grid, field, 0.1) == cfl_dt(grid, 0.1, v_inf) * 0.5
+    mlp = MlpModel([2, 5, 2])
+    mlp.init_params(seed=3)
+    v_inf = np.abs(mlp.eval_batch(grid.centers())).max()
+    assert frozen_dt(grid, mlp, 0.1) == cfl_dt(grid, 0.1, v_inf) * 0.5
     # a zero field falls back to a tiny speed instead of an infinite step
-    faces.set_params(np.zeros(faces.n_params))
-    assert frozen_dt(grid, faces, 0.1) == cfl_dt(grid, 0.1, 1e-9) * 0.5
+    still = OdeSystem("still", 2, {}, np.zeros_like)
+    assert frozen_dt(grid, still, 0.1) == cfl_dt(grid, 0.1, 1e-9) * 0.5
 
 
 def test_vdp_refinement_study_is_monotone():

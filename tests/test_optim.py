@@ -5,8 +5,8 @@ import pytest
 
 from ergodic_sysid import measure
 from ergodic_sysid.delay import MMD_MAX_POINTS, DelayMapConfig
-from ergodic_sysid.fvm import (assemble_K, cfl_dt, frozen_dt,
-                               stationary_density, teleport)
+from ergodic_sysid.fvm import (assemble_K, cfl_dt, face_velocities,
+                               frozen_dt, stationary_density, teleport)
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.optim import (AdamState, _run_loop, adam_step,
                                  clip_by_global_norm,
@@ -64,7 +64,7 @@ def test_clip_by_global_norm():
 
 def _stationary_target(grid, velocity, D, eps, dt):
     """Stationary density of a field on the fit's own discretization."""
-    op = assemble_K(grid, velocity, D, dt)
+    op = assemble_K(grid, face_velocities(grid, velocity)[0], D, dt)
     return Measure(stationary_density(teleport(op, eps)), grid)
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from ergodic_sysid.measure import Grid
 from ergodic_sysid.systems import integrate_ode, make_system
-from ergodic_sysid.velocity_models import (FaceValuesModel, MlpModel,
-                                           flow_rk4_vjp)
+from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
 
 
 def _grad_check(model, x, seeds, rtol=1e-6):
@@ -113,20 +111,6 @@ def test_init_deterministic_and_xavier_variance():
     w1 = t1[:64 * 64]
     target = 2.0 / (64 + 64)
     assert abs(w1.var() / target - 1.0) < 0.2
-
-
-def test_face_values_model_round_trip():
-    grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 3])
-    model = FaceValuesModel(grid)
-    sys = make_system("van_der_pol", c=1.0)
-    model.set_params(np.concatenate([sys.rhs(grid.face_centers(i))[:, i]
-                                     for i in range(grid.dim)]))
-    arrays = model.face_arrays()
-    assert len(arrays) == 2 and arrays[0].size == 12
-    centers = grid.centers()
-    pts = centers.copy()
-    pts[:, 0] -= 0.5 * grid.spacings[0]
-    assert np.allclose(arrays[0], sys.rhs(pts)[:, 0])
 
 
 def test_flow_rk4_matches_integrator():

@@ -1,14 +1,16 @@
 """Experiment configuration: JSON documents checked at load time, so that
 a config mistake exits with code 2 naming its key before any work.
 
-``SCHEMA`` gives each key its type and its bound or list of choices.
-``READERS`` names the keys that only some values of a section's selector
-(``data.kind``, ``fit.driver``, ``eval.kind``, ``delay.mode``) read;
-``SELECTORS`` gives each selector's default, and ``SECTION_READERS`` the
-sections that only some values of a selector read. ``validate_config``
-rejects unknown keys, wrong types, values out of bounds or choices, and
-keys or sections the selected value does not read. Checks that compare
-two keys or look at the data stay with the command."""
+``SCHEMA`` is the one table of what a config may say: each key's type and
+its bound or list of choices. A section whose selector (``data.kind``,
+``fit.driver``, ``eval.kind``, ``delay.mode``) picks what it does is a
+``Selected`` entry: the selector's key and default, the keys every value
+reads, and, per value, the keys only that value reads; the values are the
+selector's choices. ``SECTION_READERS`` names the whole sections that
+only some values of a selector read. ``validate_config`` rejects unknown
+keys, wrong types and values out of bounds or choices, and after all of
+those, keys or sections the selected value does not read. Checks that
+compare two keys or look at the data stay with the command."""
 
 from __future__ import annotations
 
@@ -31,134 +33,78 @@ class Bound(NamedTuple):
     holds: Callable
 
 
-_NONNEG = Bound(">= 0", lambda v: v >= 0)
-_POSITIVE = Bound("> 0", lambda v: v > 0)
-_ONE_UP = Bound(">= 1", lambda v: v >= 1)
-_TWO_UP = Bound(">= 2", lambda v: v >= 2)
-_UNIT = Bound("in (0, 1]", lambda v: 0 < v <= 1)
-_MMD_POINTS = Bound(f"in 1..{MMD_MAX_POINTS}",
-                    lambda v: 1 <= v <= MMD_MAX_POINTS)
-_SQUARE = Bound("a square >= 1", lambda v: v >= 1 and math.isqrt(v) ** 2 == v)
+class Selected(NamedTuple):
+    """A section whose ``key`` selects what it reads: ``common`` under every
+    value and ``by_value[v]`` under value v; the values are the choices,
+    and ``default`` stands in when the config leaves ``key`` out."""
 
-# section -> key -> type, or (type, bound or tuple of choices). A float
-# entry takes any number and stores it as a float; a list entry with a
-# bound takes a nonempty list of ints, each within it; None marks a
+    key: str
+    default: str
+    common: dict
+    by_value: dict
+
+
+# Schema entries: a type, or (type, bound or tuple of choices). A float
+# entry takes any number and stores it as a float; (list, entry) takes a
+# nonempty list whose elements each meet the entry; None marks a
 # free-form numeric dict.
+_INT0 = (int, Bound(">= 0", lambda v: v >= 0))
+_INT1 = (int, Bound(">= 1", lambda v: v >= 1))
+_INT2 = (int, Bound(">= 2", lambda v: v >= 2))
+_NONNEG = (float, Bound(">= 0", lambda v: v >= 0))
+_POSITIVE = (float, Bound("> 0", lambda v: v > 0))
+_UNIT = (float, Bound("in (0, 1]", lambda v: 0 < v <= 1))
+_MMD_POINTS = (int, Bound(f"in 1..{MMD_MAX_POINTS}",
+                          lambda v: 1 <= v <= MMD_MAX_POINTS))
+_SQUARE = (int, Bound("a square >= 1",
+                      lambda v: v >= 1 and math.isqrt(v) ** 2 == v))
+
+# data.seed is common although only the "sde" kind draws from it: configs
+# in use set it on "ode", and the simulate command warns that it is unused.
 SCHEMA = {
     "name": str,
-    "seed": (int, _NONNEG),
+    "seed": _INT0,
     "out": str,
-    "system": {
-        "name": str,
-        "params": None,
-    },
-    "data": {
-        "kind": (str, ("ode", "sde", "map")),
-        "x0": list,
-        "dt": (float, _POSITIVE),
-        "n_steps": (int, _ONE_UP),
-        "substeps": (int, _ONE_UP),
-        "diffusion": (float, _NONNEG),
-        "burn_in": (int, _NONNEG),
-        "seed": (int, _NONNEG),
-    },
-    "grid": {
-        "lo": list,
-        "hi": list,
-        "n_per_dim": (list, _TWO_UP),
-        "auto_box_margin": (float, _NONNEG),
-        "clip": bool,
-    },
-    "mesh": {
-        "n_cells": (int, _ONE_UP),
-        "pou_eps": (float, _POSITIVE),
-        "build_subsample": (int, _ONE_UP),
-        "seed": (int, _NONNEG),
-    },
-    "model": {
-        "hidden": (list, _ONE_UP),
-        "seed": (int, _NONNEG),
-    },
-    "fit": {
-        "driver": (str, ("fvm", "pfo", "delay")),
-        "objective": (str, ("l2", "kl")),
-        "lr": (float, _POSITIVE),
-        "n_iters": (int, _NONNEG),
-        "eps_tele": (float, _UNIT),
-        "diffusion": (float, _NONNEG),
-        "flow_dt": (float, _POSITIVE),
-        "substeps": (int, _ONE_UP),
-        "n_sources": (int, _ONE_UP),
-        "loss": (str, ("j1", "j2")),
-        "m": (int, _ONE_UP),
-        "lag": (int, _ONE_UP),
-        "observable": (int, _NONNEG),
-        "max_points": (int, _MMD_POINTS),
-        "checkpoint_every": (int, _NONNEG),
-        "clip_norm": (float, _NONNEG),
-        "seed": (int, _NONNEG),
-        "resume_from": str,
-        "target": str,
-    },
-    "eval": {
-        "kind": (str, ("fvm_density", "catmap_compare", "refinement")),
-        "n_sim_steps": (int, _ONE_UP),
-        "sim_dt": (float, _POSITIVE),
-        "sim_burn_in": (int, _NONNEG),
-        "diffusion": (float, _NONNEG),
-        "seed": (int, _NONNEG),
-        "n_projections": (int, _ONE_UP),
-        "max_points": (int, _ONE_UP),
-        "n_cells": (int, _SQUARE),
-        "n_initial": (int, _ONE_UP),
-        "n_iters": (int, _ONE_UP),
-        "quad_points": (int, _ONE_UP),
-        "grids": (list, _TWO_UP),
-        "eps_tele": (float, _UNIT),
-        "n_sde_steps": (int, _ONE_UP),
-        "sde_dt": (float, _POSITIVE),
-    },
-    "delay": {
-        "mode": (str, ("torus_pair", "embed")),
-        "pair_a": list,
-        "pair_b": list,
-        "n_steps": (int, _ONE_UP),
-        "m": (int, _ONE_UP),
-        "lag": (int, _ONE_UP),
-        "observable": (int, _NONNEG),
-        "hist_bins": (int, _TWO_UP),
-        "seed": (int, _NONNEG),
-        "trajectory": str,
-    },
-}
-
-# section -> (its selector key, the selector's default)
-SELECTORS = {
-    "data": ("kind", "ode"),
-    "fit": ("driver", "fvm"),
-    "eval": ("kind", "fvm_density"),
-    "delay": ("mode", "embed"),
-}
-
-# section -> value of its selector -> the keys, of those that only some
-# values read, that this value reads. A key no value names is read under
-# every value. data.seed is named by none, although only the "sde" kind
-# reads it: configs in use set it on "ode".
-READERS = {
-    "data": {"ode": ("dt", "substeps"), "sde": ("dt", "diffusion"),
-             "map": ()},
-    "fit": {"fvm": ("objective", "eps_tele", "diffusion", "target"),
-            "pfo": ("flow_dt", "substeps", "n_sources"),
-            "delay": ("loss", "m", "lag", "observable", "max_points")},
-    "eval": {"fvm_density": ("n_sim_steps", "sim_dt", "sim_burn_in",
-                             "n_projections", "max_points", "diffusion"),
-             "catmap_compare": ("n_cells", "n_initial", "n_iters",
-                                "quad_points"),
-             "refinement": ("grids", "eps_tele", "n_sde_steps", "sde_dt",
-                            "max_points", "diffusion")},
-    "delay": {"torus_pair": ("pair_a", "pair_b", "n_steps", "hist_bins",
-                             "seed"),
-              "embed": ("trajectory",)},
+    "system": {"name": str, "params": None},
+    "data": Selected("kind", "ode", {
+        "x0": list, "n_steps": _INT1, "burn_in": _INT0, "seed": _INT0,
+    }, {
+        "ode": {"dt": _POSITIVE, "substeps": _INT1},
+        "sde": {"dt": _POSITIVE, "diffusion": _NONNEG},
+        "map": {},
+    }),
+    "grid": {"lo": list, "hi": list, "n_per_dim": (list, _INT2),
+             "auto_box_margin": _NONNEG, "clip": bool},
+    "mesh": {"n_cells": _INT1, "pou_eps": _POSITIVE,
+             "build_subsample": _INT1, "seed": _INT0},
+    "model": {"hidden": (list, _INT1), "seed": _INT0},
+    "fit": Selected("driver", "fvm", {
+        "lr": _POSITIVE, "n_iters": _INT0, "checkpoint_every": _INT0,
+        "clip_norm": _NONNEG, "seed": _INT0, "resume_from": str,
+    }, {
+        "fvm": {"objective": (str, ("l2", "kl")), "eps_tele": _UNIT,
+                "diffusion": _NONNEG, "target": str},
+        "pfo": {"flow_dt": _POSITIVE, "substeps": _INT1, "n_sources": _INT1},
+        "delay": {"loss": (str, ("j1", "j2")), "m": _INT1, "lag": _INT1,
+                  "observable": _INT0, "max_points": _MMD_POINTS},
+    }),
+    "eval": Selected("kind", "fvm_density", {"seed": _INT0}, {
+        "fvm_density": {"n_sim_steps": _INT1, "sim_dt": _POSITIVE,
+                        "sim_burn_in": _INT0, "n_projections": _INT1,
+                        "max_points": _INT1, "diffusion": _NONNEG},
+        "catmap_compare": {"n_cells": _SQUARE, "n_initial": _INT1,
+                           "n_iters": _INT1, "quad_points": _INT1},
+        "refinement": {"grids": (list, _INT2), "eps_tele": _UNIT,
+                       "n_sde_steps": _INT1, "sde_dt": _POSITIVE,
+                       "max_points": _INT1, "diffusion": _NONNEG},
+    }),
+    "delay": Selected("mode", "embed", {
+        "m": _INT1, "lag": _INT1, "observable": _INT0,
+    }, {
+        "torus_pair": {"pair_a": list, "pair_b": list, "n_steps": _INT1,
+                       "hist_bins": _INT2, "seed": _INT0},
+        "embed": {"trajectory": str},
+    }),
 }
 
 # section -> (the section whose selector decides, the values that read
@@ -166,9 +112,27 @@ READERS = {
 SECTION_READERS = {"mesh": ("fit", ("pfo",))}
 
 
-def _check_value(value, allowed, path):
+def _select(value: dict, entry: Selected, path: str, held: list):
+    """The section with its selector set and without the keys that only
+    another value reads, and the schema of the keys the selected value
+    reads. A message naming the keys left out goes to ``held``."""
+    choices = (str, tuple(entry.by_value))
+    chosen = _check_value(value.get(entry.key, entry.default), choices,
+                          f"{path}.{entry.key}", held)
+    reads = {entry.key: choices, **entry.common, **entry.by_value[chosen]}
+    others = {k for keys in entry.by_value.values() for k in keys} - set(reads)
+    unread = [f"{path}.{key}" for key in value if key in others]
+    if unread:
+        held.append(f"{', '.join(unread)}: {path}.{entry.key} {chosen!r} "
+                    "does not read " + ("it" if len(unread) == 1 else "them"))
+    kept = {k: v for k, v in value.items() if k not in others}
+    return {**kept, entry.key: chosen}, reads
+
+
+def _check_value(value, allowed, path, held):
     """The value, checked against its schema entry; numbers a schema entry
-    types as float come back as floats."""
+    types as float come back as floats. Mistakes that only show once every
+    value is known to be well formed go to ``held``."""
     if allowed is None:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
@@ -176,14 +140,17 @@ def _check_value(value, allowed, path):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ConfigError(f"{path}.{k}: expected a number")
         return value
-    if isinstance(allowed, dict):
+    if isinstance(allowed, (dict, Selected)):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
+        if isinstance(allowed, Selected):
+            value, allowed = _select(value, allowed, path, held)
         checked = {}
         for key, sub in value.items():
             if key not in allowed:
                 raise ConfigError(f"{path}.{key}: unknown key")
-            checked[key] = _check_value(sub, allowed[key], f"{path}.{key}")
+            checked[key] = _check_value(sub, allowed[key], f"{path}.{key}",
+                                        held)
         return checked
     kind, rule = allowed if isinstance(allowed, tuple) else (allowed, None)
     types = (int, float) if kind is float else kind
@@ -197,7 +164,7 @@ def _check_value(value, allowed, path):
     if kind is list and rule is not None:
         if not value:
             raise ConfigError(f"{path}: must hold at least one element")
-        return [_check_value(v, (int, rule), f"{path}[{i}]")
+        return [_check_value(v, rule, f"{path}[{i}]", held)
                 for i, v in enumerate(value)]
     if isinstance(rule, Bound):
         if not rule.holds(value):
@@ -208,41 +175,27 @@ def _check_value(value, allowed, path):
     return value
 
 
-def _check_readers(cfg: dict):
-    """Set each present section's selector to its default if the config
-    leaves it out, and reject the keys and sections that the selected
-    value does not read."""
-    for name, (selector, default) in SELECTORS.items():
-        if name not in cfg:
-            continue
-        value = cfg[name].setdefault(selector, default)
-        restricted = {k for keys in READERS[name].values() for k in keys}
-        unread = [f"{name}.{key}" for key in cfg[name]
-                  if key in restricted and key not in READERS[name][value]]
-        if unread:
-            raise ConfigError(
-                f"{', '.join(unread)}: {name}.{selector} {value!r} does not "
-                "read " + ("it" if len(unread) == 1 else "them"))
-    for name, (owner, values) in SECTION_READERS.items():
-        selector, default = SELECTORS[owner]
-        value = cfg.get(owner, {}).get(selector, default)
-        if name in cfg and value not in values:
-            raise ConfigError(
-                f"{name}: {owner}.{selector} {value!r} does not read it")
-
-
 def validate_config(cfg: dict) -> dict:
     """A checked copy of the config: float values turned into floats and
     each present section's selector set; ``system.params`` keeps the
-    numbers as written."""
+    numbers as written. Keys and sections that the selected value does
+    not read are reported only when nothing else is wrong."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
     for key in cfg:
         if key not in SCHEMA:
             raise ConfigError(f"unknown top-level key {key!r}")
-    checked = {key: _check_value(value, SCHEMA[key], key)
+    held = []
+    checked = {key: _check_value(value, SCHEMA[key], key, held)
                for key, value in cfg.items()}
-    _check_readers(checked)
+    for name, (owner, values) in SECTION_READERS.items():
+        entry = SCHEMA[owner]
+        value = checked.get(owner, {}).get(entry.key, entry.default)
+        if name in checked and value not in values:
+            held.append(f"{name}: {owner}.{entry.key} {value!r} does not "
+                        "read it")
+    if held:
+        raise ConfigError(held[0])
     return checked
 
 

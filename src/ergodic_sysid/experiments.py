@@ -136,6 +136,9 @@ def generate_trajectory(cfg: dict) -> Trajectory:
     n_steps = data["n_steps"]
     burn = data.get("burn_in", 0)
     dt = 0.0 if kind == "map" else data["dt"]
+    if kind != "sde" and "seed" in data:
+        log.warning("data.seed: data.kind %r draws no random numbers, so "
+                    "the seed is unused", kind)
     if kind == "map":
         states = iterate_map_batch(system, x0, n_steps + burn)
     elif kind == "ode":
@@ -256,6 +259,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             raise ConfigError(
                 f"fit.resume_from: {path} holds {len(resume['history'])} "
                 f"iterations, more than fit.n_iters = {n_iters}")
+    if "seed" in fit_cfg:
+        log.warning("fit.seed: no fit draws random numbers; the seed is "
+                    "only recorded in report.json")
     loop = dict(
         **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
         **_seed_of(cfg, fit_cfg),
@@ -278,6 +284,11 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         mesh_cfg = section(cfg, "mesh")
         pou_eps = mesh_cfg["pou_eps"]
         traj = _load_trajectory(outdir)
+        flow_dt = fit_cfg.get("flow_dt", traj.dt)
+        if flow_dt <= 0:
+            raise ConfigError(
+                f"fit.flow_dt: the default, the trajectory's dt {traj.dt}, "
+                "must be > 0; map data needs fit.flow_dt set")
         build_cloud = subsample_stride(
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
         mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
@@ -297,8 +308,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         model = make_model(cfg, traj.dim, traj, purpose="velocity")
         report = fit_pfo(
             target, model, mesh, pou, sources,
-            flow_dt=fit_cfg.get("flow_dt", traj.dt),
-            **_given(fit_cfg, "substeps"), **loop)
+            flow_dt=flow_dt, **_given(fit_cfg, "substeps"), **loop)
         io.write_mesh_json(outdir / "mesh.json", mesh)
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     else:  # delay
@@ -446,7 +456,9 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
 
     out = {"l1_unstructured": err_u, "l1_uniform": err_g,
            "unstructured_wins": bool(err_u < err_g),
-           "n_cells": n_cells, "n_pairs": int(src.shape[0])}
+           "n_cells": n_cells, "n_pairs": int(src.shape[0]),
+           "empty_cells_unstructured": m_unstructured.empty_cells,
+           "empty_cells_uniform": m_uniform.empty_cells}
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_checkpoint(outdir / "metrics.json", out)
     io.write_mesh_json(outdir / "mesh.json", mesh_u)
@@ -476,10 +488,9 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
     for n in grids:
         n = int(n)
         grid = Grid(lo, hi, [n, n])
-        dt = fvm.cfl_dt(grid, diffusion, float(np.abs(
-            system.rhs(grid.centers())).max()))
         face_v, _ = fvm.face_velocities(grid, system)
-        op = fvm.assemble_K(grid, face_v, diffusion, dt)
+        op = fvm.assemble_K(grid, face_v, diffusion,
+                            fvm.frozen_dt(grid, system, diffusion))
         rho = fvm.stationary_density(fvm.teleport(op, eps_tele))
         keep = rho > 0
         dens_cloud = SampleCloud(grid.centers()[keep], rho[keep])

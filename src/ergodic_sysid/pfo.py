@@ -23,7 +23,7 @@ those weights with the same row-average helper as ``estimate_markov``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,6 +50,8 @@ class MeshBuildError(RuntimeError):
 
 
 class EstimationError(RuntimeError):
+    """A source cell with no samples where a row average is needed."""
+
     def __init__(self, cell: int):
         super().__init__(f"source cell {cell} received no samples")
         self.cell = cell
@@ -312,11 +314,14 @@ class PartitionOfUnity:
 @dataclass
 class UlamMatrix:
     """Estimated row-stochastic cell-to-cell transition matrix: entry
-    (i, j) is the probability of moving from source cell i to cell j."""
+    (i, j) is the probability of moving from source cell i to cell j.
+    ``empty_cells`` counts the source cells without samples, which
+    ``estimate_markov`` gives the uniform row."""
 
     matrix: np.ndarray
     mesh: Optional[UnstructuredMesh] = None
     eps: float = 0.0
+    empty_cells: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -331,15 +336,6 @@ class UlamMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def _source_groups(x, mesh, assignments):
-    src = mesh.assign(x) if assignments is None else \
-        np.asarray(assignments, dtype=int)
-    counts = np.bincount(src, minlength=mesh.n)
-    if np.any(counts == 0):
-        raise EstimationError(int(np.argmin(counts)))
-    return src, counts
 
 
 def _row_average(src, counts, rows) -> np.ndarray:
@@ -357,7 +353,7 @@ def _row_average(src, counts, rows) -> np.ndarray:
             (np.ones(chunk_src.size), (np.arange(chunk_src.size), chunk_src)),
             shape=(chunk_src.size, n))
         mat += onehot.T @ rows(slice(s, s + _CHUNK))
-    mat /= counts[:, None]
+    mat /= np.maximum(counts, 1)[:, None]
     return mat
 
 
@@ -368,19 +364,27 @@ def estimate_markov(pairs, mesh: UnstructuredMesh,
     Without a partition this is the counting estimator: entry (i, j) is the
     fraction of cell-i samples whose image lands in cell j, and the matrix
     records eps 0. With one, row i averages the smoothed cell weights of
-    the images of the samples in source cell i.
+    the images of the samples in source cell i. A source cell with no
+    samples gets the uniform row 1/n, the dangling-node rule of PageRank
+    (Langville & Meyer, 2006).
     """
     x, y = pairs
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    src, counts = _source_groups(x, mesh, None)
+    src = mesh.assign(x)
     n = mesh.n
+    counts = np.bincount(src, minlength=n)
     if pou is None:
         dst = mesh.assign(y)
         flat = np.bincount(src * n + dst, minlength=n * n).astype(float)
-        return UlamMatrix(flat.reshape(n, n) / counts[:, None], mesh)
-    mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
-    return UlamMatrix(mat, mesh, pou.eps)
+        mat = flat.reshape(n, n) / np.maximum(counts, 1)[:, None]
+    else:
+        mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
+    empty = counts == 0
+    mat[empty] = 1.0 / n
+    M = UlamMatrix(mat, mesh, 0.0 if pou is None else pou.eps)
+    M.empty_cells = int(np.count_nonzero(empty))
+    return M
 
 
 def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
@@ -402,10 +406,15 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     """Frobenius mismatch to a target matrix and its parameter gradient.
 
     Reverse mode runs through the smoothed cell weights and the RK4 stages;
-    mesh centers stay frozen. Returns (loss, theta_grad, matrix).
+    mesh centers stay frozen. Returns (loss, theta_grad, matrix). A mesh
+    cell without sources raises ``EstimationError``.
     """
     x = sources.points
-    src, counts = _source_groups(x, mesh, assignments)
+    src = mesh.assign(x) if assignments is None else \
+        np.asarray(assignments, dtype=int)
+    counts = np.bincount(src, minlength=mesh.n)
+    if np.any(counts == 0):
+        raise EstimationError(int(np.argmin(counts)))
     y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
     psi, pou_pullback = pou.linearize(y)
     mhat = UlamMatrix(_row_average(src, counts, lambda chunk: psi[chunk]),

@@ -50,7 +50,7 @@ class OdeSystem:
     g^T (d rhs / dx). Nothing calls it yet: ``flow_rk4_vjp`` cannot pull
     back an ``OdeSystem``. It is checked against finite differences and
     kept as the input pullback of the planned ``CatalogModel``, whose
-    parameters are a catalog system's own (ROADMAP item 2).
+    parameters are a catalog system's own (ROADMAP item 3).
 
     ``field(x1, ..., xd)`` optionally gives the same right-hand side one
     component at a time and returns its d components as a tuple. It must

@@ -12,8 +12,8 @@ import pytest
 import ergodic_sysid
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
-from ergodic_sysid.config import (READERS, SCHEMA, SECTION_READERS,
-                                  SELECTORS, validate_config)
+from ergodic_sysid.config import (SCHEMA, SECTION_READERS, Selected,
+                                  validate_config)
 from ergodic_sysid.experiments import _max_box_escape
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
@@ -159,6 +159,17 @@ def _measure_file(cfg, blob):
 
 def _gridless_measure(cfg):
     return _measure_file(cfg, {"weights": [0.5, 0.5], "cells": [0, 1]})
+
+
+def _pfo_fit_of_map_data(cfg):
+    """A pfo fit of torus-rotation map data (dt 0) in the config's output
+    directory, with no fit.flow_dt."""
+    orbit = iterate_map_batch(make_system("torus_rotation", alpha=0.31,
+                                          beta=0.17), np.array([0.1, 0.7]),
+                              200)
+    io.write_trajectory_csv(Path(cfg["out"]) / "trajectory.csv",
+                            Trajectory(orbit, 0.0))
+    cfg.update(fit={"driver": "pfo"}, mesh={"n_cells": 4, "pou_eps": 0.05})
 
 
 _GRID_8X8 = {"lo": [-2.0, -3.0], "hi": [2.0, 3.0], "n_per_dim": [8, 8]}
@@ -364,6 +375,7 @@ def _short_measure(cfg):
     ("grid.n_per_dim", lambda c: c["grid"].update(n_per_dim=[]),
      "simulate"),
     ("model.hidden", lambda c: c["model"].update(hidden=[]), "simulate"),
+    ("fit.flow_dt", _pfo_fit_of_map_data, "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -403,7 +415,8 @@ def _short_measure(cfg):
         "grid-lo-without-hi", "grid-hi-without-lo",
         "grid-n_per_dim-wrong-length", "grid-lo-above-hi",
         "grid-lo-hi-wrong-length", "fvm-fit-mesh", "refinement-grids-empty",
-        "grid-n_per_dim-empty", "model-hidden-empty"])
+        "grid-n_per_dim-empty", "model-hidden-empty",
+        "pfo-map-data-default-flow_dt"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -500,17 +513,52 @@ def test_validate_config_makes_numbers_floats_once():
     assert type(cfg["system"]["params"]["dim"]) is int
 
 
-def test_reader_table_names_schema_keys_and_allowed_values():
-    assert set(READERS) == set(SELECTORS)
-    for name, (selector, default) in SELECTORS.items():
-        choices = SCHEMA[name][selector][1]
-        assert default in choices
-        assert set(READERS[name]) == set(choices)
-        for keys in READERS[name].values():
-            assert set(keys) <= set(SCHEMA[name]) - {selector}
+def test_selector_sections_give_each_key_one_home():
+    selected = {name for name, entry in SCHEMA.items()
+                if isinstance(entry, Selected)}
+    assert selected == {"data", "fit", "eval", "delay"}
+    for name in selected:
+        entry = SCHEMA[name]
+        assert entry.default in entry.by_value
+        for keys in entry.by_value.values():
+            assert not set(keys) & (set(entry.common) | {entry.key})
     for name, (owner, values) in SECTION_READERS.items():
-        assert name in SCHEMA and name not in SELECTORS
-        assert set(values) <= set(SCHEMA[owner][SELECTORS[owner][0]][1])
+        assert name in SCHEMA and owner in selected
+        assert set(values) <= set(SCHEMA[owner].by_value)
+
+
+def test_seed_that_draws_nothing_is_logged(tmp_path, caplog):
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg_path = _write(tmp_path, cfg)
+    unused = lambda: [r.getMessage().split(":")[0] for r in caplog.records
+                      if r.levelname == "WARNING"]
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert unused() == ["data.seed"]
+    caplog.clear()
+    assert main(["histogram", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path]) == 0
+    assert unused() == ["fit.seed"]
+    caplog.clear()
+    cfg["data"].update(kind="sde", diffusion=0.1, dt=0.01)
+    cfg["data"].pop("substeps")
+    cfg["fit"].pop("seed")
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path]) == 0
+    assert unused() == []
+
+
+def test_catmap_compare_with_empty_uniform_cells_exits_0(tmp_path):
+    # 10 x 31 points leave cells of the 8 x 8 grid without a source
+    cfg = {"out": str(tmp_path / "run"),
+           "eval": {"kind": "catmap_compare", "n_cells": 64, "n_initial": 10,
+                    "n_iters": 30, "quad_points": 2000, "seed": 7}}
+    assert main(["eval", "--config", _write(tmp_path, cfg)]) == 0
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert 0 < metrics["empty_cells_uniform"] < 64
+    assert 0 <= metrics["empty_cells_unstructured"] < 64
+    assert np.isfinite(metrics["l1_uniform"])
+    assert np.isfinite(metrics["l1_unstructured"])
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

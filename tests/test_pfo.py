@@ -407,10 +407,30 @@ def test_row_stochastic_for_random_maps_any_eps():
 
 
 def test_estimate_empty_source_cell():
-    x = np.full((10, 1), 0.1)
-    mesh = UnstructuredMesh(np.array([[0.0], [5.0]]))
+    # cell 2 holds no source: both estimators give it the uniform row
+    x = np.array([[0.1], [0.2], [4.9]])
+    y = np.array([[4.8], [0.3], [5.1]])
+    mesh = UnstructuredMesh(np.array([[0.0], [5.0], [10.0]]))
+    M = estimate_markov((x, y), mesh)
+    assert np.array_equal(M.matrix, [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                     [1 / 3, 1 / 3, 1 / 3]])
+    assert M.empty_cells == 1
+    smooth = estimate_markov((x, y), mesh, PartitionOfUnity(mesh.centers,
+                                                            0.5))
+    assert np.array_equal(smooth.matrix[2], np.full(3, 1 / 3))
+    assert np.abs(smooth.matrix.sum(axis=1) - 1.0).max() < 1e-12
+    assert smooth.empty_cells == 1
+    assert estimate_markov((x, y), UnstructuredMesh(
+        np.array([[0.0], [5.0]]))).empty_cells == 0
+
+
+def test_flowmap_gradient_rejects_an_empty_source_cell():
+    x = SampleCloud(np.full((10, 2), 0.1))
+    mesh = UnstructuredMesh(np.array([[0.0, 0.0], [5.0, 5.0]]))
+    pou = PartitionOfUnity(mesh.centers, 0.5)
+    target = UlamMatrix(np.eye(2))
     with pytest.raises(EstimationError):
-        estimate_markov((x, x), mesh)
+        flowmap_markov_grad(_field(lambda z: -z), mesh, pou, x, 0.1, target)
 
 
 def test_eps_to_zero_consistency():
@@ -451,6 +471,21 @@ def test_invariant_density_matches_direct_solve_of_transposed_chain():
         chain = RegularizedMarkov(sp.csr_matrix(mat.T), eps)
         direct = stationary_density(chain)
         assert np.abs(pi.weights - direct).max() < 1e-10
+
+
+def test_invariant_density_with_empty_cells_matches_a_dense_solve():
+    # sources in [0, 0.6) leave the cells at 0.7 and 0.9 empty
+    rng = np.random.default_rng(31)
+    x = 0.6 * rng.random((500, 1))
+    y = (2.0 * x) % 1.0
+    mesh = UnstructuredMesh(np.linspace(0.1, 0.9, 5)[:, None])
+    M = estimate_markov((x, y), mesh)
+    assert M.empty_cells == 2
+    eps = 1e-3
+    B = np.eye(5) - (1.0 - eps) * M.matrix.T
+    dense = np.linalg.solve(B, np.full(5, eps / 5))
+    pi = invariant_density(M, eps_tele=eps)
+    assert np.abs(pi.weights - dense / dense.sum()).max() < 1e-12
 
 
 def test_flowmap_zero_velocity_is_identity():

@@ -63,7 +63,8 @@ def solve_adjoint(M: RegularizedMarkov, rho: np.ndarray,
 
 def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov,
                          rho: np.ndarray, adj: AdjointSolution) -> list:
-    """dJ/d(face velocity) for every lower face, zero on boundary faces.
+    """dJ/d(face velocity), per axis i at the interior lower faces
+    ``grid.lower_faces[i]``: the layout of ``op.face_velocities``.
 
     For the face between cells j-S_i and j the derivative is
 
@@ -76,29 +77,24 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov,
     lam = adj.lam
     grid = op.grid
     grads = []
-    for i, j in enumerate(grid.lower_faces):
-        g = np.zeros(grid.n_cells)
+    for i, (j, v) in enumerate(zip(grid.lower_faces, op.face_velocities)):
         jm = j - grid.strides[i]
-        v = op.face_velocities[i][j]
         donor = np.where(v > 0, rho[jm], rho[j])
-        g[j] = (1.0 - M.eps) * (op.dt / grid.spacings[i]) \
-            * (lam[j] - lam[jm]) * donor
-        grads.append(g)
+        grads.append((1.0 - M.eps) * (op.dt / grid.spacings[i])
+                     * (lam[j] - lam[jm]) * donor)
     return grads
 
 
-def grad_parameters(face_grads: list, pullbacks: list, grid) -> np.ndarray:
+def grad_parameters(face_grads: list, pullbacks: list) -> np.ndarray:
     """Chain face gradients into the velocity parameterization.
 
     Seeds the pullbacks that ``fvm.face_velocities`` returned, one per
-    dimension: the i-th output component at the interior lower faces gets
-    the corresponding face gradient. No model forward pass is rerun.
+    axis: the i-th output component at the interior lower faces gets the
+    i-th face gradient. No model forward pass is rerun.
     """
     total = 0.0
-    for i, pullback in enumerate(pullbacks):
-        j = grid.lower_faces[i]
-        seeds = np.zeros((j.size, grid.dim))
-        seeds[:, i] = face_grads[i][j]
-        tg, _ = pullback(seeds)
-        total += tg
+    for i, (grad, pullback) in enumerate(zip(face_grads, pullbacks)):
+        seeds = np.zeros((grad.size, len(face_grads)))
+        seeds[:, i] = grad
+        total += pullback(seeds)[0]
     return total

@@ -106,20 +106,19 @@ def pushforward_delay_measure(samples: SampleCloud, system: DiscreteMap,
     return SampleCloud(_delay_coords(chain, cfg))
 
 
-def _delay_pushforward_grad(model, chain: np.ndarray, pullbacks: list,
-                            cfg: DelayMapConfig,
-                            gbar: np.ndarray) -> np.ndarray:
+def _delay_pushforward_grad(pullbacks: list, cfg: DelayMapConfig,
+                            gbar: np.ndarray, carry: np.ndarray):
     """Reverse pass of the delay map through the step pullbacks of the
-    forward pass."""
+    forward pass: ``gbar[:, k]`` seeds the observable at delay slot k, and
+    ``carry``, zero and shaped like one iterate, takes the seeds."""
     if callable(cfg.observable):
         raise ValueError("gradients need a coordinate-index observable")
     obs = int(cfg.observable)
-    theta_grad = np.zeros(model.n_params)
-    carry = np.zeros_like(chain[0])
+    theta_grad = 0.0
     for step in range((cfg.m - 1) * cfg.lag, 0, -1):
         if step % cfg.lag == 0:
             carry[:, obs] += gbar[:, step // cfg.lag]
-        tg, carry = pullbacks[step - 1](carry, need_x=True)
+        tg, carry = pullbacks[step - 1](carry)
         theta_grad += tg
     return theta_grad
 
@@ -147,5 +146,5 @@ def loss_j2_grad(model, mu_samples: SampleCloud,
                                       observed_delay.points,
                                       observed_delay.self_distance)
     theta_grad = theta_grad + _delay_pushforward_grad(
-        model, chain, pullbacks, cfg, gdel)
+        pullbacks, cfg, gdel, np.zeros_like(chain[0]))
     return j1 + j_delay, theta_grad, {"state": j1, "delay": j_delay}

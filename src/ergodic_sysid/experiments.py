@@ -186,16 +186,25 @@ def _input_file(key: str, path):
     return path
 
 
-def _load_trajectory(outdir: Path) -> Trajectory:
-    path = outdir / "trajectory.csv"
+# the command that writes each output a later command reads, and its reader
+_OUTPUTS = {"trajectory.csv": ("simulate", io.read_trajectory_csv),
+            "measure.json": ("histogram", io.read_measure_json),
+            "report.json": ("fit", io.read_report_json),
+            "model.json": ("fit", io.read_checkpoint)}
+
+
+def _read_output(outdir: Path, name: str):
+    """The output ``name`` read; a missing one is a config error naming
+    the command that writes it."""
+    path = outdir / name
     if not path.exists():
-        raise ConfigError(f"{path} not found; run simulate first")
-    return io.read_trajectory_csv(path)
+        raise ConfigError(f"{path} not found; run {_OUTPUTS[name][0]} first")
+    return _OUTPUTS[name][1](path)
 
 
 def cmd_histogram(cfg: dict, outdir: Path) -> dict:
     grid_cfg = section(cfg, "grid")
-    traj = _load_trajectory(outdir)
+    traj = _read_output(outdir, "trajectory.csv")
     grid = build_grid(grid_cfg, traj.states)
     m = occupation_measure(traj.states, grid, **_given(grid_cfg, "clip"))
     path = outdir / "measure.json"
@@ -209,33 +218,29 @@ def cmd_histogram(cfg: dict, outdir: Path) -> dict:
 # model construction
 
 
-def _fd_velocity_stats(traj: Trajectory) -> tuple:
-    # Column-major, so that numpy sums each component pairwise along
-    # contiguous memory rather than row by row.
-    diffs = np.asfortranarray(
-        (traj.states[1:] - traj.states[:-1]) / max(traj.dt, 1e-12))
-    return diffs.mean(axis=0), np.maximum(diffs.std(axis=0), 1e-8)
-
-
-def make_model(cfg: dict, dim_in: int, traj=None, purpose: str = "velocity"):
+def make_model(cfg: dict, dim_in: int, traj=None, step=None):
     """The Xavier-initialised MLP of the config's model section, from
     dim_in states to dim_in values.
 
     With a trajectory, its fixed whitening affines are frozen from the
     data: the input side from the state statistics, the output side from
-    the finite-difference velocity statistics, or from the state
-    statistics when ``purpose`` is "map". Without one (an fvm fit of an
-    external target), both affines are the identity.
+    the finite-difference velocities over ``step``, the step the fit flows
+    over, or from the state statistics when ``step`` is None (a map).
+    Without one (an fvm fit of an external target), both are identities.
     """
     model_cfg = section(cfg, "model", required=False)
     in_shift = in_scale = out_shift = out_scale = None
     if traj is not None:
         in_shift = traj.states.mean(axis=0)
         in_scale = np.maximum(traj.states.std(axis=0), 1e-8)
-        if purpose == "map":
+        if step is None:
             out_shift, out_scale = in_shift, in_scale
         else:
-            out_shift, out_scale = _fd_velocity_stats(traj)
+            # Column-major, so that numpy sums each component pairwise
+            # along contiguous memory rather than row by row.
+            v = np.asfortranarray((traj.states[1:] - traj.states[:-1]) / step)
+            out_shift = v.mean(axis=0)
+            out_scale = np.maximum(v.std(axis=0), 1e-8)
     mlp = MlpModel([dim_in, *model_cfg.get("hidden", [64, 64]), dim_in],
                    in_shift, in_scale, out_shift, out_scale)
     mlp.init_params(**_seed_of(cfg, model_cfg))
@@ -251,39 +256,48 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     driver = fit_cfg["driver"]
     outdir.mkdir(parents=True, exist_ok=True)
     n_iters = fit_cfg.get("n_iters", N_ITERS)
-    resume = None
-    if fit_cfg.get("resume_from"):
-        path = _input_file("fit.resume_from", fit_cfg["resume_from"])
-        resume = io.read_checkpoint(path)
-        if len(resume["history"]) > n_iters:
-            raise ConfigError(
-                f"fit.resume_from: {path} holds {len(resume['history'])} "
-                f"iterations, more than fit.n_iters = {n_iters}")
+    path = fit_cfg.get("resume_from")
+    resume = io.read_checkpoint(_input_file("fit.resume_from", path)) \
+        if path else None
     if "seed" in fit_cfg:
         log.warning("fit.seed: no fit draws random numbers; the seed is "
                     "only recorded in report.json")
-    loop = dict(
-        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
-        **_seed_of(cfg, fit_cfg),
-        save=lambda blob: io.write_checkpoint(
-            outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
-        resume=resume)
+
+    def loop(model) -> dict:
+        """The loop's keywords, after a check of the resume checkpoint."""
+        if resume is not None and not (
+                isinstance(resume, dict) and {"adam", "history"} <= set(resume)
+                and len(resume.get("params", ())) == model.n_params
+                and len(resume["history"]) <= n_iters):
+            raise ConfigError(
+                f"fit.resume_from: {path} is no fit checkpoint of the "
+                f"model's {model.n_params} parameters with at most "
+                f"fit.n_iters = {n_iters} iterations")
+        return dict(
+            **_given(fit_cfg, "n_iters", "lr", "clip_norm",
+                     "checkpoint_every"), **_seed_of(cfg, fit_cfg),
+            save=lambda blob: io.write_checkpoint(
+                outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
+            resume=resume)
 
     if driver == "fvm":
         target = _checked("fit.target", io.read_measure_json, _input_file(
             "fit.target", fit_cfg.get("target", outdir / "measure.json")))
         grid = target.support
-        traj = _load_trajectory(outdir) if (outdir / "trajectory.csv").exists() \
-            else None
-        model = make_model(cfg, grid.dim, traj, purpose="velocity")
+        traj = _read_output(outdir, "trajectory.csv") \
+            if (outdir / "trajectory.csv").exists() else None
+        if traj is not None and traj.dt <= 0:
+            raise ConfigError(f"fit.driver: 'fvm' fits a velocity field, "
+                              f"and map data (dt {traj.dt}) has none")
+        model = make_model(cfg, grid.dim, traj, getattr(traj, "dt", None))
         report = fit_fvm(target, model, grid,
                          D=fit_cfg.get("diffusion", 0.0),
                          eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
-                         **_given(fit_cfg, "objective"), **loop)
+                         **_given(fit_cfg, "objective"), **loop(model))
     elif driver == "pfo":
         mesh_cfg = section(cfg, "mesh")
         pou_eps = mesh_cfg["pou_eps"]
-        traj = _load_trajectory(outdir)
+        traj = _read_output(outdir, "trajectory.csv")
         flow_dt = fit_cfg.get("flow_dt", traj.dt)
         if flow_dt <= 0:
             raise ConfigError(
@@ -305,18 +319,19 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         pou = pfo.PartitionOfUnity(mesh.centers, pou_eps)
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
-        model = make_model(cfg, traj.dim, traj, purpose="velocity")
+        model = make_model(cfg, traj.dim, traj, flow_dt)
         report = fit_pfo(
             target, model, mesh, pou, sources,
-            flow_dt=flow_dt, **_given(fit_cfg, "substeps"), **loop)
+            flow_dt=flow_dt, **_given(fit_cfg, "substeps"), **loop(model))
         io.write_mesh_json(outdir / "mesh.json", mesh)
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     else:  # delay
-        traj = _load_trajectory(outdir)
+        traj = _read_output(outdir, "trajectory.csv")
         dcfg = _delay_config(fit_cfg, "fit", traj.dim)
-        model = make_model(cfg, traj.dim, traj, purpose="map")
+        model = make_model(cfg, traj.dim, traj)
         report = fit_delay(traj, model, dcfg,
-                           **_given(fit_cfg, "loss", "max_points"), **loop)
+                           **_given(fit_cfg, "loss", "max_points"),
+                           **loop(model))
 
     io.write_report_json(outdir / "report.json", report)
     io.write_checkpoint(outdir / "model.json", model.checkpoint())
@@ -354,15 +369,16 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     if burn >= n_sim:
         raise ConfigError(f"eval.sim_burn_in: {burn} is not below "
                           f"eval.n_sim_steps = {n_sim}")
-    traj = _load_trajectory(outdir)
+    traj = _read_output(outdir, "trajectory.csv")
     b = subsample_stride(SampleCloud(traj.states), **thin)
-    report = io.read_report_json(outdir / "report.json")
+    report = _read_output(outdir, "report.json")
     fit_cfg = report["config"]
     if fit_cfg["driver"] != "fvm":
         raise ConfigError(f"eval.kind: fvm_density evaluates an fvm fit, "
                           f"and {outdir / 'report.json'} holds a "
                           f"{fit_cfg['driver']} fit")
-    model = io.load_model(io.read_checkpoint(outdir / "model.json"))
+    model = io.load_model(_read_output(outdir, "model.json"))
+    grid = _read_output(outdir, "measure.json").support
     D = ev.get("diffusion", fit_cfg["D"])
     seed = _seed_of(cfg, ev).get("seed", 1)
     starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points
@@ -379,8 +395,6 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
         subsample_stride(pooled(paths[half:]), **thin),
         n_projections=nproj, seed=seed)
 
-    target = io.read_measure_json(outdir / "measure.json")
-    grid = target.support
     face_v, _ = fvm.face_velocities(grid, model)
     op = fvm.assemble_K(grid, face_v, D, report["extras"]["dt"])
     rho = fvm.stationary_density(fvm.teleport(op, fit_cfg["eps_tele"]))

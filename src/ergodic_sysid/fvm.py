@@ -2,11 +2,11 @@
 advection-diffusion transport.
 
 ``face_velocities`` evaluates a field at the interior lower faces of a box
-grid. ``assemble_K`` takes those face velocities and discretizes
-d(rho)/dt = -div(rho v) + D lap(rho) with first-order upwind fluxes,
-central diffusion, and zero-flux walls (velocity and diffusion vanish on
-boundary faces). K has nonnegative off-diagonals and zero column sums: it
-generates a Markov process.
+grid, one array per axis. ``assemble_K`` takes those face velocities and
+discretizes d(rho)/dt = -div(rho v) + D lap(rho) with first-order upwind
+fluxes, central diffusion, and zero-flux walls (velocity and diffusion
+vanish on boundary faces). K has nonnegative off-diagonals and zero
+column sums: it generates a Markov process.
 Teleporting the update M = I + K to the uniform restart with weight eps
 makes the stationary density unique: rho solves B rho = (eps/N) 1 with
 B = I - (1-eps) M = eps I - (1-eps) K. ``RegularizedMarkov`` holds B and
@@ -85,20 +85,19 @@ def frozen_dt(grid: Grid, field, D: float) -> float:
 
 
 def face_velocities(grid: Grid, field):
-    """The field's normal velocity on every lower face, and its pullbacks.
+    """The field's normal velocity at the interior faces, and pullbacks.
 
-    ``field`` is a model or an ``OdeSystem``; it is linearized once per
-    axis i at the interior lower faces ``grid.lower_faces[i]``. Returns
-    (face_v, pullbacks): ``face_v[i]`` holds component i at the lower face
-    of every cell in flat order, zero on the wall faces, and
-    ``pullbacks[i]`` is the pullback of those interior values (None for an
-    ``OdeSystem``), which ``adjoint.grad_parameters`` seeds.
+    ``field``, a model or an ``OdeSystem``, is linearized once per axis i
+    at ``grid.face_centers(i)``. Returns (face_v, pullbacks): ``face_v[i]``
+    holds component i at the interior lower faces ``grid.lower_faces[i]``,
+    in that order, and ``pullbacks[i]`` (None for an ``OdeSystem``) is the
+    pullback of the same pass, which ``adjoint.grad_parameters`` seeds with
+    face gradients of this layout.
     """
-    face_v = np.zeros((grid.dim, grid.n_cells))
-    pullbacks = []
-    for i, low in enumerate(grid.lower_faces):
-        values, pullback = field.linearize(grid.face_centers(i)[low])
-        face_v[i, low] = values[:, i]
+    face_v, pullbacks = [], []
+    for i in range(grid.dim):
+        values, pullback = field.linearize(grid.face_centers(i))
+        face_v.append(values[:, i])
         pullbacks.append(pullback)
     return face_v, pullbacks
 
@@ -107,62 +106,57 @@ def face_velocities(grid: Grid, field):
 class FvmOperator:
     """Assembled transport generator K with its grid and face velocities.
 
-    ``face_velocities[i]`` holds the lower-face normal velocity of every
-    cell along dimension i (flat order, zero on boundary faces); the upper
-    face of a cell is the lower face of its axis-i successor.
+    ``face_velocities`` is ``assemble_K``'s input: per axis i, the normal
+    velocity at the interior lower faces ``grid.lower_faces[i]``, in that
+    order. The face of cell j is the upper face of cell j - strides[i].
     """
 
     grid: Grid
     K: sp.csr_matrix
     dt: float
-    face_velocities: np.ndarray
+    face_velocities: list
 
 
 def assemble_K(grid: Grid, face_v, D: float, dt: float) -> FvmOperator:
     """Build K = sum_i (dt/dx_i) K_i with upwind advection and central
     diffusion, validating that every column sums to zero.
 
-    ``face_v`` is a (dim, n_cells) array of lower-face normal velocities,
-    as ``face_velocities`` returns; its wall entries are replaced by zero,
-    since the walls carry no flux.
+    ``face_v`` holds, per axis i, the normal velocities at the interior
+    lower faces ``grid.lower_faces[i]``, as ``face_velocities`` returns;
+    the walls carry no flux.
     """
     if D < 0:
         raise ValueError("D must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = grid.n_cells
-    face_v = np.asarray(face_v, dtype=float)
-    if face_v.shape != (grid.dim, n):
-        raise ValueError(f"face velocities have shape {face_v.shape}, the "
-                         f"grid needs {(grid.dim, n)}")
-    strides = grid.strides
-    walled = np.zeros_like(face_v)
+    face_v = [np.asarray(f, dtype=float) for f in face_v]
+    shapes = [f.shape for f in face_v]
+    needs = [low.shape for low in grid.lower_faces]
+    if shapes != needs:
+        raise ValueError(f"face velocities have shapes {shapes}, the grid "
+                         f"needs {needs}")
 
     diag = np.zeros(n)
     rows, cols, data = [], [], []
-    for i in range(grid.dim):
+    for i, (low_idx, f) in enumerate(zip(grid.lower_faces, face_v)):
         dx = grid.spacings[i]
         scale = dt / dx
-        low_idx = grid.lower_faces[i]
-        up_idx = low_idx - strides[i]
-        v = walled[i]
-        v[low_idx] = face_v[i, low_idx]
-        w = np.zeros(n)
-        w[up_idx] = v[low_idx]
-        d_low = np.zeros(n)
-        d_low[low_idx] = D
-        d_up = np.zeros(n)
-        d_up[up_idx] = D
+        up_idx = low_idx - grid.strides[i]
+        # per cell: the velocity and diffusion of its lower and upper face
+        v, w, d_low, d_up = np.zeros((4, n))
+        v[low_idx] = w[up_idx] = f
+        d_low[low_idx] = d_up[up_idx] = D
         diag += scale * (np.minimum(v, 0.0) - np.maximum(w, 0.0)
                          - (d_low + d_up) / dx)
         # inflow from below: entry (j, j - S_i)
         rows.append(low_idx)
         cols.append(up_idx)
-        data.append(scale * (np.maximum(w, 0.0) + d_up / dx)[up_idx])
+        data.append(scale * (np.maximum(f, 0.0) + D / dx))
         # inflow from above: entry (j - S_i, j)
         rows.append(up_idx)
         cols.append(low_idx)
-        data.append(scale * (-np.minimum(v, 0.0) + d_low / dx)[low_idx])
+        data.append(scale * (-np.minimum(f, 0.0) + D / dx))
 
     rows.append(np.arange(n))
     cols.append(np.arange(n))
@@ -176,7 +170,7 @@ def assemble_K(grid: Grid, face_v, D: float, dt: float) -> FvmOperator:
     if not colsums.max() <= COLSUM_TOL:  # a NaN sum fails this test too
         j = int(colsums.argmax())  # the first NaN, if there is one
         raise AssemblyError(j, grid.flat_to_multi(j), float(colsums[j]))
-    return FvmOperator(grid, K, dt, walled)
+    return FvmOperator(grid, K, dt, face_v)
 
 
 class RegularizedMarkov:

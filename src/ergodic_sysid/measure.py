@@ -109,8 +109,9 @@ class Grid:
         return self.lo + multi * self.spacings
 
     def face_centers(self, i: int) -> np.ndarray:
-        """Center of each cell's lower face along axis i (flat order)."""
-        pts = self.centers()
+        """Centers of the interior lower faces along axis i, in the order
+        of ``lower_faces[i]``."""
+        pts = self.centers()[self.lower_faces[i]]
         pts[:, i] -= 0.5 * self.spacings[i]
         return pts
 

@@ -192,7 +192,7 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
         value, djdrho = obj(rho, target.weights, grid.cell_volume)
         sol = adj.solve_adjoint(M, rho, djdrho)
         face_grads = adj.grad_face_velocities(op, M, rho, sol)
-        grad = adj.grad_parameters(face_grads, pullbacks, grid)
+        grad = adj.grad_parameters(face_grads, pullbacks)
         return value, grad
 
     return loss_and_grad, dt
@@ -222,8 +222,8 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
     def loss_and_grad(theta):
         velocity.set_params(theta)
         loss, grad, _ = flowmap_markov_grad(
-            velocity, mesh, pou, sources, flow_dt, target_matrix,
-            substeps=substeps, assignments=src)
+            velocity, mesh, pou, sources, src, flow_dt, target_matrix,
+            substeps)
         return loss, grad
 
     return loss_and_grad

@@ -400,18 +400,16 @@ def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
 
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
                         pou: PartitionOfUnity, sources: SampleCloud,
-                        flow_dt: float,
-                        target: UlamMatrix, substeps: int = 1,
-                        assignments: Optional[np.ndarray] = None):
+                        src: np.ndarray, flow_dt: float,
+                        target: UlamMatrix, substeps: int = 1):
     """Frobenius mismatch to a target matrix and its parameter gradient.
 
+    ``src`` holds each source's mesh cell, as ``mesh.assign`` gives it.
     Reverse mode runs through the smoothed cell weights and the RK4 stages;
     mesh centers stay frozen. Returns (loss, theta_grad, matrix). A mesh
     cell without sources raises ``EstimationError``.
     """
     x = sources.points
-    src = mesh.assign(x) if assignments is None else \
-        np.asarray(assignments, dtype=int)
     counts = np.bincount(src, minlength=mesh.n)
     if np.any(counts == 0):
         raise EstimationError(int(np.argmin(counts)))

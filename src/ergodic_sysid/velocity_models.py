@@ -5,18 +5,20 @@ vector-Jacobian products, so reverse mode is written out by hand instead of
 pulling in an autodiff framework. ``MlpModel`` holds its parameters in one
 flat vector ``theta`` and exposes
 
-    eval_batch(X)               -> (n, m) values
-    linearize(X)                -> (values, pullback)
-    pullback(seeds, need_x)     -> (flat parameter gradient, input gradient)
+    eval_batch(X)       -> (n, m) values
+    linearize(X)        -> (values, pullback)
+    pullback(seeds)     -> (flat parameter gradient, input gradient)
 
 where the parameter gradient accumulates d(sum_k seeds_k . f(x_k))/d theta
-and the input gradient (None unless need_x) is d/dx_k of the same sum. The
-pullback closes over the intermediates of the forward pass that made the
-values, so a reverse pass never reruns the network. ``fvm.face_velocities``
-keeps the pullbacks of its per-axis face passes for
-``adjoint.grad_parameters``, and ``flow_rk4_vjp`` chains the pullbacks of
-its stages the same way. ``systems.OdeSystem.linearize`` gives a known
-field the same call, with a None pullback.
+and the input gradient, an array shaped like X, is d/dx_k of the same sum.
+Every model kind keeps this contract; its pullback always returns both, so
+a caller that chains it through a flow or a map and one that needs only the
+parameters make the same call. The pullback closes over the intermediates
+of the forward pass that made the values, so a reverse pass never reruns
+the network. ``fvm.face_velocities`` keeps the pullbacks of its per-axis
+face passes for ``adjoint.grad_parameters``, and ``flow_rk4_vjp`` chains
+the pullbacks of its stages the same way. ``systems.OdeSystem.linearize``
+gives a known field the same call, with a None pullback.
 """
 
 from __future__ import annotations
@@ -114,28 +116,24 @@ class MlpModel:
         acts = self._forward(X)
         layers = self._layers
 
-        def pullback(seeds, need_x: bool = False):
-            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+        def pullback(seeds):
             grad = np.zeros_like(self.theta)
-            delta = seeds * self.out_scale
+            delta = np.atleast_2d(seeds) * self.out_scale
             for li in range(len(layers) - 1, -1, -1):
-                w, _ = layers[li]
-                wsl, bsl, nin, nout = self._slices[li]
+                wsl, bsl, _, _ = self._slices[li]
                 grad[wsl] = (delta.T @ acts[li]).ravel()
                 grad[bsl] = delta.sum(axis=0)
-                if li > 0 or need_x:
-                    back = delta @ w
-                    if li > 0:
-                        delta = back * (1.0 - acts[li] ** 2)
-            x_grad = back / self.in_scale if need_x else None
-            return grad, x_grad
+                delta = delta @ layers[li][0]
+                if li > 0:
+                    delta = delta * (1.0 - acts[li] ** 2)
+            return grad, delta / self.in_scale
 
         return acts[-1] * self.out_scale + self.out_shift, pullback
 
-    def vjp(self, X, seeds, need_x: bool = False):
+    def vjp(self, X, seeds):
         """One-off gradient: ``linearize(X)`` pulled back once. The drivers
         keep the pullback of their own forward pass instead."""
-        return self.linearize(X)[1](seeds, need_x)
+        return self.linearize(X)[1](seeds)
 
     def checkpoint(self) -> dict:
         return {
@@ -182,24 +180,22 @@ def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):
         x = rk4_step(f, x, h)
         _check_finite(x, k + 1)
 
+    # RK4 weight of each stage's slope; step at which stage s + 1 read s's
+    weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+    reads = (0.5 * h, 0.5 * h, h)
+
     def pullback(seed_grad):
         theta_grad = np.zeros(velocity.n_params)
         gbar = np.atleast_2d(np.asarray(seed_grad, dtype=float))
         for k in reversed(range(substeps)):
-            p1, p2, p3, p4 = stages[4 * k:4 * k + 4]
             xbar = gbar.copy()
-            tg, u = p4((h / 6.0) * gbar, need_x=True)
-            theta_grad += tg
-            xbar += u
-            tg, u = p3((h / 3.0) * gbar + h * u, need_x=True)
-            theta_grad += tg
-            xbar += u
-            tg, u = p2((h / 3.0) * gbar + 0.5 * h * u, need_x=True)
-            theta_grad += tg
-            xbar += u
-            tg, u = p1((h / 6.0) * gbar + 0.5 * h * u, need_x=True)
-            theta_grad += tg
-            xbar += u
+            seed = weights[3] * gbar
+            for s in reversed(range(4)):
+                tg, u = stages[4 * k + s](seed)
+                theta_grad += tg
+                xbar += u
+                if s:
+                    seed = weights[s - 1] * gbar + reads[s - 1] * u
             gbar = xbar
         return theta_grad, gbar
 

@@ -14,7 +14,7 @@ from ergodic_sysid.velocity_models import MlpModel
 def _small_problem(seed=0, n=10, eps=1e-2, D=0.05):
     rng = np.random.default_rng(seed)
     grid = Grid([0.0], [1.0], [n])
-    face_v = rng.uniform(-1.0, 1.0, size=(1, n))
+    face_v = [rng.uniform(-1.0, 1.0, size=n)[1:]]  # the n - 1 interior faces
     dt = cfl_dt(grid, D, 1.0)
     op = assemble_K(grid, face_v, D, dt)
     M = teleport(op, eps)
@@ -42,6 +42,7 @@ def _grid_chain(eps, seed=5):
     rng = np.random.default_rng(seed)
     grid = Grid([0.0, 0.0], [1.0, 1.0], [10, 10])
     face_v = rng.uniform(-1, 1, size=(2, grid.n_cells))
+    face_v = [face_v[i, low] for i, low in enumerate(grid.lower_faces)]
     op = assemble_K(grid, face_v, 0.02, cfl_dt(grid, 0.02, 1.0))
     return op, teleport(op, eps), rng
 
@@ -103,7 +104,8 @@ def test_boundary_faces_have_zero_gradient():
     grid, op, M, rho, rng = _small_problem(seed=3)
     sol = solve_adjoint(M, rho, rng.standard_normal(M.n))
     grads = grad_face_velocities(op, M, rho, sol)
-    assert grads[0][0] == 0.0  # lower wall face of the first cell
+    # one entry per interior face, none for the two walls
+    assert [g.shape for g in grads] == [(grid.n_cells - 1,)]
 
 
 # the second time step is 50 times the first, far past the CFL bound
@@ -112,28 +114,28 @@ def test_face_gradients_match_finite_differences(dt_factor):
     rng = np.random.default_rng(7)
     n, D, eps = 8, 0.05, 1e-2
     grid = Grid([0.0], [1.0], [n])
-    v0 = rng.uniform(-1.0, 1.0, size=(1, n))
+    v0 = rng.uniform(-1.0, 1.0, size=n)[1:]  # the interior faces
     dt = cfl_dt(grid, D, 2.0) * dt_factor
     target_w = rng.random(n)
     target = Measure(target_w / target_w.sum(), grid)
     obj = grid_objective("l2")
 
     def loss(face_v):
-        op = assemble_K(grid, face_v, D, dt)
+        op = assemble_K(grid, [face_v], D, dt)
         M = teleport(op, eps)
         rho = stationary_density(M)
         return obj(rho, target.weights, grid.cell_volume)[0]
 
-    op = assemble_K(grid, v0, D, dt)
+    op = assemble_K(grid, [v0], D, dt)
     M = teleport(op, eps)
     rho = stationary_density(M)
     val, djdrho = obj(rho, target.weights, grid.cell_volume)
     sol = solve_adjoint(M, rho, djdrho)
     face = grad_face_velocities(op, M, rho, sol)[0]
     h = 1e-6
-    for j in range(1, n):  # interior faces only
-        e = np.zeros((1, n))
-        e[0, j] = h
+    for j in range(n - 1):
+        e = np.zeros(n - 1)
+        e[j] = h
         fd = (loss(v0 + e) - loss(v0 - e)) / (2 * h)
         assert abs(fd - face[j]) / max(abs(fd), abs(face[j]), 1e-12) < 1e-5
 
@@ -160,14 +162,11 @@ def test_linear_parameterization_chain_rule():
     model = MlpModel([1, 1])  # v(x) = w x + b, parameters (w, b)
     model.set_params(np.array([-0.8, 0.3]))
     rng = np.random.default_rng(9)
-    face_grads = [rng.standard_normal(12)]
-    face_grads[0][0] = 0.0
+    face_grads = [rng.standard_normal(12)[1:]]  # the 11 interior faces
     _, pullbacks = face_velocities(grid, model)
-    got = grad_parameters(face_grads, pullbacks, grid)
-    centers = grid.centers()
-    pts = centers.copy()
-    pts[:, 0] -= 0.5 * grid.spacings[0]
-    expected = np.array([face_grads[0] @ pts[:, 0], face_grads[0].sum()])
+    got = grad_parameters(face_grads, pullbacks)
+    pts = grid.centers()[1:, 0] - 0.5 * grid.spacings[0]
+    expected = np.array([face_grads[0] @ pts, face_grads[0].sum()])
     assert np.allclose(got, expected)
 
 

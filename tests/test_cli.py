@@ -15,7 +15,8 @@ from ergodic_sysid.cli import main
 from ergodic_sysid.config import (SCHEMA, SECTION_READERS, Selected,
                                   validate_config)
 from ergodic_sysid.experiments import _max_box_escape
-from ergodic_sysid.measure import Grid, Measure, SampleCloud
+from ergodic_sysid.measure import (Grid, Measure, SampleCloud,
+                                   occupation_measure)
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
 from ergodic_sysid.systems import (Trajectory, integrate_ode, integrate_sde,
                                    iterate_map_batch, make_system)
@@ -161,15 +162,38 @@ def _gridless_measure(cfg):
     return _measure_file(cfg, {"weights": [0.5, 0.5], "cells": [0, 1]})
 
 
-def _pfo_fit_of_map_data(cfg):
-    """A pfo fit of torus-rotation map data (dt 0) in the config's output
-    directory, with no fit.flow_dt."""
+def _map_data(cfg) -> np.ndarray:
+    """Torus-rotation map data (dt 0) in the config's output directory."""
     orbit = iterate_map_batch(make_system("torus_rotation", alpha=0.31,
                                           beta=0.17), np.array([0.1, 0.7]),
                               200)
     io.write_trajectory_csv(Path(cfg["out"]) / "trajectory.csv",
                             Trajectory(orbit, 0.0))
+    return orbit
+
+
+def _pfo_fit_of_map_data(cfg):
+    """A pfo fit of map data, with no fit.flow_dt."""
+    _map_data(cfg)
     cfg.update(fit={"driver": "pfo"}, mesh={"n_cells": 4, "pou_eps": 0.05})
+
+
+def _fvm_fit_of_map_data(cfg):
+    """An fvm fit of map data and of its histogram."""
+    grid = Grid([0.0, 0.0], [1.0, 1.0], [8, 8])
+    io.write_measure_json(Path(cfg["out"]) / "measure.json",
+                          occupation_measure(_map_data(cfg), grid))
+
+
+_RUNS = Path(__file__).resolve().parents[1] / "runs"
+
+
+def _resume_delay_fit_from(name, hidden=(8,)):
+    """A delay fit of a model of the hidden sizes, resumed from the
+    committed smoke run's file ``name``."""
+    return lambda c: c.update(
+        model={"hidden": list(hidden)},
+        fit={"driver": "delay", "resume_from": str(_RUNS / "smoke" / name)})
 
 
 _GRID_8X8 = {"lo": [-2.0, -3.0], "hi": [2.0, 3.0], "n_per_dim": [8, 8]}
@@ -376,6 +400,10 @@ def _short_measure(cfg):
      "simulate"),
     ("model.hidden", lambda c: c["model"].update(hidden=[]), "simulate"),
     ("fit.flow_dt", _pfo_fit_of_map_data, "fit"),
+    ("fit.driver", _fvm_fit_of_map_data, "fit"),
+    ("fit.resume_from", _resume_delay_fit_from("checkpoint_000005.json",
+                                               hidden=[4]), "fit"),
+    ("fit.resume_from", _resume_delay_fit_from("model.json"), "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -416,7 +444,8 @@ def _short_measure(cfg):
         "grid-n_per_dim-wrong-length", "grid-lo-above-hi",
         "grid-lo-hi-wrong-length", "fvm-fit-mesh", "refinement-grids-empty",
         "grid-n_per_dim-empty", "model-hidden-empty",
-        "pfo-map-data-default-flow_dt"])
+        "pfo-map-data-default-flow_dt", "fvm-map-data",
+        "resume-other-architecture", "resume-not-a-checkpoint"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -443,6 +472,49 @@ def test_fvm_density_eval_of_a_delay_fit_exits_2(tmp_path, capsys):
     assert main(["eval", "--config", cfg_path]) == 2
     assert "eval.kind" in capsys.readouterr().err
     assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_pfo_fit_of_map_data_whitens_by_fit_flow_dt(tmp_path):
+    # the output affine of the velocity model holds the statistics of the
+    # finite-difference velocities over fit.flow_dt, not over the dt 0 of
+    # the map data
+    cfg = _smoke_config(str(tmp_path / "run"))
+    (tmp_path / "run").mkdir()
+    orbit = _map_data(cfg)
+    cfg.update(fit={"driver": "pfo", "flow_dt": 0.1, "n_iters": 1},
+               mesh={"n_cells": 4, "pou_eps": 0.05})
+    assert main(["fit", "--config", _write(tmp_path, cfg)]) == 0
+    model = io.read_checkpoint(tmp_path / "run" / "model.json")
+    v = np.diff(orbit, axis=0) / 0.1
+    assert np.allclose(model["out_shift"], v.mean(axis=0), rtol=1e-12)
+    assert np.allclose(model["out_scale"], v.std(axis=0), rtol=1e-12)
+
+
+def test_fvm_density_eval_before_fit_exits_2(tmp_path, capsys):
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg["eval"] = {"kind": "fvm_density", "n_sim_steps": 2000}
+    cfg_path = _write(tmp_path, cfg)
+    for cmd in ("simulate", "histogram"):
+        assert main([cmd, "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path]) == 2
+    assert "report.json not found; run fit first" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+def test_refinement_eval_writes_one_row_per_grid(tmp_path):
+    cfg = {"out": str(tmp_path / "run"),
+           "eval": {"kind": "refinement", "grids": [8, 12],
+                    "n_sde_steps": 4000, "sde_dt": 0.01, "max_points": 500,
+                    "diffusion": 0.05, "seed": 3}}
+    assert main(["eval", "--config", _write(tmp_path, cfg)]) == 0
+    table = np.loadtxt(tmp_path / "run" / "refinement.csv", delimiter=",",
+                       skiprows=1, ndmin=2)
+    assert table[:, 0].tolist() == [8.0, 12.0]
+    assert np.all(np.isfinite(table[:, 1])) and np.all(table[:, 1] > 0)
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert metrics["monotone"] in (True, False)
+    assert [r["w2"] for r in metrics["rows"]] == table[:, 1].tolist()
 
 
 def test_pfo_fit_with_empty_source_cells_exits_2(tmp_path, capsys):

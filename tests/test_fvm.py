@@ -14,6 +14,12 @@ from ergodic_sysid.systems import OdeSystem, integrate_sde, make_system
 from ergodic_sysid.velocity_models import MlpModel
 
 
+def _interior(grid, padded):
+    """Per axis i, the entries of row i of a (dim, n_cells) array at the
+    interior lower faces: the layout of face velocities and gradients."""
+    return [padded[i, low] for i, low in enumerate(grid.lower_faces)]
+
+
 def _random_operator(rng):
     dim = rng.integers(1, 4)
     n_per_dim = rng.integers(3, 7, size=dim)
@@ -21,6 +27,7 @@ def _random_operator(rng):
     hi = lo + rng.uniform(0.5, 3, size=dim)
     grid = Grid(lo, hi, n_per_dim)
     face_v = rng.uniform(-1.5, 1.5, size=(grid.dim, grid.n_cells))
+    face_v = _interior(grid, face_v)
     D = rng.uniform(0.01, 0.4)
     dt = cfl_dt(grid, D, 1.5)
     return assemble_K(grid, face_v, D, dt), grid
@@ -55,23 +62,29 @@ def test_cfl_degenerate():
 
 def test_assemble_zero_field_zero_matrix():
     grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-    op = assemble_K(grid, np.zeros((2, grid.n_cells)), 0.0, 0.01)
+    op = assemble_K(grid, _interior(grid, np.zeros((2, 16))), 0.0, 0.01)
     assert op.K.nnz == 0 or np.all(op.K.data == 0.0)
 
 
-@pytest.mark.parametrize("shape", [(2, 15), (1, 16), (3, 16), (32,)])
+# a short axis, one axis, three axes, and the padded (dim, n_cells) array:
+# each axis must hold exactly its interior lower faces
+@pytest.mark.parametrize("shape", [[np.zeros(12), np.zeros(11)],
+                                   [np.zeros(12)], [np.zeros(12)] * 3,
+                                   np.zeros((2, 16))])
 def test_assemble_rejects_face_velocities_of_another_shape(shape):
     grid = Grid([0.0, 0.0], [1.0, 1.0], [4, 4])
-    with pytest.raises(ValueError, match=r"the grid needs \(2, 16\)"):
-        assemble_K(grid, np.zeros(shape), 0.1, 0.01)
+    with pytest.raises(ValueError,
+                       match=r"the grid needs \[\(12,\), \(12,\)\]"):
+        assemble_K(grid, shape, 0.1, 0.01)
 
 
 def test_assemble_1d_constant_advection_oracle():
     grid = Grid([0.0], [1.0], [5])
     v = 0.7
     dt = cfl_dt(grid, 0.0, v)
-    op = assemble_K(grid, np.full((1, 5), v), 0.0, dt)
-    assert op.face_velocities[0, 0] == 0.0  # the lower wall carries no flux
+    op = assemble_K(grid, [np.full(4, v)], 0.0, dt)
+    # the four interior faces; the lower wall carries no flux
+    assert np.array_equal(op.face_velocities[0], np.full(4, v))
     K = op.K.toarray()
     c = dt / grid.spacings[0] * v
     expected = np.zeros((5, 5))
@@ -86,7 +99,7 @@ def test_assemble_1d_diffusion_stencil():
     grid = Grid([0.0], [1.0], [5])
     D = 0.05
     dt = cfl_dt(grid, D, 0.0)
-    op = assemble_K(grid, np.zeros((1, 5)), D, dt)
+    op = assemble_K(grid, [np.zeros(4)], D, dt)
     K = op.K.toarray()
     r = dt * D / grid.spacings[0] ** 2
     for j in range(1, 4):
@@ -120,7 +133,7 @@ def test_assemble_rejects_a_non_finite_face():
     face_v = np.full((2, grid.n_cells), 0.5)
     face_v[1, 6] = np.nan  # axis-1 lower face of cell 6, interior
     with pytest.raises(AssemblyError, match="absolute sum nan") as err:
-        assemble_K(grid, face_v, 0.1, 0.01)
+        assemble_K(grid, _interior(grid, face_v), 0.1, 0.01)
     assert err.value.cell in (6 - grid.strides[1], 6)
 
 
@@ -230,7 +243,7 @@ def test_evolve_pure_diffusion_heat_oracle():
     grid = Grid([0.0], [1.0], [10])
     D = 0.1
     dt = cfl_dt(grid, D, 0.0)
-    op = assemble_K(grid, np.zeros((1, 10)), D, dt)
+    op = assemble_K(grid, [np.zeros(9)], D, dt)
     w = np.zeros(10)
     w[3] = 1.0
     # independent dense heat stencil with zero-flux walls
@@ -253,19 +266,20 @@ def test_face_velocities_layout():
     grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 3])
     sys = make_system("van_der_pol", c=1.0)
     face_v, pullbacks = face_velocities(grid, sys)
-    assert face_v.shape == (2, grid.n_cells)
+    assert [f.shape for f in face_v] == [(9,), (8,)]
     for i, low in enumerate(grid.lower_faces):
-        expected = np.zeros(grid.n_cells)
-        expected[low] = sys.rhs(grid.face_centers(i))[low, i]
-        assert np.array_equal(face_v[i], expected)
+        pts = grid.centers()[low]  # the interior lower faces, in that order
+        pts[:, i] -= 0.5 * grid.spacings[i]
+        assert np.array_equal(grid.face_centers(i), pts)
+        assert np.array_equal(face_v[i], sys.rhs(pts)[:, i])
     assert pullbacks == [None, None]
     mlp = MlpModel([2, 5, 2])
     mlp.init_params(seed=3)
     face_v, pullbacks = face_velocities(grid, mlp)
     assert len(pullbacks) == 2 and all(map(callable, pullbacks))
     for i, low in enumerate(grid.lower_faces):
-        values = mlp.eval_batch(grid.face_centers(i)[low])
-        assert np.array_equal(face_v[i, low], values[:, i])
+        values = mlp.eval_batch(grid.face_centers(i))
+        assert np.array_equal(face_v[i], values[:, i])
 
 
 def test_frozen_dt_is_half_the_cfl_bound_at_the_sup_norm():

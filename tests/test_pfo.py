@@ -430,7 +430,8 @@ def test_flowmap_gradient_rejects_an_empty_source_cell():
     pou = PartitionOfUnity(mesh.centers, 0.5)
     target = UlamMatrix(np.eye(2))
     with pytest.raises(EstimationError):
-        flowmap_markov_grad(_field(lambda z: -z), mesh, pou, x, 0.1, target)
+        flowmap_markov_grad(_field(lambda z: -z), mesh, pou, x,
+                            mesh.assign(x.points), 0.1, target)
 
 
 def test_eps_to_zero_consistency():
@@ -508,10 +509,11 @@ def test_flowmap_gradient_matches_fd():
     mlp = MlpModel([2, 6, 2])
     mlp.init_params(seed=20)
     theta = mlp.get_params()
+    src = mesh.assign(x.points)
 
     def lg(t):
         mlp.set_params(t)
-        return flowmap_markov_grad(mlp, mesh, pou, x, 0.1, target,
+        return flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1, target,
                                    substeps=2)[:2]
 
     _, grad = lg(theta)
@@ -532,6 +534,7 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
     target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=45)
+    src = mesh.assign(x.points)
     calls = []
     cdist = pfo.cdist
 
@@ -541,7 +544,8 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
         return cdist(a, b, *metric, **kwargs)
 
     monkeypatch.setattr(pfo, "cdist", counting)
-    loss, grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, 0.1, target)
+    loss, grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1,
+                                           target)
     assert calls == [120]
     assert loss > 0.0 and np.any(grad != 0.0)
     assert np.array_equal(
@@ -557,7 +561,8 @@ def test_flowmap_gradient_blowup_raises():
     mlp = MlpModel([2, 4, 2], out_scale=1e16)
     mlp.init_params(seed=27)
     with pytest.raises(IntegrationBlowupError):
-        flowmap_markov_grad(mlp, mesh, pou, x, 0.1, target)
+        flowmap_markov_grad(mlp, mesh, pou, x, mesh.assign(x.points), 0.1,
+                            target)
 
 
 def test_larger_eps_smooths_loss_landscape():
@@ -570,6 +575,7 @@ def test_larger_eps_smooths_loss_landscape():
     theta0 = mlp.get_params()
     direction = np.random.default_rng(24).standard_normal(theta0.size)
     direction /= np.linalg.norm(direction)
+    src = mesh.assign(x.points)
 
     def total_variation(eps):
         pou = PartitionOfUnity(mesh.centers, eps)
@@ -577,7 +583,7 @@ def test_larger_eps_smooths_loss_landscape():
         vals = []
         for t in np.linspace(0.0, 3.0, 41):
             mlp.set_params(theta0 + t * direction)
-            vals.append(flowmap_markov_grad(mlp, mesh, pou, x, 0.1,
+            vals.append(flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1,
                                             target)[0])
         return np.abs(np.diff(vals)).sum() / (vals[0] + 1e-12)
 

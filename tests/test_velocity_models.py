@@ -46,7 +46,7 @@ def test_single_tanh_neuron_hand_derivative():
     w1, b1, w2, b2 = 0.7, -0.2, 1.3, 0.4
     mlp.set_params(np.array([w1, b1, w2, b2]))
     x = np.array([[0.9]])
-    grad, xg = mlp.linearize(x)[1](np.array([[1.0]]), need_x=True)
+    grad, xg = mlp.linearize(x)[1](np.array([[1.0]]))
     a = np.tanh(w1 * 0.9 + b1)
     sech2 = 1.0 - a**2
     assert np.allclose(grad, [w2 * sech2 * 0.9, w2 * sech2, a, 1.0])
@@ -93,7 +93,7 @@ def test_input_gradient_matches_fd():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 2))
     seeds = rng.normal(size=(3, 2))
-    _, xg = mlp.linearize(x)[1](seeds, need_x=True)
+    _, xg = mlp.linearize(x)[1](seeds)
     h = 1e-6
     for i, k in [(0, 0), (1, 1), (2, 0)]:
         e = np.zeros_like(x)
@@ -213,6 +213,5 @@ def test_layer_views_follow_a_replaced_theta(replace):
     values, pullback = mlp.linearize(x)
     fresh_values, fresh_pullback = fresh.linearize(x)
     assert np.array_equal(values, fresh_values)
-    for a, b in zip(pullback(seeds, need_x=True),
-                    fresh_pullback(seeds, need_x=True)):
+    for a, b in zip(pullback(seeds), fresh_pullback(seeds)):
         assert np.array_equal(a, b)

@@ -289,6 +289,10 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         if traj is not None and traj.dt <= 0:
             raise ConfigError(f"fit.driver: 'fvm' fits a velocity field, "
                               f"and map data (dt {traj.dt}) has none")
+        if traj is not None and traj.dim != grid.dim:
+            raise ConfigError(
+                f"fit.target: its grid is {grid.dim}-D, but the model is "
+                f"whitened by the {traj.dim}-D states of trajectory.csv")
         model = make_model(cfg, grid.dim, traj, getattr(traj, "dt", None))
         report = fit_fvm(target, model, grid,
                          D=fit_cfg.get("diffusion", 0.0),

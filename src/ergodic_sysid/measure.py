@@ -337,10 +337,21 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
         total = 0.0
         for rows, d in _distance_blocks(x, other, buf):
             total += d.sum()
-            np.divide(1.0, d, out=d, where=d > 0)
+            with np.errstate(divide="ignore"):
+                np.reciprocal(d, out=d)
+            if other is x:  # |x_i - x_i| on the diagonal of x-x
+                np.fill_diagonal(d[:, rows.start:], 0.0)
+            inv_sum = d.sum(axis=1, keepdims=True)
+            # other zero distances come from duplicate points: their rows
+            # sum to inf, and are summed again without them
+            dup = np.flatnonzero(np.isinf(inv_sum[:, 0]))
+            if dup.size:
+                block = d[dup]
+                block[np.isinf(block)] = 0.0
+                d[dup] = block
+                inv_sum[dup] = block.sum(axis=1, keepdims=True)
             # d|x - y|/dx = (x - y)/|x - y|
-            grad[rows] += sign * (x[rows] * d.sum(axis=1, keepdims=True)
-                                  - d @ other) / pairs
+            grad[rows] += sign * (x[rows] * inv_sum - d @ other) / pairs
         sums.append(total)
     val = sums[0] / (n * m) - 0.5 * sums[1] / (n * n) - 0.5 * y_self
     return float(val), grad

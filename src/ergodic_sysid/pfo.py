@@ -37,6 +37,9 @@ from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
 _CHUNK = 16384
+# Rows per elementwise pass of the partition of unity: at 400 cells a block
+# of one array is 800 kB, so a pass's operands stay in a 1-2 MB L2 cache.
+_BLOCK = 256
 # Relative gap below which the kd-tree's two nearest centers count as tied.
 NEAR_TIE_RTOL = 1e-9
 # Relative margin by which build_mesh's distance bounds must separate a
@@ -224,6 +227,12 @@ class PartitionOfUnity:
     eps > 0. The ratio is formed in log space (softmax over log r_i) so that
     large distances cannot underflow the normalization. The counting
     estimator of hard cells is ``estimate_markov`` without a partition.
+
+    Two row counts split the work. Every elementwise pass runs on ``_BLOCK``
+    rows at a time, so that its operands stay in cache. What takes its bits
+    from the number of rows at once runs on ``_CHUNK`` rows: the sums of
+    ``_row_average``, and the pullback's ``t @ centers``, whose BLAS result
+    changes with the row count.
     """
 
     centers: np.ndarray
@@ -239,18 +248,23 @@ class PartitionOfUnity:
         return self.centers.shape[0]
 
     def _weights(self, psi: np.ndarray):
-        """Turn the scaled distances u = d/eps of one chunk, held in psi,
-        into its weights in place: psi holds u, then log r, then psi.
+        """Turn the scaled distances u = d/eps of one block, held in psi
+        (C-contiguous rows, so that ``psi.reshape(-1)`` is a view), into its
+        weights in place: psi holds u, then log r, then psi.
 
-        Returns what the reverse pass needs besides d: the mask u <= 33,
-        and exp(-u) and log1p(exp(-u)) on that mask.
+        Returns what the reverse pass needs besides d: the flat indices of
+        the mask u <= 33 in ``psi.reshape(-1)``, and exp(-u) and
+        log1p(exp(-u)) there.
         """
-        small = psi <= 33.0
-        eu = np.exp(-psi[small])
+        flat = psi.reshape(-1)
+        small = np.flatnonzero(flat <= 33.0)
+        eu = flat[small]
+        np.negative(eu, out=eu)
+        np.exp(eu, out=eu)
         l1 = np.log1p(eu)
         # log r = log log1p(exp(-u)); asymptotically -u once exp(-u) is tiny.
         np.negative(psi, out=psi)
-        psi[small] = np.log(l1)
+        flat[small] = np.log(l1)
         psi -= psi.max(axis=1, keepdims=True)
         np.exp(psi, out=psi)
         psi /= psi.sum(axis=1, keepdims=True)
@@ -260,9 +274,9 @@ class PartitionOfUnity:
         """Weight rows, each nonnegative and summing to one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((pts.shape[0], self.n))
-        for s in range(0, pts.shape[0], _CHUNK):
-            u = out[s:s + _CHUNK]
-            cdist(pts[s:s + _CHUNK], self.centers, out=u)
+        for s in range(0, pts.shape[0], _BLOCK):
+            u = out[s:s + _BLOCK]
+            cdist(pts[s:s + _BLOCK], self.centers, out=u)
             u /= self.eps
             self._weights(u)
         return out
@@ -272,32 +286,45 @@ class PartitionOfUnity:
         psi(x_k))/dx_k, which reuses the kernel of this forward pass."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         psi = np.empty((pts.shape[0], self.n))
+        d = np.empty_like(psi)
         kernels = []
         for s in range(0, pts.shape[0], _CHUNK):
-            d = cdist(pts[s:s + _CHUNK], self.centers)
-            np.divide(d, self.eps, out=psi[s:s + _CHUNK])
-            small, eu, l1 = self._weights(psi[s:s + _CHUNK])
-            # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask u <= 33,
-            # kept with the mask's flat indices; it saturates at 1 beyond.
-            kernels.append((d, np.flatnonzero(small), (eu / (1.0 + eu)) / l1))
+            chunk = slice(s, s + _CHUNK)
+            x, dc, pc = pts[chunk], d[chunk], psi[chunk]
+            blocks = []
+            for b in range(0, x.shape[0], _BLOCK):
+                rows = slice(b, b + _BLOCK)
+                cdist(x[rows], self.centers, out=dc[rows])
+                np.divide(dc[rows], self.eps, out=pc[rows])
+                small, eu, l1 = self._weights(pc[rows])
+                # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask
+                # u <= 33; it saturates at 1 beyond. The pullback zeroes
+                # the entries at d = 0.
+                blocks.append((rows, small, (eu / (1.0 + eu)) / l1,
+                               np.flatnonzero(dc[rows] == 0.0)))
+            kernels.append((chunk, blocks))
 
         def pullback(seeds):
             seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
             out = np.empty_like(pts)
-            for k, (d, masked, q) in enumerate(kernels):
-                chunk = slice(k * _CHUNK, (k + 1) * _CHUNK)
-                p, w = psi[chunk], seeds[chunk]
-                # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d, zero
-                # at d = 0, built in one C-ordered array in place (so that
-                # t.ravel() is a view the flat mask indices address)
-                t = np.multiply(p, w, order="C")
-                np.subtract(w, t.sum(axis=1, keepdims=True), out=t)
-                t *= p
-                np.negative(t, out=t)
-                np.multiply.at(t.ravel(), masked, q)
-                t /= self.eps
-                np.divide(t, d, out=t, where=d > 0)
-                t[d == 0] = 0.0
+            for chunk, blocks in kernels:
+                p, w, dc = psi[chunk], seeds[chunk], d[chunk]
+                t = np.empty_like(p)
+                for rows, small, q, zero in blocks:
+                    # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d,
+                    # zero at d = 0, built in place in the rows of t
+                    tb = t[rows]
+                    flat = tb.reshape(-1)
+                    np.multiply(p[rows], w[rows], out=tb)
+                    np.subtract(w[rows], tb.sum(axis=1, keepdims=True),
+                                out=tb)
+                    tb *= p[rows]
+                    np.negative(tb, out=tb)
+                    flat[small] *= q
+                    tb /= self.eps
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        tb /= dc[rows]
+                    flat[zero] = 0.0
                 out[chunk] = (pts[chunk] * t.sum(axis=1, keepdims=True)
                               - t @ self.centers)
             return out
@@ -422,6 +449,7 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     if loss == 0.0:
         return loss, np.zeros(velocity.n_params), mhat
     G = diff / loss
-    seeds = G[src] / counts[src][:, None]
+    seeds = G[src]
+    seeds /= counts[src][:, None]
     theta_grad, _ = flow_pullback(pou_pullback(seeds))
     return loss, theta_grad, mhat

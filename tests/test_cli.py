@@ -185,6 +185,14 @@ def _fvm_fit_of_map_data(cfg):
                           occupation_measure(_map_data(cfg), grid))
 
 
+def _fvm_fit_of_a_1d_target(cfg):
+    """An fvm fit of a 1-D target next to 2-D van der Pol data."""
+    target = _measure_file(cfg, {"grid": {"lo": [-3.0], "hi": [3.0],
+                                          "n_per_dim": [8]},
+                                 "weights": [0.125] * 8})
+    cfg["fit"]["target"] = target
+
+
 _RUNS = Path(__file__).resolve().parents[1] / "runs"
 
 
@@ -401,6 +409,7 @@ def _short_measure(cfg):
     ("model.hidden", lambda c: c["model"].update(hidden=[]), "simulate"),
     ("fit.flow_dt", _pfo_fit_of_map_data, "fit"),
     ("fit.driver", _fvm_fit_of_map_data, "fit"),
+    ("fit.target", _fvm_fit_of_a_1d_target, "fit"),
     ("fit.resume_from", _resume_delay_fit_from("checkpoint_000005.json",
                                                hidden=[4]), "fit"),
     ("fit.resume_from", _resume_delay_fit_from("model.json"), "fit"),
@@ -445,6 +454,7 @@ def _short_measure(cfg):
         "grid-lo-hi-wrong-length", "fvm-fit-mesh", "refinement-grids-empty",
         "grid-n_per_dim-empty", "model-hidden-empty",
         "pfo-map-data-default-flow_dt", "fvm-map-data",
+        "fvm-target-of-another-dimension",
         "resume-other-architecture", "resume-not-a-checkpoint"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):

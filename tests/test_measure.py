@@ -233,6 +233,24 @@ def _dense_energy_mmd_grad_x(x, y, y_self):
     return val, grad
 
 
+def _where_energy_mmd_grad_x(x, y, y_self):
+    """energy_mmd_grad_x in the same blocks, with the reciprocals of the
+    nonzero distances only."""
+    n, m = x.shape[0], y.shape[0]
+    buf = measure._chunk_buffer(x, y, x)
+    grad = np.zeros_like(x)
+    sums = []
+    for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):
+        total = 0.0
+        for rows, d in measure._distance_blocks(x, other, buf):
+            total += d.sum()
+            np.divide(1.0, d, out=d, where=d > 0)
+            grad[rows] += sign * (x[rows] * d.sum(axis=1, keepdims=True)
+                                  - d @ other) / pairs
+        sums.append(total)
+    return sums[0] / (n * m) - 0.5 * sums[1] / (n * n) - 0.5 * y_self, grad
+
+
 def test_energy_mmd_grad_x_across_chunks(monkeypatch):
     # 30 x rows in chunks of 7 (the last one partial) against 25 y points;
     # x holds a duplicate and a copy of a y point, so both the x-y and the
@@ -244,8 +262,12 @@ def test_energy_mmd_grad_x_across_chunks(monkeypatch):
     x[9] = y[3]
     y_self = SampleCloud(y).self_distance
     one_chunk = energy_mmd_grad_x(x, y, y_self)
+    where = _where_energy_mmd_grad_x(x, y, y_self)
+    assert one_chunk[0] == where[0] and np.array_equal(one_chunk[1], where[1])
     monkeypatch.setattr(measure, "_CHUNK", 7)
     val, grad = energy_mmd_grad_x(x, y, y_self)
+    where = _where_energy_mmd_grad_x(x, y, y_self)
+    assert val == where[0] and np.array_equal(grad, where[1])
     ref_val, ref_grad = _dense_energy_mmd_grad_x(x, y, y_self)
     assert np.all(np.isfinite(grad))
     assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
@@ -254,6 +276,8 @@ def test_energy_mmd_grad_x_across_chunks(monkeypatch):
     assert np.allclose(grad, one_chunk[1], rtol=1e-12, atol=1e-15)
     # y longer than x: the blocks of x-y outgrow those of x-x
     val, grad = energy_mmd_grad_x(x[:11], y, y_self)
+    where = _where_energy_mmd_grad_x(x[:11], y, y_self)
+    assert val == where[0] and np.array_equal(grad, where[1])
     ref_val, ref_grad = _dense_energy_mmd_grad_x(x[:11], y, y_self)
     assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
     assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)

@@ -356,6 +356,72 @@ def test_pou_eval_builds_the_kernel_in_place():
     assert peak < 4.75 * n_points * n_cells * 8
 
 
+def test_pou_kernel_peaks_in_row_blocks():
+    # the all-masked case of the eval test above: the elementwise passes
+    # hold only one block of temporaries, and linearize keeps psi, d and
+    # the kernel's flat mask indices and q
+    rng = np.random.default_rng(42)
+    n_points, n_cells = 4000, 400
+    pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
+    pts = rng.random((n_points, 2))
+    for call, bound in ((pou.eval, 2.0), (pou.linearize, 5.0)):
+        tracemalloc.start()
+        try:
+            call(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n_points * n_cells * 8, call.__name__
+
+
+@pytest.mark.parametrize("chunk, block", [(pfo._CHUNK, 1), (pfo._CHUNK, 3),
+                                          (pfo._CHUNK, 4), (4, 3)])
+def test_pou_row_blocks_keep_every_bit(monkeypatch, chunk, block):
+    # 11 points, so the last block is partial, with far centres (u > 33)
+    # and one point on a centre (d = 0); in chunks of 4, blocks of 3 leave
+    # a partial block at the end of every chunk
+    monkeypatch.setattr(pfo, "_CHUNK", chunk)
+    rng = np.random.default_rng(46)
+    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
+                         [[12.0, 0.0], [0.0, -14.0]]])
+    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
+    pts[7] = centers[1]
+    seeds = rng.standard_normal((11, 7))
+    pou = PartitionOfUnity(centers, 0.3)
+
+    def calls():
+        psi, pullback = pou.linearize(pts)
+        return pou.eval(pts), psi, pullback(seeds)
+
+    whole = calls()
+    monkeypatch.setattr(pfo, "_BLOCK", block)
+    for got, want in zip(calls(), whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+def test_flowmap_gradient_row_blocks_keep_every_bit(monkeypatch, block):
+    rng = np.random.default_rng(47)
+    x = SampleCloud(rng.normal(size=(11, 2)))
+    mesh = build_mesh(x, 3, seed=48)
+    pou = PartitionOfUnity(mesh.centers, 0.05)
+    target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
+    mlp = MlpModel([2, 4, 2])
+    mlp.init_params(seed=49)
+    src = mesh.assign(x.points)
+    assert np.any(cdist(x.points, mesh.centers) / 0.05 > 33)
+
+    def grad():
+        loss, theta_grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, src,
+                                                     0.1, target)
+        return loss, theta_grad, mhat.matrix
+
+    whole = grad()
+    monkeypatch.setattr(pfo, "_BLOCK", block)
+    for got, want in zip(grad(), whole):
+        assert np.array_equal(got, want)
+
+
 def test_pou_pullback_builds_dbar_in_place():
     # every centre within u <= 33 of every point, as in the eval test above
     rng = np.random.default_rng(44)

@@ -45,9 +45,9 @@ class Selected(NamedTuple):
 
 
 # Schema entries: a type, or (type, bound or tuple of choices). A float
-# entry takes any number and stores it as a float; (list, entry) takes a
-# nonempty list whose elements each meet the entry; None marks a
-# free-form numeric dict.
+# entry takes any finite number and stores it as a float; (list, entry)
+# takes a nonempty list whose elements each meet the entry; None marks a
+# free-form dict of finite numbers.
 _INT0 = (int, Bound(">= 0", lambda v: v >= 0))
 _INT1 = (int, Bound(">= 1", lambda v: v >= 1))
 _INT2 = (int, Bound(">= 2", lambda v: v >= 2))
@@ -73,7 +73,8 @@ SCHEMA = {
         "sde": {"dt": _POSITIVE, "diffusion": _NONNEG},
         "map": {},
     }),
-    "grid": {"lo": list, "hi": list, "n_per_dim": (list, _INT2),
+    "grid": {"lo": (list, float), "hi": (list, float),
+             "n_per_dim": (list, _INT2),
              "auto_box_margin": _NONNEG, "clip": bool},
     "mesh": {"n_cells": _INT1, "pou_eps": _POSITIVE,
              "build_subsample": _INT1, "seed": _INT0},
@@ -101,8 +102,8 @@ SCHEMA = {
     "delay": Selected("mode", "embed", {
         "m": _INT1, "lag": _INT1, "observable": _INT0,
     }, {
-        "torus_pair": {"pair_a": list, "pair_b": list, "n_steps": _INT1,
-                       "hist_bins": _INT2, "seed": _INT0},
+        "torus_pair": {"pair_a": (list, float), "pair_b": (list, float),
+                       "n_steps": _INT1, "hist_bins": _INT2, "seed": _INT0},
         "embed": {"trajectory": str},
     }),
 }
@@ -139,6 +140,8 @@ def _check_value(value, allowed, path, held):
         for k, v in value.items():
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ConfigError(f"{path}.{k}: expected a number")
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}.{k}: {v} is not finite")
         return value
     if isinstance(allowed, (dict, Selected)):
         if not isinstance(value, dict):
@@ -161,6 +164,8 @@ def _check_value(value, allowed, path, held):
             f"{path}: expected {name}, got {type(value).__name__}")
     if kind is float:
         value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: {value} is not finite")
     if kind is list and rule is not None:
         if not value:
             raise ConfigError(f"{path}: must hold at least one element")

@@ -58,7 +58,7 @@ def _system_of(cfg: dict):
         return make_system(sys_cfg["name"], **sys_cfg.get("params", {}))
     except CatalogMissError as exc:
         raise ConfigError(f"system.name: {exc.args[0]}")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"system.params: {exc}")
 
 
@@ -80,12 +80,6 @@ def _delay_config(sec: dict, name: str, dim: int):
         raise ConfigError(f"{name}.observable: index {kwargs['observable']} "
                           f"out of range for dim {dim}")
     return delay_mod.DelayMapConfig(**kwargs)
-
-
-def model_as_system(model, dim: int) -> OdeSystem:
-    """Wrap a velocity model so the integrators can step a batch of
-    states (K, d) through it."""
-    return OdeSystem("fitted", dim, {}, model.eval_batch)
 
 
 def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
@@ -257,8 +251,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     n_iters = fit_cfg.get("n_iters", N_ITERS)
     path = fit_cfg.get("resume_from")
-    resume = io.read_checkpoint(_input_file("fit.resume_from", path)) \
-        if path else None
+    resume = _checked("fit.resume_from", io.read_checkpoint,
+                      _input_file("fit.resume_from", path)) if path else None
     if "seed" in fit_cfg:
         log.warning("fit.seed: no fit draws random numbers; the seed is "
                     "only recorded in report.json")
@@ -386,8 +380,8 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     D = ev.get("diffusion", fit_cfg["D"])
     seed = _seed_of(cfg, ev).get("seed", 1)
     starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points
-    paths = _sde_paths(model_as_system(model, traj.dim), D, starts,
-                       sim_dt, n_sim, burn, seed)
+    fitted = OdeSystem("fitted", traj.dim, {}, model.eval_batch)
+    paths = _sde_paths(fitted, D, starts, sim_dt, n_sim, burn, seed)
     pooled = lambda p: SampleCloud(p.reshape(-1, traj.dim))
     half = len(paths) // 2
 
@@ -486,7 +480,7 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
 def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
                          eps_tele: float = 1e-8, n_sde_steps: int = 1000000,
                          sde_dt: float = 1e-3, seed: int = 11,
-                         max_points: int = 4000, c: float = 1.0) -> dict:
+                         max_points: int = 4000) -> dict:
     """Stationary-density error of the true field across grid resolutions.
 
     The reference is the pooled occupation measure of ``SIM_PATHS``
@@ -494,7 +488,7 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
     int(0.05 n_sde_steps) steps, as one path of n_sde_steps would. The
     error is the sample-cloud Wasserstein-2 distance.
     """
-    system = make_system("van_der_pol", c=c)
+    system = make_system("van_der_pol", c=1.0)
     x0 = np.tile([1.5, 0.0], (SIM_PATHS, 1))
     paths = _sde_paths(system, diffusion, x0, sde_dt, n_sde_steps,
                        int(0.05 * n_sde_steps), seed)
@@ -589,19 +583,25 @@ def torus_pair_diagnostics(pair_a, pair_b,
 
 def cmd_delay(cfg: dict, outdir: Path) -> dict:
     dcfg = section(cfg, "delay")
-    outdir.mkdir(parents=True, exist_ok=True)
     if dcfg["mode"] == "torus_pair":
+        for key in ("pair_a", "pair_b"):
+            if len(dcfg[key]) != 2:
+                raise ConfigError(f"delay.{key}: expected two numbers, got "
+                                  f"{dcfg[key]}")
+        cfg_d = _delay_config(dcfg, "delay", 2)
+        outdir.mkdir(parents=True, exist_ok=True)
         result = torus_pair_diagnostics(
-            dcfg["pair_a"], dcfg["pair_b"], _delay_config(dcfg, "delay", 2),
+            dcfg["pair_a"], dcfg["pair_b"], cfg_d,
             **_given(dcfg, "n_steps", "hist_bins"), **_seed_of(cfg, dcfg))
         ca, cb = result.pop("clouds")
         io.write_cloud_csv(outdir / "delay_a.csv", ca)
         io.write_cloud_csv(outdir / "delay_b.csv", cb)
         io.write_checkpoint(outdir / "diagnostics.json", result)
         return result
-    traj = io.read_trajectory_csv(_input_file(
+    traj = _checked("delay.trajectory", io.read_trajectory_csv, _input_file(
         "delay.trajectory", dcfg.get("trajectory", outdir / "trajectory.csv")))
     cfg_d = _delay_config(dcfg, "delay", traj.dim)
+    outdir.mkdir(parents=True, exist_ok=True)
     cloud = delay_mod.delay_embed(traj.states, cfg_d)
     io.write_cloud_csv(outdir / "delay.csv", cloud)
     return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,

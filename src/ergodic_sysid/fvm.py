@@ -31,10 +31,6 @@ COLSUM_TOL = 1e-12
 STATIONARY_TOL = 1e-9  # bound on the l1 fixed-point residual of rho
 
 
-class DegenerateDynamicsError(ValueError):
-    """Zero velocity and zero diffusion admit no finite CFL bound."""
-
-
 class AssemblyError(RuntimeError):
     """A column of K does not sum to zero, or is not finite."""
 
@@ -61,13 +57,11 @@ def cfl_dt(grid: Grid, D: float, v_inf: float) -> float:
     nine tenths of the CFL bound, below which I + K is nonnegative.
 
     The direct solve needs no such bound; this only sets the scale of the
-    time step, and with it the teleport rate per unit time.
+    time step, and with it the teleport rate per unit time. Zero velocity
+    and zero diffusion admit no finite bound.
     """
-    if D < 0 or v_inf < 0:
-        raise ValueError("D and v_inf must be nonnegative")
-    if D == 0 and v_inf == 0:
-        raise DegenerateDynamicsError(
-            "both diffusion and velocity are zero; any dt is stationary")
+    if D < 0 or v_inf < 0 or D + v_inf == 0:
+        raise ValueError("D and v_inf must be nonnegative and not both zero")
     dx = float(np.min(grid.spacings))
     bound = dx**2 / (2.0 * grid.dim * (D + dx * v_inf))
     return 0.9 * bound

@@ -244,14 +244,6 @@ def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
 # Delay-measure fit
 
 
-def has_delay_term(loss: str) -> bool:
-    """Whether the named delay loss adds the delay-measure mismatch: "j1"
-    matches the images alone, "j2" adds the delay term."""
-    if loss not in ("j1", "j2"):
-        raise ValueError(f"unknown loss {loss!r}; expected 'j1' or 'j2'")
-    return loss == "j2"
-
-
 def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
                     max_points: int = 2000):
     """Prepare clouds from an observed trajectory and return the closure.
@@ -259,14 +251,17 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
     Sample/image pairs come from consecutive trajectory states; the
     observed delay cloud is the sliding-window embedding of the whole
     series. Each is thinned to max_points here, once per fit, and keeps
-    its E|Y - Y'| across iterations.
+    its E|Y - Y'| across iterations. Loss "j1" matches the images alone;
+    "j2" adds the delay-measure mismatch.
     """
+    if loss not in ("j1", "j2"):
+        raise ValueError(f"unknown loss {loss!r}; expected 'j1' or 'j2'")
     delay_mod.check_max_points(max_points)
     mu_samples = subsample_stride(SampleCloud(observed.states[:-1]),
                                   max_points)
     images = subsample_stride(SampleCloud(observed.states[1:]), max_points)
     observed_delay = None
-    if has_delay_term(loss):
+    if loss == "j2":
         observed_delay = subsample_stride(
             delay_mod.delay_embed(observed.states, cfg), max_points)
 

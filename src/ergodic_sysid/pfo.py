@@ -36,6 +36,7 @@ from .measure import Measure, SampleCloud
 from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
+# Samples whose weight rows ``_row_average`` sums at once.
 _CHUNK = 16384
 # Rows per elementwise pass of the partition of unity: at 400 cells a block
 # of one array is 800 kB, so a pass's operands stay in a 1-2 MB L2 cache.
@@ -46,6 +47,11 @@ NEAR_TIE_RTOL = 1e-9
 # point's own centre from the others before Lloyd skips its query: far above
 # NEAR_TIE_RTOL and the rounding of the bound updates.
 BOUND_MARGIN = 1e-6
+# build_mesh: k-means++ restarts before MeshBuildError, and per restart the
+# Lloyd steps, which stop early once no centre moves by LLOYD_TOL.
+KMEANS_RESTARTS = 5
+LLOYD_MAX_ITERS = 100
+LLOYD_TOL = 1e-8
 
 
 class MeshBuildError(RuntimeError):
@@ -152,11 +158,11 @@ def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
-               max_iters: int = 100, tol: float = 1e-8,
-               restarts: int = 5) -> UnstructuredMesh:
+def build_mesh(samples: SampleCloud, n_cells: int,
+               seed: int = 0) -> UnstructuredMesh:
     """k-means mesh over the samples (k-means++ seeding, Lloyd updates).
-    A restart whose centres still move by tol after max_iters warns.
+    A restart whose centres still move by ``LLOYD_TOL`` after
+    ``LLOYD_MAX_ITERS`` steps warns.
 
     Every Lloyd step assigns each point to the cell that ``assign_nearest``
     gives it, but queries again only the points whose cell could have
@@ -181,11 +187,11 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
     if n_cells > points.shape[0]:
         raise ValueError("more cells than samples")
     rng = np.random.default_rng(seed)
-    for attempt in range(restarts):
+    for attempt in range(KMEANS_RESTARTS):
         centers = _kmeans_pp(points, n_cells, rng)
         assignment, upper, lower = _nearest_two(points, centers)
         shift, drift = np.inf, 0.0
-        for _ in range(max_iters):
+        for _ in range(LLOYD_MAX_ITERS):
             counts = np.bincount(assignment, minlength=n_cells)
             if np.any(counts == 0):
                 break
@@ -204,18 +210,19 @@ def build_mesh(samples: SampleCloud, n_cells: int, seed: int = 0,
                                    - BOUND_MARGIN * drift)
             assignment[stale], upper[stale], lower[stale] = \
                 _nearest_two(points[stale], centers)
-            if shift < tol:
+            if shift < LLOYD_TOL:
                 break
         else:
             logging.getLogger("ergodic_sysid").warning(
-                "k-means restart %d stopped at max_iters=%d, last centre "
-                "shift %.3g >= tol %.3g", attempt, max_iters, shift, tol)
+                "k-means restart %d stopped at LLOYD_MAX_ITERS=%d, last "
+                "centre shift %.3g >= LLOYD_TOL %.3g", attempt,
+                LLOYD_MAX_ITERS, shift, LLOYD_TOL)
         counts = np.bincount(assignment, minlength=n_cells)
         if np.any(counts == 0):
             continue
         return UnstructuredMesh(centers, counts)
     raise MeshBuildError(
-        f"empty cells after {restarts} k-means restarts; "
+        f"empty cells after {KMEANS_RESTARTS} k-means restarts; "
         "reduce n_cells or deduplicate the samples")
 
 
@@ -228,11 +235,10 @@ class PartitionOfUnity:
     large distances cannot underflow the normalization. The counting
     estimator of hard cells is ``estimate_markov`` without a partition.
 
-    Two row counts split the work. Every elementwise pass runs on ``_BLOCK``
-    rows at a time, so that its operands stay in cache. What takes its bits
-    from the number of rows at once runs on ``_CHUNK`` rows: the sums of
-    ``_row_average``, and the pullback's ``t @ centers``, whose BLAS result
-    changes with the row count.
+    Every elementwise pass of ``eval``, ``linearize`` and the pullback runs
+    on ``_BLOCK`` rows at a time, so that its operands stay in cache. The
+    pullback's ``t @ centers`` runs on all rows at once, because its BLAS
+    result changes with the row count.
     """
 
     centers: np.ndarray
@@ -270,15 +276,22 @@ class PartitionOfUnity:
         psi /= psi.sum(axis=1, keepdims=True)
         return small, eu, l1
 
+    def _blocks(self, pts: np.ndarray, d: np.ndarray, psi: np.ndarray):
+        """Fill the distances d and the weights psi of the points one
+        ``_BLOCK`` of rows at a time, yielding each block's rows and what
+        ``_weights`` returns for it; d may be psi itself."""
+        for s in range(0, pts.shape[0], _BLOCK):
+            rows = slice(s, s + _BLOCK)
+            cdist(pts[rows], self.centers, out=d[rows])
+            np.divide(d[rows], self.eps, out=psi[rows])
+            yield rows, self._weights(psi[rows])
+
     def eval(self, points) -> np.ndarray:
         """Weight rows, each nonnegative and summing to one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((pts.shape[0], self.n))
-        for s in range(0, pts.shape[0], _BLOCK):
-            u = out[s:s + _BLOCK]
-            cdist(pts[s:s + _BLOCK], self.centers, out=u)
-            u /= self.eps
-            self._weights(u)
+        for _ in self._blocks(pts, out, out):
+            pass
         return out
 
     def linearize(self, points):
@@ -287,47 +300,30 @@ class PartitionOfUnity:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         psi = np.empty((pts.shape[0], self.n))
         d = np.empty_like(psi)
-        kernels = []
-        for s in range(0, pts.shape[0], _CHUNK):
-            chunk = slice(s, s + _CHUNK)
-            x, dc, pc = pts[chunk], d[chunk], psi[chunk]
-            blocks = []
-            for b in range(0, x.shape[0], _BLOCK):
-                rows = slice(b, b + _BLOCK)
-                cdist(x[rows], self.centers, out=dc[rows])
-                np.divide(dc[rows], self.eps, out=pc[rows])
-                small, eu, l1 = self._weights(pc[rows])
-                # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask
-                # u <= 33; it saturates at 1 beyond. The pullback zeroes
-                # the entries at d = 0.
-                blocks.append((rows, small, (eu / (1.0 + eu)) / l1,
-                               np.flatnonzero(dc[rows] == 0.0)))
-            kernels.append((chunk, blocks))
+        # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask u <= 33;
+        # it saturates at 1 beyond. The pullback zeroes the entries at d = 0.
+        blocks = [(rows, small, (eu / (1.0 + eu)) / l1,
+                   np.flatnonzero(d[rows] == 0.0))
+                  for rows, (small, eu, l1) in self._blocks(pts, d, psi)]
 
         def pullback(seeds):
             seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-            out = np.empty_like(pts)
-            for chunk, blocks in kernels:
-                p, w, dc = psi[chunk], seeds[chunk], d[chunk]
-                t = np.empty_like(p)
-                for rows, small, q, zero in blocks:
-                    # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d,
-                    # zero at d = 0, built in place in the rows of t
-                    tb = t[rows]
-                    flat = tb.reshape(-1)
-                    np.multiply(p[rows], w[rows], out=tb)
-                    np.subtract(w[rows], tb.sum(axis=1, keepdims=True),
-                                out=tb)
-                    tb *= p[rows]
-                    np.negative(tb, out=tb)
-                    flat[small] *= q
-                    tb /= self.eps
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        tb /= dc[rows]
-                    flat[zero] = 0.0
-                out[chunk] = (pts[chunk] * t.sum(axis=1, keepdims=True)
-                              - t @ self.centers)
-            return out
+            t = np.empty_like(psi)
+            for rows, small, q, zero in blocks:
+                # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d,
+                # zero at d = 0, built in place in the rows of t
+                p, w, tb = psi[rows], seeds[rows], t[rows]
+                flat = tb.reshape(-1)
+                np.multiply(p, w, out=tb)
+                np.subtract(w, tb.sum(axis=1, keepdims=True), out=tb)
+                tb *= p
+                np.negative(tb, out=tb)
+                flat[small] *= q
+                tb /= self.eps
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tb /= d[rows]
+                flat[zero] = 0.0
+            return pts * t.sum(axis=1, keepdims=True) - t @ self.centers
 
         return psi, pullback
 

@@ -84,13 +84,11 @@ class OdeSystem:
 
 @dataclass(frozen=True)
 class DiscreteMap:
-    """Discrete-time system x_{k+1} = step(x_k) on a declared box domain."""
+    """Discrete-time system x_{k+1} = step(x_k)."""
 
     name: str
     dim: int
     step: Callable[[np.ndarray], np.ndarray]
-    lo: Optional[np.ndarray] = None
-    hi: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -316,8 +314,7 @@ def arnold_cat() -> DiscreteMap:
         out[..., 1] = (x + y) % 1.0
         return out
 
-    return DiscreteMap("cat_arnold", 2, step,
-                       lo=np.zeros(2), hi=np.ones(2))
+    return DiscreteMap("cat_arnold", 2, step)
 
 
 def modified_cat(exponent: float = 10.0) -> DiscreteMap:
@@ -337,8 +334,7 @@ def modified_cat(exponent: float = 10.0) -> DiscreteMap:
         u[..., 0] = u[..., 0] ** inv
         return u
 
-    return DiscreteMap("cat_modified", 2, step,
-                       lo=np.zeros(2), hi=np.ones(2))
+    return DiscreteMap("cat_modified", 2, step)
 
 
 def torus_rotation(alpha: float = 0.3, beta: float = 0.2) -> DiscreteMap:
@@ -348,8 +344,7 @@ def torus_rotation(alpha: float = 0.3, beta: float = 0.2) -> DiscreteMap:
     def step(z):
         return (z + shift) % 1.0
 
-    return DiscreteMap("torus_rotation", 2, step,
-                       lo=np.zeros(2), hi=np.ones(2))
+    return DiscreteMap("torus_rotation", 2, step)
 
 
 _CATALOG = {

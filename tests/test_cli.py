@@ -204,6 +204,12 @@ def _resume_delay_fit_from(name, hidden=(8,)):
         fit={"driver": "delay", "resume_from": str(_RUNS / "smoke" / name)})
 
 
+def _resume_from_a_text_file(cfg):
+    path = Path(cfg["out"]) / "notes.txt"
+    path.write_text("not a checkpoint\n")
+    cfg["fit"]["resume_from"] = str(path)
+
+
 _GRID_8X8 = {"lo": [-2.0, -3.0], "hi": [2.0, 3.0], "n_per_dim": [8, 8]}
 
 
@@ -413,6 +419,16 @@ def _short_measure(cfg):
     ("fit.resume_from", _resume_delay_fit_from("checkpoint_000005.json",
                                                hidden=[4]), "fit"),
     ("fit.resume_from", _resume_delay_fit_from("model.json"), "fit"),
+    ("system.params", lambda c: c.update(system={"name": "lorenz96",
+                                                 "params": {"dim": 3}}),
+     "simulate"),
+    ("system.params", lambda c: c["system"]["params"].update(
+        c=float("inf")), "simulate"),
+    ("fit.lr", lambda c: c.update(fit={"driver": "delay",
+                                       "lr": float("inf")}), "fit"),
+    ("grid.lo", lambda c: c["grid"].update(lo=[-float("inf"), -3.0],
+                                           hi=[3.0, 3.0]), "histogram"),
+    ("fit.resume_from", _resume_from_a_text_file, "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -455,7 +471,9 @@ def _short_measure(cfg):
         "grid-n_per_dim-empty", "model-hidden-empty",
         "pfo-map-data-default-flow_dt", "fvm-map-data",
         "fvm-target-of-another-dimension",
-        "resume-other-architecture", "resume-not-a-checkpoint"])
+        "resume-other-architecture", "resume-not-a-checkpoint",
+        "lorenz96-dim-below-four", "system-param-infinite",
+        "fit-lr-infinite", "grid-lo-infinite", "resume-not-json"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -782,6 +800,31 @@ def test_delay_bad_observable_exits_2(tmp_path):
     cfg = {"seed": 0, "out": str(out),
            "delay": {"mode": "embed", "m": 2, "observable": 7}}
     assert main(["delay", "--config", _write(tmp_path, cfg)]) == 2
+
+
+def _torus_pair(**pairs):
+    return {"mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
+            "n_steps": 1000, **pairs}
+
+
+@pytest.mark.parametrize("key, delay", [
+    ("delay.pair_a", _torus_pair(pair_a=[0.1, 0.2, 0.3])),
+    ("delay.pair_b", _torus_pair(pair_b=["a", "b"])),
+    ("delay.pair_a", _torus_pair(pair_a=[float("inf"), 0.2])),
+    ("delay.trajectory", {"mode": "embed"}),
+], ids=["pair_a-three-numbers", "pair_b-strings", "pair_a-infinite",
+        "trajectory-nan-row"])
+def test_delay_config_mistake_exits_2_before_any_output(key, delay, tmp_path,
+                                                       capsys):
+    if delay["mode"] == "embed":
+        traj = tmp_path / "nan_row.csv"
+        traj.write_text("t,x1,x2\n0,0.5,0.5\n1,nan,nan\n2,0.5,0.5\n")
+        delay = {**delay, "trajectory": str(traj)}
+    out = tmp_path / "delay_out"
+    cfg = {"seed": 0, "out": str(out), "delay": delay}
+    assert main(["delay", "--config", _write(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_trips_through_library_readers(tmp_path):

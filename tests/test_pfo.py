@@ -40,13 +40,14 @@ def test_single_cell_mesh():
     assert mesh.counts[0] == 50
 
 
-def test_lloyd_at_its_cap_warns(caplog):
+def test_lloyd_at_its_cap_warns(caplog, monkeypatch):
+    monkeypatch.setattr(pfo, "LLOYD_MAX_ITERS", 1)
     pts = np.random.default_rng(3).normal(size=(200, 2))
     with caplog.at_level("WARNING", logger="ergodic_sysid"):
-        mesh = build_mesh(SampleCloud(pts), 5, seed=0, max_iters=1)
+        mesh = build_mesh(SampleCloud(pts), 5, seed=0)
     assert mesh.n == 5
     assert [r.levelname for r in caplog.records] == ["WARNING"]
-    assert "max_iters=1" in caplog.text and "shift" in caplog.text
+    assert "LLOYD_MAX_ITERS=1" in caplog.text and "shift" in caplog.text
 
 
 def test_two_blob_separation():
@@ -188,10 +189,12 @@ def _duplicates():
 ], ids=["vdp-2d", "blobs-3d", "blobs-7d", "vdp-shifted-1e4",
         "duplicates", "one-cell", "max_iters-1"])
 def test_build_mesh_equals_plain_lloyd(points, n_cells, seed, kwargs,
-                                       caplog):
+                                       caplog, monkeypatch):
     points = points()
+    if kwargs:
+        monkeypatch.setattr(pfo, "LLOYD_MAX_ITERS", kwargs["max_iters"])
     with caplog.at_level("WARNING", logger="ergodic_sysid"):
-        mesh = build_mesh(SampleCloud(points), n_cells, seed=seed, **kwargs)
+        mesh = build_mesh(SampleCloud(points), n_cells, seed=seed)
     centers, counts, _ = _plain_lloyd(points, n_cells, seed, **kwargs)
     assert np.array_equal(mesh.centers, centers)
     assert np.array_equal(mesh.counts, counts)

@@ -158,7 +158,6 @@ def test_catalog_contents():
     assert make_system("lorenz96", dim=30).dim == 30
     cat = make_system("cat_modified")
     assert isinstance(cat, DiscreteMap)
-    assert np.allclose(cat.lo, 0.0) and np.allclose(cat.hi, 1.0)
 
 
 def test_catalog_miss():

@@ -205,13 +205,10 @@ def validate_config(cfg: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {path}: {exc}")
     return validate_config(cfg)
 
 

@@ -63,23 +63,29 @@ def _system_of(cfg: dict):
 
 
 def _checked(key: str, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, a ValueError it raises reported as a
-    config error on ``key``. For the call that reads a config value only;
-    a fit is never wrapped, so its runtime failures keep exit code 3."""
+    """``call(*args, **kwargs)``, an OSError or ValueError it raises reported
+    as a config error on ``key``. For the call that reads a config value or
+    file only; a fit is never wrapped, so its failures keep exit code 3."""
     try:
         return call(*args, **kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}")
 
 
-def _delay_config(sec: dict, name: str, dim: int):
-    """The delay map of the section's observable, m and lag, the
-    observable's coordinate index checked against the data."""
+def _delay_config(sec: dict, name: str, dim: int,
+                  n_states: int | None = None):
+    """The delay map of the section's observable, m and lag, checked
+    against the data: the observable's index against dim, and the span
+    (m - 1) lag against the ``n_states`` states it embeds, if any."""
     kwargs = _given(sec, "observable", "m", "lag")
     if kwargs.get("observable", 0) >= dim:
         raise ConfigError(f"{name}.observable: index {kwargs['observable']} "
                           f"out of range for dim {dim}")
-    return delay_mod.DelayMapConfig(**kwargs)
+    cfg = delay_mod.DelayMapConfig(**kwargs)
+    if n_states is not None and (cfg.m - 1) * cfg.lag >= n_states:
+        raise ConfigError(f"{name}.m, {name}.lag: {n_states} states are too "
+                          f"few for m={cfg.m}, lag={cfg.lag}")
+    return cfg
 
 
 def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
@@ -172,14 +178,6 @@ def build_grid(grid_cfg: Section, states: np.ndarray) -> Grid:
     return Grid(lo - pad, hi + pad, n_per_dim)
 
 
-def _input_file(key: str, path):
-    """``path``, the file that config key ``key`` names; a missing file is
-    a config error on the key."""
-    if not Path(path).exists():
-        raise ConfigError(f"{key}: {path} not found")
-    return path
-
-
 # the command that writes each output a later command reads, and its reader
 _OUTPUTS = {"trajectory.csv": ("simulate", io.read_trajectory_csv),
             "measure.json": ("histogram", io.read_measure_json),
@@ -251,8 +249,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     n_iters = fit_cfg.get("n_iters", N_ITERS)
     path = fit_cfg.get("resume_from")
-    resume = _checked("fit.resume_from", io.read_checkpoint,
-                      _input_file("fit.resume_from", path)) if path else None
+    resume = _checked("fit.resume_from", io.read_checkpoint, path) \
+        if path else None
     if "seed" in fit_cfg:
         log.warning("fit.seed: no fit draws random numbers; the seed is "
                     "only recorded in report.json")
@@ -275,8 +273,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
             resume=resume)
 
     if driver == "fvm":
-        target = _checked("fit.target", io.read_measure_json, _input_file(
-            "fit.target", fit_cfg.get("target", outdir / "measure.json")))
+        target = _checked("fit.target", io.read_measure_json,
+                          fit_cfg.get("target", outdir / "measure.json"))
         grid = target.support
         traj = _read_output(outdir, "trajectory.csv") \
             if (outdir / "trajectory.csv").exists() else None
@@ -303,6 +301,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
                 "must be > 0; map data needs fit.flow_dt set")
         build_cloud = subsample_stride(
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
+        if mesh_cfg["n_cells"] > build_cloud.n:
+            raise ConfigError(f"mesh.n_cells: {mesh_cfg['n_cells']} cells "
+                              f"for {build_cloud.n} build points")
         mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
                               **_seed_of(cfg, mesh_cfg))
         sources = subsample_stride(SampleCloud(traj.states[:-1]),
@@ -325,7 +326,8 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         io.write_ulam_matrix(outdir / "target_matrix.txt", target)
     else:  # delay
         traj = _read_output(outdir, "trajectory.csv")
-        dcfg = _delay_config(fit_cfg, "fit", traj.dim)
+        dcfg = _delay_config(fit_cfg, "fit", traj.dim, None
+                             if fit_cfg.get("loss") == "j1" else len(traj))
         model = make_model(cfg, traj.dim, traj)
         report = fit_delay(traj, model, dcfg,
                            **_given(fit_cfg, "loss", "max_points"),
@@ -451,6 +453,9 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
 
     states, src, dst = catmap_dataset(n_initial, n_iters, seed)
     build = subsample_stride(SampleCloud(states), 200000)
+    if n_cells > build.n:
+        raise ConfigError(f"eval.n_cells: {n_cells} cells for {build.n} "
+                          "build points")
     mesh_u = pfo.build_mesh(build, n_cells, seed=seed)
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u)
     pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
@@ -588,7 +593,7 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
             if len(dcfg[key]) != 2:
                 raise ConfigError(f"delay.{key}: expected two numbers, got "
                                   f"{dcfg[key]}")
-        cfg_d = _delay_config(dcfg, "delay", 2)
+        cfg_d = _delay_config(dcfg, "delay", 2, dcfg.get("n_steps"))
         outdir.mkdir(parents=True, exist_ok=True)
         result = torus_pair_diagnostics(
             dcfg["pair_a"], dcfg["pair_b"], cfg_d,
@@ -598,9 +603,9 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         io.write_cloud_csv(outdir / "delay_b.csv", cb)
         io.write_checkpoint(outdir / "diagnostics.json", result)
         return result
-    traj = _checked("delay.trajectory", io.read_trajectory_csv, _input_file(
-        "delay.trajectory", dcfg.get("trajectory", outdir / "trajectory.csv")))
-    cfg_d = _delay_config(dcfg, "delay", traj.dim)
+    traj = _checked("delay.trajectory", io.read_trajectory_csv,
+                    dcfg.get("trajectory", outdir / "trajectory.csv"))
+    cfg_d = _delay_config(dcfg, "delay", traj.dim, len(traj))
     outdir.mkdir(parents=True, exist_ok=True)
     cloud = delay_mod.delay_embed(traj.states, cfg_d)
     io.write_cloud_csv(outdir / "delay.csv", cloud)

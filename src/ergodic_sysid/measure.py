@@ -264,18 +264,14 @@ def _quantile_w2_squared(xa, wa, xb, wb) -> float:
 
 def wasserstein2(a: SampleCloud, b: SampleCloud, n_projections: int = 64,
                  seed: int = 0) -> float:
-    """Wasserstein-2 distance between sample clouds.
-
-    Exact quantile coupling in 1-d. In higher dimension this is the sliced
-    approximation: the root-mean squared 1-d distance over n_projections
-    random unit directions, deterministic per seed.
-    """
+    """Sliced Wasserstein-2 distance between sample clouds: the root-mean
+    squared 1-d distance over n_projections random unit directions,
+    deterministic per seed. In 1-d every direction is +1 or -1, and
+    reflecting both clouds keeps their distance, so the value is the exact
+    quantile coupling up to rounding."""
     if a.dim != b.dim:
         raise SupportMismatchError("clouds have different dimensions")
     wa, wb = a.effective_weights(), b.effective_weights()
-    if a.dim == 1:
-        return float(np.sqrt(_quantile_w2_squared(
-            a.points[:, 0], wa, b.points[:, 0], wb)))
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_projections, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -71,16 +71,14 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray):
     center as ``assign_nearest`` gives it, and the kd-tree's distances to
     its nearest and second-nearest centers (inf when there is one center).
 
-    Where the two distances lie within ``NEAR_TIE_RTOL`` of each other,
-    the tree's rounding and its order among tied centers could disagree
-    with the ``argmin`` of the squared distances, so those rows are decided
-    by a dense ``cdist`` row; elsewhere no rounding error can change the
-    nearest center. Non-finite points raise ``ValueError``.
+    Where the two distances lie within ``NEAR_TIE_RTOL`` of each other, as
+    all do with one center (inf <= inf), the tree's rounding and its tie
+    order could disagree with the ``argmin`` of the squared distances, so
+    those rows are decided by a dense ``cdist`` row; elsewhere no rounding
+    error can change the nearest center. Non-finite points raise
+    ``ValueError``.
     """
     points = np.atleast_2d(points)
-    if len(centers) == 1:
-        d0, idx = cKDTree(centers).query(points, k=1)
-        return idx, d0, np.full_like(d0, np.inf)
     dist, idx = cKDTree(centers).query(points, k=2)
     d0, d1 = dist.T
     out = idx[:, 0].copy()

@@ -429,6 +429,17 @@ def _short_measure(cfg):
     ("grid.lo", lambda c: c["grid"].update(lo=[-float("inf"), -3.0],
                                            hi=[3.0, 3.0]), "histogram"),
     ("fit.resume_from", _resume_from_a_text_file, "fit"),
+    ("fit.resume_from", lambda c: c["fit"].update(resume_from=c["out"]),
+     "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=c["out"]), "fit"),
+    ("mesh.n_cells", lambda c: c.update(mesh={"n_cells": 5000,
+                                              "pou_eps": 0.05},
+                                        fit={"driver": "pfo"}), "fit"),
+    ("fit.m, fit.lag", lambda c: c.update(fit={"driver": "delay", "m": 400}),
+     "fit"),
+    ("eval.n_cells", lambda c: c.update(eval={
+        "kind": "catmap_compare", "n_cells": 10000, "n_initial": 10,
+        "n_iters": 10}), "eval"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -473,7 +484,10 @@ def _short_measure(cfg):
         "fvm-target-of-another-dimension",
         "resume-other-architecture", "resume-not-a-checkpoint",
         "lorenz96-dim-below-four", "system-param-infinite",
-        "fit-lr-infinite", "grid-lo-infinite", "resume-not-json"])
+        "fit-lr-infinite", "grid-lo-infinite", "resume-not-json",
+        "resume-a-directory", "target-a-directory",
+        "pfo-n_cells-above-build-points", "j2-span-past-trajectory",
+        "catmap-n_cells-above-build-points"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -675,6 +689,41 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_config_path_of_a_directory_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path)]) == 2
+    assert f"config error: config {tmp_path}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fvm_fit_of_an_external_target_without_trajectory(tmp_path):
+    # nothing to whiten by: the model's affines stay identities
+    target = tmp_path / "target.json"
+    points = np.random.default_rng(0).normal(size=(500, 2))
+    io.write_measure_json(target, occupation_measure(
+        points, Grid([-3.0, -3.0], [3.0, 3.0], [8, 8]), clip=True))
+    cfg = {"out": str(tmp_path / "run"), "model": {"hidden": [8], "seed": 1},
+           "fit": {"driver": "fvm", "target": str(target), "n_iters": 3,
+                   "diffusion": 0.05, "eps_tele": 1e-3}}
+    assert main(["fit", "--config", _write(tmp_path, cfg)]) == 0
+    model = json.loads((tmp_path / "run" / "model.json").read_text())
+    assert model["in_shift"] == [0.0, 0.0] and model["in_scale"] == [1.0, 1.0]
+    assert model["out_shift"] == [0.0, 0.0]
+    assert model["out_scale"] == [1.0, 1.0]
+    report = io.read_report_json(tmp_path / "run" / "report.json")
+    assert len(report["loss_history"]) == 3
+    assert np.all(np.isfinite(report["loss_history"]))
+
+
+def test_j1_fit_takes_a_delay_span_past_the_trajectory(tmp_path):
+    # j1 matches images only and never embeds, so m and lag go unused
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg["fit"] = {"driver": "delay", "loss": "j1", "m": 400, "n_iters": 1,
+                  "max_points": 50}
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path]) == 0
+
+
 def test_fit_smoke_under_five_seconds(tmp_path):
     cfg = _smoke_config(str(tmp_path / "run"))
     cfg["grid"]["n_per_dim"] = [8, 8]
@@ -803,25 +852,35 @@ def test_delay_bad_observable_exits_2(tmp_path):
 
 
 def _torus_pair(**pairs):
-    return {"mode": "torus_pair", "pair_a": [0.1, 0.2], "pair_b": [0.2, 0.1],
-            "n_steps": 1000, **pairs}
+    return lambda tmp_path: {"mode": "torus_pair", "pair_a": [0.1, 0.2],
+                             "pair_b": [0.2, 0.1], "n_steps": 1000, **pairs}
+
+
+def _embed(row, **keys):
+    """Embed mode on a three-state trajectory whose middle row is ``row``."""
+    def delay(tmp_path):
+        traj = tmp_path / "three_states.csv"
+        traj.write_text(f"t,x1,x2\n0,0.5,0.5\n1,{row}\n2,0.5,0.5\n")
+        return {"mode": "embed", "trajectory": str(traj), **keys}
+    return delay
 
 
 @pytest.mark.parametrize("key, delay", [
     ("delay.pair_a", _torus_pair(pair_a=[0.1, 0.2, 0.3])),
     ("delay.pair_b", _torus_pair(pair_b=["a", "b"])),
     ("delay.pair_a", _torus_pair(pair_a=[float("inf"), 0.2])),
-    ("delay.trajectory", {"mode": "embed"}),
+    ("delay.trajectory", _embed("nan,nan")),
+    ("delay.trajectory", lambda tmp_path: {"mode": "embed",
+                                           "trajectory": str(tmp_path)}),
+    ("delay.m, delay.lag", _embed("0.25,0.75", m=2, lag=3)),
+    ("delay.m, delay.lag", _torus_pair(m=1001)),
 ], ids=["pair_a-three-numbers", "pair_b-strings", "pair_a-infinite",
-        "trajectory-nan-row"])
+        "trajectory-nan-row", "trajectory-a-directory", "embed-span",
+        "torus-span"])
 def test_delay_config_mistake_exits_2_before_any_output(key, delay, tmp_path,
                                                        capsys):
-    if delay["mode"] == "embed":
-        traj = tmp_path / "nan_row.csv"
-        traj.write_text("t,x1,x2\n0,0.5,0.5\n1,nan,nan\n2,0.5,0.5\n")
-        delay = {**delay, "trajectory": str(traj)}
     out = tmp_path / "delay_out"
-    cfg = {"seed": 0, "out": str(out), "delay": delay}
+    cfg = {"seed": 0, "out": str(out), "delay": delay(tmp_path)}
     assert main(["delay", "--config", _write(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fvm import FvmOperator, RegularizedMarkov
+from .measure import Grid
 
 ADJOINT_TOL = 1e-10  # bound on the l2 residual, relative to max(1, ||rhs||)
 
@@ -85,16 +86,18 @@ def grad_face_velocities(op: FvmOperator, M: RegularizedMarkov,
     return grads
 
 
-def grad_parameters(face_grads: list, pullbacks: list) -> np.ndarray:
+def grad_parameters(grid: Grid, face_grads: list, pullback) -> np.ndarray:
     """Chain face gradients into the velocity parameterization.
 
-    Seeds the pullbacks that ``fvm.face_velocities`` returned, one per
-    axis: the i-th output component at the interior lower faces gets the
-    i-th face gradient. No model forward pass is rerun.
+    A face velocity is the mean of its two cells' values, so each cell's
+    component i gets half of each of its axis-i face gradients. These seeds
+    go into the one pullback of ``fvm.face_velocities``; no model forward
+    pass is rerun.
     """
-    total = 0.0
-    for i, (grad, pullback) in enumerate(zip(face_grads, pullbacks)):
-        seeds = np.zeros((grad.size, len(face_grads)))
-        seeds[:, i] = grad
-        total += pullback(seeds)[0]
-    return total
+    seeds = np.zeros((grid.n_cells, grid.dim))
+    for i, (low, grad) in enumerate(zip(grid.lower_faces, face_grads)):
+        half = 0.5 * grad
+        # no cell repeats within one index set, so += accumulates exactly
+        seeds[low, i] += half
+        seeds[low - grid.strides[i], i] += half
+    return pullback(seeds)[0]

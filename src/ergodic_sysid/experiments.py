@@ -174,6 +174,8 @@ def build_grid(grid_cfg: Section, states: np.ndarray) -> Grid:
     margin = grid_cfg.get("auto_box_margin", 0.05)
     lo = states.min(axis=0)
     hi = states.max(axis=0)
+    if np.any(hi <= lo):  # a fixed point: a relative margin pads by 0
+        raise ConfigError("grid.lo, grid.hi: the states span no box; give one")
     pad = margin * (hi - lo)
     return Grid(lo - pad, hi + pad, n_per_dim)
 

@@ -1,12 +1,12 @@
 """Upwind finite-volume surrogate for the stationary density of
 advection-diffusion transport.
 
-``face_velocities`` evaluates a field at the interior lower faces of a box
-grid, one array per axis. ``assemble_K`` takes those face velocities and
-discretizes d(rho)/dt = -div(rho v) + D lap(rho) with first-order upwind
-fluxes, central diffusion, and zero-flux walls (velocity and diffusion
-vanish on boundary faces). K has nonnegative off-diagonals and zero
-column sums: it generates a Markov process.
+``face_velocities`` averages a field's cell-centre values to the interior
+lower faces of a box grid, one array per axis. ``assemble_K`` takes those
+face velocities and discretizes d(rho)/dt = -div(rho v) + D lap(rho) with
+first-order upwind fluxes, central diffusion, and zero-flux walls (velocity
+and diffusion vanish on boundary faces). K has nonnegative off-diagonals
+and zero column sums: it generates a Markov process.
 Teleporting the update M = I + K to the uniform restart with weight eps
 makes the stationary density unique: rho solves B rho = (eps/N) 1 with
 B = I - (1-eps) M = eps I - (1-eps) K. ``RegularizedMarkov`` holds B and
@@ -79,21 +79,19 @@ def frozen_dt(grid: Grid, field, D: float) -> float:
 
 
 def face_velocities(grid: Grid, field):
-    """The field's normal velocity at the interior faces, and pullbacks.
+    """The field's normal velocity at the interior faces, and its pullback.
 
-    ``field``, a model or an ``OdeSystem``, is linearized once per axis i
-    at ``grid.face_centers(i)``. Returns (face_v, pullbacks): ``face_v[i]``
-    holds component i at the interior lower faces ``grid.lower_faces[i]``,
-    in that order, and ``pullbacks[i]`` (None for an ``OdeSystem``) is the
-    pullback of the same pass, which ``adjoint.grad_parameters`` seeds with
-    face gradients of this layout.
+    ``field``, a model or an ``OdeSystem``, is linearized once, at
+    ``grid.centers()``. ``face_v[i]`` holds, at the interior lower faces
+    ``grid.lower_faces[i]`` in order, the mean of component i over each
+    face's two cells j and j - strides[i]: second order at the face centre
+    and exact for a component affine in x_i. ``pullback`` is that pass's
+    (None for an ``OdeSystem``); ``adjoint.grad_parameters`` seeds it.
     """
-    face_v, pullbacks = [], []
-    for i in range(grid.dim):
-        values, pullback = field.linearize(grid.face_centers(i))
-        face_v.append(values[:, i])
-        pullbacks.append(pullback)
-    return face_v, pullbacks
+    values, pullback = field.linearize(grid.centers())
+    face_v = [0.5 * (values[low, i] + values[low - grid.strides[i], i])
+              for i, low in enumerate(grid.lower_faces)]
+    return face_v, pullback
 
 
 @dataclass

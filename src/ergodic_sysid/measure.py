@@ -108,13 +108,6 @@ class Grid:
         multi = self.flat_to_multi(np.arange(self.n_cells))
         return self.lo + multi * self.spacings
 
-    def face_centers(self, i: int) -> np.ndarray:
-        """Centers of the interior lower faces along axis i, in the order
-        of ``lower_faces[i]``."""
-        pts = self.centers()[self.lower_faces[i]]
-        pts[:, i] -= 0.5 * self.spacings[i]
-        return pts
-
     def locate(self, points: np.ndarray, clip: bool = False) -> np.ndarray:
         """Flat cell index of each point (nearest cell center)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

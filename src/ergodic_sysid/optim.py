@@ -185,14 +185,14 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
-        face_v, pullbacks = fvm.face_velocities(grid, velocity)
+        face_v, pullback = fvm.face_velocities(grid, velocity)
         op = fvm.assemble_K(grid, face_v, D, dt)
         M = fvm.teleport(op, eps_tele)
         rho = fvm.stationary_density(M)
         value, djdrho = obj(rho, target.weights, grid.cell_volume)
         sol = adj.solve_adjoint(M, rho, djdrho)
         face_grads = adj.grad_face_velocities(op, M, rho, sol)
-        grad = adj.grad_parameters(face_grads, pullbacks)
+        grad = adj.grad_parameters(grid, face_grads, pullback)
         return value, grad
 
     return loss_and_grad, dt

@@ -15,10 +15,10 @@ Every model kind keeps this contract; its pullback always returns both, so
 a caller that chains it through a flow or a map and one that needs only the
 parameters make the same call. The pullback closes over the intermediates
 of the forward pass that made the values, so a reverse pass never reruns
-the network. ``fvm.face_velocities`` keeps the pullbacks of its per-axis
-face passes for ``adjoint.grad_parameters``, and ``flow_rk4_vjp`` chains
-the pullbacks of its stages the same way. ``systems.OdeSystem.linearize``
-gives a known field the same call, with a None pullback.
+the network. ``fvm.face_velocities`` keeps the pullback of its one pass at
+the cell centres for ``adjoint.grad_parameters``; ``flow_rk4_vjp`` chains
+the pullbacks of its stages. ``systems.OdeSystem.linearize`` gives a known
+field the same call, with a None pullback.
 """
 
 from __future__ import annotations

@@ -145,6 +145,19 @@ def test_histogram_out_of_box_strict_exits_3(tmp_path):
     assert main(["histogram", "--config", cfg_path]) == 3
 
 
+def test_histogram_of_a_fixed_point_exits_2_naming_the_box(tmp_path,
+                                                           capsys):
+    # every state equals x0, so the automatic box has no width to pad
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg["data"]["x0"] = [0.0, 0.0]
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["histogram", "--config", cfg_path]) == 2
+    assert "grid.lo, grid.hi" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "measure.json").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = _smoke_config(str(tmp_path / "run"))
     cfg["fit"]["learning_rate"] = 0.1  # not a schema key

@@ -261,24 +261,57 @@ def test_evolve_pure_diffusion_heat_oracle():
         last_l1 = l1
 
 
+def _face_centers(grid, i):
+    """Centres of the interior lower faces along axis i, in the order of
+    ``grid.lower_faces[i]``."""
+    pts = grid.centers()[grid.lower_faces[i]]
+    pts[:, i] -= 0.5 * grid.spacings[i]
+    return pts
+
+
 def test_face_velocities_layout():
     grid = Grid([0.0, 0.0], [1.0, 2.0], [4, 3])
-    sys = make_system("van_der_pol", c=1.0)
-    face_v, pullbacks = face_velocities(grid, sys)
-    assert [f.shape for f in face_v] == [(9,), (8,)]
-    for i, low in enumerate(grid.lower_faces):
-        pts = grid.centers()[low]  # the interior lower faces, in that order
-        pts[:, i] -= 0.5 * grid.spacings[i]
-        assert np.array_equal(grid.face_centers(i), pts)
-        assert np.array_equal(face_v[i], sys.rhs(pts)[:, i])
-    assert pullbacks == [None, None]
     mlp = MlpModel([2, 5, 2])
     mlp.init_params(seed=3)
-    face_v, pullbacks = face_velocities(grid, mlp)
-    assert len(pullbacks) == 2 and all(map(callable, pullbacks))
+    values = mlp.eval_batch(grid.centers())
+    face_v, pullback = face_velocities(grid, mlp)
+    assert callable(pullback)
+    assert [f.shape for f in face_v] == [(9,), (8,)]
     for i, low in enumerate(grid.lower_faces):
-        values = mlp.eval_batch(grid.face_centers(i))
-        assert np.array_equal(face_v[i], values[:, i])
+        # the face of cell j is the upper face of its lower neighbour
+        below = values[low - grid.strides[i], i]
+        assert np.array_equal(face_v[i], 0.5 * (values[low, i] + below))
+    assert face_velocities(grid, make_system("van_der_pol", c=1.0))[1] \
+        is None
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("van_der_pol", Grid([-3.0, -4.0], [3.0, 4.0], [64, 64])),
+    ("lorenz63", Grid([-20.0, -25.0, 0.0], [20.0, 25.0, 50.0], [12] * 3)),
+])
+def test_face_average_of_a_catalog_field_is_its_face_value(name, grid):
+    # each component of these fields is affine in its own coordinate, so
+    # the two-cell mean is the value at the face centre up to rounding
+    sys = make_system(name)
+    face_v, _ = face_velocities(grid, sys)
+    for i in range(grid.dim):
+        exact = sys.rhs(_face_centers(grid, i))[:, i]
+        assert np.abs(face_v[i] - exact).max() \
+            <= 1e-14 * np.abs(exact).max()
+
+
+def test_face_average_of_an_mlp_is_second_order():
+    mlp = MlpModel([2, 16, 16, 2])
+    mlp.init_params(seed=4)
+    gaps = []
+    for n in (16, 32, 64, 128):
+        grid = Grid([-2.0, -2.0], [2.0, 2.0], [n, n])
+        face_v, _ = face_velocities(grid, mlp)
+        gaps.append(max(
+            np.abs(face_v[i] - mlp.eval_batch(_face_centers(grid, i))[:, i])
+            .max() for i in range(grid.dim)))
+    # dx = 4/(n - 1) about halves with each doubling of n
+    assert all(coarse >= 3.5 * fine for coarse, fine in zip(gaps, gaps[1:]))
 
 
 def test_frozen_dt_is_half_the_cfl_bound_at_the_sup_norm():

@@ -16,7 +16,6 @@ from .velocity_models import MlpModel
 from .pfo import (UnstructuredMesh, PartitionOfUnity, UlamMatrix, build_mesh,
                   estimate_markov, invariant_density)
 from .delay import DelayMapConfig, delay_embed, pushforward_delay_measure
-from .optim import (AdamState, FitReport, adam_step, fit_fvm, fit_pfo,
-                    fit_delay)
+from .optim import AdamState, FitReport, adam_step
 
 __version__ = "0.1.0"

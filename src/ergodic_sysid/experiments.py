@@ -1,8 +1,9 @@
 """Experiment pipelines behind the CLI commands.
 
-Each pipeline is an ordinary function over a validated config dict plus an
-output directory, so batch runs, tests, and the CLI all execute the same
-code. Seeds flow from the config; nothing here touches global RNG state.
+Each command is a function of a validated config dict and an output
+directory. ``fit_problem`` builds, without writing, the fit that ``fit``
+runs, so a gradient check runs the CLI's own closure. Seeds flow from the
+config; nothing here touches global RNG state.
 """
 
 from __future__ import annotations
@@ -10,24 +11,21 @@ from __future__ import annotations
 import logging
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import delay as delay_mod
-from . import fvm, io, pfo
+from . import fvm, io, optim, pfo
 from .config import ConfigError, Section, section
 from .measure import (Grid, SampleCloud, energy_mmd, occupation_measure,
                       subsample_stride, wasserstein2)
-from .optim import N_ITERS, fit_delay, fit_fvm, fit_pfo
 from .systems import (CatalogMissError, DiscreteMap, OdeSystem, Trajectory,
                       integrate_ode, integrate_sde, iterate_map_batch,
                       make_system)
 from .velocity_models import MlpModel
 
 log = logging.getLogger("ergodic_sysid")
-
-# fit.eps_tele when the config does not set it
-_EPS_TELE = 1e-4
 
 # Independent Euler-Maruyama paths stepped as one batch by the fvm eval and
 # the refinement study. One path pays numpy dispatch on every step of a
@@ -180,20 +178,21 @@ def build_grid(grid_cfg: Section, states: np.ndarray) -> Grid:
     return Grid(lo - pad, hi + pad, n_per_dim)
 
 
-# the command that writes each output a later command reads, and its reader
-_OUTPUTS = {"trajectory.csv": ("simulate", io.read_trajectory_csv),
-            "measure.json": ("histogram", io.read_measure_json),
-            "report.json": ("fit", io.read_report_json),
-            "model.json": ("fit", io.read_checkpoint)}
+# each output a later command reads: its writing command, its io reader
+_OUTPUTS = {"trajectory.csv": ("simulate", "read_trajectory_csv"),
+            "measure.json": ("histogram", "read_measure_json"),
+            "report.json": ("fit", "read_report_json"),
+            "model.json": ("fit", "read_checkpoint")}
 
 
 def _read_output(outdir: Path, name: str):
-    """The output ``name`` read; a missing one is a config error naming
-    the command that writes it."""
+    """The output ``name``, read by its ``io`` reader as bound at call
+    time; a missing one is a config error naming the command that writes it."""
     path = outdir / name
+    command, reader = _OUTPUTS[name]
     if not path.exists():
-        raise ConfigError(f"{path} not found; run {_OUTPUTS[name][0]} first")
-    return _OUTPUTS[name][1](path)
+        raise ConfigError(f"{path} not found; run {command} first")
+    return getattr(io, reader)(path)
 
 
 def cmd_histogram(cfg: dict, outdir: Path) -> dict:
@@ -245,35 +244,23 @@ def make_model(cfg: dict, dim_in: int, traj=None, step=None):
 # fit
 
 
-def cmd_fit(cfg: dict, outdir: Path) -> dict:
+class FitProblem(NamedTuple):
+    """A configured fit: the closure, the model it moves, the report's
+    config and extras, and the (file name, writer, object) inputs to save."""
+
+    loss_and_grad: Callable
+    model: MlpModel
+    config: dict
+    extras: dict
+    files: tuple = ()
+
+
+def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
+    """The fit of the config's fit section on the outputs in ``outdir``:
+    its inputs read and checked, its model and closure built. Each default
+    that the report records is set here. Writes nothing."""
     fit_cfg = section(cfg, "fit")
     driver = fit_cfg["driver"]
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_iters = fit_cfg.get("n_iters", N_ITERS)
-    path = fit_cfg.get("resume_from")
-    resume = _checked("fit.resume_from", io.read_checkpoint, path) \
-        if path else None
-    if "seed" in fit_cfg:
-        log.warning("fit.seed: no fit draws random numbers; the seed is "
-                    "only recorded in report.json")
-
-    def loop(model) -> dict:
-        """The loop's keywords, after a check of the resume checkpoint."""
-        if resume is not None and not (
-                isinstance(resume, dict) and {"adam", "history"} <= set(resume)
-                and len(resume.get("params", ())) == model.n_params
-                and len(resume["history"]) <= n_iters):
-            raise ConfigError(
-                f"fit.resume_from: {path} is no fit checkpoint of the "
-                f"model's {model.n_params} parameters with at most "
-                f"fit.n_iters = {n_iters} iterations")
-        return dict(
-            **_given(fit_cfg, "n_iters", "lr", "clip_norm",
-                     "checkpoint_every"), **_seed_of(cfg, fit_cfg),
-            save=lambda blob: io.write_checkpoint(
-                outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
-            resume=resume)
-
     if driver == "fvm":
         target = _checked("fit.target", io.read_measure_json,
                           fit_cfg.get("target", outdir / "measure.json"))
@@ -288,11 +275,15 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
                 f"fit.target: its grid is {grid.dim}-D, but the model is "
                 f"whitened by the {traj.dim}-D states of trajectory.csv")
         model = make_model(cfg, grid.dim, traj, getattr(traj, "dt", None))
-        report = fit_fvm(target, model, grid,
-                         D=fit_cfg.get("diffusion", 0.0),
-                         eps_tele=fit_cfg.get("eps_tele", _EPS_TELE),
-                         **_given(fit_cfg, "objective"), **loop(model))
-    elif driver == "pfo":
+        config = {"driver": "fvm", "D": fit_cfg.get("diffusion", 0.0),
+                  "objective": fit_cfg.get("objective", "l2"),
+                  "eps_tele": fit_cfg.get("eps_tele", 1e-4),
+                  "solver": "direct"}
+        loss_and_grad, dt = optim.make_fvm_loss(
+            target, model, grid, config["D"], config["eps_tele"],
+            config["objective"])
+        return FitProblem(loss_and_grad, model, config, {"dt": dt})
+    if driver == "pfo":
         mesh_cfg = section(cfg, "mesh")
         pou_eps = mesh_cfg["pou_eps"]
         traj = _read_output(outdir, "trajectory.csv")
@@ -321,23 +312,52 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
         model = make_model(cfg, traj.dim, traj, flow_dt)
-        report = fit_pfo(
-            target, model, mesh, pou, sources,
-            flow_dt=flow_dt, **_given(fit_cfg, "substeps"), **loop(model))
-        io.write_mesh_json(outdir / "mesh.json", mesh)
-        io.write_ulam_matrix(outdir / "target_matrix.txt", target)
-    else:  # delay
-        traj = _read_output(outdir, "trajectory.csv")
-        dcfg = _delay_config(fit_cfg, "fit", traj.dim, None
-                             if fit_cfg.get("loss") == "j1" else len(traj))
-        model = make_model(cfg, traj.dim, traj)
-        report = fit_delay(traj, model, dcfg,
-                           **_given(fit_cfg, "loss", "max_points"),
-                           **loop(model))
+        config = {"driver": "pfo", "flow_dt": flow_dt,
+                  "substeps": fit_cfg.get("substeps", 1), "n_cells": mesh.n,
+                  "pou_eps": pou.eps}
+        loss_and_grad = optim.make_pfo_loss(target, model, mesh, pou, sources,
+                                            flow_dt, config["substeps"])
+        return FitProblem(loss_and_grad, model, config, {}, (
+            ("mesh.json", io.write_mesh_json, mesh),
+            ("target_matrix.txt", io.write_ulam_matrix, target)))
+    traj = _read_output(outdir, "trajectory.csv")
+    loss = fit_cfg.get("loss", "j2")
+    dcfg = _delay_config(fit_cfg, "fit", traj.dim,
+                         None if loss == "j1" else len(traj))
+    model = make_model(cfg, traj.dim, traj)
+    loss_and_grad, *_ = optim.make_delay_loss(
+        traj, model, dcfg, loss, fit_cfg.get("max_points", 2000))
+    return FitProblem(loss_and_grad, model, {
+        "driver": "delay", "loss": loss, "m": dcfg.m, "lag": dcfg.lag,
+        "observable": dcfg.observable}, {})
 
+
+def cmd_fit(cfg: dict, outdir: Path) -> dict:
+    fit_cfg = section(cfg, "fit")
+    path = fit_cfg.get("resume_from")
+    resume = _checked("fit.resume_from", io.read_checkpoint, path) \
+        if path else None
+    if "seed" in fit_cfg:
+        log.warning("fit.seed: no fit draws random numbers; the seed is "
+                    "only recorded in report.json")
+    problem = fit_problem(cfg, outdir)
+    if resume is not None:
+        _checked("fit.resume_from", optim.parse_checkpoint, resume,
+                 problem.model.n_params, fit_cfg.get("n_iters", optim.N_ITERS))
+    outdir.mkdir(parents=True, exist_ok=True)
+    report = optim._run_loop(
+        problem.loss_and_grad, problem.model, problem.config,
+        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
+        **_seed_of(cfg, fit_cfg),
+        save=lambda blob: io.write_checkpoint(
+            outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
+        resume=resume)
+    report.extras.update(problem.extras)
+    for name, write, value in problem.files:
+        write(outdir / name, value)
     io.write_report_json(outdir / "report.json", report)
-    io.write_checkpoint(outdir / "model.json", model.checkpoint())
-    log.info("fit %s: %d iterations, final loss %s", driver,
+    io.write_checkpoint(outdir / "model.json", problem.model.checkpoint())
+    log.info("fit %s: %d iterations, final loss %s", problem.config["driver"],
              len(report.loss_history), report.final_loss)
     return {"report": str(outdir / "report.json"),
             "final_loss": report.final_loss,

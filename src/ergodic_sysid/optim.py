@@ -1,17 +1,18 @@
-"""Adam optimizer and the experiment drivers.
+"""The Adam loop and the loss-and-gradient closures it runs.
 
-Three drivers share one loop: the stationary-density fit (assemble the
+Three closures share one loop: the stationary-density fit (assemble the
 transport chain, solve for its fixed point, propagate the objective
 gradient back through the adjoint system), the transition-matrix fit
 (differentiable flow-map Markov matrix against an observed one), and the
-delay-measure fit (map-matching losses on sample clouds). Each driver is
-built around a ``loss_and_grad(theta)`` closure so the gradients can be
-finite-difference checked in isolation. The loop owns a fit's state: it
-reads the model's parameters, keeps the only loss history, builds the
-checkpoints and resumes from them, and leaves the model at the final
-parameters. It always runs the full iteration count; a resumed run
-executes only the remaining iterations. The drivers pass their ``**loop``
-keywords through, so the loop's signature is the only home of its defaults.
+delay-measure fit (map-matching losses on sample clouds). Each
+``make_*_loss`` returns a ``loss_and_grad(theta)`` closure, so the
+gradients can be finite-difference checked in isolation;
+``experiments.fit_problem`` builds the one a config asks for. The loop owns
+a fit's state: it reads the model's parameters, keeps the only loss
+history, builds the checkpoints and resumes from them, and leaves the model
+at the final parameters. It always runs the full iteration count; a
+resumed run executes only the remaining iterations. Its signature is the
+only home of its defaults.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class AdamState:
         return {"m": self.m.tolist(), "v": self.v.tolist(), "t": self.t,
                 "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
                 "eps": self.eps}
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "AdamState":
-        return cls(np.asarray(blob["m"]), np.asarray(blob["v"]),
-                   int(blob["t"]), blob["lr"], blob["beta1"], blob["beta2"],
-                   blob["eps"])
 
 
 def adam_step(state: AdamState, params: np.ndarray,
@@ -110,6 +105,29 @@ class FitReport:
         }
 
 
+def parse_checkpoint(blob, n_params: int, n_iters: int):
+    """(params, AdamState, history) of a checkpoint blob that ``_run_loop``
+    saved, for a model of ``n_params`` parameters and a fit of ``n_iters``
+    iterations; ValueError if the blob is no such checkpoint."""
+    try:
+        adam = blob["adam"]
+        params, m, v = (np.asarray(x, dtype=float)
+                        for x in (blob["params"], adam["m"], adam["v"]))
+        state = AdamState(m, v, int(adam["t"]),
+                          *(float(adam[k]) for k in ("lr", "beta1", "beta2",
+                                                     "eps")))
+        history = [float(x) for x in blob["history"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"no fit checkpoint: {exc!r}") from None
+    if not (params.shape == m.shape == v.shape == (n_params,)
+            and np.all(np.isfinite([params, m, v]))):
+        raise ValueError(f"no fit checkpoint of {n_params} finite parameters")
+    if len(history) > n_iters:
+        raise ValueError(f"the resume checkpoint holds {len(history)} "
+                         f"iterations, more than n_iters {n_iters}")
+    return params, state, history
+
+
 def _run_loop(loss_and_grad: Callable, model, config: dict, *,
               n_iters: int = N_ITERS, lr: float = 1e-3, seed: int = 0,
               clip_norm: float = 10.0, checkpoint_every: int = 0,
@@ -125,18 +143,13 @@ def _run_loop(loss_and_grad: Callable, model, config: dict, *,
     """
     if n_iters < 0:
         raise ValueError(f"n_iters {n_iters} is negative")
-    if resume and len(resume["history"]) > n_iters:
-        raise ValueError(f"the resume checkpoint holds "
-                         f"{len(resume['history'])} iterations, more than "
-                         f"n_iters {n_iters}")
     if checkpoint_every > 0 and save is None:
         raise ValueError("checkpoint_every needs a save function")
     start = time.perf_counter()
-    if resume:
-        params = np.asarray(resume["params"], dtype=float)
-        state = AdamState.from_dict(resume["adam"])
+    if resume is not None:
+        params, state, history = parse_checkpoint(resume, model.n_params,
+                                                  n_iters)
         state.lr = lr
-        history = [float(v) for v in resume["history"]]
     else:
         params = model.get_params()
         state = AdamState.for_params(params, lr=lr)
@@ -169,7 +182,7 @@ def _run_loop(loss_and_grad: Callable, model, config: dict, *,
 
 
 def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
-                  objective: str = "l2"):
+                  objective: str):
     """The density-matching loss-and-gradient closure, and its time step.
 
     The time step ``dt``, ``fvm.frozen_dt`` at the initial field, is a
@@ -198,18 +211,6 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
     return loss_and_grad, dt
 
 
-def fit_fvm(target: Measure, velocity, grid, D: float, eps_tele: float,
-            objective: str = "l2", **loop) -> FitReport:
-    """Fit a velocity so the stationary density matches a target measure."""
-    loss_and_grad, dt = make_fvm_loss(target, velocity, grid, D, eps_tele,
-                                      objective)
-    config = {"driver": "fvm", "objective": objective, "D": D,
-              "eps_tele": eps_tele, "solver": "direct"}
-    report = _run_loop(loss_and_grad, velocity, config, **loop)
-    report.extras["dt"] = dt
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Transition-matrix fit
 
@@ -229,23 +230,12 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
     return loss_and_grad
 
 
-def fit_pfo(target_matrix: UlamMatrix, velocity, mesh: UnstructuredMesh,
-            pou: PartitionOfUnity, sources: SampleCloud, flow_dt: float,
-            substeps: int = 1, **loop) -> FitReport:
-    """Fit a velocity so its flow-map transition matrix matches a target."""
-    loss_and_grad = make_pfo_loss(target_matrix, velocity, mesh, pou,
-                                  sources, flow_dt, substeps)
-    config = {"driver": "pfo", "flow_dt": flow_dt, "substeps": substeps,
-              "n_cells": mesh.n, "pou_eps": pou.eps}
-    return _run_loop(loss_and_grad, velocity, config, **loop)
-
-
 # ---------------------------------------------------------------------------
 # Delay-measure fit
 
 
-def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
-                    max_points: int = 2000):
+def make_delay_loss(observed: Trajectory, model, cfg, loss: str,
+                    max_points: int):
     """Prepare clouds from an observed trajectory and return the closure.
 
     Sample/image pairs come from consecutive trajectory states; the
@@ -272,17 +262,6 @@ def make_delay_loss(observed: Trajectory, model, cfg, loss: str = "j2",
         return value, grad
 
     return loss_and_grad, mu_samples, images, observed_delay
-
-
-def fit_delay(observed: Trajectory, model, cfg, loss: str = "j2",
-              max_points: int = 2000, **loop) -> FitReport:
-    """Fit a discrete map to observed flow data by measure matching."""
-    loss_and_grad, *_ = make_delay_loss(observed, model, cfg, loss,
-                                        max_points)
-    config = {"driver": "delay", "loss": loss, "m": cfg.m, "lag": cfg.lag,
-              "observable": cfg.observable if not callable(cfg.observable)
-              else "custom"}
-    return _run_loop(loss_and_grad, model, config, **loop)
 
 
 def finite_difference_check(loss_and_grad, theta: np.ndarray, coords,

@@ -194,7 +194,7 @@ def test_fvm_iteration_runs_the_network_once(monkeypatch):
     w = rng.random(grid.n_cells) + 0.1
     target = Measure(w / w.sum(), grid)
     loss_and_grad, _ = make_fvm_loss(target, mlp, grid, D=0.05,
-                                     eps_tele=1e-3)
+                                     eps_tele=1e-3, objective="l2")
     rows = []
     forward = MlpModel._forward
     monkeypatch.setattr(MlpModel, "_forward",

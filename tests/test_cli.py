@@ -13,10 +13,11 @@ import ergodic_sysid
 from ergodic_sysid import io
 from ergodic_sysid.cli import main
 from ergodic_sysid.config import (SCHEMA, SECTION_READERS, Selected,
-                                  validate_config)
-from ergodic_sysid.experiments import _max_box_escape
+                                  load_config, validate_config)
+from ergodic_sysid.experiments import _max_box_escape, fit_problem
 from ergodic_sysid.measure import (Grid, Measure, SampleCloud,
                                    occupation_measure)
+from ergodic_sysid.optim import finite_difference_check
 from ergodic_sysid.pfo import UlamMatrix, UnstructuredMesh
 from ergodic_sysid.systems import (Trajectory, integrate_ode, integrate_sde,
                                    iterate_map_batch, make_system)
@@ -207,6 +208,7 @@ def _fvm_fit_of_a_1d_target(cfg):
 
 
 _RUNS = Path(__file__).resolve().parents[1] / "runs"
+_CONFIGS = _RUNS.parent / "configs"
 
 
 def _resume_delay_fit_from(name, hidden=(8,)):
@@ -215,6 +217,22 @@ def _resume_delay_fit_from(name, hidden=(8,)):
     return lambda c: c.update(
         model={"hidden": list(hidden)},
         fit={"driver": "delay", "resume_from": str(_RUNS / "smoke" / name)})
+
+
+def _resume_from_an_edited_checkpoint(edit):
+    """A delay fit, of a model that the committed smoke checkpoint fits,
+    resumed from that checkpoint after ``edit``; the edited copy is
+    written next to the run's outputs."""
+    def prepare(cfg):
+        blob = json.loads(
+            (_RUNS / "smoke" / "checkpoint_000005.json").read_text())
+        edit(blob)
+        path = Path(cfg["out"]) / "edited.json"
+        path.write_text(json.dumps(blob))
+        cfg.update(model={"hidden": [8]},
+                   fit={"driver": "delay", "resume_from": str(path)})
+
+    return prepare
 
 
 def _resume_from_a_text_file(cfg):
@@ -453,6 +471,14 @@ def _short_measure(cfg):
     ("eval.n_cells", lambda c: c.update(eval={
         "kind": "catmap_compare", "n_cells": 10000, "n_initial": 10,
         "n_iters": 10}), "eval"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["adam"].pop("m")), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b.update(params=5)), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["history"].__setitem__(0, "x")), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["params"].__setitem__(0, "a")), "fit"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -500,7 +526,9 @@ def _short_measure(cfg):
         "fit-lr-infinite", "grid-lo-infinite", "resume-not-json",
         "resume-a-directory", "target-a-directory",
         "pfo-n_cells-above-build-points", "j2-span-past-trajectory",
-        "catmap-n_cells-above-build-points"])
+        "catmap-n_cells-above-build-points", "resume-adam-without-m",
+        "resume-params-a-number", "resume-history-entry-a-string",
+        "resume-param-a-string"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -512,6 +540,49 @@ def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, bad)]) == 2
     assert key in capsys.readouterr().err
+    assert sorted((tmp_path / "run").iterdir()) == written
+
+
+def test_failed_fit_on_a_fresh_out_leaves_no_directory(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    assert main(["fit", "--config", str(_CONFIGS / "smoke_delay.json"),
+                 "--out", str(fresh)]) == 2
+    assert "run simulate first" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_outputs_are_read_through_the_io_module(tmp_path, monkeypatch):
+    # each read looks its reader up on io, so a wrapper installed there
+    # after import, as a tracer's, sees it
+    cfg_path = _write(tmp_path, _smoke_config(str(tmp_path / "run")))
+    assert main(["simulate", "--config", cfg_path]) == 0
+    calls = []
+    read = io.read_trajectory_csv
+    monkeypatch.setattr(io, "read_trajectory_csv",
+                        lambda path: calls.append(path) or read(path))
+    assert main(["histogram", "--config", cfg_path]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["smoke_fit", "smoke_pfo", "smoke_delay"])
+def test_fit_problem_closure_passes_fd_check_and_writes_nothing(name,
+                                                               tmp_path):
+    # the closure that the CLI fits, checked on coordinates whose gradient
+    # is at least 1% of the largest, where the central difference is far
+    # above its rounding error
+    cfg = json.loads((_CONFIGS / f"{name}.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    cfg_path = _write(tmp_path, cfg)
+    for cmd in ("simulate", "histogram"):
+        assert main([cmd, "--config", cfg_path]) == 0
+    written = sorted((tmp_path / "run").iterdir())
+    problem = fit_problem(load_config(cfg_path), tmp_path / "run")
+    theta = problem.model.get_params()
+    _, grad = problem.loss_and_grad(theta)
+    big = np.flatnonzero(np.abs(grad) >= 1e-2 * np.abs(grad).max())
+    coords = np.random.default_rng(0).choice(big, 3, replace=False)
+    errors = finite_difference_check(problem.loss_and_grad, theta, coords)
+    assert max(errors.values()) < 1e-3
     assert sorted((tmp_path / "run").iterdir()) == written
 
 

@@ -130,7 +130,7 @@ def test_support_mismatch_rejected():
     target = Measure([0.5, 0.5], Grid([0.0], [1.0], [2]))
     with pytest.raises(ValueError, match="does not live on the fit grid"):
         make_fvm_loss(target, MlpModel([1, 1]), Grid([0.0], [2.0], [2]),
-                      D=0.1, eps_tele=1e-3)
+                      D=0.1, eps_tele=1e-3, objective="l2")
 
 
 def test_w2_two_point_transport():

@@ -10,9 +10,8 @@ from ergodic_sysid.fvm import (assemble_K, cfl_dt, face_velocities,
 from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.optim import (AdamState, _run_loop, adam_step,
                                  clip_by_global_norm,
-                                 finite_difference_check, fit_delay, fit_fvm,
-                                 fit_pfo, make_delay_loss, make_fvm_loss,
-                                 make_pfo_loss)
+                                 finite_difference_check, make_delay_loss,
+                                 make_fvm_loss, make_pfo_loss)
 from ergodic_sysid.pfo import PartitionOfUnity, build_mesh, estimate_markov
 from ergodic_sysid.systems import OdeSystem, integrate_ode, make_system
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
@@ -81,7 +80,7 @@ def test_fvm_fit_zero_gradient_at_truth():
     truth.init_params(seed=1)
     dt = frozen_dt(grid, truth, D)
     target = _stationary_target(grid, truth, D, eps, dt)
-    loss_and_grad, _ = make_fvm_loss(target, truth, grid, D, eps)
+    loss_and_grad, _ = make_fvm_loss(target, truth, grid, D, eps, "l2")
     val, grad = loss_and_grad(truth.get_params())
     assert val < 1e-20
     assert np.linalg.norm(grad) < 1e-6 * (1 + np.linalg.norm(
@@ -94,8 +93,8 @@ def test_fvm_fit_double_well_loss_drops_10x():
     target = _double_well_target(grid, D, eps)
     mlp = MlpModel([1, 16, 1])
     mlp.init_params(seed=2)
-    report = fit_fvm(target, mlp, grid, D, eps, n_iters=500, lr=1e-2,
-                     seed=0)
+    lng, _ = make_fvm_loss(target, mlp, grid, D, eps, "l2")
+    report = _run_loop(lng, mlp, {}, n_iters=500, lr=1e-2, seed=0)
     assert report.loss_history[-1] <= report.loss_history[0] / 10.0
 
 
@@ -107,7 +106,8 @@ def test_fvm_fit_deterministic_history():
     for _ in range(2):
         mlp = MlpModel([1, 8, 1])
         mlp.init_params(seed=3)
-        report = fit_fvm(target, mlp, grid, D, eps, n_iters=25, lr=1e-2)
+        lng, _ = make_fvm_loss(target, mlp, grid, D, eps, "l2")
+        report = _run_loop(lng, mlp, {}, n_iters=25, lr=1e-2)
         histories.append(report.loss_history)
     assert histories[0] == histories[1]
 
@@ -148,7 +148,8 @@ def test_delay_fit_zero_iterations_reports_initial_loss():
     mlp = MlpModel([3, 8, 3])
     mlp.init_params(seed=6)
     cfg = DelayMapConfig(0, 3, 1)
-    report = fit_delay(traj, mlp, cfg, n_iters=0, max_points=200)
+    lng, *_ = make_delay_loss(traj, mlp, cfg, "j2", 200)
+    report = _run_loop(lng, mlp, {}, n_iters=0)
     assert report.loss_history == []
     assert report.initial_loss is not None and np.isfinite(
         report.initial_loss)
@@ -169,8 +170,8 @@ def test_delay_fit_computes_each_observed_self_distance_once(monkeypatch):
                          substeps=5)
     mlp = MlpModel([3, 4, 3])
     mlp.init_params(seed=3)
-    report = fit_delay(traj, mlp, DelayMapConfig(0, 3, 1), n_iters=3,
-                       loss="j2", max_points=60)
+    lng, *_ = make_delay_loss(traj, mlp, DelayMapConfig(0, 3, 1), "j2", 60)
+    report = _run_loop(lng, mlp, {}, n_iters=3)
     assert len(report.loss_history) == 3
     assert calls == [(60, 3), (60, 3)]
 
@@ -179,7 +180,7 @@ def test_delay_fit_rejects_a_cloud_above_the_mmd_limit():
     traj = integrate_ode(make_system("lorenz63"), [1.0, 1.0, 20.0], 0.05, 20)
     with pytest.raises(ValueError, match="not in 1..4000"):
         make_delay_loss(traj, MlpModel([3, 3]), DelayMapConfig(0, 3, 1),
-                        max_points=MMD_MAX_POINTS + 1)
+                        "j2", MMD_MAX_POINTS + 1)
 
 
 def test_delay_fit_histories_finite_and_deterministic():
@@ -194,8 +195,8 @@ def test_delay_fit_histories_finite_and_deterministic():
                        out_shift=traj.states.mean(0),
                        out_scale=traj.states.std(0))
         mlp.init_params(seed=7)
-        report = fit_delay(traj, mlp, cfg, n_iters=20, lr=3e-3,
-                           max_points=150)
+        lng, *_ = make_delay_loss(traj, mlp, cfg, "j2", 150)
+        report = _run_loop(lng, mlp, {}, n_iters=20, lr=3e-3)
         assert np.all(np.isfinite(report.loss_history))
         histories.append(report.loss_history)
     assert histories[0] == histories[1]
@@ -209,7 +210,7 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
     target = _double_well_target(grid, 0.08, 1e-2)
     mlp = MlpModel([1, 6, 1])
     mlp.init_params(seed=9)
-    lng, _ = make_fvm_loss(target, mlp, grid, 0.08, 1e-2)
+    lng, _ = make_fvm_loss(target, mlp, grid, 0.08, 1e-2, "l2")
     errs = finite_difference_check(lng, mlp.get_params(),
                                    rng.choice(mlp.n_params, 3, replace=False))
     assert max(errs.values()) < 1e-3
@@ -234,8 +235,8 @@ def test_first_iteration_gradients_pass_fd_spot_checks():
     mlp3 = MlpModel([3, 6, 3], in_shift=traj.states.mean(0),
                     in_scale=traj.states.std(0))
     mlp3.init_params(seed=12)
-    lng3, *_ = make_delay_loss(traj, mlp3, DelayMapConfig(0, 3, 1),
-                               max_points=100)
+    lng3, *_ = make_delay_loss(traj, mlp3, DelayMapConfig(0, 3, 1), "j2",
+                               100)
     errs = finite_difference_check(lng3, mlp3.get_params(),
                                    rng.choice(mlp3.n_params, 3,
                                               replace=False))
@@ -249,8 +250,8 @@ def _resume_problem():
     def fit(n_iters, **loop):
         mlp = MlpModel([1, 8, 1])
         mlp.init_params(seed=13)  # dt freezing keys off the initial field
-        report = fit_fvm(target, mlp, grid, 0.08, 1e-2, n_iters=n_iters,
-                         lr=1e-2, **loop)
+        lng, _ = make_fvm_loss(target, mlp, grid, 0.08, 1e-2, "l2")
+        report = _run_loop(lng, mlp, {}, n_iters=n_iters, lr=1e-2, **loop)
         return report, mlp
 
     return fit
@@ -301,14 +302,10 @@ def test_loop_rejects_a_resume_past_n_iters():
 
 
 def test_fit_drivers_share_the_n_iters_default():
-    # the loop's signature is the only home of its defaults; the drivers
-    # pass their loop keywords through
+    # every driver's closure runs on the one loop, whose signature is the
+    # only home of its defaults
     loop = inspect.signature(_run_loop).parameters
     assert loop["n_iters"].default == 500
     keywords = {"n_iters", "lr", "seed", "clip_norm", "checkpoint_every",
                 "save", "resume"}
     assert keywords <= set(loop)
-    for fit in (fit_fvm, fit_pfo, fit_delay):
-        params = inspect.signature(fit).parameters
-        assert not keywords & set(params)
-        assert params["loop"].kind is inspect.Parameter.VAR_KEYWORD

@@ -19,16 +19,29 @@ from .systems import Trajectory
 from .velocity_models import MlpModel
 
 FLOAT_FMT = "%.17g"
-# Ulam matrix lines formatted and written per write call: one call per
-# block keeps the per-line cost low without holding the whole file's text.
+# Lines formatted and written per write call: one call per block keeps the
+# per-line cost low without holding the whole file's text.
 _WRITE_BLOCK = 4096
 
 
+def _write_lines(fh, line, n_lines, fields):
+    """Write ``n_lines`` lines of the format ``line``, one ``%`` of the
+    line repeated ``_WRITE_BLOCK`` times per write call, on the flat list
+    ``fields(block)`` of the Python values of the block's lines."""
+    for s in range(0, n_lines, _WRITE_BLOCK):
+        block = slice(s, min(s + _WRITE_BLOCK, n_lines))
+        fh.write(line * (block.stop - s) % tuple(fields(block)))
+
+
 def _write_table(path, header, array):
+    """CSV of a float table: ``np.savetxt(fmt=FLOAT_FMT, delimiter=",")``'s
+    bytes under a header line."""
     array = np.atleast_2d(np.asarray(array, dtype=float))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, array, fmt=FLOAT_FMT, delimiter=",")
+        line = ",".join([FLOAT_FMT] * array.shape[1]) + "\n"
+        _write_lines(fh, line, array.shape[0],
+                     lambda rows: array[rows].ravel().tolist())
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -107,18 +120,17 @@ def write_ulam_matrix(path, M: UlamMatrix):
     """Coordinate-list text: `row col value` of a row-stochastic matrix,
     whose orientation the header records."""
     coo = sp.coo_matrix(M.matrix)
+
+    def entries(block):  # (row, col, value) of each entry, interleaved
+        out = [None] * (3 * (block.stop - block.start))
+        out[0::3] = coo.row[block].tolist()
+        out[1::3] = coo.col[block].tolist()
+        out[2::3] = coo.data[block].tolist()
+        return out
+
     with open(path, "w") as fh:
         fh.write(f"# orientation=row n={M.n} eps={M.eps!r}\n")
-        line = "%d %d " + FLOAT_FMT + "\n"
-        for s in range(0, coo.nnz, _WRITE_BLOCK):
-            block = slice(s, s + _WRITE_BLOCK)
-            rows = coo.row[block].tolist()
-            # one % of the block's repeated line on its (row, col, value)s
-            entries = [None] * (3 * len(rows))
-            entries[0::3] = rows
-            entries[1::3] = coo.col[block].tolist()
-            entries[2::3] = coo.data[block].tolist()
-            fh.write(line * len(rows) % tuple(entries))
+        _write_lines(fh, "%d %d " + FLOAT_FMT + "\n", coo.nnz, entries)
 
 
 def read_ulam_matrix(path) -> UlamMatrix:

@@ -36,8 +36,10 @@ from .measure import Measure, SampleCloud
 from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
-# Samples whose weight rows ``_row_average`` sums at once.
-_CHUNK = 16384
+# Samples whose weight rows ``_row_average`` sums at once. At 400 cells a
+# chunk's weights take 13 MB: a fit's peak memory does not grow with its
+# target's sample count.
+_CHUNK = 4096
 # Rows per elementwise pass of the partition of unity: at 400 cells a block
 # of one array is 800 kB, so a pass's operands stay in a 1-2 MB L2 cache.
 _BLOCK = 256

@@ -6,12 +6,17 @@ shape, so single states and batches share one code path. The catalog ODEs
 write each field once, component by component (``OdeSystem.field``), and
 ``_stacked`` gives its array form. ``integrate_ode`` steps its one state on
 Python floats through the field: on two or three components numpy's
-per-operation dispatch costs more than the arithmetic.
+per-operation dispatch costs more than the arithmetic. Its loop is Python
+source generated once per state dimension (``_rk4_loop``), the way
+``dataclasses`` builds ``__init__``, with one local name per component:
+on Python 3.11 the list comprehensions, ``zip`` and lists of a loop
+written for any dimension cost more than the field calls themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,6 +142,53 @@ def rk4_step(f, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+_RK4_LOOP = """\
+def loop(f, x, states, h, n_steps, substeps):
+    hh, h6 = 0.5 * h, h / 6.0
+    limit = BLOWUP_LIMIT
+    {x}, = x
+    for k in range(1, n_steps + 1):
+        for _ in range(substeps):
+            {k1}, = f({x})
+            {k2}, = f({x_k1})
+            {k3}, = f({x_k2})
+            {k4}, = f({x_k3})
+{update}
+        states[k] = {x},
+        if not ({bounded}):
+            _check_finite(states[k], k)
+"""
+
+
+@cache
+def _rk4_loop(dim: int):
+    """The RK4 loop of ``integrate_ode`` for states of ``dim`` components,
+    compiled from ``_RK4_LOOP`` with one local name per component.
+
+    ``loop(f, x, states, h, n_steps, substeps)`` steps the float list x
+    and writes the state after every ``substeps`` steps to ``states[k]``.
+    Each operation is that of ``rk4_step``, in its order. A recorded state
+    whose every component passes ``abs(xi) <= BLOWUP_LIMIT`` is in range;
+    one that fails it (NaN fails every comparison) goes to
+    ``_check_finite``, which raises the blow-up error for that step.
+    """
+    x, k1, k2, k3, k4 = ([f"{p}{i}" for i in range(dim)] for p in "xabcd")
+    join = ", ".join
+    source = _RK4_LOOP.format(
+        x=join(x), k1=join(k1), k2=join(k2), k3=join(k3), k4=join(k4),
+        x_k1=join(f"{a} + hh * {b}" for a, b in zip(x, k1)),
+        x_k2=join(f"{a} + hh * {b}" for a, b in zip(x, k2)),
+        x_k3=join(f"{a} + h * {b}" for a, b in zip(x, k3)),
+        update="\n".join(
+            f"            {a} = {a} + h6 * ({b1} + 2.0 * {b2} + 2.0 * {b3}"
+            f" + {b4})" for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)),
+        bounded=" and ".join(f"abs({a}) <= limit" for a in x))
+    namespace = {}
+    exec(compile(source, f"<rk4 loop, dim {dim}>", "exec"), globals(),
+         namespace)
+    return namespace["loop"]
+
+
 def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
                   substeps: int = 1) -> Trajectory:
     """Fixed-step RK4 integration, recording every dt.
@@ -144,10 +196,12 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
     ``substeps`` internal RK4 steps are taken per recorded sample; use ~10
     when the recorded interval is too coarse for direct integration.
 
-    The state is stepped as a list of Python floats through ``sys.field``,
-    or through ``sys.rhs`` on a rebuilt array when the system has no
-    field; either way each operation is that of ``rk4_step``, in its order,
-    so the trajectory is the one ``rk4_step`` gives on arrays.
+    The state is stepped as Python floats through ``sys.field``, or
+    through ``sys.rhs`` on a rebuilt array when the system has no field,
+    by the loop ``_rk4_loop`` compiles for ``sys.dim``: one local name per
+    component, the four stages and the update written out. Each operation
+    is that of ``rk4_step``, in its order, so the trajectory is the one
+    ``rk4_step`` gives on arrays.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -160,23 +214,12 @@ def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
         raise ValueError(f"x0 must have shape ({sys.dim},)")
     _check_finite(x, 0)
     f = sys.field or (lambda *c: sys.rhs(np.array(c)).tolist())
-    h = dt / substeps
-    hh, h6 = 0.5 * h, h / 6.0
     states = np.empty((n_steps + 1, sys.dim))
     states[0] = x
-    x = x.tolist()
     # A blow-up overflows inside the step; _check_finite reports it once.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            for _ in range(substeps):
-                k1 = f(*x)
-                k2 = f(*[a + hh * b for a, b in zip(x, k1)])
-                k3 = f(*[a + hh * b for a, b in zip(x, k2)])
-                k4 = f(*[a + h * b for a, b in zip(x, k3)])
-                x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            states[k] = x
-            _check_finite(states[k], k)
+        _rk4_loop(sys.dim)(f, x.tolist(), states, dt / substeps, n_steps,
+                           substeps)
     return Trajectory(states, dt)
 
 

@@ -1008,6 +1008,23 @@ def test_round_trips_through_library_readers(tmp_path):
     assert back_M.eps == 0.5
 
 
+@pytest.mark.parametrize("n_rows", [io._WRITE_BLOCK + 5, 1])
+def test_table_writer_matches_savetxt(tmp_path, n_rows):
+    # -0.0, a subnormal, the largest decade and integral floats, over more
+    # rows than one write block and over a single row
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (n_rows, 3))
+    table[0] = [-0.0, 5e-324, 1e308]
+    table[-1, 1:] = [3.0, -12.0]
+    io._write_table(tmp_path / "t.csv", ["a", "b", "c"], table)
+    with open(tmp_path / "ref.csv", "w") as fh:
+        fh.write("a,b,c\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
 def test_ulam_writer_matches_line_by_line_reference(tmp_path):
     # 90 x 90 with zeros: more entries than one write block, and a last
     # block that is partly full

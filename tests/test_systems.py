@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.stats import kstest
 from ergodic_sysid.systems import (BLOWUP_LIMIT, NOISE_BLOCK,
                                    CatalogMissError, DiscreteMap,
                                    IntegrationBlowupError, OdeSystem,
-                                   _check_finite, builtin_systems,
+                                   _check_finite, _rk4_loop,
+                                   builtin_systems,
                                    integrate_ode, integrate_sde,
                                    iterate_map_batch, make_system, rk4_step)
 
@@ -302,6 +304,63 @@ def test_integrate_ode_without_a_field_steps_the_rhs(name):
     traj = integrate_ode(plain, x0, 0.02, 300, substeps=4)
     ref = integrate_ode(sys, x0, 0.02, 300, substeps=4)
     assert np.array_equal(traj.states, ref.states)
+
+
+@pytest.mark.parametrize("sys, x0, dt, n_steps, substeps", [
+    (OdeSystem("logistic", 1, {}, lambda x: x * (1.0 - 0.25 * x)), [0.1],
+     0.05, 300, 3),
+    (make_system("van_der_pol", c=1.0), [1.5, 0.0], 0.05, 400, 5),
+    (make_system("lorenz63"), [1.0, 1.0, 20.0], 0.02, 300, 4),
+    (make_system("lorenz96", dim=5), [8.01, 8.0, 8.0, 8.0, 7.5], 0.01, 200,
+     2)], ids=["1d-rhs", "van_der_pol", "lorenz63", "lorenz96-5d-rhs"])
+def test_generated_loop_matches_rk4_step_bit_for_bit(sys, x0, dt, n_steps,
+                                                     substeps):
+    # fields step on floats, field-less systems through the rhs adapter
+    traj = integrate_ode(sys, x0, dt, n_steps, substeps=substeps)
+    ref = _rk4_reference(sys.rhs, x0, dt / substeps, n_steps, substeps)
+    assert np.array_equal(_bits(traj.states), _bits(ref))
+
+
+def _ramp(x, y):  # y grows by 1e11 per unit time
+    return -x, 1e11
+
+
+def _nan_past_five(x, y):  # the state turns NaN once x passes 5.5
+    return (1.0 if x < 5.5 else math.nan), -y
+
+
+@pytest.mark.parametrize("field, x0", [(_ramp, [1.0, 0.0]),
+                                       (_nan_past_five, [0.0, 1.0])],
+                         ids=["finite-above-limit", "nan"])
+def test_generated_loop_blowup_is_check_finite_on_that_row(field, x0):
+    # the first recorded row that fails the float test is the one
+    # _check_finite rejects, with the same step, magnitude and message
+    with np.errstate(invalid="ignore"):
+        ref = _rk4_reference(lambda z: np.array(field(*z.tolist())), x0, 1.0,
+                             50, 1)
+    bad = int(np.argmax(~(np.abs(ref) <= BLOWUP_LIMIT).all(axis=1)))
+    assert 1 < bad < 50
+    with pytest.raises(IntegrationBlowupError) as expected:
+        _check_finite(ref[bad], bad)
+    sys = OdeSystem("blowup", 2, {}, lambda z: np.zeros_like(z), field=field)
+    with pytest.raises(IntegrationBlowupError) as err:
+        integrate_ode(sys, x0, 1.0, 50)
+    assert err.value.step == expected.value.step == bad
+    assert np.array_equal(err.value.magnitude, expected.value.magnitude,
+                          equal_nan=True)
+    assert str(err.value) == str(expected.value)
+
+
+def test_generated_loop_is_compiled_once_per_dimension():
+    _rk4_loop.cache_clear()
+    vdp = make_system("van_der_pol")
+    integrate_ode(vdp, [1.0, 0.0], 0.05, 10)
+    integrate_ode(vdp, [0.5, 0.0], 0.05, 10, substeps=3)
+    integrate_ode(make_system("lorenz63"), [1.0, 1.0, 20.0], 0.02, 10)
+    integrate_ode(OdeSystem("decay", 2, {}, lambda x: -x), [1.0, 2.0], 0.1,
+                  10)
+    info = _rk4_loop.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 # step and magnitude recorded from the array path that rk4_step gave

@@ -317,7 +317,10 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
                   "pou_eps": pou.eps}
         loss_and_grad = optim.make_pfo_loss(target, model, mesh, pou, sources,
                                             flow_dt, config["substeps"])
-        return FitProblem(loss_and_grad, model, config, {}, (
+        images = subsample_stride(SampleCloud(pairs[1]), 1000).points
+        extras = {"pou_neighbours": pou.k,
+                  "pou_dropped_mass": pfo.dropped_mass(pou, images)}
+        return FitProblem(loss_and_grad, model, config, extras, (
             ("mesh.json", io.write_mesh_json, mesh),
             ("target_matrix.txt", io.write_ulam_matrix, target)))
     traj = _read_output(outdir, "trajectory.csv")

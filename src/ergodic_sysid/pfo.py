@@ -5,7 +5,9 @@ samples; every estimator assigns points to cells by nearest center, found
 through a kd-tree on the centers, with ties going to the lowest index.
 ``estimate_markov`` counts transitions between cells, or averages the
 weights of a softplus-of-distance partition of unity, whose entries are
-differentiable in any parameter moving the underlying map.
+differentiable in any parameter moving the underlying map. The partition
+weights each point on its ``POU_NEIGHBOURS`` nearest centers, so its rows
+are sparse and a matrix is zero outside the union of their supports.
 
 Estimated matrices here are ROW-stochastic (row = source cell), unlike the
 column-stochastic finite-volume chains. ``invariant_density`` is the one
@@ -15,9 +17,11 @@ the fvm driver (the Ulam/GAIO construction).
 
 The flow-map gradient runs one forward pass and reverses through what it
 kept: ``velocity_models.flow_rk4_vjp`` gives the flowed sources and the RK4
-pullback, ``PartitionOfUnity.linearize`` gives the cell weights of the
-images and the pullback that reuses their kernel, and the matrix averages
-those weights with the same row-average helper as ``estimate_markov``.
+pullback, ``PartitionOfUnity.linearize`` gives the sparse cell weights of
+the images and the pullback that reuses their kernel, and the matrix
+averages those weights with the same row-average helper as
+``estimate_markov``. The matrix gradient is gathered on the weights'
+support, so no (n_sources, n_cells) array is formed.
 """
 
 from __future__ import annotations
@@ -36,13 +40,9 @@ from .measure import Measure, SampleCloud
 from .velocity_models import flow_rk4_vjp
 
 ROWSUM_TOL = 1e-12
-# Samples whose weight rows ``_row_average`` sums at once. At 400 cells a
-# chunk's weights take 13 MB: a fit's peak memory does not grow with its
-# target's sample count.
-_CHUNK = 4096
-# Rows per elementwise pass of the partition of unity: at 400 cells a block
-# of one array is 800 kB, so a pass's operands stay in a 1-2 MB L2 cache.
-_BLOCK = 256
+# Centers that carry a partition-of-unity weight at each point, nearest
+# first; fewer when the mesh has fewer cells. See ``PartitionOfUnity``.
+POU_NEIGHBOURS = 32
 # Relative gap below which the kd-tree's two nearest centers count as tied.
 NEAR_TIE_RTOL = 1e-9
 # Relative margin by which build_mesh's distance bounds must separate a
@@ -122,6 +122,14 @@ class UnstructuredMesh:
                               self.centers)
 
 
+def _weighted_draw(p: np.ndarray, rng) -> int:
+    """``rng.choice(p.size, p=p)``: the same index and generator state, by
+    choice's own sampling, without its validation passes over p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
     """k-means++ seeds: each next center is a point drawn with probability
     proportional to its squared distance to the nearest center so far.
@@ -153,7 +161,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng) -> np.ndarray:
         if total <= 0:
             centers[i] = points[rng.integers(n)]
         else:
-            centers[i] = points[rng.choice(n, p=dist / total)]
+            centers[i] = points[_weighted_draw(dist / total, rng)]
         np.minimum(dist, sq_dist(centers[i]), out=dist)
     return centers
 
@@ -226,112 +234,112 @@ def build_mesh(samples: SampleCloud, n_cells: int,
         "reduce n_cells or deduplicate the samples")
 
 
+def _softplus_softmax(u: np.ndarray):
+    """psi = softmax(log r) over the last axis, r = log1p(exp(-u)) of the
+    scaled distances u = d/eps, built in u's buffer, and q = -d log r/du.
+    Beyond u = 33, log r is -u to rounding, and q = sigmoid(-u) / r is 1.
+    """
+    small = u <= 33.0
+    eu = np.negative(u)
+    np.exp(eu, out=eu)
+    l1 = np.log1p(eu)
+    psi = np.negative(u, out=u)
+    np.log(l1, out=psi, where=small)
+    l1 *= 1.0 + eu
+    q = np.divide(eu, l1, out=np.ones_like(u), where=small)
+    psi -= psi.max(axis=-1, keepdims=True)
+    np.exp(psi, out=psi)
+    psi /= psi.sum(axis=-1, keepdims=True)
+    return psi, q
+
+
 @dataclass
 class PartitionOfUnity:
-    """Softplus-of-distance cell weights sharing the mesh centers.
+    """Softplus-of-distance cell weights on each point's nearest centers.
 
     psi_i(x) = r_i / sum_j r_j with r_i = log(1 + exp(-|c_i - x| / eps)),
-    eps > 0. The ratio is formed in log space (softmax over log r_i) so that
-    large distances cannot underflow the normalization. The counting
-    estimator of hard cells is ``estimate_markov`` without a partition.
+    eps > 0, where i and j run over the ``k = min(POU_NEIGHBOURS, n)``
+    centers nearest x (a kd-tree query); every other weight is 0. The ratio
+    is formed in log space (softmax over log r_i) so that large distances
+    cannot underflow the normalization. The counting estimator of hard
+    cells is ``estimate_markov`` without a partition.
 
-    Every elementwise pass of ``eval``, ``linearize`` and the pullback runs
-    on ``_BLOCK`` rows at a time, so that its operands stay in cache. The
-    pullback's ``t @ centers`` runs on all rows at once, because its BLAS
-    result changes with the row count.
+    With k < n the weights drop the mass that the softmax over all centers
+    puts outside the k nearest, and renormalize; ``dropped_mass`` measures
+    it. Why 32: on the 400-cell van der Pol mesh of the pfo
+    benchmark (eps 0.05), the 32 nearest centers hold all but 5.2e-4 of
+    any target image's weight, where 16 drop up to 3.6e-2 and 64 up to
+    2.9e-8, and the kd query's time about doubles with k (4.8, 9.0 and
+    21.6 ms for 4000 images on a 2-core Xeon, against 17 ms for the dense
+    kernel's ``eval``). The neighbour set is constant between switches,
+    where the dropped weight jumps, so the pullback is the gradient of the
+    weights everywhere else.
     """
 
     centers: np.ndarray
     eps: float
+    tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        self.tree = cKDTree(self.centers)
 
     @property
     def n(self) -> int:
         return self.centers.shape[0]
 
-    def _weights(self, psi: np.ndarray):
-        """Turn the scaled distances u = d/eps of one block, held in psi
-        (C-contiguous rows, so that ``psi.reshape(-1)`` is a view), into its
-        weights in place: psi holds u, then log r, then psi.
-
-        Returns what the reverse pass needs besides d: the flat indices of
-        the mask u <= 33 in ``psi.reshape(-1)``, and exp(-u) and
-        log1p(exp(-u)) there.
-        """
-        flat = psi.reshape(-1)
-        small = np.flatnonzero(flat <= 33.0)
-        eu = flat[small]
-        np.negative(eu, out=eu)
-        np.exp(eu, out=eu)
-        l1 = np.log1p(eu)
-        # log r = log log1p(exp(-u)); asymptotically -u once exp(-u) is tiny.
-        np.negative(psi, out=psi)
-        flat[small] = np.log(l1)
-        psi -= psi.max(axis=1, keepdims=True)
-        np.exp(psi, out=psi)
-        psi /= psi.sum(axis=1, keepdims=True)
-        return small, eu, l1
-
-    def _blocks(self, pts: np.ndarray, d: np.ndarray, psi: np.ndarray):
-        """Fill the distances d and the weights psi of the points one
-        ``_BLOCK`` of rows at a time, yielding each block's rows and what
-        ``_weights`` returns for it; d may be psi itself."""
-        for s in range(0, pts.shape[0], _BLOCK):
-            rows = slice(s, s + _BLOCK)
-            cdist(pts[rows], self.centers, out=d[rows])
-            np.divide(d[rows], self.eps, out=psi[rows])
-            yield rows, self._weights(psi[rows])
+    @property
+    def k(self) -> int:
+        return min(POU_NEIGHBOURS, self.n)
 
     def eval(self, points) -> np.ndarray:
-        """Weight rows, each nonnegative and summing to one."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.n))
-        for _ in self._blocks(pts, out, out):
-            pass
+        """Dense weight rows, each nonnegative and summing to one."""
+        (idx, psi), _ = self.linearize(points)
+        out = np.zeros((psi.shape[0], self.n))
+        np.put_along_axis(out, idx, psi, axis=1)
         return out
 
     def linearize(self, points):
-        """Weight rows at the points and the pullback of d(sum_k seeds_k .
-        psi(x_k))/dx_k, which reuses the kernel of this forward pass."""
+        """Sparse weight rows (idx, psi) at the points, both (n_points, k):
+        the nearest centers, nearest first, and their weights. Returns them
+        with the pullback of d(sum_ik seeds_ik psi_ik)/dx_i, which takes
+        seeds on that support and reuses the kernel of this forward pass."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        psi = np.empty((pts.shape[0], self.n))
-        d = np.empty_like(psi)
-        # -d log r / du = sigmoid(-u)/log1p(exp(-u)) on the mask u <= 33;
-        # it saturates at 1 beyond. The pullback zeroes the entries at d = 0.
-        blocks = [(rows, small, (eu / (1.0 + eu)) / l1,
-                   np.flatnonzero(d[rows] == 0.0))
-                  for rows, (small, eu, l1) in self._blocks(pts, d, psi)]
+        d, idx = self.tree.query(pts, k=list(range(1, self.k + 1)))
+        psi, q = _softplus_softmax(d / self.eps)
+        # d psi_ik / d log r_il = psi_ik (delta_kl - psi_il), and
+        # d log r / dx = -q (x - c) / (eps d), taken as 0 at d = 0
+        q *= psi / self.eps
+        scale = np.divide(q, d, out=np.zeros_like(d), where=d > 0)
 
         def pullback(seeds):
-            seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-            t = np.empty_like(psi)
-            for rows, small, q, zero in blocks:
-                # t = p * (w - rowsum(p * w)) * (d log r / du) / eps / d,
-                # zero at d = 0, built in place in the rows of t
-                p, w, tb = psi[rows], seeds[rows], t[rows]
-                flat = tb.reshape(-1)
-                np.multiply(p, w, out=tb)
-                np.subtract(w, tb.sum(axis=1, keepdims=True), out=tb)
-                tb *= p
-                np.negative(tb, out=tb)
-                flat[small] *= q
-                tb /= self.eps
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    tb /= d[rows]
-                flat[zero] = 0.0
-            return pts * t.sum(axis=1, keepdims=True) - t @ self.centers
+            # weight t_ik of x_i - c_idx_ik in the input gradient
+            w = np.asarray(seeds, dtype=float)
+            t = (psi * w).sum(axis=1, keepdims=True) - w
+            t *= scale
+            return pts * t.sum(axis=1, keepdims=True) \
+                - np.einsum("ik,ikj->ij", t, self.centers[idx])
 
-        return psi, pullback
+        return (idx, psi), pullback
 
     def vjp(self, points, seeds) -> np.ndarray:
-        """One-off input gradient: ``linearize(points)`` pulled back once.
-        The flow-map gradient keeps the pullback of its own forward pass
-        instead."""
-        return self.linearize(points)[1](seeds)
+        """One-off input gradient of dense seeds, gathered on the support
+        of ``linearize(points)`` and pulled back once. The flow-map
+        gradient keeps the pullback of its own forward pass instead."""
+        (idx, _), pullback = self.linearize(points)
+        return pullback(np.take_along_axis(np.atleast_2d(seeds), idx, 1))
+
+
+def dropped_mass(pou: PartitionOfUnity, points) -> float:
+    """Largest weight, over the points, that the softmax over all centers
+    puts outside each point's k nearest: the l1 mass the partition's
+    truncation drops before it renormalizes. Exactly 0 when k >= n."""
+    (idx, _), _ = pou.linearize(points)
+    full, _ = _softplus_softmax(cdist(points, pou.centers) / pou.eps)
+    np.put_along_axis(full, idx, 0.0, axis=1)
+    return float(full.sum(axis=1).max())
 
 
 @dataclass
@@ -361,21 +369,12 @@ class UlamMatrix:
         return self.matrix.shape[0]
 
 
-def _row_average(src, counts, rows) -> np.ndarray:
-    """Row i averages the weight rows of the samples in source cell i.
-
-    ``rows(chunk)`` gives the weight rows of the samples in a slice; they
-    are summed one ``_CHUNK`` slice at a time, so only one chunk of weights
-    need exist at once.
-    """
+def _row_average(src, counts, idx, psi) -> np.ndarray:
+    """Row i averages the sparse weight rows (idx, psi), each (n_samples,
+    k), of the samples in source cell i."""
     n = counts.size
-    mat = np.zeros((n, n))
-    for s in range(0, src.size, _CHUNK):
-        chunk_src = src[s:s + _CHUNK]
-        onehot = sp.csr_matrix(
-            (np.ones(chunk_src.size), (np.arange(chunk_src.size), chunk_src)),
-            shape=(chunk_src.size, n))
-        mat += onehot.T @ rows(slice(s, s + _CHUNK))
+    mat = np.bincount((src[:, None] * n + idx).ravel(), weights=psi.ravel(),
+                      minlength=n * n).reshape(n, n)
     mat /= np.maximum(counts, 1)[:, None]
     return mat
 
@@ -392,17 +391,14 @@ def estimate_markov(pairs, mesh: UnstructuredMesh,
     (Langville & Meyer, 2006).
     """
     x, y = pairs
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     src = mesh.assign(x)
     n = mesh.n
     counts = np.bincount(src, minlength=n)
     if pou is None:
-        dst = mesh.assign(y)
-        flat = np.bincount(src * n + dst, minlength=n * n).astype(float)
-        mat = flat.reshape(n, n) / np.maximum(counts, 1)[:, None]
+        rows = mesh.assign(y)[:, None], np.ones((src.size, 1))
     else:
-        mat = _row_average(src, counts, lambda chunk: pou.eval(y[chunk]))
+        rows, _ = pou.linearize(y)
+    mat = _row_average(src, counts, *rows)
     empty = counts == 0
     mat[empty] = 1.0 / n
     M = UlamMatrix(mat, mesh, 0.0 if pou is None else pou.eps)
@@ -437,15 +433,15 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     if np.any(counts == 0):
         raise EstimationError(int(np.argmin(counts)))
     y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
-    psi, pou_pullback = pou.linearize(y)
-    mhat = UlamMatrix(_row_average(src, counts, lambda chunk: psi[chunk]),
-                      mesh, pou.eps)
+    (idx, psi), pou_pullback = pou.linearize(y)
+    mhat = UlamMatrix(_row_average(src, counts, idx, psi), mesh, pou.eps)
     diff = mhat.matrix - target.matrix
     loss = float(np.linalg.norm(diff))
     if loss == 0.0:
         return loss, np.zeros(velocity.n_params), mhat
-    G = diff / loss
-    seeds = G[src]
-    seeds /= counts[src][:, None]
+    # d loss / d psi of a source's weights: its row of diff / loss, on the
+    # weights' support, over its cell's count
+    seeds = diff[src[:, None], idx]
+    seeds /= loss * counts[src][:, None]
     theta_grad, _ = flow_pullback(pou_pullback(seeds))
     return loss, theta_grad, mhat

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ergodic_sysid import pfo
@@ -236,6 +237,21 @@ def test_kmeans_pp_draws_the_row_sum_seeds(dim):
     assert rng_a.random() == rng_b.random()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_weighted_draw_equals_generator_choice(seed):
+    # zero weights first, last and inside, as k-means++ gives the points
+    # already chosen
+    rng = np.random.default_rng(100 + seed)
+    w = rng.random(60) ** 4
+    w[rng.choice(60, 20, replace=False)] = 0.0
+    w[[0, -1]] = 0.0
+    p = w / w.sum()
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = [pfo._weighted_draw(p, rng_a) for _ in range(300)]
+    assert drawn == [rng_b.choice(p.size, p=p) for _ in range(300)]
+    assert rng_a.random() == rng_b.random()
+
+
 def test_lloyd_queries_under_half_of_the_points_per_step(monkeypatch,
                                                          caplog):
     points = _vdp_points()
@@ -280,24 +296,18 @@ def test_pou_rejects_a_hard_partition(eps):
         PartitionOfUnity(np.array([[0.0], [1.0]]), eps)
 
 
-def test_pou_pullback_matches_fd_across_chunks(monkeypatch):
-    # 11 points in chunks of 4; far centres put some u = d/eps above the
-    # saturation threshold 33 of the kernel
-    monkeypatch.setattr(pfo, "_CHUNK", 4)
-    rng = np.random.default_rng(40)
-    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
-    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
-                         [[12.0, 0.0], [0.0, -14.0]]])
-    pou = PartitionOfUnity(centers, 0.3)
-    seeds = rng.standard_normal((11, 7))
-    psi, pullback = pou.linearize(pts)
-    assert np.array_equal(psi, pou.eval(pts))
-    assert np.any(np.linalg.norm(pts[:, None] - centers, axis=2) / 0.3 > 33)
-    got = pullback(seeds)
-    assert np.array_equal(pou.vjp(pts, seeds), got)
-    h = 1e-6
+def _far_centres(rng):
+    """Five centres in [-2, 2]^2 and two far ones, past the kernel's
+    saturation u = d/eps > 33 at eps 0.3 from any point in that box."""
+    return np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
+                      [[12.0, 0.0], [0.0, -14.0]]])
+
+
+def _pou_fd(pou, pts, seeds, got, h):
+    """Central differences of sum(seeds * eval(pts)) against the input
+    gradient got, per coordinate."""
     for i in range(pts.shape[0]):
-        for k in range(2):
+        for k in range(pts.shape[1]):
             e = np.zeros_like(pts)
             e[i, k] = h
             fd = ((pou.eval(pts + e) * seeds).sum()
@@ -305,47 +315,98 @@ def test_pou_pullback_matches_fd_across_chunks(monkeypatch):
             assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
 
 
+@pytest.mark.parametrize("neighbours", [32, 4])
+def test_pou_pullback_matches_fd(monkeypatch, neighbours):
+    # 11 points among 7 centres; with every centre in the support some
+    # u = d/eps exceed the saturation threshold 33, with 4 the truncation
+    # drops centres
+    monkeypatch.setattr(pfo, "POU_NEIGHBOURS", neighbours)
+    rng = np.random.default_rng(40)
+    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
+    centers = _far_centres(rng)
+    pou = PartitionOfUnity(centers, 0.3)
+    seeds = rng.standard_normal((11, 7))
+    (idx, psi), pullback = pou.linearize(pts)
+    assert idx.shape == psi.shape == (11, min(neighbours, 7))
+    dense = pou.eval(pts)
+    assert np.array_equal(np.take_along_axis(dense, idx, axis=1), psi)
+    assert np.count_nonzero(dense) == psi.size
+    d = np.take_along_axis(cdist(pts, centers), idx, axis=1)
+    assert np.any(d / 0.3 > 33) == (neighbours > 7)
+    got = pou.vjp(pts, seeds)
+    assert np.array_equal(
+        pullback(np.take_along_axis(seeds, idx, axis=1)), got)
+    _pou_fd(pou, pts, seeds, got, 1e-6)
+
+
 def test_pou_pullback_on_a_centre(monkeypatch):
     # a point on a centre (d = 0, where the pullback takes zero for that
-    # pair), 9 points in chunks of 4, far centres past the saturation u > 33
-    monkeypatch.setattr(pfo, "_CHUNK", 4)
+    # pair) and far centres past the saturation u > 33, with every centre
+    # in the support and with the 4 nearest
     rng = np.random.default_rng(43)
     eps = 0.3
-    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
-                         [[12.0, 0.0], [0.0, -14.0]]])
+    centers = _far_centres(rng)
     pts = rng.uniform(-2.0, 2.0, size=(9, 2))
     pts[6] = centers[2]
     seeds = rng.standard_normal((9, 7))
-    pou = PartitionOfUnity(centers, eps)
-    got = pou.vjp(pts, seeds)
-    # the pullback written out densely
     d = cdist(pts, centers)
     small = d / eps <= 33.0
     assert d[6, 2] == 0.0 and not small.all()
     eu = np.exp(-d[small] / eps)
     q = np.ones_like(d)
     q[small] = (eu / (1.0 + eu)) / np.log1p(eu)
-    p = pou.eval(pts)
-    dbar = -(p * (seeds - (p * seeds).sum(axis=1, keepdims=True))) * q / eps
-    inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
-    want = pts * inv_d.sum(axis=1, keepdims=True) - inv_d @ centers
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-    # |x - c| is symmetric about the centre, so central differences there
-    # see the same zero slope as the pullback; the kink leaves an O(h)
-    # error on that point's row, hence the smaller step
-    h = 1e-7
-    for i in range(pts.shape[0]):
-        for k in range(2):
-            e = np.zeros_like(pts)
-            e[i, k] = h
-            fd = ((pou.eval(pts + e) * seeds).sum()
-                  - (pou.eval(pts - e) * seeds).sum()) / (2 * h)
-            assert abs(fd - got[i, k]) / max(abs(fd), 1e-9) < 1e-6
+    for neighbours in (32, 4):
+        monkeypatch.setattr(pfo, "POU_NEIGHBOURS", neighbours)
+        pou = PartitionOfUnity(centers, eps)
+        got = pou.vjp(pts, seeds)
+        # the pullback written out densely; p is 0 off the support
+        p = pou.eval(pts)
+        assert (np.count_nonzero(p, axis=1) < 7).all() == (neighbours < 7)
+        dbar = -(p * (seeds - (p * seeds).sum(axis=1, keepdims=True))) \
+            * q / eps
+        inv_d = np.divide(dbar, d, out=np.zeros_like(d), where=d > 0)
+        want = pts * inv_d.sum(axis=1, keepdims=True) - inv_d @ centers
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        # |x - c| is symmetric about the centre, so central differences
+        # there see the same zero slope as the pullback; the kink leaves an
+        # O(h) error on that point's row, hence the smaller step
+        _pou_fd(pou, pts, seeds, got, 1e-7)
+
+
+@pytest.mark.parametrize("n_cells", [1, 7, pfo.POU_NEIGHBOURS])
+def test_pou_weights_equal_the_dense_softmax_up_to_k_cells(n_cells):
+    # with no more cells than neighbours every centre is in the support,
+    # and the weights are the definition's r_i / sum_j r_j
+    rng = np.random.default_rng(n_cells)
+    centers = rng.normal(size=(n_cells, 3))
+    pts = rng.normal(size=(500, 3)) * 3.0
+    for eps in (0.05, 0.5, 5.0):
+        pou = PartitionOfUnity(centers, eps)
+        r = np.log1p(np.exp(-cdist(pts, centers) / eps))
+        assert r.min() > 0.0
+        got = pou.eval(pts)
+        assert np.allclose(got, r / r.sum(axis=1, keepdims=True),
+                           rtol=1e-12, atol=0.0)
+        assert np.abs(got.sum(axis=1) - 1.0).max() < 1e-14
+        assert pfo.dropped_mass(pou, pts) == 0.0
+
+
+def test_pou_dropped_mass_is_the_full_softmax_outside_the_support(
+        monkeypatch):
+    rng = np.random.default_rng(45)
+    centers = rng.normal(size=(12, 2))
+    pts = rng.normal(size=(200, 2))
+    full = PartitionOfUnity(centers, 0.4).eval(pts)
+    monkeypatch.setattr(pfo, "POU_NEIGHBOURS", 5)
+    pou = PartitionOfUnity(centers, 0.4)
+    kept = pou.eval(pts) > 0
+    want = np.where(kept, 0.0, full).sum(axis=1).max()
+    assert 0.0 < pfo.dropped_mass(pou, pts) == pytest.approx(want, 1e-12)
 
 
 def test_pou_eval_builds_the_kernel_in_place():
-    # every centre within u <= 33 of every point is the kernel's largest
-    # case: exp(-u) and log1p(exp(-u)) are then full-size too
+    # every centre within u <= 33 of every point, so no weight saturates:
+    # eval holds its dense rows and the (n, k) kernel beside them
     rng = np.random.default_rng(42)
     n_points, n_cells = 4000, 400
     pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
@@ -356,73 +417,50 @@ def test_pou_eval_builds_the_kernel_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4.75 * n_points * n_cells * 8
+    assert peak < n_points * n_cells * 8 + 4 * n_points * pou.k * 8
 
 
-def test_pou_kernel_peaks_in_row_blocks():
-    # the all-masked case of the eval test above: the elementwise passes
-    # hold only one block of temporaries, and linearize keeps psi, d and
-    # the kernel's flat mask indices and q
+def test_pou_linearize_holds_n_by_k_arrays():
+    # the all-unsaturated case of the eval test above: the kernel, the
+    # pullback's scale and every temporary are (n, k), together below one
+    # dense (n, N) array
     rng = np.random.default_rng(42)
     n_points, n_cells = 4000, 400
     pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
     pts = rng.random((n_points, 2))
-    for call, bound in ((pou.eval, 2.0), (pou.linearize, 5.0)):
-        tracemalloc.start()
-        try:
-            call(pts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * n_points * n_cells * 8, call.__name__
+    bound = 7 * n_points * pou.k * 8
+    assert bound < n_points * n_cells * 8
+    tracemalloc.start()
+    try:
+        pou.linearize(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
-@pytest.mark.parametrize("chunk, block", [(pfo._CHUNK, 1), (pfo._CHUNK, 3),
-                                          (pfo._CHUNK, 4), (4, 3)])
-def test_pou_row_blocks_keep_every_bit(monkeypatch, chunk, block):
-    # 11 points, so the last block is partial, with far centres (u > 33)
-    # and one point on a centre (d = 0); in chunks of 4, blocks of 3 leave
-    # a partial block at the end of every chunk
-    monkeypatch.setattr(pfo, "_CHUNK", chunk)
-    rng = np.random.default_rng(46)
-    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
-                         [[12.0, 0.0], [0.0, -14.0]]])
-    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
-    pts[7] = centers[1]
-    seeds = rng.standard_normal((11, 7))
-    pou = PartitionOfUnity(centers, 0.3)
-
-    def calls():
-        psi, pullback = pou.linearize(pts)
-        return pou.eval(pts), psi, pullback(seeds)
-
-    whole = calls()
-    monkeypatch.setattr(pfo, "_BLOCK", block)
-    for got, want in zip(calls(), whole):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("block", [1, 3, 4])
-def test_flowmap_gradient_row_blocks_keep_every_bit(monkeypatch, block):
+def test_flowmap_gradient_holds_n_by_k_arrays():
+    # 4000 sources on 400 cells: the kernel, the seeds and the pullback
+    # are (n, k) arrays and the matrices (N, N); together below one dense
+    # (n, N) array of the images' weights
     rng = np.random.default_rng(47)
-    x = SampleCloud(rng.normal(size=(11, 2)))
-    mesh = build_mesh(x, 3, seed=48)
+    n_sources, n_cells = 4000, 400
+    x = SampleCloud(rng.normal(size=(n_sources, 2)))
+    mesh = build_mesh(x, n_cells, seed=48)
     pou = PartitionOfUnity(mesh.centers, 0.05)
     target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=49)
     src = mesh.assign(x.points)
-    assert np.any(cdist(x.points, mesh.centers) / 0.05 > 33)
-
-    def grad():
-        loss, theta_grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, src,
-                                                     0.1, target)
-        return loss, theta_grad, mhat.matrix
-
-    whole = grad()
-    monkeypatch.setattr(pfo, "_BLOCK", block)
-    for got, want in zip(grad(), whole):
-        assert np.array_equal(got, want)
+    bound = 8 * n_sources * pou.k * 8 + 3 * n_cells ** 2 * 8
+    assert bound < n_sources * n_cells * 8
+    tracemalloc.start()
+    try:
+        flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_pou_pullback_builds_dbar_in_place():
@@ -431,7 +469,7 @@ def test_pou_pullback_builds_dbar_in_place():
     n_points, n_cells = 4000, 400
     pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
     pts = rng.random((n_points, 2))
-    seeds = rng.standard_normal((n_points, n_cells))
+    seeds = rng.standard_normal((n_points, pou.k))
     _, pullback = pou.linearize(pts)
     tracemalloc.start()
     try:
@@ -439,7 +477,7 @@ def test_pou_pullback_builds_dbar_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n_points * n_cells * 8
+    assert peak < 4 * n_points * pou.k * 8
 
 
 def test_estimate_identity_map():
@@ -568,11 +606,12 @@ def test_flowmap_zero_velocity_is_identity():
     assert np.allclose(M.matrix, np.eye(5))
 
 
-def test_flowmap_gradient_matches_fd():
+def _check_flowmap_gradient_fd(neighbours):
     rng = np.random.default_rng(18)
     x = SampleCloud(rng.normal(size=(150, 2)))
     mesh = build_mesh(x, 5, seed=19)
     pou = PartitionOfUnity(mesh.centers, 0.6)
+    assert pou.k == neighbours
     rot = _field(lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1))
     target = _flowmap(rot, mesh, pou, x, 0.1, substeps=2)
     mlp = MlpModel([2, 6, 2])
@@ -595,7 +634,29 @@ def test_flowmap_gradient_matches_fd():
         assert abs(fd - grad[c]) / max(abs(fd), abs(grad[c]), 1e-12) < 1e-3
 
 
-def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
+def test_flowmap_gradient_matches_fd():
+    _check_flowmap_gradient_fd(5)
+
+
+def test_flowmap_gradient_matches_fd_with_truncation(monkeypatch):
+    # 3 of the 5 centres carry each image's weight
+    monkeypatch.setattr(pfo, "POU_NEIGHBOURS", 3)
+    _check_flowmap_gradient_fd(3)
+
+
+class _CountingTree(cKDTree):
+    """A kd-tree that records the row count of every query."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.queries = []
+
+    def query(self, x, *args, **kwargs):
+        self.queries.append(len(x))
+        return super().query(x, *args, **kwargs)
+
+
+def test_flowmap_gradient_builds_the_kernel_once():
     rng = np.random.default_rng(43)
     x = SampleCloud(rng.normal(size=(120, 2)))
     mesh = build_mesh(x, 6, seed=44)
@@ -604,18 +665,10 @@ def test_flowmap_gradient_builds_the_kernel_once(monkeypatch):
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=45)
     src = mesh.assign(x.points)
-    calls = []
-    cdist = pfo.cdist
-
-    def counting(a, b, *metric, **kwargs):
-        if not metric:  # point-to-centre distances of the kernel
-            calls.append(len(a))
-        return cdist(a, b, *metric, **kwargs)
-
-    monkeypatch.setattr(pfo, "cdist", counting)
+    pou.tree = _CountingTree(mesh.centers)
     loss, grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1,
                                            target)
-    assert calls == [120]
+    assert pou.tree.queries == [120]
     assert loss > 0.0 and np.any(grad != 0.0)
     assert np.array_equal(
         mhat.matrix, _flowmap(mlp, mesh, pou, x, 0.1).matrix)

@@ -420,10 +420,11 @@ def test_pou_eval_builds_the_kernel_in_place():
     assert peak < n_points * n_cells * 8 + 4 * n_points * pou.k * 8
 
 
-def test_pou_linearize_holds_n_by_k_arrays():
-    # the all-unsaturated case of the eval test above: the kernel, the
-    # pullback's scale and every temporary are (n, k), together below one
-    # dense (n, N) array
+def test_pou_kernel_peaks_in_row_blocks():
+    # the all-unsaturated case of the eval test above: each point's row of
+    # the kernel is a block of its k nearest centres, so linearize's
+    # kernel, the pullback's scale and every temporary are (n, k),
+    # together below one dense (n, N) array
     rng = np.random.default_rng(42)
     n_points, n_cells = 4000, 400
     pou = PartitionOfUnity(rng.random((n_cells, 2)), 0.05)
@@ -437,6 +438,68 @@ def test_pou_linearize_holds_n_by_k_arrays():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("neighbours, block", [(4096, 1), (4096, 3),
+                                               (4096, 4), (4, 3)])
+def test_pou_row_blocks_keep_every_bit(monkeypatch, neighbours, block):
+    # each row of the kernel depends on its own point only, so the rows of
+    # any block of points keep every bit of one pass over all of them (the
+    # strided images of dropped_mass rely on it); 11 points, so the last
+    # block is partial, with far centres (u > 33) and one point on a centre
+    # (d = 0), with every centre in the support (4096 is capped at the 7
+    # cells) and with the 4 nearest
+    monkeypatch.setattr(pfo, "POU_NEIGHBOURS", neighbours)
+    rng = np.random.default_rng(46)
+    centers = np.vstack([rng.uniform(-2.0, 2.0, size=(5, 2)),
+                         [[12.0, 0.0], [0.0, -14.0]]])
+    pts = rng.uniform(-2.0, 2.0, size=(11, 2))
+    pts[7] = centers[1]
+    pou = PartitionOfUnity(centers, 0.3)
+    assert pou.k == min(neighbours, 7)
+    seeds = rng.standard_normal((11, pou.k))
+    dense_seeds = rng.standard_normal((11, 7))
+
+    def calls(rows):
+        (idx, psi), pullback = pou.linearize(pts[rows])
+        return (pou.eval(pts[rows]), idx, psi, pullback(seeds[rows]),
+                pou.vjp(pts[rows], dense_seeds[rows]))
+
+    whole = calls(slice(None))
+    blocks = [calls(slice(i, i + block)) for i in range(0, 11, block)]
+    for got, want in zip(zip(*blocks), whole):
+        assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("neighbours", [1, 3, 4])
+def test_flowmap_gradient_row_blocks_keep_every_bit(monkeypatch, neighbours):
+    # the gradient gathers its seeds on the (n, k) row blocks of the
+    # kernel; its loss, matrix and gradient keep every bit of the dense
+    # path: the estimator's matrix, and dense (n, N) seeds pulled back
+    # through vjp; with 1 of the 3 cells, every cell and a cap above it,
+    # against a target on every cell
+    rng = np.random.default_rng(47)
+    x = SampleCloud(rng.normal(size=(11, 2)))
+    mesh = build_mesh(x, 3, seed=48)
+    pou = PartitionOfUnity(mesh.centers, 0.05)
+    target = _flowmap(_field(lambda z: -z), mesh, pou, x, 0.1)
+    monkeypatch.setattr(pfo, "POU_NEIGHBOURS", neighbours)
+    mlp = MlpModel([2, 4, 2])
+    mlp.init_params(seed=49)
+    src = mesh.assign(x.points)
+    assert np.any(cdist(x.points, mesh.centers) / 0.05 > 33)
+
+    loss, theta_grad, mhat = flowmap_markov_grad(mlp, mesh, pou, x, src,
+                                                 0.1, target)
+    y, flow_pullback = flow_rk4_vjp(mlp, x.points, 0.1, 1)
+    want = estimate_markov((x.points, y), mesh, pou).matrix
+    assert np.array_equal(mhat.matrix, want)
+    diff = want - target.matrix
+    assert loss == float(np.linalg.norm(diff)) > 0.0
+    counts = np.bincount(src, minlength=mesh.n)
+    dense_seeds = diff[src] / (loss * counts[src][:, None])
+    want_grad, _ = flow_pullback(pou.vjp(y, dense_seeds))
+    assert np.array_equal(theta_grad, want_grad)
 
 
 def test_flowmap_gradient_holds_n_by_k_arrays():

@@ -56,8 +56,8 @@ _POSITIVE = (float, Bound("> 0", lambda v: v > 0))
 _UNIT = (float, Bound("in (0, 1]", lambda v: 0 < v <= 1))
 _MMD_POINTS = (int, Bound(f"in 1..{MMD_MAX_POINTS}",
                           lambda v: 1 <= v <= MMD_MAX_POINTS))
-_SQUARE = (int, Bound("a square >= 1",
-                      lambda v: v >= 1 and math.isqrt(v) ** 2 == v))
+_SQUARE = (int, Bound("a square >= 4",
+                      lambda v: v >= 4 and math.isqrt(v) ** 2 == v))
 
 # data.seed is common although only the "sde" kind draws from it: configs
 # in use set it on "ode", and the simulate command warns that it is unused.

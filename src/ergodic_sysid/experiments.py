@@ -62,28 +62,25 @@ def _system_of(cfg: dict):
 
 def _checked(key: str, call, *args, **kwargs):
     """``call(*args, **kwargs)``, an OSError or ValueError it raises reported
-    as a config error on ``key``. For the call that reads a config value or
-    file only; a fit is never wrapped, so its failures keep exit code 3."""
+    as a config error on ``key``. Wrap only a reader of a config value or
+    file, or a builder whose only ValueError is its own precondition on the
+    config sizes ``key`` names, so the rule has one home. The fit loop is
+    never wrapped, so its failures keep exit code 3."""
     try:
         return call(*args, **kwargs)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}")
 
 
-def _delay_config(sec: dict, name: str, dim: int,
-                  n_states: int | None = None):
-    """The delay map of the section's observable, m and lag, checked
-    against the data: the observable's index against dim, and the span
-    (m - 1) lag against the ``n_states`` states it embeds, if any."""
+def _delay_config(sec: dict, name: str, dim: int):
+    """The delay map of the section's observable, m and lag, its observable
+    index checked against dim. The span (m - 1) lag is checked where the
+    map embeds a series, by ``delay_embed``, reached through ``_checked``."""
     kwargs = _given(sec, "observable", "m", "lag")
     if kwargs.get("observable", 0) >= dim:
         raise ConfigError(f"{name}.observable: index {kwargs['observable']} "
                           f"out of range for dim {dim}")
-    cfg = delay_mod.DelayMapConfig(**kwargs)
-    if n_states is not None and (cfg.m - 1) * cfg.lag >= n_states:
-        raise ConfigError(f"{name}.m, {name}.lag: {n_states} states are too "
-                          f"few for m={cfg.m}, lag={cfg.lag}")
-    return cfg
+    return delay_mod.DelayMapConfig(**kwargs)
 
 
 def _sde_paths(system: OdeSystem, diffusion_d: float, x0: np.ndarray,
@@ -294,11 +291,8 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
                 "must be > 0; map data needs fit.flow_dt set")
         build_cloud = subsample_stride(
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
-        if mesh_cfg["n_cells"] > build_cloud.n:
-            raise ConfigError(f"mesh.n_cells: {mesh_cfg['n_cells']} cells "
-                              f"for {build_cloud.n} build points")
-        mesh = pfo.build_mesh(build_cloud, mesh_cfg["n_cells"],
-                              **_seed_of(cfg, mesh_cfg))
+        mesh = _checked("mesh.n_cells", pfo.build_mesh, build_cloud,
+                        mesh_cfg["n_cells"], **_seed_of(cfg, mesh_cfg))
         sources = subsample_stride(SampleCloud(traj.states[:-1]),
                                    **_given(fit_cfg, max_points="n_sources"))
         empty = int(np.count_nonzero(np.bincount(
@@ -325,11 +319,11 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
             ("target_matrix.txt", io.write_ulam_matrix, target)))
     traj = _read_output(outdir, "trajectory.csv")
     loss = fit_cfg.get("loss", "j2")
-    dcfg = _delay_config(fit_cfg, "fit", traj.dim,
-                         None if loss == "j1" else len(traj))
+    dcfg = _delay_config(fit_cfg, "fit", traj.dim)
     model = make_model(cfg, traj.dim, traj)
-    loss_and_grad, *_ = optim.make_delay_loss(
-        traj, model, dcfg, loss, fit_cfg.get("max_points", 2000))
+    loss_and_grad, *_ = _checked(  # j2 embeds the series; j1 takes any span
+        "fit.m, fit.lag", optim.make_delay_loss, traj, model, dcfg, loss,
+        fit_cfg.get("max_points", 2000))
     return FitProblem(loss_and_grad, model, {
         "driver": "delay", "loss": loss, "m": dcfg.m, "lag": dcfg.lag,
         "observable": dcfg.observable}, {})
@@ -478,10 +472,8 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
 
     states, src, dst = catmap_dataset(n_initial, n_iters, seed)
     build = subsample_stride(SampleCloud(states), 200000)
-    if n_cells > build.n:
-        raise ConfigError(f"eval.n_cells: {n_cells} cells for {build.n} "
-                          "build points")
-    mesh_u = pfo.build_mesh(build, n_cells, seed=seed)
+    mesh_u = _checked("eval.n_cells", pfo.build_mesh, build, n_cells,
+                      seed=seed)
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u)
     pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
 
@@ -573,21 +565,24 @@ def torus_pair_diagnostics(pair_a, pair_b,
                            n_steps: int = 1000000, hist_bins: int = 16,
                            seed: int = 3) -> dict:
     """State histograms cannot separate two torus rotations; their
-    delay-coordinate measures under the delay map ``cfg`` can. Returns
-    both diagnostics plus a same-system baseline for the delay mismatch."""
+    delay-coordinate measures under the delay map ``cfg`` can. Returns both
+    diagnostics and a same-system baseline, which needs two delay vectors."""
     rng = np.random.default_rng(seed)
     x0a, x0b = rng.random(2), rng.random(2)
     # closed-form orbits: z_k = z_0 + k (alpha, beta) mod 1
     k = np.arange(n_steps)[:, None]
     orbit_a = (x0a + k * np.asarray(pair_a)) % 1.0
     orbit_b = (x0b + k * np.asarray(pair_b)) % 1.0
+    cloud_a = delay_mod.delay_embed(orbit_a, cfg)
+    cloud_b = delay_mod.delay_embed(orbit_b, cfg)
+    if cloud_a.n < 2:
+        raise ValueError(f"the split baseline needs at least two delay "
+                         f"vectors, got {cloud_a.n}")
     grid = unit_torus_grid(hist_bins)
     hist_a = occupation_measure(orbit_a, grid, clip=True)
     hist_b = occupation_measure(orbit_b, grid, clip=True)
     state_l1 = float(np.abs(hist_a.weights - hist_b.weights).sum())
 
-    cloud_a = delay_mod.delay_embed(orbit_a, cfg)
-    cloud_b = delay_mod.delay_embed(orbit_b, cfg)
     ca = subsample_stride(cloud_a)
     cb = subsample_stride(cloud_b)
     delay_mmd = energy_mmd(ca, cb)
@@ -618,11 +613,11 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
             if len(dcfg[key]) != 2:
                 raise ConfigError(f"delay.{key}: expected two numbers, got "
                                   f"{dcfg[key]}")
-        cfg_d = _delay_config(dcfg, "delay", 2, dcfg.get("n_steps"))
-        outdir.mkdir(parents=True, exist_ok=True)
-        result = torus_pair_diagnostics(
-            dcfg["pair_a"], dcfg["pair_b"], cfg_d,
+        result = _checked(
+            "delay.n_steps, delay.m, delay.lag", torus_pair_diagnostics,
+            dcfg["pair_a"], dcfg["pair_b"], _delay_config(dcfg, "delay", 2),
             **_given(dcfg, "n_steps", "hist_bins"), **_seed_of(cfg, dcfg))
+        outdir.mkdir(parents=True, exist_ok=True)
         ca, cb = result.pop("clouds")
         io.write_cloud_csv(outdir / "delay_a.csv", ca)
         io.write_cloud_csv(outdir / "delay_b.csv", cb)
@@ -630,9 +625,10 @@ def cmd_delay(cfg: dict, outdir: Path) -> dict:
         return result
     traj = _checked("delay.trajectory", io.read_trajectory_csv,
                     dcfg.get("trajectory", outdir / "trajectory.csv"))
-    cfg_d = _delay_config(dcfg, "delay", traj.dim, len(traj))
+    cfg_d = _delay_config(dcfg, "delay", traj.dim)
+    cloud = _checked("delay.m, delay.lag", delay_mod.delay_embed,
+                     traj.states, cfg_d)
     outdir.mkdir(parents=True, exist_ok=True)
-    cloud = delay_mod.delay_embed(traj.states, cfg_d)
     io.write_cloud_csv(outdir / "delay.csv", cloud)
     return {"delay": str(outdir / "delay.csv"), "n_vectors": cloud.n,
             "m": cfg_d.m}

@@ -27,17 +27,17 @@ from scipy.sparse.linalg import splu
 
 from .measure import Grid
 
-COLSUM_TOL = 1e-12
+COLSUM_TOL = 1e-12  # bound on |column sum of K| / |diagonal entry|
 STATIONARY_TOL = 1e-9  # bound on the l1 fixed-point residual of rho
 
 
 class AssemblyError(RuntimeError):
     """A column of K does not sum to zero, or is not finite."""
 
-    def __init__(self, cell: int, multi, value: float):
+    def __init__(self, cell: int, multi, value: float, diag: float):
         super().__init__(
-            f"column {cell} of K (multi-index {tuple(multi)}) has absolute "
-            f"sum {value:.3e}, not within {COLSUM_TOL:.0e} of zero")
+            f"column {cell} of K (multi-index {tuple(map(int, multi))}) has "
+            f"absolute sum {value:.3e} > {COLSUM_TOL:.0e} |K_jj| = {diag:.3e}")
         self.cell = cell
 
 
@@ -111,7 +111,8 @@ class FvmOperator:
 
 def assemble_K(grid: Grid, face_v, D: float, dt: float) -> FvmOperator:
     """Build K = sum_i (dt/dx_i) K_i with upwind advection and central
-    diffusion, validating that every column sums to zero.
+    diffusion, validating that every column sums to zero: within
+    ``COLSUM_TOL`` times the magnitude of its diagonal entry.
 
     ``face_v`` holds, per axis i, the normal velocities at the interior
     lower faces ``grid.lower_faces[i]``, as ``face_velocities`` returns;
@@ -159,9 +160,11 @@ def assemble_K(grid: Grid, face_v, D: float, dt: float) -> FvmOperator:
         shape=(n, n)).tocsr()
 
     colsums = np.abs(np.asarray(K.sum(axis=0)).ravel())
-    if not colsums.max() <= COLSUM_TOL:  # a NaN sum fails this test too
-        j = int(colsums.argmax())  # the first NaN, if there is one
-        raise AssemblyError(j, grid.flat_to_multi(j), float(colsums[j]))
+    bad = np.flatnonzero(~(colsums <= COLSUM_TOL * np.abs(diag)))  # or NaN
+    if bad.size:
+        j = int(bad[0])
+        raise AssemblyError(j, grid.flat_to_multi(j), float(colsums[j]),
+                            float(abs(diag[j])))
     return FvmOperator(grid, K, dt, face_v)
 
 

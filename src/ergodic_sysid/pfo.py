@@ -193,7 +193,7 @@ def build_mesh(samples: SampleCloud, n_cells: int,
     """
     points = samples.points
     if n_cells > points.shape[0]:
-        raise ValueError("more cells than samples")
+        raise ValueError(f"{n_cells} cells for {points.shape[0]} samples")
     rng = np.random.default_rng(seed)
     for attempt in range(KMEANS_RESTARTS):
         centers = _kmeans_pp(points, n_cells, rng)

@@ -325,6 +325,9 @@ def lorenz63(c1: float = 10.0, c2: float = 28.0,
 
 def lorenz96(dim: int = 30, forcing: float = 8.0) -> OdeSystem:
     """Cyclic Lorenz-96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + forcing."""
+    if not float(dim).is_integer():
+        raise ValueError(f"lorenz96 dim must be a whole number, got {dim}")
+    dim = int(dim)
     if dim < 4:
         raise ValueError("lorenz96 needs dim >= 4")
 

@@ -128,6 +128,19 @@ def test_simulate_lorenz96_dimension(tmp_path):
     assert len(header.split(",")) == 31
 
 
+def test_simulate_lorenz96_of_a_whole_float_dimension(tmp_path):
+    # JSON may write the dimension 6 as 6.0; it is the same system
+    cfg = {
+        "seed": 0, "out": str(tmp_path / "l96"),
+        "system": {"name": "lorenz96", "params": {"dim": 6.0}},
+        "data": {"kind": "ode", "x0": [8.0] * 5 + [8.01], "dt": 0.05,
+                 "n_steps": 20},
+    }
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    traj = io.read_trajectory_csv(tmp_path / "l96" / "trajectory.csv")
+    assert traj.states.shape == (21, 6)
+
+
 def test_histogram_weights_sum_to_one(tmp_path):
     cfg = _smoke_config(str(tmp_path / "run"))
     cfg_path = _write(tmp_path, cfg)
@@ -479,6 +492,11 @@ def _short_measure(cfg):
         lambda b: b["history"].__setitem__(0, "x")), "fit"),
     ("fit.resume_from", _resume_from_an_edited_checkpoint(
         lambda b: b["params"].__setitem__(0, "a")), "fit"),
+    ("eval.n_cells", lambda c: c.update(eval={"kind": "catmap_compare",
+                                              "n_cells": 1}), "simulate"),
+    ("system.params", lambda c: c.update(system={"name": "lorenz96",
+                                                 "params": {"dim": 6.5}}),
+     "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
         "model-kind", "embed-observable-negative", "torus-observable",
@@ -528,7 +546,8 @@ def _short_measure(cfg):
         "pfo-n_cells-above-build-points", "j2-span-past-trajectory",
         "catmap-n_cells-above-build-points", "resume-adam-without-m",
         "resume-params-a-number", "resume-history-entry-a-string",
-        "resume-param-a-string"])
+        "resume-param-a-string", "catmap-n_cells-one",
+        "lorenz96-dim-fraction"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -958,9 +977,14 @@ def _embed(row, **keys):
                                            "trajectory": str(tmp_path)}),
     ("delay.m, delay.lag", _embed("0.25,0.75", m=2, lag=3)),
     ("delay.m, delay.lag", _torus_pair(m=1001)),
+    ("delay.n_steps, delay.m, delay.lag", lambda tmp_path: {
+        "mode": "torus_pair", "pair_a": [0.41, 0.73], "pair_b": [0.73, 0.41],
+        "m": 2000000}),
+    ("delay.n_steps, delay.m, delay.lag: the split baseline needs at least "
+     "two delay vectors", _torus_pair(n_steps=1, m=1)),
 ], ids=["pair_a-three-numbers", "pair_b-strings", "pair_a-infinite",
         "trajectory-nan-row", "trajectory-a-directory", "embed-span",
-        "torus-span"])
+        "torus-span", "torus-span-default-steps", "torus-one-vector"])
 def test_delay_config_mistake_exits_2_before_any_output(key, delay, tmp_path,
                                                        capsys):
     out = tmp_path / "delay_out"

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ergodic_sysid.experiments import vdp_refinement_study
-from ergodic_sysid.fvm import (STATIONARY_TOL, AssemblyError,
+from ergodic_sysid.fvm import (COLSUM_TOL, STATIONARY_TOL, AssemblyError,
                                NonConvergenceError, RegularizedMarkov,
                                assemble_K, cfl_dt, face_velocities, frozen_dt,
                                stationary_density, teleport)
@@ -134,6 +134,20 @@ def test_assemble_rejects_a_non_finite_face():
     with pytest.raises(AssemblyError, match="absolute sum nan") as err:
         assemble_K(grid, _interior(grid, face_v), 0.1, 0.01)
     assert err.value.cell in (6 - grid.strides[1], 6)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_assemble_checks_column_sums_relative_to_the_diagonal(scale):
+    # at the frozen dt, a field grown by ``scale`` leaves column sums of
+    # K that are rounding of |K_jj| and above 1e-12 in absolute terms
+    sys = make_system("van_der_pol", c=1.0)
+    grid = Grid([-3.0, -4.0], [3.0, 4.0], [64, 64])
+    D = 0.05
+    face_v, _ = face_velocities(grid, sys)
+    op = assemble_K(grid, [scale * f for f in face_v], D,
+                    frozen_dt(grid, sys, D))
+    colsums = np.abs(np.asarray(op.K.sum(axis=0)).ravel())
+    assert np.all(colsums <= COLSUM_TOL * np.abs(op.K.diagonal()))
 
 
 def test_random_operators_markov_property():

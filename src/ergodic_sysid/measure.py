@@ -16,8 +16,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 WEIGHT_TOL = 1e-12
-# Rows of x per block of the pairwise-distance kernels.
-_CHUNK = 1024
+# Floats per block of the pairwise-distance kernels (4 MiB): a block against
+# m points has max(1, _BLOCK_FLOATS // m) rows of x.
+_BLOCK_FLOATS = 2**19
 
 
 class DomainError(ValueError):
@@ -274,27 +275,34 @@ def wasserstein2(a: SampleCloud, b: SampleCloud, n_projections: int = 64,
     return float(np.sqrt(total / n_projections))
 
 
-def _chunk_buffer(x, *others) -> np.ndarray:
+def _block_rows(m: int) -> int:
+    """Rows of x per distance block against m points."""
+    return max(1, _BLOCK_FLOATS // m)
+
+
+def _block_buffer(x, *others) -> np.ndarray:
     """One flat buffer for the largest block of x's rows against others."""
-    return np.empty(min(x.shape[0], _CHUNK) * max(o.shape[0] for o in others))
+    return np.empty(max(min(x.shape[0], _block_rows(o.shape[0])) * o.shape[0]
+                        for o in others))
 
 
 def _distance_blocks(x, y, buf):
-    """(rows, cdist(x[rows], y)) for each ``_CHUNK`` rows of x.
+    """(rows, cdist(x[rows], y)) for each ``_block_rows(len(y))`` rows of x.
 
     Every block is a C-contiguous view of the front of the flat ``buf``
     (cdist rejects any other ``out``), valid until the next is yielded.
     """
     m = y.shape[0]
-    for start in range(0, x.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
+    step = _block_rows(m)
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
         r = x[rows].shape[0]
         yield rows, cdist(x[rows], y, out=buf[:r * m].reshape(r, m))
 
 
 def _weighted_mean_distance(x, wx, y, wy) -> float:
     total = 0.0
-    for rows, block in _distance_blocks(x, y, _chunk_buffer(x, y)):
+    for rows, block in _distance_blocks(x, y, _block_buffer(x, y)):
         total += wx[rows] @ block @ wy
     return float(total)
 
@@ -314,12 +322,13 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
 
     ``y_self`` is E|Y - Y'| of the y cloud, which does not depend on x
     (``SampleCloud(y).self_distance``). Zero-distance pairs contribute zero
-    gradient (subgradient choice). The call holds one chunk buffer of
-    ``_CHUNK * max(n, m)`` floats: each block of distances, x-y and then
-    x-x, is made in it and turned into its reciprocals in place.
+    gradient (subgradient choice). The call holds one block buffer of at
+    most ``_BLOCK_FLOATS`` floats (one row, if a row is longer): each block
+    of distances, x-y and then x-x, is made in it and turned into its
+    reciprocals in place.
     """
     n, m = x.shape[0], y.shape[0]
-    buf = _chunk_buffer(x, y, x)
+    buf = _block_buffer(x, y, x)
     grad = np.zeros_like(x)
     sums = []
     for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):

@@ -4,9 +4,11 @@ All right-hand sides and map steps are vectorized over leading axes: they
 accept arrays of shape ``(..., d)`` and return a new array of the same
 shape, so single states and batches share one code path. The catalog ODEs
 write each field once, component by component (``OdeSystem.field``), and
-``_stacked`` gives its array form. ``integrate_ode`` steps its one state on
-Python floats through the field: on two or three components numpy's
-per-operation dispatch costs more than the arithmetic. Its loop is Python
+``_stacked`` gives its array form; ``lorenz96``, whose dimension is a
+parameter, keeps its ``np.roll`` array form and generates its field once
+per dimension. ``integrate_ode`` steps its one state on Python floats
+through the field: on two or three components numpy's per-operation
+dispatch costs more than the arithmetic. Its loop is Python
 source generated once per state dimension (``_rk4_loop``), the way
 ``dataclasses`` builds ``__init__``, with one local name per component:
 on Python 3.11 the list comprehensions, ``zip`` and lists of a loop
@@ -183,10 +185,14 @@ def _rk4_loop(dim: int):
             f"            {a} = {a} + h6 * ({b1} + 2.0 * {b2} + 2.0 * {b3}"
             f" + {b4})" for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)),
         bounded=" and ".join(f"abs({a}) <= limit" for a in x))
+    return _compiled(source, f"<rk4 loop, dim {dim}>")["loop"]
+
+
+def _compiled(source: str, filename: str) -> dict:
+    """The names that the generated Python ``source`` defines."""
     namespace = {}
-    exec(compile(source, f"<rk4 loop, dim {dim}>", "exec"), globals(),
-         namespace)
-    return namespace["loop"]
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace
 
 
 def integrate_ode(sys: OdeSystem, x0, dt: float, n_steps: int,
@@ -323,6 +329,28 @@ def lorenz63(c1: float = 10.0, c2: float = 28.0,
                      _stacked(field), _stacked(vjp), field)
 
 
+_LORENZ96_FIELD = """\
+def make(forcing):
+    def field({x}):
+        return {parts},
+    return field
+"""
+
+
+@cache
+def _lorenz96_field(dim: int):
+    """``make(forcing)``, which returns the Lorenz-96 ``field`` of ``dim``
+    components, compiled from ``_LORENZ96_FIELD`` once per dimension: one
+    expression per component, indices mod dim, in ``rhs``'s operation
+    order."""
+    source = _LORENZ96_FIELD.format(
+        x=", ".join(f"x{i}" for i in range(dim)),
+        parts=", ".join(
+            f"(x{(i + 1) % dim} - x{(i - 2) % dim}) * x{(i - 1) % dim}"
+            f" - x{i} + forcing" for i in range(dim)))
+    return _compiled(source, f"<lorenz96 field, dim {dim}>")["make"]
+
+
 def lorenz96(dim: int = 30, forcing: float = 8.0) -> OdeSystem:
     """Cyclic Lorenz-96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + forcing."""
     if not float(dim).is_integer():
@@ -347,7 +375,8 @@ def lorenz96(dim: int = 30, forcing: float = 8.0) -> OdeSystem:
         gm1 = np.roll(g, 1, axis=-1)
         return gm1 * xm2 + gp1 * (xp2 - xm1) - gp2 * xp1 - g
 
-    return OdeSystem("lorenz96", dim, {"forcing": forcing}, rhs, jac_vjp)
+    return OdeSystem("lorenz96", dim, {"forcing": forcing}, rhs, jac_vjp,
+                     _lorenz96_field(dim)(forcing))
 
 
 def arnold_cat() -> DiscreteMap:

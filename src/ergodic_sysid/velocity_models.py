@@ -19,6 +19,13 @@ the network. ``fvm.face_velocities`` keeps the pullback of its one pass at
 the cell centres for ``adjoint.grad_parameters``; ``flow_rk4_vjp`` chains
 the pullbacks of its stages. ``systems.OdeSystem.linearize`` gives a known
 field the same call, with a None pullback.
+
+Both passes work in place. The forward pass makes one array per layer, the
+GEMM's output, and the bias add and ``tanh`` overwrite it; the pullback
+multiplies each fresh delta by the tanh slope in place. These are the
+operations of the textbook passes in the same order, so the values and
+both gradients are the same bits, and a pass at n rows holds the
+activations plus at most two deltas of a layer's width.
 """
 
 from __future__ import annotations
@@ -101,9 +108,10 @@ class MlpModel:
         activations = [z]
         layers = self._layers
         for li, (w, b) in enumerate(layers):
-            z = z @ w.T + b
+            z = z @ w.T
+            z += b
             if li < len(layers) - 1:
-                z = np.tanh(z)
+                np.tanh(z, out=z)
             activations.append(z)
         return activations
 
@@ -112,7 +120,9 @@ class MlpModel:
         return out * self.out_scale + self.out_shift
 
     def linearize(self, X):
-        """Values at X and the pullback that reuses their activations."""
+        """Values at X and the pullback that reuses their activations.
+        The pullback writes neither the activations nor ``seeds``, so it
+        may be called again."""
         acts = self._forward(X)
         layers = self._layers
 
@@ -125,7 +135,7 @@ class MlpModel:
                 grad[bsl] = delta.sum(axis=0)
                 delta = delta @ layers[li][0]
                 if li > 0:
-                    delta = delta * (1.0 - acts[li] ** 2)
+                    delta *= _tanh_slope(acts[li])
             return grad, delta / self.in_scale
 
         return acts[-1] * self.out_scale + self.out_shift, pullback
@@ -153,6 +163,14 @@ class MlpModel:
                     blob.get("out_scale"))
         model.set_params(np.asarray(blob["theta"]))
         return model
+
+
+def _tanh_slope(a):
+    """1 - a**2, the slope of tanh where it took the values a, in one new
+    array that is freed once the caller has used it."""
+    t = np.square(a)
+    np.subtract(1.0, t, out=t)
+    return t
 
 
 def flow_rk4_vjp(velocity, X, dt: float, substeps: int = 1):

@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from ergodic_sysid import measure
+from ergodic_sysid.delay import MMD_MAX_POINTS
 from ergodic_sysid.measure import (DomainError, Grid, Measure, SampleCloud,
                                    energy_mmd, energy_mmd_grad_x,
                                    grid_objective, occupation_measure,
@@ -241,7 +242,7 @@ def _where_energy_mmd_grad_x(x, y, y_self):
     """energy_mmd_grad_x in the same blocks, with the reciprocals of the
     nonzero distances only."""
     n, m = x.shape[0], y.shape[0]
-    buf = measure._chunk_buffer(x, y, x)
+    buf = measure._block_buffer(x, y, x)
     grad = np.zeros_like(x)
     sums = []
     for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):
@@ -256,9 +257,10 @@ def _where_energy_mmd_grad_x(x, y, y_self):
 
 
 def test_energy_mmd_grad_x_across_chunks(monkeypatch):
-    # 30 x rows in chunks of 7 (the last one partial) against 25 y points;
-    # x holds a duplicate and a copy of a y point, so both the x-y and the
-    # x-x blocks hold zero distances off the diagonal
+    # 30 x rows in x-x blocks of 7 and x-y blocks of 8 against 25 y points
+    # (the last blocks partial); x holds a duplicate and a copy of a y
+    # point, so both the x-y and the x-x blocks hold zero distances off the
+    # diagonal
     rng = np.random.default_rng(13)
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=(25, 3)) + 0.4
@@ -268,7 +270,7 @@ def test_energy_mmd_grad_x_across_chunks(monkeypatch):
     one_chunk = energy_mmd_grad_x(x, y, y_self)
     where = _where_energy_mmd_grad_x(x, y, y_self)
     assert one_chunk[0] == where[0] and np.array_equal(one_chunk[1], where[1])
-    monkeypatch.setattr(measure, "_CHUNK", 7)
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", 7 * 30)
     val, grad = energy_mmd_grad_x(x, y, y_self)
     where = _where_energy_mmd_grad_x(x, y, y_self)
     assert val == where[0] and np.array_equal(grad, where[1])
@@ -288,7 +290,8 @@ def test_energy_mmd_grad_x_across_chunks(monkeypatch):
 
 
 def test_weighted_energy_mmd_across_chunks(monkeypatch):
-    monkeypatch.setattr(measure, "_CHUNK", 7)
+    # blocks of 7 rows against the 17 points of b, of 5 against a's 23
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", 7 * 17)
     rng = np.random.default_rng(14)
     a = SampleCloud(rng.normal(size=(23, 2)), rng.random(23))
     b = SampleCloud(rng.normal(size=(17, 2)) + 0.5, rng.random(17))
@@ -302,19 +305,64 @@ def test_weighted_energy_mmd_across_chunks(monkeypatch):
     assert np.isclose(energy_mmd(b, a), dense, rtol=1e-12, atol=0)
 
 
-def test_energy_mmd_grad_x_holds_one_chunk_buffer():
+def _traced_peak(fn, *args) -> int:
     # numpy reports its data buffers to tracemalloc, so the peak counts
     # every block and temporary of the call
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_mmd_grad_x_holds_one_chunk_buffer():
+    # x-x blocks of 262 rows of 2000 and x-y blocks of 349 rows of 1500
+    # share one buffer of at most the block budget
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2000, 3))
     y = rng.normal(size=(1500, 3))
-    tracemalloc.start()
-    try:
-        energy_mmd_grad_x(x, y, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 1024 * 2000 * 8
+    peak = _traced_peak(energy_mmd_grad_x, x, y, 1.0)
+    assert peak < 1.5 * measure._BLOCK_FLOATS * 8
+    # two clouds of MMD_MAX_POINTS: the budget's 4 MiB block, with room for
+    # the gradient and the per-block row vectors, stays under 8 MB (one
+    # block of 1024 full rows would be 32 MB)
+    x = rng.normal(size=(MMD_MAX_POINTS, 3))
+    y = rng.normal(size=(MMD_MAX_POINTS, 3)) + 0.3
+    assert _traced_peak(energy_mmd_grad_x, x, y, 1.0) < 8e6
+
+
+def _straddling_duplicates(rng):
+    """40 x points and 30 y points. x[2j + 1] = x[2j], so odd block heights
+    split some pairs across a block boundary; the pair at rows 10-11 is a
+    copy of y[4], and row 25 a copy of y[7] with no x twin."""
+    x = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
+    y = rng.normal(size=(30, 3)) + 0.4
+    x[10:12] = y[4]
+    x[25] = y[7]
+    return x, y
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 13])
+def test_block_budget_changes_the_mmd_only_by_rounding(monkeypatch, rows):
+    # x-x blocks of `rows` rows put the diagonal at every block offset and
+    # duplicates on both sides of block boundaries; a one-block call (the
+    # default budget) is the reference
+    rng = np.random.default_rng(17)
+    x, y = _straddling_duplicates(rng)
+    wx, wy = rng.random(40), rng.random(30)
+    y_self = SampleCloud(y).self_distance
+    one_val, one_grad = energy_mmd_grad_x(x, y, y_self)
+    one_mmd = energy_mmd(SampleCloud(x, wx), SampleCloud(y, wy))
+    assert measure._block_rows(40) >= 40
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", rows * 40)
+    assert measure._block_rows(40) == rows
+    val, grad = energy_mmd_grad_x(x, y, SampleCloud(y).self_distance)
+    mmd = energy_mmd(SampleCloud(x, wx), SampleCloud(y, wy))
+    assert np.all(np.isfinite(grad))
+    assert abs(val - one_val) <= 1e-12 * abs(one_val)
+    assert np.max(np.abs(grad - one_grad)) <= 1e-12 * np.max(np.abs(one_grad))
+    assert abs(mmd - one_mmd) <= 1e-12 * abs(one_mmd)
 
 
 def test_subsample_stride_deterministic():

@@ -265,7 +265,8 @@ def _bits(a):
 @pytest.mark.parametrize("name, params", [
     ("van_der_pol", {"c": 0.3}), ("van_der_pol", {"c": 1.0}),
     ("van_der_pol", {"c": 2.0}), ("van_der_pol", {"c": 7.25}),
-    ("lorenz63", {}), ("lorenz63", {"c1": 9.5, "c2": 31.7, "c3": 1.1})])
+    ("lorenz63", {}), ("lorenz63", {"c1": 9.5, "c2": 31.7, "c3": 1.1}),
+    ("lorenz96", {"dim": 5}), ("lorenz96", {"dim": 30, "forcing": 11.3})])
 def test_field_is_rhs_bit_for_bit(name, params):
     # the float path of integrate_ode steps the field; an x**2 in it would
     # call libm pow on floats, whose rounding may differ from numpy's
@@ -282,6 +283,15 @@ def test_field_is_rhs_bit_for_bit(name, params):
         assert np.array_equal(_bits(field), _bits(out[idx])), idx
     values, pullback = sys.linearize(batch)
     assert np.array_equal(_bits(values), _bits(out)) and pullback is None
+
+
+def test_lorenz96_field_is_compiled_once_per_dimension():
+    a, b = make_system("lorenz96", dim=8), make_system("lorenz96", dim=8,
+                                                      forcing=5.0)
+    assert a.field.__code__ is b.field.__code__
+    assert a.field(*[1.0] * 8) == (7.0,) * 8
+    assert b.field(*[1.0] * 8) == (4.0,) * 8
+    assert make_system("lorenz96", dim=9).field.__code__ is not a.field.__code__
 
 
 def test_integrate_ode_steps_the_field_not_the_rhs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,88 @@ def test_layer_views_follow_a_replaced_theta(replace):
     assert np.array_equal(values, fresh_values)
     for a, b in zip(pullback(seeds), fresh_pullback(seeds)):
         assert np.array_equal(a, b)
+
+
+def _textbook_pass(mlp, x, seeds):
+    """Values, parameter gradient and input gradient of ``mlp`` at x, each
+    step a new array, the parameters read straight from slices of theta."""
+    sizes, theta = mlp.layer_sizes, mlp.get_params()
+    layers, offset = [], 0
+    for nin, nout in zip(sizes[:-1], sizes[1:]):
+        w = slice(offset, offset + nin * nout)
+        b = slice(w.stop, w.stop + nout)
+        layers.append((w, b, theta[w].reshape(nout, nin), theta[b]))
+        offset = b.stop
+    z = (x - mlp.in_shift) / mlp.in_scale
+    acts = [z]
+    for li, (_, _, w, b) in enumerate(layers):
+        z = z @ w.T + b
+        if li < len(layers) - 1:
+            z = np.tanh(z)
+        acts.append(z)
+    grad = np.zeros_like(theta)
+    delta = seeds * mlp.out_scale
+    for li in reversed(range(len(layers))):
+        wsl, bsl, w, _ = layers[li]
+        grad[wsl] = (delta.T @ acts[li]).ravel()
+        grad[bsl] = delta.sum(axis=0)
+        delta = delta @ w
+        if li > 0:
+            delta = delta * (1.0 - acts[li] ** 2)
+    return z * mlp.out_scale + mlp.out_shift, grad, delta / mlp.in_scale
+
+
+def _whitened_mlp():
+    mlp = MlpModel([2, 64, 64, 2], in_shift=[0.3, -0.1], in_scale=[1.7, 0.6],
+                   out_shift=[-0.2, 0.5], out_scale=[2.5, 0.8])
+    mlp.init_params(seed=21)
+    return mlp
+
+
+@pytest.mark.parametrize("n", [16384, 16])
+def test_in_place_passes_equal_the_textbook_passes_bit_for_bit(n):
+    mlp = _whitened_mlp()
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(n, 2))
+    seeds = rng.normal(size=(n, 2))
+    ref_values, ref_grad, ref_xgrad = _textbook_pass(mlp, x, seeds)
+    values, pullback = mlp.linearize(x)
+    grad, xgrad = pullback(seeds)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(mlp.eval_batch(x), ref_values)
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(xgrad, ref_xgrad)
+
+
+def test_pullback_is_reusable_and_leaves_its_seeds():
+    mlp = _whitened_mlp()
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(16, 2))
+    seeds = rng.normal(size=(16, 2))
+    kept = seeds.copy()
+    _, pullback = mlp.linearize(x)
+    first = pullback(seeds)
+    second = pullback(seeds)
+    assert np.array_equal(seeds, kept)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+        assert a is not b
+
+
+def test_linearize_and_pullback_hold_two_activations_and_two_deltas():
+    # numpy reports its data buffers to tracemalloc. At 16384 rows one
+    # 64-wide array is 8 MiB: the two hidden activations plus two 64-wide
+    # deltas (the old and the new one of a GEMM, or a delta and its tanh
+    # slope) are the bound, with room for eight 2-wide arrays
+    n = 16384
+    mlp = _whitened_mlp()
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(n, 2))
+    seeds = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        mlp.linearize(x)[1](seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 + 2) * n * 64 * 8 + 8 * n * 2 * 8

@@ -295,13 +295,6 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
                         mesh_cfg["n_cells"], **_seed_of(cfg, mesh_cfg))
         sources = subsample_stride(SampleCloud(traj.states[:-1]),
                                    **_given(fit_cfg, max_points="n_sources"))
-        empty = int(np.count_nonzero(np.bincount(
-            mesh.assign(sources.points), minlength=mesh.n) == 0))
-        if empty:
-            raise ConfigError(
-                f"mesh.n_cells: {mesh.n} cells for fit.n_sources: "
-                f"{sources.n} sources leave {empty} source cells empty; "
-                "lower mesh.n_cells or raise fit.n_sources")
         pou = pfo.PartitionOfUnity(mesh.centers, pou_eps)
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
@@ -309,8 +302,9 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
         config = {"driver": "pfo", "flow_dt": flow_dt,
                   "substeps": fit_cfg.get("substeps", 1), "n_cells": mesh.n,
                   "pou_eps": pou.eps}
-        loss_and_grad = optim.make_pfo_loss(target, model, mesh, pou, sources,
-                                            flow_dt, config["substeps"])
+        loss_and_grad = _checked(
+            "mesh.n_cells, fit.n_sources", optim.make_pfo_loss, target,
+            model, mesh, pou, sources, flow_dt, config["substeps"])
         images = subsample_stride(SampleCloud(pairs[1]), 1000).points
         extras = {"pou_neighbours": pou.k,
                   "pou_dropped_mass": pfo.dropped_mass(pou, images)}

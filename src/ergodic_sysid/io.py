@@ -74,6 +74,11 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
+# checkpoints and reports are plain JSON dicts
+write_checkpoint = _dump_json
+read_checkpoint = read_report_json = _load_json
+
+
 def write_measure_json(path, m: Measure):
     g = m.support
     _dump_json(path, {"weights": m.weights.tolist(),
@@ -149,14 +154,6 @@ def read_ulam_matrix(path) -> UlamMatrix:
     return UlamMatrix(mat, eps=float(fields["eps"]))
 
 
-def write_checkpoint(path, payload: dict):
-    _dump_json(path, payload)
-
-
-def read_checkpoint(path) -> dict:
-    return _load_json(path)
-
-
 def load_model(blob: dict):
     if blob.get("kind") == "mlp":
         return MlpModel.from_checkpoint(blob)
@@ -165,7 +162,3 @@ def load_model(blob: dict):
 
 def write_report_json(path, report):
     _dump_json(path, report.to_dict())
-
-
-def read_report_json(path) -> dict:
-    return _load_json(path)

@@ -342,12 +342,10 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
             inv_sum = d.sum(axis=1, keepdims=True)
             # other zero distances come from duplicate points: their rows
             # sum to inf, and are summed again without them
-            dup = np.flatnonzero(np.isinf(inv_sum[:, 0]))
-            if dup.size:
-                block = d[dup]
-                block[np.isinf(block)] = 0.0
-                d[dup] = block
-                inv_sum[dup] = block.sum(axis=1, keepdims=True)
+            for r in np.flatnonzero(np.isinf(inv_sum[:, 0])):
+                row = d[r]
+                row[np.isinf(row)] = 0.0
+                inv_sum[r] = row.sum()
             # d|x - y|/dx = (x - y)/|x - y|
             grad[rows] += sign * (x[rows] * inv_sum - d @ other) / pairs
         sums.append(total)

@@ -218,7 +218,15 @@ def make_fvm_loss(target: Measure, velocity, grid, D: float, eps_tele: float,
 def make_pfo_loss(target_matrix: UlamMatrix, velocity,
                   mesh: UnstructuredMesh, pou: PartitionOfUnity,
                   sources: SampleCloud, flow_dt: float, substeps: int = 1):
+    """The flow-map Ulam fit's closure. Row i of its matrix averages the
+    sources in mesh cell i, so a cell without a source raises ``ValueError``
+    naming the cell, source and empty-cell counts."""
     src = mesh.assign(sources.points)
+    empty = mesh.n - np.unique(src).size
+    if empty:
+        raise ValueError(f"{mesh.n} cells for {sources.n} sources leave "
+                         f"{empty} source cells empty; use fewer cells or "
+                         "more sources")
 
     def loss_and_grad(theta):
         velocity.set_params(theta)

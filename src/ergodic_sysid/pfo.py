@@ -60,14 +60,6 @@ class MeshBuildError(RuntimeError):
     """Lloyd iterations kept producing empty cells."""
 
 
-class EstimationError(RuntimeError):
-    """A source cell with no samples where a row average is needed."""
-
-    def __init__(self, cell: int):
-        super().__init__(f"source cell {cell} received no samples")
-        self.cell = cell
-
-
 def _nearest_two(points: np.ndarray, centers: np.ndarray):
     """(index, d_nearest, d_second) of each point: the index of its nearest
     center as ``assign_nearest`` gives it, and the kd-tree's distances to
@@ -426,12 +418,10 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     ``src`` holds each source's mesh cell, as ``mesh.assign`` gives it.
     Reverse mode runs through the smoothed cell weights and the RK4 stages;
     mesh centers stay frozen. Returns (loss, theta_grad, matrix). A mesh
-    cell without sources raises ``EstimationError``.
+    cell without sources has a zero row, which ``UlamMatrix`` rejects.
     """
     x = sources.points
     counts = np.bincount(src, minlength=mesh.n)
-    if np.any(counts == 0):
-        raise EstimationError(int(np.argmin(counts)))
     y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
     (idx, psi), pou_pullback = pou.linearize(y)
     mhat = UlamMatrix(_row_average(src, counts, idx, psi), mesh, pou.eps)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ergodic_sysid
-from ergodic_sysid import io
+from ergodic_sysid import io, pfo
 from ergodic_sysid.cli import main
 from ergodic_sysid.config import (SCHEMA, SECTION_READERS, Selected,
                                   load_config, validate_config)
@@ -605,6 +605,21 @@ def test_fit_problem_closure_passes_fd_check_and_writes_nothing(name,
     assert sorted((tmp_path / "run").iterdir()) == written
 
 
+def test_pfo_fit_problem_assigns_each_point_set_once(tmp_path, monkeypatch):
+    # the target estimate assigns the 1500 transition sources and the loss
+    # the 300 fit sources; no other pass checks the source cells
+    cfg = json.loads((_CONFIGS / "smoke_pfo.json").read_text())
+    cfg["out"] = str(tmp_path / "run")
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    rows = []
+    assign = pfo.assign_nearest
+    monkeypatch.setattr(pfo, "assign_nearest", lambda points, centers: (
+        rows.append(len(points)) or assign(points, centers)))
+    fit_problem(load_config(cfg_path), tmp_path / "run")
+    assert rows == [1500, 300]
+
+
 def test_fvm_density_eval_of_a_delay_fit_exits_2(tmp_path, capsys):
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
                       / "smoke_delay.json").read_text())
@@ -673,7 +688,7 @@ def test_pfo_fit_with_empty_source_cells_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fit", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
-    assert "mesh.n_cells: 60" in err and "fit.n_sources: 40" in err
+    assert "mesh.n_cells, fit.n_sources: 60 cells for 40 sources" in err
     empty = re.search(r"leave (\d+) source cells empty", err)
     assert empty and int(empty.group(1)) >= 20
     assert not (tmp_path / "run" / "report.json").exists()

@@ -330,6 +330,10 @@ def test_energy_mmd_grad_x_holds_one_chunk_buffer():
     x = rng.normal(size=(MMD_MAX_POINTS, 3))
     y = rng.normal(size=(MMD_MAX_POINTS, 3)) + 0.3
     assert _traced_peak(energy_mmd_grad_x, x, y, 1.0) < 8e6
+    # every x row a duplicate: its zero distances are cleared row by row in
+    # the block, not in a copy of the duplicate rows
+    x = np.repeat(rng.normal(size=(MMD_MAX_POINTS // 4, 3)), 2, axis=0)
+    assert _traced_peak(energy_mmd_grad_x, x, y, 1.0) < 8e6
 
 
 def _straddling_duplicates(rng):

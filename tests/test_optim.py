@@ -12,7 +12,8 @@ from ergodic_sysid.optim import (AdamState, _run_loop, adam_step,
                                  clip_by_global_norm,
                                  finite_difference_check, make_delay_loss,
                                  make_fvm_loss, make_pfo_loss)
-from ergodic_sysid.pfo import PartitionOfUnity, build_mesh, estimate_markov
+from ergodic_sysid.pfo import (PartitionOfUnity, UlamMatrix, UnstructuredMesh,
+                               build_mesh, estimate_markov)
 from ergodic_sysid.systems import OdeSystem, integrate_ode, make_system
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
 
@@ -124,6 +125,17 @@ def test_pfo_fit_truth_is_noise_floor():
                                   cloud, 0.05)
     val, _ = loss_and_grad(np.zeros(0))
     assert val == 0.0  # same integrator, same sources
+
+
+def test_pfo_loss_rejects_an_empty_source_cell():
+    # every source lies in cell 0, so cell 1 has no row to average
+    sources = SampleCloud(np.full((10, 2), 0.1))
+    mesh = UnstructuredMesh(np.array([[0.0, 0.0], [5.0, 5.0]]))
+    pou = PartitionOfUnity(mesh.centers, 0.5)
+    with pytest.raises(ValueError, match="2 cells for 10 sources leave 1 "
+                                         "source cells empty"):
+        make_pfo_loss(UlamMatrix(np.eye(2)), _field(lambda z: -z), mesh, pou,
+                      sources, 0.1)
 
 
 def _wrap_system(sys):

@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 from ergodic_sysid import pfo
 from ergodic_sysid.fvm import RegularizedMarkov, stationary_density
 from ergodic_sysid.measure import SampleCloud
-from ergodic_sysid.pfo import (EstimationError, MeshBuildError,
-                               PartitionOfUnity, UlamMatrix,
+from ergodic_sysid.pfo import (MeshBuildError, PartitionOfUnity,
+                               UlamMatrix,
                                UnstructuredMesh, build_mesh, estimate_markov,
                                flowmap_markov_grad, invariant_density)
 from ergodic_sysid.systems import (IntegrationBlowupError, OdeSystem,
@@ -599,7 +599,7 @@ def test_flowmap_gradient_rejects_an_empty_source_cell():
     mesh = UnstructuredMesh(np.array([[0.0, 0.0], [5.0, 5.0]]))
     pou = PartitionOfUnity(mesh.centers, 0.5)
     target = UlamMatrix(np.eye(2))
-    with pytest.raises(EstimationError):
+    with pytest.raises(ValueError, match="stochasticity violated"):
         flowmap_markov_grad(_field(lambda z: -z), mesh, pou, x,
                             mesh.assign(x.points), 0.1, target)
 

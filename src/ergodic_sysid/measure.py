@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 WEIGHT_TOL = 1e-12
-# Floats per block of the pairwise-distance kernels (4 MiB): a block against
-# m points has max(1, _BLOCK_FLOATS // m) rows of x.
-_BLOCK_FLOATS = 2**19
+# Floats per block of the pairwise-distance kernels (1 MiB, so that a block
+# and the rows it is made from stay in a 2 MiB per-core L2 cache): a block of
+# x against m points has max(1, _BLOCK_FLOATS // m) rows, and a tile of x
+# against itself isqrt(_BLOCK_FLOATS) points on a side.
+_BLOCK_FLOATS = 2**17
 
 
 class DomainError(ValueError):
@@ -140,6 +143,8 @@ class Measure:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite weight in measure")
         if np.any(w < -WEIGHT_TOL):
             raise ValueError("negative weight in measure")
         w = np.maximum(w, 0.0)
@@ -171,9 +176,14 @@ class SampleCloud:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (points.shape[0],):
                 raise ValueError("weights must match the number of points")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("non-finite sample weight")
             if np.any(w < 0):
                 raise ValueError("negative sample weight")
-            object.__setattr__(self, "weights", w / w.sum())
+            total = w.sum()
+            if total == 0:
+                raise ValueError("sample weights sum to zero")
+            object.__setattr__(self, "weights", w / total)
 
     @property
     def n(self) -> int:
@@ -192,8 +202,7 @@ class SampleCloud:
     def self_distance(self) -> float:
         """E|Y - Y'| under the weights, the constant term of every energy
         distance against this cloud: computed on first use, then kept."""
-        w = self.effective_weights()
-        return _weighted_mean_distance(self.points, w, self.points, w)
+        return _weighted_self_distance(self.points, self.effective_weights())
 
 
 def subsample_stride(cloud: SampleCloud, max_points: int = 4000) -> SampleCloud:
@@ -280,10 +289,19 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_FLOATS // m)
 
 
-def _block_buffer(x, *others) -> np.ndarray:
-    """One flat buffer for the largest block of x's rows against others."""
-    return np.empty(max(min(x.shape[0], _block_rows(o.shape[0])) * o.shape[0]
-                        for o in others))
+def _tile_side() -> int:
+    """Points per side of a square distance tile of x against itself."""
+    return isqrt(_BLOCK_FLOATS)
+
+
+def _block_floats(x, y) -> int:
+    """Floats in the largest block of x's rows against y."""
+    return min(x.shape[0], _block_rows(y.shape[0])) * y.shape[0]
+
+
+def _tile_floats(x) -> int:
+    """Floats in the largest tile of x against itself."""
+    return min(x.shape[0], _tile_side()) ** 2
 
 
 def _distance_blocks(x, y, buf):
@@ -300,11 +318,51 @@ def _distance_blocks(x, y, buf):
         yield rows, cdist(x[rows], y, out=buf[:r * m].reshape(r, m))
 
 
+def _distance_tiles(x, buf):
+    """(I, J, cdist(x[I], x[J])) for the slices I <= J of ``_tile_side()``
+    points of x: each unordered pair of distinct points is in one tile, a
+    diagonal tile (I == J) holding both orders of its pairs.
+
+    Every tile is a C-contiguous view of the front of the flat ``buf``,
+    valid until the next is yielded.
+    """
+    n = x.shape[0]
+    side = _tile_side()
+    for i in range(0, n, side):
+        I = slice(i, min(i + side, n))
+        for j in range(i, n, side):
+            J = slice(j, min(j + side, n))
+            r, c = I.stop - i, J.stop - j
+            yield I, J, cdist(x[I], x[J], out=buf[:r * c].reshape(r, c))
+
+
 def _weighted_mean_distance(x, wx, y, wy) -> float:
     total = 0.0
-    for rows, block in _distance_blocks(x, y, _block_buffer(x, y)):
+    for rows, block in _distance_blocks(x, y, np.empty(_block_floats(x, y))):
         total += wx[rows] @ block @ wy
     return float(total)
+
+
+def _weighted_self_distance(x, w) -> float:
+    """sum_ij w_i w_j |x_i - x_j|, each unordered pair computed once."""
+    total = 0.0
+    for I, J, d in _distance_tiles(x, np.empty(_tile_floats(x))):
+        t = w[I] @ d @ w[J]
+        total += t if I == J else 2.0 * t
+    return float(total)
+
+
+def _inverse_row_sums(d) -> np.ndarray:
+    """Row sums, as a column, of the reciprocal distances d. Zero distances
+    other than a tile's own diagonal, zeroed by the caller, come from
+    duplicate points: their rows sum to inf, are cleared of it in place and
+    summed again, so that d holds no inf afterwards."""
+    sums = d.sum(axis=1, keepdims=True)
+    for r in np.flatnonzero(np.isinf(sums[:, 0])):
+        row = d[r]
+        row[np.isinf(row)] = 0.0
+        sums[r] = row.sum()
+    return sums
 
 
 def energy_mmd(a: SampleCloud, b: SampleCloud) -> float:
@@ -322,32 +380,34 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
 
     ``y_self`` is E|Y - Y'| of the y cloud, which does not depend on x
     (``SampleCloud(y).self_distance``). Zero-distance pairs contribute zero
-    gradient (subgradient choice). The call holds one block buffer of at
-    most ``_BLOCK_FLOATS`` floats (one row, if a row is longer): each block
-    of distances, x-y and then x-x, is made in it and turned into its
+    gradient (subgradient choice). The call holds one buffer of at most
+    ``_BLOCK_FLOATS`` floats (one row, if a row of x against y is longer).
+    The x-y distances are made in it in blocks of rows of x, the x-x
+    distances in square tiles of x against itself: an off-diagonal tile is
+    made once, and serves its rows through its row sums and its columns
+    through its column sums. Each block or tile is turned into its
     reciprocals in place.
     """
     n, m = x.shape[0], y.shape[0]
-    buf = _block_buffer(x, y, x)
+    buf = np.empty(max(_block_floats(x, y), _tile_floats(x)))
     grad = np.zeros_like(x)
-    sums = []
-    for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):
-        total = 0.0
-        for rows, d in _distance_blocks(x, other, buf):
-            total += d.sum()
-            with np.errstate(divide="ignore"):
-                np.reciprocal(d, out=d)
-            if other is x:  # |x_i - x_i| on the diagonal of x-x
-                np.fill_diagonal(d[:, rows.start:], 0.0)
-            inv_sum = d.sum(axis=1, keepdims=True)
-            # other zero distances come from duplicate points: their rows
-            # sum to inf, and are summed again without them
-            for r in np.flatnonzero(np.isinf(inv_sum[:, 0])):
-                row = d[r]
-                row[np.isinf(row)] = 0.0
-                inv_sum[r] = row.sum()
-            # d|x - y|/dx = (x - y)/|x - y|
-            grad[rows] += sign * (x[rows] * inv_sum - d @ other) / pairs
-        sums.append(total)
-    val = sums[0] / (n * m) - 0.5 * sums[1] / (n * n) - 0.5 * y_self
+    # d|x - y|/dx = (x - y)/|x - y|
+    cross = 0.0
+    for rows, d in _distance_blocks(x, y, buf):
+        cross += d.sum()
+        with np.errstate(divide="ignore"):
+            np.reciprocal(d, out=d)
+        grad[rows] += (x[rows] * _inverse_row_sums(d) - d @ y) / (n * m)
+    own = 0.0
+    for I, J, d in _distance_tiles(x, buf):
+        diagonal = I == J
+        own += d.sum() if diagonal else 2.0 * d.sum()
+        with np.errstate(divide="ignore"):
+            np.reciprocal(d, out=d)
+        if diagonal:  # |x_i - x_i|
+            np.fill_diagonal(d, 0.0)
+        grad[I] -= (x[I] * _inverse_row_sums(d) - d @ x[J]) / (n * n)
+        if not diagonal:
+            grad[J] -= (x[J] * d.sum(axis=0)[:, None] - d.T @ x[I]) / (n * n)
+    val = cross / (n * m) - 0.5 * own / (n * n) - 0.5 * y_self
     return float(val), grad

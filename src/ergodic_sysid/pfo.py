@@ -350,6 +350,8 @@ class UlamMatrix:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("non-finite transition probability")
         sums = self.matrix.sum(axis=1)
         if np.any(self.matrix < -ROWSUM_TOL):
             raise ValueError("negative transition probability")

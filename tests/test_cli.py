@@ -265,6 +265,13 @@ def _short_measure(cfg):
     return _measure_file(cfg, {"weights": [1.0 / 59] * 59, "grid": _GRID_8X8})
 
 
+def _nan_weight_measure(cfg):
+    # NaN compares false with every bound, so only a finiteness check
+    # stops it before the fit's first loss
+    return _measure_file(cfg, {"weights": [float("nan")] + [1.0 / 63] * 63,
+                               "grid": _GRID_8X8})
+
+
 @pytest.mark.parametrize("key, edit, command", [
     ("system.name", lambda c: c["system"].update(name="vanderpol"),
      "simulate"),
@@ -340,6 +347,8 @@ def _short_measure(cfg):
     ("fit.target", lambda c: c["fit"].update(target=_weightless_measure(c)),
      "fit"),
     ("fit.target", lambda c: c["fit"].update(target=_short_measure(c)),
+     "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=_nan_weight_measure(c)),
      "fit"),
     ("model.mask_learned", lambda c: c["model"].update(mask_learned=[0]),
      "fit"),
@@ -513,6 +522,7 @@ def _short_measure(cfg):
         "sde-diffusion-negative", "refinement-eps_tele-zero",
         "refinement-eps_tele-above-one", "target-without-grid",
         "target-without-weights", "target-weights-short-of-grid",
+        "target-weight-nan",
         "model-mask_learned", "model-whiten", "fit-objective-quadratic",
         "data-x0-auto", "data-x0-wrong-length", "data-substeps-negative",
         "data-substeps-zero", "fit-substeps-zero", "data-n_steps-zero",

@@ -65,6 +65,10 @@ def test_measure_normalization_enforced():
         Measure(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         Measure(np.array([1.5, -0.5]))
+    # NaN compares false with every bound, so it needs its own check
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            Measure(bad)
     for seed in range(20):
         w = np.random.default_rng(seed).random(17)
         m = Measure(w / w.sum())
@@ -239,28 +243,32 @@ def _dense_energy_mmd_grad_x(x, y, y_self):
 
 
 def _where_energy_mmd_grad_x(x, y, y_self):
-    """energy_mmd_grad_x in the same blocks, with the reciprocals of the
-    nonzero distances only."""
+    """energy_mmd_grad_x in the same x-y blocks and x-x tiles, with the
+    reciprocals of the nonzero distances only."""
     n, m = x.shape[0], y.shape[0]
-    buf = measure._block_buffer(x, y, x)
+    buf = np.empty(n * max(n, m))
     grad = np.zeros_like(x)
-    sums = []
-    for other, pairs, sign in ((y, n * m, 1.0), (x, n * n, -1.0)):
-        total = 0.0
-        for rows, d in measure._distance_blocks(x, other, buf):
-            total += d.sum()
-            np.divide(1.0, d, out=d, where=d > 0)
-            grad[rows] += sign * (x[rows] * d.sum(axis=1, keepdims=True)
-                                  - d @ other) / pairs
-        sums.append(total)
-    return sums[0] / (n * m) - 0.5 * sums[1] / (n * n) - 0.5 * y_self, grad
+    cross = own = 0.0
+    for rows, d in measure._distance_blocks(x, y, buf):
+        cross += d.sum()
+        np.divide(1.0, d, out=d, where=d > 0)
+        grad[rows] += (x[rows] * d.sum(axis=1, keepdims=True)
+                       - d @ y) / (n * m)
+    for I, J, d in measure._distance_tiles(x, buf):
+        own += (1.0 if I == J else 2.0) * d.sum()
+        np.divide(1.0, d, out=d, where=d > 0)
+        grad[I] -= (x[I] * d.sum(axis=1, keepdims=True) - d @ x[J]) / (n * n)
+        if I != J:
+            grad[J] -= (x[J] * d.sum(axis=0)[:, None]
+                        - d.T @ x[I]) / (n * n)
+    return cross / (n * m) - 0.5 * own / (n * n) - 0.5 * y_self, grad
 
 
 def test_energy_mmd_grad_x_across_chunks(monkeypatch):
-    # 30 x rows in x-x blocks of 7 and x-y blocks of 8 against 25 y points
-    # (the last blocks partial); x holds a duplicate and a copy of a y
-    # point, so both the x-y and the x-x blocks hold zero distances off the
-    # diagonal
+    # 30 x rows in x-x tiles of 14 points a side and x-y blocks of 8 rows
+    # against 25 y points (the last tiles and block partial); x holds a
+    # duplicate and a copy of a y point, so both the x-y blocks and the x-x
+    # tiles hold zero distances off the diagonal
     rng = np.random.default_rng(13)
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=(25, 3)) + 0.4
@@ -317,21 +325,21 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_energy_mmd_grad_x_holds_one_chunk_buffer():
-    # x-x blocks of 262 rows of 2000 and x-y blocks of 349 rows of 1500
+    # x-x tiles of 362 points a side and x-y blocks of 87 rows of 1500
     # share one buffer of at most the block budget
     rng = np.random.default_rng(15)
     x = rng.normal(size=(2000, 3))
     y = rng.normal(size=(1500, 3))
     peak = _traced_peak(energy_mmd_grad_x, x, y, 1.0)
     assert peak < 1.5 * measure._BLOCK_FLOATS * 8
-    # two clouds of MMD_MAX_POINTS: the budget's 4 MiB block, with room for
+    # two clouds of MMD_MAX_POINTS: the budget's 1 MiB block, with room for
     # the gradient and the per-block row vectors, stays under 8 MB (one
     # block of 1024 full rows would be 32 MB)
     x = rng.normal(size=(MMD_MAX_POINTS, 3))
     y = rng.normal(size=(MMD_MAX_POINTS, 3)) + 0.3
     assert _traced_peak(energy_mmd_grad_x, x, y, 1.0) < 8e6
     # every x row a duplicate: its zero distances are cleared row by row in
-    # the block, not in a copy of the duplicate rows
+    # the block or tile, not in a copy of the duplicate rows
     x = np.repeat(rng.normal(size=(MMD_MAX_POINTS // 4, 3)), 2, axis=0)
     assert _traced_peak(energy_mmd_grad_x, x, y, 1.0) < 8e6
 
@@ -367,6 +375,80 @@ def test_block_budget_changes_the_mmd_only_by_rounding(monkeypatch, rows):
     assert abs(val - one_val) <= 1e-12 * abs(one_val)
     assert np.max(np.abs(grad - one_grad)) <= 1e-12 * np.max(np.abs(one_grad))
     assert abs(mmd - one_mmd) <= 1e-12 * abs(one_mmd)
+
+
+def _dense_weighted_energy_mmd(a, b):
+    mean = {(s, t): s.weights @ cdist(s.points, t.points) @ t.weights
+            for s in (a, b) for t in (a, b)}
+    return mean[a, b] - 0.5 * mean[a, a] - 0.5 * mean[b, b]
+
+
+@pytest.mark.parametrize("side", [1, 3, 5, 7])
+def test_duplicates_across_an_off_diagonal_tile(monkeypatch, side):
+    # with an odd tile side, the twins x[side - 1] = x[side] fall in two
+    # tiles: the inf of their zero distance sits in a row sum and a column
+    # sum of the same off-diagonal tile
+    rng = np.random.default_rng(19)
+    x, y = _straddling_duplicates(rng)
+    wx, wy = rng.random(40), rng.random(30)
+    y_self = SampleCloud(y).self_distance
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", side * side)
+    assert measure._tile_side() == side
+    assert any(I != J and np.any(d == 0) for I, J, d in
+               measure._distance_tiles(x, np.empty(side * side)))
+    val, grad = energy_mmd_grad_x(x, y, y_self)
+    ref_val, ref_grad = _dense_energy_mmd_grad_x(x, y, y_self)
+    assert np.all(np.isfinite(grad))
+    assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
+    assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+    a, b = SampleCloud(x, wx), SampleCloud(y, wy)
+    assert np.isclose(energy_mmd(a, b), _dense_weighted_energy_mmd(a, b),
+                      rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("budget", [1, 4, 30, 49, 120, 2**17])
+def test_each_unordered_x_x_pair_is_computed_once(monkeypatch, budget):
+    # the x-x tiles fill at most half the n x n distances, plus the other
+    # half of the diagonal tiles; the x-y blocks fill n x m
+    rng = np.random.default_rng(20)
+    x, y = _straddling_duplicates(rng)
+    wx, wy = rng.random(40), rng.random(30)
+    y_self = SampleCloud(y).self_distance
+    ref_val, ref_grad = _dense_energy_mmd_grad_x(x, y, y_self)
+    a, b = SampleCloud(x, wx), SampleCloud(y, wy)
+    ref_mmd = _dense_weighted_energy_mmd(a, b)
+    filled = []
+    dense = measure.cdist
+
+    def counting(*args, **kwargs):
+        out = dense(*args, **kwargs)
+        filled.append(out.size)
+        return out
+
+    monkeypatch.setattr(measure, "cdist", counting)
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", budget)
+    side = measure._tile_side()
+    val, grad = energy_mmd_grad_x(x, y, y_self)
+    assert sum(filled) <= 40 * 30 + (40 * 40 + 40 * side) / 2
+    assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
+    assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+    # E|X - X'| and E|Y - Y'| of the weighted clouds, on the same tiles
+    filled.clear()
+    mmd = energy_mmd(a, b)
+    assert sum(filled) <= 40 * 30 + (40 * 40 + 40 * side) / 2 \
+        + (30 * 30 + 30 * side) / 2
+    assert np.isclose(mmd, ref_mmd, rtol=1e-12, atol=0)
+
+
+def test_sample_cloud_rejects_weights_that_do_not_normalize():
+    pts = np.zeros((3, 2))
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="non-finite sample weight"):
+            SampleCloud(pts, bad)
+    with pytest.raises(ValueError, match="sum to zero"):
+        SampleCloud(pts, np.zeros(3))
+    with pytest.raises(ValueError, match="negative sample weight"):
+        SampleCloud(pts, [1.0, -0.5, 0.5])
 
 
 def test_subsample_stride_deterministic():

@@ -604,6 +604,14 @@ def test_flowmap_gradient_rejects_an_empty_source_cell():
                             mesh.assign(x.points), 0.1, target)
 
 
+def test_ulam_matrix_rejects_non_finite_entries():
+    # a NaN row sum compares false with the tolerance, so the row-sum check
+    # alone would let it through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite transition"):
+            UlamMatrix([[bad, 0.5], [0.5, 0.5]])
+
+
 def test_eps_to_zero_consistency():
     rng = np.random.default_rng(10)
     x = rng.random((2000, 2))

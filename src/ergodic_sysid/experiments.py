@@ -291,8 +291,9 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
                 "must be > 0; map data needs fit.flow_dt set")
         build_cloud = subsample_stride(
             SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
-        mesh = _checked("mesh.n_cells", pfo.build_mesh, build_cloud,
-                        mesh_cfg["n_cells"], **_seed_of(cfg, mesh_cfg))
+        mesh = _checked("mesh.n_cells, mesh.build_subsample", pfo.build_mesh,
+                        build_cloud, mesh_cfg["n_cells"],
+                        **_seed_of(cfg, mesh_cfg))
         sources = subsample_stride(SampleCloud(traj.states[:-1]),
                                    **_given(fit_cfg, max_points="n_sources"))
         pou = pfo.PartitionOfUnity(mesh.centers, pou_eps)

@@ -17,10 +17,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 WEIGHT_TOL = 1e-12
-# Floats per block of the pairwise-distance kernels (1 MiB, so that a block
-# and the rows it is made from stay in a 2 MiB per-core L2 cache): a block of
-# x against m points has max(1, _BLOCK_FLOATS // m) rows, and a tile of x
-# against itself isqrt(_BLOCK_FLOATS) points on a side.
+# Floats per tile of the pairwise distances (1 MiB, so that a tile and the
+# rows it is made from stay in a 2 MiB per-core L2 cache); see _tiles.
 _BLOCK_FLOATS = 2**17
 
 
@@ -202,7 +200,7 @@ class SampleCloud:
     def self_distance(self) -> float:
         """E|Y - Y'| under the weights, the constant term of every energy
         distance against this cloud: computed on first use, then kept."""
-        return _weighted_self_distance(self.points, self.effective_weights())
+        return _weighted_distance(self.points, self.effective_weights())
 
 
 def subsample_stride(cloud: SampleCloud, max_points: int = 4000) -> SampleCloud:
@@ -284,71 +282,40 @@ def wasserstein2(a: SampleCloud, b: SampleCloud, n_projections: int = 64,
     return float(np.sqrt(total / n_projections))
 
 
-def _block_rows(m: int) -> int:
-    """Rows of x per distance block against m points."""
-    return max(1, _BLOCK_FLOATS // m)
-
-
-def _tile_side() -> int:
-    """Points per side of a square distance tile of x against itself."""
-    return isqrt(_BLOCK_FLOATS)
-
-
-def _block_floats(x, y) -> int:
-    """Floats in the largest block of x's rows against y."""
-    return min(x.shape[0], _block_rows(y.shape[0])) * y.shape[0]
-
-
-def _tile_floats(x) -> int:
-    """Floats in the largest tile of x against itself."""
-    return min(x.shape[0], _tile_side()) ** 2
-
-
-def _distance_blocks(x, y, buf):
-    """(rows, cdist(x[rows], y)) for each ``_block_rows(len(y))`` rows of x.
-
-    Every block is a C-contiguous view of the front of the flat ``buf``
-    (cdist rejects any other ``out``), valid until the next is yielded.
-    """
-    m = y.shape[0]
-    step = _block_rows(m)
-    for start in range(0, x.shape[0], step):
-        rows = slice(start, start + step)
-        r = x[rows].shape[0]
-        yield rows, cdist(x[rows], y, out=buf[:r * m].reshape(r, m))
-
-
-def _distance_tiles(x, buf):
-    """(I, J, cdist(x[I], x[J])) for the slices I <= J of ``_tile_side()``
-    points of x: each unordered pair of distinct points is in one tile, a
-    diagonal tile (I == J) holding both orders of its pairs.
-
-    Every tile is a C-contiguous view of the front of the flat ``buf``,
-    valid until the next is yielded.
+def _tiles(x, y=None):
+    """(I, J, cdist(x[I], y[J])) over every pair of x against y, in one
+    buffer of at most ``_BLOCK_FLOATS`` floats, each valid until the next is
+    yielded. Against y, I is ``max(1, _BLOCK_FLOATS // len(y))`` rows of x
+    and J all of y. With y left out, I <= J are the square tiles of
+    ``isqrt(_BLOCK_FLOATS)`` points of x against itself: each unordered
+    pair of distinct points is in one tile, and only a diagonal tile
+    (I == J) holds both orders of its pairs.
     """
     n = x.shape[0]
-    side = _tile_side()
-    for i in range(0, n, side):
-        I = slice(i, min(i + side, n))
-        for j in range(i, n, side):
-            J = slice(j, min(j + side, n))
-            r, c = I.stop - i, J.stop - j
-            yield I, J, cdist(x[I], x[J], out=buf[:r * c].reshape(r, c))
+    if y is None:
+        side = isqrt(_BLOCK_FLOATS)
+        y, size = x, min(n, side) ** 2
+        pairs = [(slice(i, i + side), slice(j, j + side))
+                 for i in range(0, n, side) for j in range(i, n, side)]
+    else:
+        rows = max(1, _BLOCK_FLOATS // y.shape[0])
+        size = min(n, rows) * y.shape[0]
+        pairs = [(slice(i, i + rows), slice(None)) for i in range(0, n, rows)]
+    buf = np.empty(size)  # flat, as cdist accepts only a C-contiguous out
+    for I, J in pairs:
+        r, c = x[I].shape[0], y[J].shape[0]
+        yield I, J, cdist(x[I], y[J], out=buf[:r * c].reshape(r, c))
 
 
-def _weighted_mean_distance(x, wx, y, wy) -> float:
+def _weighted_distance(x, wx, y=None, wy=None) -> float:
+    """sum_ij wx_i wy_j |x_i - y_j|; with y left out, of x against itself
+    under wx, each unordered pair computed once."""
+    if y is None:
+        wy = wx
     total = 0.0
-    for rows, block in _distance_blocks(x, y, np.empty(_block_floats(x, y))):
-        total += wx[rows] @ block @ wy
-    return float(total)
-
-
-def _weighted_self_distance(x, w) -> float:
-    """sum_ij w_i w_j |x_i - x_j|, each unordered pair computed once."""
-    total = 0.0
-    for I, J, d in _distance_tiles(x, np.empty(_tile_floats(x))):
-        t = w[I] @ d @ w[J]
-        total += t if I == J else 2.0 * t
+    for I, J, d in _tiles(x, y):
+        t = wx[I] @ d @ wy[J]
+        total += 2.0 * t if y is None and I != J else t
     return float(total)
 
 
@@ -369,9 +336,30 @@ def energy_mmd(a: SampleCloud, b: SampleCloud) -> float:
     """Energy-distance MMD: E|X-Y| - E|X-X'|/2 - E|Y-Y'|/2 (V-statistic)."""
     if a.dim != b.dim:
         raise SupportMismatchError("clouds have different dimensions")
-    cross = _weighted_mean_distance(a.points, a.effective_weights(),
-                                    b.points, b.effective_weights())
+    cross = _weighted_distance(a.points, a.effective_weights(),
+                               b.points, b.effective_weights())
     return max(cross - 0.5 * a.self_distance - 0.5 * b.self_distance, 0.0)
+
+
+def _distance_grad(x, y, grad, scale) -> float:
+    """Sum of |x_i - y_j| over the tiles of x against y (x against itself
+    with y None), adding its gradient in x, divided by ``scale``, to grad.
+    Each tile is turned into its reciprocals in place; an off-diagonal tile
+    of x against itself serves its rows through its row sums and its
+    columns through its column sums."""
+    other = x if y is None else y
+    total = 0.0
+    for I, J, d in _tiles(x, y):
+        twice = y is None and I != J
+        total += 2.0 * d.sum() if twice else d.sum()
+        with np.errstate(divide="ignore"):
+            np.reciprocal(d, out=d)
+        if I == J:  # |x_i - x_i|
+            np.fill_diagonal(d, 0.0)
+        grad[I] += (x[I] * _inverse_row_sums(d) - d @ other[J]) / scale
+        if twice:
+            grad[J] += (x[J] * d.sum(axis=0)[:, None] - d.T @ x[I]) / scale
+    return total
 
 
 def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
@@ -380,34 +368,15 @@ def energy_mmd_grad_x(x: np.ndarray, y: np.ndarray,
 
     ``y_self`` is E|Y - Y'| of the y cloud, which does not depend on x
     (``SampleCloud(y).self_distance``). Zero-distance pairs contribute zero
-    gradient (subgradient choice). The call holds one buffer of at most
+    gradient (subgradient choice). The x-y pass runs over the ``_tiles`` of
+    x against y, the x-x pass over those of x against itself, which hold
+    each unordered pair once. Each pass holds one buffer of at most
     ``_BLOCK_FLOATS`` floats (one row, if a row of x against y is longer).
-    The x-y distances are made in it in blocks of rows of x, the x-x
-    distances in square tiles of x against itself: an off-diagonal tile is
-    made once, and serves its rows through its row sums and its columns
-    through its column sums. Each block or tile is turned into its
-    reciprocals in place.
     """
     n, m = x.shape[0], y.shape[0]
-    buf = np.empty(max(_block_floats(x, y), _tile_floats(x)))
     grad = np.zeros_like(x)
     # d|x - y|/dx = (x - y)/|x - y|
-    cross = 0.0
-    for rows, d in _distance_blocks(x, y, buf):
-        cross += d.sum()
-        with np.errstate(divide="ignore"):
-            np.reciprocal(d, out=d)
-        grad[rows] += (x[rows] * _inverse_row_sums(d) - d @ y) / (n * m)
-    own = 0.0
-    for I, J, d in _distance_tiles(x, buf):
-        diagonal = I == J
-        own += d.sum() if diagonal else 2.0 * d.sum()
-        with np.errstate(divide="ignore"):
-            np.reciprocal(d, out=d)
-        if diagonal:  # |x_i - x_i|
-            np.fill_diagonal(d, 0.0)
-        grad[I] -= (x[I] * _inverse_row_sums(d) - d @ x[J]) / (n * n)
-        if not diagonal:
-            grad[J] -= (x[J] * d.sum(axis=0)[:, None] - d.T @ x[I]) / (n * n)
+    cross = _distance_grad(x, y, grad, n * m)
+    own = _distance_grad(x, None, grad, -(n * n))
     val = cross / (n * m) - 0.5 * own / (n * n) - 0.5 * y_self
     return float(val), grad

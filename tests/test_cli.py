@@ -488,6 +488,9 @@ def _nan_weight_measure(cfg):
     ("mesh.n_cells", lambda c: c.update(mesh={"n_cells": 5000,
                                               "pou_eps": 0.05},
                                         fit={"driver": "pfo"}), "fit"),
+    ("mesh.build_subsample", lambda c: c.update(mesh={
+        "n_cells": 12, "pou_eps": 0.05, "build_subsample": 5},
+        fit={"driver": "pfo"}), "fit"),
     ("fit.m, fit.lag", lambda c: c.update(fit={"driver": "delay", "m": 400}),
      "fit"),
     ("eval.n_cells", lambda c: c.update(eval={
@@ -553,7 +556,8 @@ def _nan_weight_measure(cfg):
         "lorenz96-dim-below-four", "system-param-infinite",
         "fit-lr-infinite", "grid-lo-infinite", "resume-not-json",
         "resume-a-directory", "target-a-directory",
-        "pfo-n_cells-above-build-points", "j2-span-past-trajectory",
+        "pfo-n_cells-above-build-points", "pfo-build_subsample-below-n_cells",
+        "j2-span-past-trajectory",
         "catmap-n_cells-above-build-points", "resume-adam-without-m",
         "resume-params-a-number", "resume-history-entry-a-string",
         "resume-param-a-string", "catmap-n_cells-one",

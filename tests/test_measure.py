@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -246,15 +247,14 @@ def _where_energy_mmd_grad_x(x, y, y_self):
     """energy_mmd_grad_x in the same x-y blocks and x-x tiles, with the
     reciprocals of the nonzero distances only."""
     n, m = x.shape[0], y.shape[0]
-    buf = np.empty(n * max(n, m))
     grad = np.zeros_like(x)
     cross = own = 0.0
-    for rows, d in measure._distance_blocks(x, y, buf):
+    for rows, _, d in measure._tiles(x, y):
         cross += d.sum()
         np.divide(1.0, d, out=d, where=d > 0)
         grad[rows] += (x[rows] * d.sum(axis=1, keepdims=True)
                        - d @ y) / (n * m)
-    for I, J, d in measure._distance_tiles(x, buf):
+    for I, J, d in measure._tiles(x):
         own += (1.0 if I == J else 2.0) * d.sum()
         np.divide(1.0, d, out=d, where=d > 0)
         grad[I] -= (x[I] * d.sum(axis=1, keepdims=True) - d @ x[J]) / (n * n)
@@ -357,8 +357,9 @@ def _straddling_duplicates(rng):
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 13])
 def test_block_budget_changes_the_mmd_only_by_rounding(monkeypatch, rows):
-    # x-x blocks of `rows` rows put the diagonal at every block offset and
-    # duplicates on both sides of block boundaries; a one-block call (the
+    # a budget of `rows` rows of x against its own 40 points: the x-y
+    # blocks and x-x tiles it makes put the diagonal at every tile offset
+    # and duplicates on both sides of tile boundaries; a one-tile call (the
     # default budget) is the reference
     rng = np.random.default_rng(17)
     x, y = _straddling_duplicates(rng)
@@ -366,9 +367,9 @@ def test_block_budget_changes_the_mmd_only_by_rounding(monkeypatch, rows):
     y_self = SampleCloud(y).self_distance
     one_val, one_grad = energy_mmd_grad_x(x, y, y_self)
     one_mmd = energy_mmd(SampleCloud(x, wx), SampleCloud(y, wy))
-    assert measure._block_rows(40) >= 40
+    assert max(d.shape[0] for *_, d in measure._tiles(x, x)) == 40
     monkeypatch.setattr(measure, "_BLOCK_FLOATS", rows * 40)
-    assert measure._block_rows(40) == rows
+    assert max(d.shape[0] for *_, d in measure._tiles(x, x)) == rows
     val, grad = energy_mmd_grad_x(x, y, SampleCloud(y).self_distance)
     mmd = energy_mmd(SampleCloud(x, wx), SampleCloud(y, wy))
     assert np.all(np.isfinite(grad))
@@ -393,9 +394,8 @@ def test_duplicates_across_an_off_diagonal_tile(monkeypatch, side):
     wx, wy = rng.random(40), rng.random(30)
     y_self = SampleCloud(y).self_distance
     monkeypatch.setattr(measure, "_BLOCK_FLOATS", side * side)
-    assert measure._tile_side() == side
-    assert any(I != J and np.any(d == 0) for I, J, d in
-               measure._distance_tiles(x, np.empty(side * side)))
+    assert next(measure._tiles(x))[2].shape == (side, side)
+    assert any(I != J and np.any(d == 0) for I, J, d in measure._tiles(x))
     val, grad = energy_mmd_grad_x(x, y, y_self)
     ref_val, ref_grad = _dense_energy_mmd_grad_x(x, y, y_self)
     assert np.all(np.isfinite(grad))
@@ -409,7 +409,8 @@ def test_duplicates_across_an_off_diagonal_tile(monkeypatch, side):
 @pytest.mark.parametrize("budget", [1, 4, 30, 49, 120, 2**17])
 def test_each_unordered_x_x_pair_is_computed_once(monkeypatch, budget):
     # the x-x tiles fill at most half the n x n distances, plus the other
-    # half of the diagonal tiles; the x-y blocks fill n x m
+    # half of the diagonal tiles; the x-y blocks fill n x m. No tile holds
+    # more than the budget, or one row of the m = 30 points of y
     rng = np.random.default_rng(20)
     x, y = _straddling_duplicates(rng)
     wx, wy = rng.random(40), rng.random(30)
@@ -427,9 +428,10 @@ def test_each_unordered_x_x_pair_is_computed_once(monkeypatch, budget):
 
     monkeypatch.setattr(measure, "cdist", counting)
     monkeypatch.setattr(measure, "_BLOCK_FLOATS", budget)
-    side = measure._tile_side()
+    side = isqrt(budget)
     val, grad = energy_mmd_grad_x(x, y, y_self)
     assert sum(filled) <= 40 * 30 + (40 * 40 + 40 * side) / 2
+    assert max(filled) <= max(budget, 30)
     assert np.isclose(val, ref_val, rtol=1e-13, atol=0)
     assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
     # E|X - X'| and E|Y - Y'| of the weighted clouds, on the same tiles
@@ -437,7 +439,25 @@ def test_each_unordered_x_x_pair_is_computed_once(monkeypatch, budget):
     mmd = energy_mmd(a, b)
     assert sum(filled) <= 40 * 30 + (40 * 40 + 40 * side) / 2 \
         + (30 * 30 + 30 * side) / 2
+    assert max(filled) <= max(budget, 30)
     assert np.isclose(mmd, ref_mmd, rtol=1e-12, atol=0)
+
+
+def test_clouds_sharing_one_points_array(monkeypatch):
+    # a cloud keeps the caller's float array, so two clouds with different
+    # weights can hold one points object: the x-y sums must still take it
+    # as a second cloud, in blocks of 2 rows, not in the x-x tiles of 10
+    monkeypatch.setattr(measure, "_BLOCK_FLOATS", 100)
+    rng = np.random.default_rng(21)
+    pts = rng.normal(size=(50, 2))
+    a, b = SampleCloud(pts, rng.random(50)), SampleCloud(pts, rng.random(50))
+    assert a.points is b.points
+    dense = _dense_weighted_energy_mmd(a, b)
+    assert dense > 1e-3
+    assert np.isclose(energy_mmd(a, b), dense, rtol=1e-12, atol=0)
+    val, grad = energy_mmd_grad_x(pts, pts, 0.3)
+    copy_val, copy_grad = energy_mmd_grad_x(pts, pts.copy(), 0.3)
+    assert val == copy_val and np.array_equal(grad, copy_grad)
 
 
 def test_sample_cloud_rejects_weights_that_do_not_normalize():

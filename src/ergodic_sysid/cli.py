@@ -47,10 +47,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging():
-    level = os.environ.get("ERGODIC_SYSID_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("ERGODIC_SYSID_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())  # a number for a level name
+    known = isinstance(level, int)
+    logging.basicConfig(level=level if known else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+    if not known:
+        log.warning("ERGODIC_SYSID_LOG: %r is not a log level name; logging "
+                    "at WARNING", name)
 
 
 def main(argv=None) -> int:

@@ -74,30 +74,27 @@ SCHEMA = {
         "map": {},
     }),
     "grid": {"lo": (list, float), "hi": (list, float),
-             "n_per_dim": (list, _INT2),
-             "auto_box_margin": _NONNEG, "clip": bool},
-    "mesh": {"n_cells": _INT1, "pou_eps": _POSITIVE,
-             "build_subsample": _INT1, "seed": _INT0},
+             "n_per_dim": (list, _INT2), "auto_box_margin": _NONNEG},
+    "mesh": {"n_cells": _INT1, "pou_eps": _POSITIVE, "seed": _INT0},
     "model": {"hidden": (list, _INT1), "seed": _INT0},
     "fit": Selected("driver", "fvm", {
         "lr": _POSITIVE, "n_iters": _INT0, "checkpoint_every": _INT0,
-        "clip_norm": _NONNEG, "seed": _INT0, "resume_from": str,
+        "seed": _INT0, "resume_from": str,
     }, {
         "fvm": {"objective": (str, ("l2", "kl")), "eps_tele": _UNIT,
                 "diffusion": _NONNEG, "target": str},
-        "pfo": {"flow_dt": _POSITIVE, "substeps": _INT1, "n_sources": _INT1},
+        "pfo": {"substeps": _INT1, "n_sources": _INT1},
         "delay": {"loss": (str, ("j1", "j2")), "m": _INT1, "lag": _INT1,
                   "observable": _INT0, "max_points": _MMD_POINTS},
     }),
     "eval": Selected("kind", "fvm_density", {"seed": _INT0}, {
         "fvm_density": {"n_sim_steps": _INT1, "sim_dt": _POSITIVE,
-                        "sim_burn_in": _INT0, "n_projections": _INT1,
-                        "max_points": _INT1, "diffusion": _NONNEG},
+                        "n_projections": _INT1, "max_points": _INT1},
         "catmap_compare": {"n_cells": _SQUARE, "n_initial": _INT1,
                            "n_iters": _INT1, "quad_points": _INT1},
-        "refinement": {"grids": (list, _INT2), "eps_tele": _UNIT,
-                       "n_sde_steps": _INT1, "sde_dt": _POSITIVE,
-                       "max_points": _INT1, "diffusion": _NONNEG},
+        "refinement": {"grids": (list, _INT2), "n_sde_steps": _INT1,
+                       "sde_dt": _POSITIVE, "max_points": _INT1,
+                       "diffusion": _NONNEG},
     }),
     "delay": Selected("mode", "embed", {
         "m": _INT1, "lag": _INT1, "observable": _INT0,

@@ -32,6 +32,9 @@ log = logging.getLogger("ergodic_sysid")
 # batch-1 model call; 8 to 32 paths all cost about the same on the bench's
 # 2-64-64-2 field, a quarter of one path's time for the same pooled steps.
 SIM_PATHS = 16
+MESH_BUILD_POINTS = 20000  # strided states the pfo mesh is clustered from
+# teleport weight of the refinement and cat-map reference densities
+REF_EPS_TELE = 1e-8
 
 
 def _given(sec: dict, *keys, **renamed) -> dict:
@@ -196,7 +199,7 @@ def cmd_histogram(cfg: dict, outdir: Path) -> dict:
     grid_cfg = section(cfg, "grid")
     traj = _read_output(outdir, "trajectory.csv")
     grid = build_grid(grid_cfg, traj.states)
-    m = occupation_measure(traj.states, grid, **_given(grid_cfg, "clip"))
+    m = occupation_measure(traj.states, grid)
     path = outdir / "measure.json"
     io.write_measure_json(path, m)
     log.info("wrote %s (%d cells)", path, m.n)
@@ -255,18 +258,20 @@ class FitProblem(NamedTuple):
 def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
     """The fit of the config's fit section on the outputs in ``outdir``:
     its inputs read and checked, its model and closure built. Each default
-    that the report records is set here. Writes nothing."""
+    that the report records, bar the loop's n_iters, lr and clip norm, is
+    set here. The pfo driver flows over the trajectory's dt, which spaces
+    the pairs of its target matrix. Writes nothing."""
     fit_cfg = section(cfg, "fit")
     driver = fit_cfg["driver"]
+    traj = _read_output(outdir, "trajectory.csv") if driver != "fvm" or (
+        outdir / "trajectory.csv").exists() else None
+    if driver != "delay" and traj is not None and traj.dt <= 0:
+        raise ConfigError(f"fit.driver: {driver!r} fits a velocity field, "
+                          f"and map data (dt {traj.dt}) has none")
     if driver == "fvm":
         target = _checked("fit.target", io.read_measure_json,
                           fit_cfg.get("target", outdir / "measure.json"))
         grid = target.support
-        traj = _read_output(outdir, "trajectory.csv") \
-            if (outdir / "trajectory.csv").exists() else None
-        if traj is not None and traj.dt <= 0:
-            raise ConfigError(f"fit.driver: 'fvm' fits a velocity field, "
-                              f"and map data (dt {traj.dt}) has none")
         if traj is not None and traj.dim != grid.dim:
             raise ConfigError(
                 f"fit.target: its grid is {grid.dim}-D, but the model is "
@@ -283,36 +288,28 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
     if driver == "pfo":
         mesh_cfg = section(cfg, "mesh")
         pou_eps = mesh_cfg["pou_eps"]
-        traj = _read_output(outdir, "trajectory.csv")
-        flow_dt = fit_cfg.get("flow_dt", traj.dt)
-        if flow_dt <= 0:
-            raise ConfigError(
-                f"fit.flow_dt: the default, the trajectory's dt {traj.dt}, "
-                "must be > 0; map data needs fit.flow_dt set")
-        build_cloud = subsample_stride(
-            SampleCloud(traj.states), mesh_cfg.get("build_subsample", 20000))
-        mesh = _checked("mesh.n_cells, mesh.build_subsample", pfo.build_mesh,
-                        build_cloud, mesh_cfg["n_cells"],
-                        **_seed_of(cfg, mesh_cfg))
+        build_cloud = subsample_stride(SampleCloud(traj.states),
+                                       MESH_BUILD_POINTS)
+        mesh = _checked("mesh.n_cells", pfo.build_mesh, build_cloud,
+                        mesh_cfg["n_cells"], **_seed_of(cfg, mesh_cfg))
         sources = subsample_stride(SampleCloud(traj.states[:-1]),
                                    **_given(fit_cfg, max_points="n_sources"))
         pou = pfo.PartitionOfUnity(mesh.centers, pou_eps)
         pairs = (traj.states[:-1], traj.states[1:])
         target = pfo.estimate_markov(pairs, mesh, pou)
-        model = make_model(cfg, traj.dim, traj, flow_dt)
-        config = {"driver": "pfo", "flow_dt": flow_dt,
+        model = make_model(cfg, traj.dim, traj, traj.dt)
+        config = {"driver": "pfo", "flow_dt": traj.dt,
                   "substeps": fit_cfg.get("substeps", 1), "n_cells": mesh.n,
                   "pou_eps": pou.eps}
         loss_and_grad = _checked(
             "mesh.n_cells, fit.n_sources", optim.make_pfo_loss, target,
-            model, mesh, pou, sources, flow_dt, config["substeps"])
+            model, mesh, pou, sources, traj.dt, config["substeps"])
         images = subsample_stride(SampleCloud(pairs[1]), 1000).points
         extras = {"pou_neighbours": pou.k,
                   "pou_dropped_mass": pfo.dropped_mass(pou, images)}
         return FitProblem(loss_and_grad, model, config, extras, (
             ("mesh.json", io.write_mesh_json, mesh),
             ("target_matrix.txt", io.write_ulam_matrix, target)))
-    traj = _read_output(outdir, "trajectory.csv")
     loss = fit_cfg.get("loss", "j2")
     dcfg = _delay_config(fit_cfg, "fit", traj.dim)
     model = make_model(cfg, traj.dim, traj)
@@ -339,7 +336,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     report = optim._run_loop(
         problem.loss_and_grad, problem.model, problem.config,
-        **_given(fit_cfg, "n_iters", "lr", "clip_norm", "checkpoint_every"),
+        **_given(fit_cfg, "n_iters", "lr", "checkpoint_every"),
         **_seed_of(cfg, fit_cfg),
         save=lambda blob: io.write_checkpoint(
             outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
@@ -364,13 +361,13 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     """Simulate the fitted field and compare occupation statistics against
     the observed samples; also dump the surrogate stationary density.
 
-    The simulation runs ``SIM_PATHS`` independent paths, started from
-    observed states strided along the trajectory. Each path discards the
-    full ``eval.sim_burn_in`` steps. After that the paths together record
-    the ``eval.n_sim_steps - eval.sim_burn_in`` steps of one path of
-    ``eval.n_sim_steps`` (rounded up to a multiple of the path count), and
-    their states are pooled. The noise floor is the distance between the
-    pooled states of one half of the paths and those of the other half.
+    The simulation runs ``SIM_PATHS`` independent paths at the fit's D,
+    started from observed states strided along the trajectory. Each path
+    discards b = min(5000, n // 10) steps, n being ``eval.n_sim_steps``.
+    After that the paths together record the n - b steps of one path of n
+    steps (rounded up to a multiple of the path count), and their states
+    are pooled. The noise floor is the distance between the pooled states
+    of one half of the paths and those of the other half.
     The pooled W2 of many short paths hides a field that leaves the data
     slowly, so ``sim_max_escape`` reports the largest distance of a
     recorded state from the observed states' bounding box.
@@ -379,10 +376,7 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
     thin = _given(ev, "max_points")
     sim_dt = ev.get("sim_dt", 0.01)
     n_sim = ev.get("n_sim_steps", 200000)
-    burn = ev.get("sim_burn_in", min(5000, n_sim // 10))
-    if burn >= n_sim:
-        raise ConfigError(f"eval.sim_burn_in: {burn} is not below "
-                          f"eval.n_sim_steps = {n_sim}")
+    burn = min(5000, n_sim // 10)
     traj = _read_output(outdir, "trajectory.csv")
     b = subsample_stride(SampleCloud(traj.states), **thin)
     report = _read_output(outdir, "report.json")
@@ -393,7 +387,7 @@ def eval_fvm_density(cfg: dict, outdir: Path) -> dict:
                           f"{fit_cfg['driver']} fit")
     model = io.load_model(_read_output(outdir, "model.json"))
     grid = _read_output(outdir, "measure.json").support
-    D = ev.get("diffusion", fit_cfg["D"])
+    D = fit_cfg["D"]
     seed = _seed_of(cfg, ev).get("seed", 1)
     starts = subsample_stride(SampleCloud(traj.states), SIM_PATHS).points
     fitted = OdeSystem("fitted", traj.dim, {}, model.eval_batch)
@@ -470,12 +464,12 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
     mesh_u = _checked("eval.n_cells", pfo.build_mesh, build, n_cells,
                       seed=seed)
     m_unstructured = pfo.estimate_markov((src, dst), mesh_u)
-    pi_u = pfo.invariant_density(m_unstructured, eps_tele=1e-8)
+    pi_u = pfo.invariant_density(m_unstructured, REF_EPS_TELE)
 
     grid = unit_torus_grid(math.isqrt(n_cells))
     mesh_g = pfo.UnstructuredMesh(grid.centers())
     m_uniform = pfo.estimate_markov((src, dst), mesh_g)
-    pi_g = pfo.invariant_density(m_uniform, eps_tele=1e-8)
+    pi_g = pfo.invariant_density(m_uniform, REF_EPS_TELE)
 
     rng = np.random.default_rng(seed + 1)
     quad = rng.random((quad_points, 2))
@@ -495,9 +489,8 @@ def eval_catmap_compare(cfg: dict, outdir: Path) -> dict:
 
 
 def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
-                         eps_tele: float = 1e-8, n_sde_steps: int = 1000000,
-                         sde_dt: float = 1e-3, seed: int = 11,
-                         max_points: int = 4000) -> dict:
+                         n_sde_steps: int = 1000000, sde_dt: float = 1e-3,
+                         seed: int = 11, max_points: int = 4000) -> dict:
     """Stationary-density error of the true field across grid resolutions.
 
     The reference is the pooled occupation measure of ``SIM_PATHS``
@@ -520,7 +513,7 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
         face_v, _ = fvm.face_velocities(grid, system)
         op = fvm.assemble_K(grid, face_v, diffusion,
                             fvm.frozen_dt(grid, system, diffusion))
-        rho = fvm.stationary_density(fvm.teleport(op, eps_tele))
+        rho = fvm.stationary_density(fvm.teleport(op, REF_EPS_TELE))
         keep = rho > 0
         dens_cloud = SampleCloud(grid.centers()[keep], rho[keep])
         w2 = wasserstein2(dens_cloud, ref, seed=seed)
@@ -533,8 +526,8 @@ def vdp_refinement_study(grids=(25, 50, 100), diffusion: float = 1e-3,
 def eval_refinement(cfg: dict, outdir: Path) -> dict:
     ev = section(cfg, "eval")
     result = vdp_refinement_study(
-        **_given(ev, "grids", "diffusion", "eps_tele", "n_sde_steps",
-                 "sde_dt", "max_points"), **_seed_of(cfg, ev))
+        **_given(ev, "grids", "diffusion", "n_sde_steps", "sde_dt",
+                 "max_points"), **_seed_of(cfg, ev))
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_checkpoint(outdir / "metrics.json", result)
     table = np.array([[r["n_per_dim"], r["w2"]] for r in result["rows"]])

@@ -33,6 +33,8 @@ from .systems import Trajectory
 
 # iterations of a fit whose caller does not set n_iters
 N_ITERS = 500
+# largest global gradient norm an Adam step takes; a longer one is scaled
+CLIP_NORM = 10.0
 
 
 @dataclass
@@ -72,7 +74,7 @@ def adam_step(state: AdamState, params: np.ndarray,
 
 def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
     norm = float(np.linalg.norm(grads))
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         return grads * (max_norm / norm)
     return grads
 
@@ -122,6 +124,9 @@ def parse_checkpoint(blob, n_params: int, n_iters: int):
     if not (params.shape == m.shape == v.shape == (n_params,)
             and np.all(np.isfinite([params, m, v]))):
         raise ValueError(f"no fit checkpoint of {n_params} finite parameters")
+    if adam["t"] != len(history) or not np.all(np.isfinite(history)):
+        raise ValueError(f"no fit checkpoint: adam.t {adam['t']!r} must "
+                         f"count its {len(history)} losses, all finite")
     if len(history) > n_iters:
         raise ValueError(f"the resume checkpoint holds {len(history)} "
                          f"iterations, more than n_iters {n_iters}")
@@ -130,12 +135,11 @@ def parse_checkpoint(blob, n_params: int, n_iters: int):
 
 def _run_loop(loss_and_grad: Callable, model, config: dict, *,
               n_iters: int = N_ITERS, lr: float = 1e-3, seed: int = 0,
-              clip_norm: float = 10.0, checkpoint_every: int = 0,
-              save: Optional[Callable] = None,
+              checkpoint_every: int = 0, save: Optional[Callable] = None,
               resume: Optional[dict] = None) -> FitReport:
     """Adam loop on the model's parameters until the history holds n_iters
     losses (total, so a resumed run executes only the remaining iterations).
-    The report's config is ``config`` with n_iters, lr and clip_norm added.
+    The report's config is ``config`` with n_iters, lr and CLIP_NORM added.
 
     Every ``checkpoint_every`` iterations ``save`` gets the checkpoint blob
     {"iteration", "params", "adam", "history"}; ``resume`` takes such a
@@ -165,15 +169,14 @@ def _run_loop(loss_and_grad: Callable, model, config: dict, *,
         history.append(float(loss))
         if initial_loss is None:
             initial_loss = float(loss)
-        grad = clip_by_global_norm(grad, clip_norm)
+        grad = clip_by_global_norm(grad, CLIP_NORM)
         params = adam_step(state, params, grad)
         if checkpoint_every > 0 and len(history) % checkpoint_every == 0:
             save({"iteration": len(history), "params": params.tolist(),
                   "adam": state.to_dict(), "history": list(history)})
     model.set_params(params)
     return FitReport(history, params, time.perf_counter() - start,
-                     dict(config, n_iters=n_iters, lr=lr,
-                          clip_norm=clip_norm),
+                     dict(config, n_iters=n_iters, lr=lr, clip_norm=CLIP_NORM),
                      seed, initial_loss=initial_loss)
 
 

@@ -97,13 +97,14 @@ def test_cli_module_exit_codes_as_a_process(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
-    def simulate(edit):
+    def simulate(edit, **log):
         cfg = _smoke_config(str(tmp_path / "run"))
         edit(cfg["data"])
         return subprocess.run(
             [sys.executable, "-m", "ergodic_sysid.cli", "simulate",
              "--config", _write(tmp_path, cfg)],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=dict(env, **log),
+            timeout=120)
 
     ok = simulate(lambda data: None)
     assert ok.returncode == 0, ok.stderr
@@ -114,6 +115,14 @@ def test_cli_module_exit_codes_as_a_process(tmp_path):
     blowup = simulate(lambda data: data.update(x0=[1e6, 1e6]))
     assert blowup.returncode == 3
     assert "non-finite state at step 1" in blowup.stderr
+    # a log level that is no level name says so and logs at WARNING; the
+    # name of a logging module constant that is no level once crashed
+    for value in ("verbose", "basic_format"):
+        run = simulate(lambda data: None, ERGODIC_SYSID_LOG=value)
+        assert run.returncode == 0, run.stderr
+        assert (f"WARNING ergodic_sysid: ERGODIC_SYSID_LOG: {value!r} is "
+                "not a log level name") in run.stderr
+        assert "WARNING ergodic_sysid: data.seed" in run.stderr
 
 
 def test_simulate_lorenz96_dimension(tmp_path):
@@ -153,7 +162,7 @@ def test_histogram_weights_sum_to_one(tmp_path):
 def test_histogram_out_of_box_strict_exits_3(tmp_path):
     cfg = _smoke_config(str(tmp_path / "run"))
     cfg["grid"] = {"lo": [-0.1, -0.1], "hi": [0.1, 0.1],
-                   "n_per_dim": [4, 4], "clip": False}
+                   "n_per_dim": [4, 4]}
     cfg_path = _write(tmp_path, cfg)
     assert main(["simulate", "--config", cfg_path]) == 0
     assert main(["histogram", "--config", cfg_path]) == 3
@@ -200,7 +209,7 @@ def _map_data(cfg) -> np.ndarray:
 
 
 def _pfo_fit_of_map_data(cfg):
-    """A pfo fit of map data, with no fit.flow_dt."""
+    """A pfo fit of map data."""
     _map_data(cfg)
     cfg.update(fit={"driver": "pfo"}, mesh={"n_cells": 4, "pou_eps": 0.05})
 
@@ -466,7 +475,7 @@ def _nan_weight_measure(cfg):
     ("grid.n_per_dim", lambda c: c["grid"].update(n_per_dim=[]),
      "simulate"),
     ("model.hidden", lambda c: c["model"].update(hidden=[]), "simulate"),
-    ("fit.flow_dt", _pfo_fit_of_map_data, "fit"),
+    ("fit.driver", _pfo_fit_of_map_data, "fit"),
     ("fit.driver", _fvm_fit_of_map_data, "fit"),
     ("fit.target", _fvm_fit_of_a_1d_target, "fit"),
     ("fit.resume_from", _resume_delay_fit_from("checkpoint_000005.json",
@@ -508,6 +517,31 @@ def _nan_weight_measure(cfg):
                                               "n_cells": 1}), "simulate"),
     ("system.params", lambda c: c.update(system={"name": "lorenz96",
                                                  "params": {"dim": 6.5}}),
+     "simulate"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["adam"].update(t=0)), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["adam"].update(t=2.5)), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["adam"].update(t=-3)), "fit"),
+    ("fit.resume_from", _resume_from_an_edited_checkpoint(
+        lambda b: b["history"].__setitem__(0, float("nan"))), "fit"),
+    ("fit.clip_norm", lambda c: c["fit"].update(clip_norm=5.0), "fit"),
+    ("fit.flow_dt", lambda c: c.update(
+        fit={"driver": "pfo", "flow_dt": 0.05, "n_iters": 1},
+        mesh={"n_cells": 4, "pou_eps": 0.05}), "fit"),
+    ("mesh.build_subsample", lambda c: c.update(
+        fit={"driver": "pfo", "n_iters": 1},
+        mesh={"n_cells": 4, "pou_eps": 0.05, "build_subsample": 1000}),
+     "fit"),
+    ("grid.clip", lambda c: c["grid"].update(clip=True), "histogram"),
+    ("eval.sim_burn_in", lambda c: c.update(eval={"sim_burn_in": 10}),
+     "simulate"),
+    ("eval.diffusion", lambda c: c.update(eval={"kind": "fvm_density",
+                                                "diffusion": 0.05}),
+     "simulate"),
+    ("eval.eps_tele", lambda c: c.update(eval={"kind": "refinement",
+                                               "eps_tele": 1e-6}),
      "simulate"),
 ], ids=["unknown-system", "unknown-param", "missing-n_steps",
         "missing-n_cells", "observable-too-large", "observable-negative",
@@ -561,7 +595,12 @@ def _nan_weight_measure(cfg):
         "catmap-n_cells-above-build-points", "resume-adam-without-m",
         "resume-params-a-number", "resume-history-entry-a-string",
         "resume-param-a-string", "catmap-n_cells-one",
-        "lorenz96-dim-fraction"])
+        "lorenz96-dim-fraction", "resume-adam-t-zero",
+        "resume-adam-t-fraction", "resume-adam-t-negative",
+        "resume-history-nan", "deleted-fit-clip_norm",
+        "deleted-pfo-flow_dt", "deleted-mesh-build_subsample",
+        "deleted-grid-clip", "deleted-eval-sim_burn_in",
+        "deleted-fvm_density-diffusion", "deleted-refinement-eps_tele"])
 def test_config_mistake_exits_2_naming_the_key(key, edit, command, tmp_path,
                                                capsys):
     good = _smoke_config(str(tmp_path / "run"))
@@ -648,18 +687,21 @@ def test_fvm_density_eval_of_a_delay_fit_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
-def test_pfo_fit_of_map_data_whitens_by_fit_flow_dt(tmp_path):
+def test_pfo_fit_whitens_by_the_trajectory_dt(tmp_path):
     # the output affine of the velocity model holds the statistics of the
-    # finite-difference velocities over fit.flow_dt, not over the dt 0 of
-    # the map data
+    # finite-difference velocities over the trajectory's dt, the step that
+    # the fit flows over and records
     cfg = _smoke_config(str(tmp_path / "run"))
-    (tmp_path / "run").mkdir()
-    orbit = _map_data(cfg)
-    cfg.update(fit={"driver": "pfo", "flow_dt": 0.1, "n_iters": 1},
+    cfg.update(fit={"driver": "pfo", "n_iters": 1},
                mesh={"n_cells": 4, "pou_eps": 0.05})
-    assert main(["fit", "--config", _write(tmp_path, cfg)]) == 0
+    cfg_path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert main(["fit", "--config", cfg_path]) == 0
+    traj = io.read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
     model = io.read_checkpoint(tmp_path / "run" / "model.json")
-    v = np.diff(orbit, axis=0) / 0.1
+    report = io.read_report_json(tmp_path / "run" / "report.json")
+    assert traj.dt == report["config"]["flow_dt"] == 0.5
+    v = np.diff(traj.states, axis=0) / 0.5
     assert np.allclose(model["out_shift"], v.mean(axis=0), rtol=1e-12)
     assert np.allclose(model["out_scale"], v.std(axis=0), rtol=1e-12)
 
@@ -771,6 +813,27 @@ def test_selector_sections_give_each_key_one_home():
     for name, (owner, values) in SECTION_READERS.items():
         assert name in SCHEMA and owner in selected
         assert set(values) <= set(SCHEMA[owner].by_value)
+
+
+def test_every_schema_key_is_read_by_a_command():
+    # a key that no command reads any more fails here instead of lingering
+    # in the schema; a command reads a key by its quoted name
+    src = Path(ergodic_sysid.__file__).parent
+    text = (src / "experiments.py").read_text() + (src / "cli.py").read_text()
+
+    def keys(entry):
+        if isinstance(entry, Selected):
+            yield entry.key
+            for sub in (entry.common, *entry.by_value.values()):
+                yield from keys(sub)
+        elif isinstance(entry, dict):
+            for key, sub in entry.items():
+                yield key
+                yield from keys(sub)
+
+    unread = {key for key in keys(SCHEMA)
+              if f'"{key}"' not in text and f"'{key}'" not in text}
+    assert not unread
 
 
 def test_seed_that_draws_nothing_is_logged(tmp_path, caplog):

@@ -319,6 +319,6 @@ def test_fit_drivers_share_the_n_iters_default():
     # only home of its defaults
     loop = inspect.signature(_run_loop).parameters
     assert loop["n_iters"].default == 500
-    keywords = {"n_iters", "lr", "seed", "clip_norm", "checkpoint_every",
-                "save", "resume"}
+    keywords = {"n_iters", "lr", "seed", "checkpoint_every", "save",
+                "resume"}
     assert keywords <= set(loop)

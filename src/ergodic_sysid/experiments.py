@@ -324,15 +324,15 @@ def fit_problem(cfg: dict, outdir: Path) -> FitProblem:
 def cmd_fit(cfg: dict, outdir: Path) -> dict:
     fit_cfg = section(cfg, "fit")
     path = fit_cfg.get("resume_from")
-    resume = _checked("fit.resume_from", io.read_checkpoint, path) \
+    checkpoint = _checked("fit.resume_from", io.read_checkpoint, path) \
         if path else None
     if "seed" in fit_cfg:
         log.warning("fit.seed: no fit draws random numbers; the seed is "
                     "only recorded in report.json")
     problem = fit_problem(cfg, outdir)
-    if resume is not None:
-        _checked("fit.resume_from", optim.parse_checkpoint, resume,
-                 problem.model.n_params, fit_cfg.get("n_iters", optim.N_ITERS))
+    resume = None if checkpoint is None else _checked(
+        "fit.resume_from", optim.parse_checkpoint, checkpoint,
+        problem.model.n_params, fit_cfg.get("n_iters", optim.N_ITERS))
     outdir.mkdir(parents=True, exist_ok=True)
     report = optim._run_loop(
         problem.loss_and_grad, problem.model, problem.config,
@@ -341,16 +341,17 @@ def cmd_fit(cfg: dict, outdir: Path) -> dict:
         save=lambda blob: io.write_checkpoint(
             outdir / f"checkpoint_{blob['iteration']:06d}.json", blob),
         resume=resume)
-    report.extras.update(problem.extras)
+    report["extras"].update(problem.extras)
     for name, write, value in problem.files:
         write(outdir / name, value)
     io.write_report_json(outdir / "report.json", report)
     io.write_checkpoint(outdir / "model.json", problem.model.checkpoint())
+    history = report["loss_history"]
+    final_loss = history[-1] if history else report["initial_loss"]
     log.info("fit %s: %d iterations, final loss %s", problem.config["driver"],
-             len(report.loss_history), report.final_loss)
-    return {"report": str(outdir / "report.json"),
-            "final_loss": report.final_loss,
-            "n_iters": len(report.loss_history)}
+             len(history), final_loss)
+    return {"report": str(outdir / "report.json"), "final_loss": final_loss,
+            "n_iters": len(history)}
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,15 @@ def write_trajectory_csv(path, traj: Trajectory):
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """The trajectory in ``path``; ValueError if a state is not finite, or
+    if a time step differs from the first by more than a relative 1e-6."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     t = data[:, 0]
-    dt = float(t[1] - t[0]) if t.size > 1 else 0.0
-    return Trajectory(data[:, 1:], dt)
+    traj = Trajectory(data[:, 1:], float(t[1] - t[0]) if t.size > 1 else 0.0)
+    if not np.allclose(np.diff(t), traj.dt, rtol=1e-6, atol=0.0):
+        raise ValueError(f"{path}: time steps differ from the first, "
+                         f"{traj.dt!r}, by more than a relative 1e-6")
+    return traj
 
 
 def write_cloud_csv(path, cloud: SampleCloud):
@@ -75,7 +80,7 @@ def _load_json(path) -> dict:
 
 
 # checkpoints and reports are plain JSON dicts
-write_checkpoint = _dump_json
+write_checkpoint = write_report_json = _dump_json
 read_checkpoint = read_report_json = _load_json
 
 
@@ -158,7 +163,3 @@ def load_model(blob: dict):
     if blob.get("kind") == "mlp":
         return MlpModel.from_checkpoint(blob)
     raise ValueError(f"unknown model kind {blob.get('kind')!r}")
-
-
-def write_report_json(path, report):
-    _dump_json(path, report.to_dict())

@@ -46,14 +46,16 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        object.__setattr__(
-            self, "n_per_dim", np.asarray(self.n_per_dim, dtype=int))
+        n = np.asarray(self.n_per_dim)
+        object.__setattr__(self, "n_per_dim", n.astype(int))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-d vectors of equal length")
-        if not np.all(self.lo < self.hi):
-            raise ValueError("grid box requires lo < hi componentwise")
+        if not np.all((self.lo < self.hi) & np.isfinite(self.hi - self.lo)):
+            raise ValueError("grid box requires finite lo < hi componentwise")
         if self.n_per_dim.shape != self.lo.shape:
             raise ValueError("n_per_dim must match the box dimension")
+        if not np.array_equal(self.n_per_dim, n):
+            raise ValueError(f"n_per_dim {n.tolist()} must be integers")
         if np.any(self.n_per_dim < 2):
             raise ValueError("need at least 2 cells per dimension")
 

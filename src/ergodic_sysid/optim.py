@@ -9,16 +9,17 @@ delay-measure fit (map-matching losses on sample clouds). Each
 gradients can be finite-difference checked in isolation;
 ``experiments.fit_problem`` builds the one a config asks for. The loop owns
 a fit's state: it reads the model's parameters, keeps the only loss
-history, builds the checkpoints and resumes from them, and leaves the model
-at the final parameters. It always runs the full iteration count; a
-resumed run executes only the remaining iterations. Its signature is the
-only home of its defaults.
+history, builds the checkpoints and resumes from one that
+``parse_checkpoint`` has read, leaves the model at the final parameters,
+and returns the report that ``report.json`` holds. It always runs the full
+iteration count; a resumed run executes only the remaining iterations. Its
+signature is the only home of its defaults.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,34 +80,6 @@ def clip_by_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
     return grads
 
 
-@dataclass
-class FitReport:
-    """Outcome of one optimization run."""
-
-    loss_history: list
-    final_params: np.ndarray
-    wall_clock_s: float
-    config: dict
-    seed: int
-    initial_loss: Optional[float] = None
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def final_loss(self) -> Optional[float]:
-        return self.loss_history[-1] if self.loss_history else self.initial_loss
-
-    def to_dict(self) -> dict:
-        return {
-            "loss_history": [float(v) for v in self.loss_history],
-            "final_params": np.asarray(self.final_params).tolist(),
-            "config": self.config,
-            "seed": self.seed,
-            "initial_loss": self.initial_loss,
-            "extras": self.extras,
-            "meta": {"wall_clock_s": self.wall_clock_s},
-        }
-
-
 def parse_checkpoint(blob, n_params: int, n_iters: int):
     """(params, AdamState, history) of a checkpoint blob that ``_run_loop``
     saved, for a model of ``n_params`` parameters and a fit of ``n_iters``
@@ -136,48 +109,47 @@ def parse_checkpoint(blob, n_params: int, n_iters: int):
 def _run_loop(loss_and_grad: Callable, model, config: dict, *,
               n_iters: int = N_ITERS, lr: float = 1e-3, seed: int = 0,
               checkpoint_every: int = 0, save: Optional[Callable] = None,
-              resume: Optional[dict] = None) -> FitReport:
+              resume: Optional[tuple] = None) -> dict:
     """Adam loop on the model's parameters until the history holds n_iters
     losses (total, so a resumed run executes only the remaining iterations).
-    The report's config is ``config`` with n_iters, lr and CLIP_NORM added.
+    Returns the payload of ``report.json``: its config is ``config`` with
+    n_iters, lr and CLIP_NORM added, its extras are empty, and its
+    initial_loss is the first loss, or one evaluation if no iteration ran.
 
     Every ``checkpoint_every`` iterations ``save`` gets the checkpoint blob
-    {"iteration", "params", "adam", "history"}; ``resume`` takes such a
-    blob back. The model is left at the final parameters.
+    {"iteration", "params", "adam", "history"}; ``resume`` takes the
+    (params, AdamState, history) that ``parse_checkpoint`` makes of such a
+    blob. The model is left at the final parameters.
     """
     if n_iters < 0:
         raise ValueError(f"n_iters {n_iters} is negative")
     if checkpoint_every > 0 and save is None:
         raise ValueError("checkpoint_every needs a save function")
     start = time.perf_counter()
-    if resume is not None:
-        params, state, history = parse_checkpoint(resume, model.n_params,
-                                                  n_iters)
-        state.lr = lr
-    else:
+    if resume is None:
         params = model.get_params()
-        state = AdamState.for_params(params, lr=lr)
-        history = []
-    initial_loss = history[0] if history else None
-    if n_iters == 0 and initial_loss is None:
-        initial_loss, _ = loss_and_grad(params)
+        resume = params, AdamState.for_params(params), []
+    params, state, history = resume
+    state.lr = lr
     while len(history) < n_iters:
         loss, grad = loss_and_grad(params)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 f"non-finite loss or gradient at iteration {len(history)}")
         history.append(float(loss))
-        if initial_loss is None:
-            initial_loss = float(loss)
         grad = clip_by_global_norm(grad, CLIP_NORM)
         params = adam_step(state, params, grad)
         if checkpoint_every > 0 and len(history) % checkpoint_every == 0:
             save({"iteration": len(history), "params": params.tolist(),
                   "adam": state.to_dict(), "history": list(history)})
     model.set_params(params)
-    return FitReport(history, params, time.perf_counter() - start,
-                     dict(config, n_iters=n_iters, lr=lr, clip_norm=CLIP_NORM),
-                     seed, initial_loss=initial_loss)
+    return {"loss_history": history, "final_params": params.tolist(),
+            "config": dict(config, n_iters=n_iters, lr=lr,
+                           clip_norm=CLIP_NORM),
+            "seed": seed, "extras": {},
+            "initial_loss": history[0] if history
+            else float(loss_and_grad(params)[0]),
+            "meta": {"wall_clock_s": time.perf_counter() - start}}
 
 
 # ---------------------------------------------------------------------------

@@ -323,9 +323,6 @@ def _nan_weight_measure(cfg):
     ("fit.n_sources", lambda c: (c.update(mesh={"n_cells": 4}),
                                  c["fit"].update(driver="pfo", n_sources=0)),
      "fit"),
-    ("mesh.build_subsample", lambda c: (
-        c.update(mesh={"n_cells": 4, "build_subsample": 0}),
-        c["fit"].update(driver="pfo")), "fit"),
     ("eval.max_points", lambda c: c.update(eval={"max_points": 0}), "eval"),
     ("eval.max_points", lambda c: c.update(eval={"kind": "refinement",
                                                  "max_points": 0}), "eval"),
@@ -339,18 +336,13 @@ def _nan_weight_measure(cfg):
         resume_from="no_such_checkpoint.json"), "fit"),
     ("fit.target", lambda c: c["fit"].update(target="no_such_measure.json"),
      "fit"),
-    ("eval.sim_burn_in", lambda c: c.update(eval={
-        "n_sim_steps": 100, "sim_burn_in": 100}), "eval"),
     ("fit.eps_tele", lambda c: c["fit"].update(eps_tele=0), "fit"),
     ("fit.eps_tele", lambda c: c["fit"].update(eps_tele=1.5), "fit"),
     ("fit.diffusion", lambda c: c["fit"].update(diffusion=-0.1), "fit"),
-    ("eval.diffusion", lambda c: c.update(eval={"diffusion": -0.1}), "eval"),
+    ("eval.diffusion", lambda c: c.update(eval={"kind": "refinement",
+                                                "diffusion": -0.1}), "eval"),
     ("data.diffusion", lambda c: c["data"].update(kind="sde", diffusion=-0.1),
      "simulate"),
-    ("eval.eps_tele", lambda c: c.update(eval={"kind": "refinement",
-                                               "eps_tele": 0}), "eval"),
-    ("eval.eps_tele", lambda c: c.update(eval={"kind": "refinement",
-                                               "eps_tele": 1.5}), "eval"),
     ("fit.target", lambda c: c["fit"].update(target=_gridless_measure(c)),
      "fit"),
     ("fit.target", lambda c: c["fit"].update(target=_weightless_measure(c)),
@@ -359,6 +351,12 @@ def _nan_weight_measure(cfg):
      "fit"),
     ("fit.target", lambda c: c["fit"].update(target=_nan_weight_measure(c)),
      "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=_measure_file(c, {
+        "weights": [1.0 / 64] * 64,
+        "grid": dict(_GRID_8X8, lo=[-float("inf"), -3.0])})), "fit"),
+    ("fit.target", lambda c: c["fit"].update(target=_measure_file(c, {
+        "weights": [1.0 / 16] * 16,
+        "grid": dict(_GRID_8X8, n_per_dim=[4.5, 4])})), "fit"),
     ("model.mask_learned", lambda c: c["model"].update(mask_learned=[0]),
      "fit"),
     ("model.whiten", lambda c: c["model"].update(whiten=False), "fit"),
@@ -380,11 +378,8 @@ def _nan_weight_measure(cfg):
     ("data.kind", lambda c: c["data"].update(kind="pde"), "simulate"),
     ("data.dt", lambda c: c["data"].update(dt=0), "simulate"),
     ("fit.substeps", lambda c: c["fit"].update(substeps=2), "fit"),
-    ("fit.flow_dt", lambda c: c["fit"].update(flow_dt=0.1), "fit"),
     ("fit.n_sources", lambda c: c["fit"].update(n_sources=100), "fit"),
     ("fit.substeps", lambda c: c["fit"].update(driver="delay", substeps=2),
-     "fit"),
-    ("fit.flow_dt", lambda c: c["fit"].update(driver="delay", flow_dt=0.1),
      "fit"),
     ("fit.n_sources", lambda c: c["fit"].update(driver="delay",
                                                 n_sources=100), "fit"),
@@ -401,9 +396,6 @@ def _nan_weight_measure(cfg):
                                  c["data"].pop("dt")), "simulate"),
     ("data.substeps", lambda c: c["data"].update(kind="sde"), "simulate"),
     ("fit.lr", lambda c: c["fit"].update(lr=-1), "simulate"),
-    ("fit.flow_dt", lambda c: c.update(fit={"driver": "pfo", "flow_dt": 0}),
-     "simulate"),
-    ("fit.clip_norm", lambda c: c["fit"].update(clip_norm=-1), "simulate"),
     ("fit.checkpoint_every", lambda c: c["fit"].update(checkpoint_every=-1),
      "simulate"),
     ("mesh.n_cells", lambda c: c.update(mesh={"n_cells": 0, "pou_eps": 0.05}),
@@ -497,9 +489,6 @@ def _nan_weight_measure(cfg):
     ("mesh.n_cells", lambda c: c.update(mesh={"n_cells": 5000,
                                               "pou_eps": 0.05},
                                         fit={"driver": "pfo"}), "fit"),
-    ("mesh.build_subsample", lambda c: c.update(mesh={
-        "n_cells": 12, "pou_eps": 0.05, "build_subsample": 5},
-        fit={"driver": "pfo"}), "fit"),
     ("fit.m, fit.lag", lambda c: c.update(fit={"driver": "delay", "m": 400}),
      "fit"),
     ("eval.n_cells", lambda c: c.update(eval={
@@ -550,26 +539,27 @@ def _nan_weight_measure(cfg):
         "fit-objective", "model-init", "fit-loss", "fit-m", "fit-lag",
         "embed-m", "torus-lag", "fit-max_points-zero",
         "fit-max_points-over-limit", "fit-n_sources-zero",
-        "mesh-build_subsample-zero", "eval-max_points-zero",
+        "eval-max_points-zero",
         "refinement-max_points-zero", "fit-n_iters-negative",
         "pfo-pou_eps-missing", "pfo-pou_eps-negative", "missing-resume_from",
-        "missing-target", "eval-sim_burn_in-past-n_sim_steps",
+        "missing-target",
         "fit-eps_tele-zero", "fit-eps_tele-above-one",
         "fit-diffusion-negative", "eval-diffusion-negative",
-        "sde-diffusion-negative", "refinement-eps_tele-zero",
-        "refinement-eps_tele-above-one", "target-without-grid",
+        "sde-diffusion-negative",
+        "target-without-grid",
         "target-without-weights", "target-weights-short-of-grid",
-        "target-weight-nan",
+        "target-weight-nan", "target-grid-lo-infinite",
+        "target-n_per_dim-fraction",
         "model-mask_learned", "model-whiten", "fit-objective-quadratic",
         "data-x0-auto", "data-x0-wrong-length", "data-substeps-negative",
         "data-substeps-zero", "fit-substeps-zero", "data-n_steps-zero",
         "data-burn_in-negative", "map-kind-of-an-ode", "ode-kind-of-a-map",
         "data-kind-unknown", "data-dt-zero", "fvm-fit-substeps",
-        "fvm-fit-flow_dt", "fvm-fit-n_sources", "delay-fit-substeps",
-        "delay-fit-flow_dt", "delay-fit-n_sources", "ode-data-diffusion",
+        "fvm-fit-n_sources", "delay-fit-substeps",
+        "delay-fit-n_sources", "ode-data-diffusion",
         "map-data-diffusion", "map-data-dt", "map-data-substeps",
-        "sde-data-substeps", "fit-lr-negative", "fit-flow_dt-zero",
-        "fit-clip_norm-negative", "fit-checkpoint_every-negative",
+        "sde-data-substeps", "fit-lr-negative",
+        "fit-checkpoint_every-negative",
         "mesh-n_cells-zero", "mesh-pou_eps-zero", "eval-sim_dt-zero",
         "eval-n_projections-zero", "eval-n_sim_steps-zero",
         "refinement-sde_dt-zero", "refinement-n_sde_steps-zero",
@@ -590,7 +580,7 @@ def _nan_weight_measure(cfg):
         "lorenz96-dim-below-four", "system-param-infinite",
         "fit-lr-infinite", "grid-lo-infinite", "resume-not-json",
         "resume-a-directory", "target-a-directory",
-        "pfo-n_cells-above-build-points", "pfo-build_subsample-below-n_cells",
+        "pfo-n_cells-above-build-points",
         "j2-span-past-trajectory",
         "catmap-n_cells-above-build-points", "resume-adam-without-m",
         "resume-params-a-number", "resume-history-entry-a-string",
@@ -771,6 +761,17 @@ def test_pfo_fit_with_a_non_finite_sample_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def _uneven_pfo_trajectory(cfg, tmp_path):
+    # the smoke pfo trajectory with every second row after row 10 dropped:
+    # its first step is 0.05 and most of the others 0.1
+    cfg.update(json.loads((_CONFIGS / "smoke_pfo.json").read_text()),
+               out=cfg["out"])
+    assert main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    path = tmp_path / "run" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:11] + lines[11::2]) + "\n")
+
+
 def _simulate_and_histogram(cfg, tmp_path):
     for cmd in ("simulate", "histogram"):
         assert main([cmd, "--config", _write(tmp_path, cfg)]) == 0
@@ -781,7 +782,9 @@ def _simulate_and_histogram(cfg, tmp_path):
      "non-finite states"),
     (lambda c, p: None, lambda c: c["data"].update(x0=[1e6, 1e6], dt=0.5),
      "simulate", "non-finite state at step 1"),
-], ids=["nan-trajectory-row", "simulate-blowup"])
+    (_uneven_pfo_trajectory, lambda c: None, "fit",
+     "trajectory.csv: time steps differ from the first"),
+], ids=["nan-trajectory-row", "simulate-blowup", "uneven-trajectory-times"])
 def test_runtime_failure_exits_3(prepare, edit, command, message, tmp_path,
                                  capsys):
     cfg = _smoke_config(str(tmp_path / "run"))
@@ -953,6 +956,22 @@ def test_fit_determinism_and_resume(tmp_path):
     assert main(["fit", "--config", _write(tmp_path, cfg, "resume.json")]) == 0
     resumed = io.read_report_json(tmp_path / "run" / "report.json")
     assert resumed["loss_history"] == first["loss_history"]
+
+
+def test_fit_of_zero_iterations_prints_its_initial_loss(tmp_path, capsys):
+    cfg = _smoke_config(str(tmp_path / "run"))
+    cfg["fit"]["n_iters"] = 0
+    cfg_path = _write(tmp_path, cfg)
+    for cmd in ("simulate", "histogram"):
+        assert main([cmd, "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--config", cfg_path]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = io.read_report_json(tmp_path / "run" / "report.json")
+    assert report["loss_history"] == []
+    assert np.isfinite(report["initial_loss"])
+    assert printed["final_loss"] == report["initial_loss"]
+    assert printed["n_iters"] == 0
 
 
 def test_resume_past_fit_n_iters_exits_2(tmp_path, capsys):

@@ -11,7 +11,8 @@ from ergodic_sysid.measure import Grid, Measure, SampleCloud
 from ergodic_sysid.optim import (AdamState, _run_loop, adam_step,
                                  clip_by_global_norm,
                                  finite_difference_check, make_delay_loss,
-                                 make_fvm_loss, make_pfo_loss)
+                                 make_fvm_loss, make_pfo_loss,
+                                 parse_checkpoint)
 from ergodic_sysid.pfo import (PartitionOfUnity, UlamMatrix, UnstructuredMesh,
                                build_mesh, estimate_markov)
 from ergodic_sysid.systems import OdeSystem, integrate_ode, make_system
@@ -96,7 +97,7 @@ def test_fvm_fit_double_well_loss_drops_10x():
     mlp.init_params(seed=2)
     lng, _ = make_fvm_loss(target, mlp, grid, D, eps, "l2")
     report = _run_loop(lng, mlp, {}, n_iters=500, lr=1e-2, seed=0)
-    assert report.loss_history[-1] <= report.loss_history[0] / 10.0
+    assert report["loss_history"][-1] <= report["loss_history"][0] / 10.0
 
 
 def test_fvm_fit_deterministic_history():
@@ -109,7 +110,7 @@ def test_fvm_fit_deterministic_history():
         mlp.init_params(seed=3)
         lng, _ = make_fvm_loss(target, mlp, grid, D, eps, "l2")
         report = _run_loop(lng, mlp, {}, n_iters=25, lr=1e-2)
-        histories.append(report.loss_history)
+        histories.append(report["loss_history"])
     assert histories[0] == histories[1]
 
 
@@ -162,9 +163,9 @@ def test_delay_fit_zero_iterations_reports_initial_loss():
     cfg = DelayMapConfig(0, 3, 1)
     lng, *_ = make_delay_loss(traj, mlp, cfg, "j2", 200)
     report = _run_loop(lng, mlp, {}, n_iters=0)
-    assert report.loss_history == []
-    assert report.initial_loss is not None and np.isfinite(
-        report.initial_loss)
+    assert report["loss_history"] == []
+    assert report["initial_loss"] is not None and np.isfinite(
+        report["initial_loss"])
 
 
 def test_delay_fit_computes_each_observed_self_distance_once(monkeypatch):
@@ -185,7 +186,7 @@ def test_delay_fit_computes_each_observed_self_distance_once(monkeypatch):
     mlp.init_params(seed=3)
     lng, *_ = make_delay_loss(traj, mlp, DelayMapConfig(0, 3, 1), "j2", 60)
     report = _run_loop(lng, mlp, {}, n_iters=3)
-    assert len(report.loss_history) == 3
+    assert len(report["loss_history"]) == 3
     assert calls == [(60, 3), (60, 3)]
 
 
@@ -210,8 +211,8 @@ def test_delay_fit_histories_finite_and_deterministic():
         mlp.init_params(seed=7)
         lng, *_ = make_delay_loss(traj, mlp, cfg, "j2", 150)
         report = _run_loop(lng, mlp, {}, n_iters=20, lr=3e-3)
-        assert np.all(np.isfinite(report.loss_history))
-        histories.append(report.loss_history)
+        assert np.all(np.isfinite(report["loss_history"]))
+        histories.append(report["loss_history"])
     assert histories[0] == histories[1]
 
 
@@ -264,6 +265,9 @@ def _resume_problem():
         mlp = MlpModel([1, 8, 1])
         mlp.init_params(seed=13)  # dt freezing keys off the initial field
         lng, _ = make_fvm_loss(target, mlp, grid, 0.08, 1e-2, "l2")
+        if "resume" in loop:  # a checkpoint blob, parsed as the CLI does
+            loop["resume"] = parse_checkpoint(loop["resume"], mlp.n_params,
+                                              n_iters)
         report = _run_loop(lng, mlp, {}, n_iters=n_iters, lr=1e-2, **loop)
         return report, mlp
 
@@ -276,9 +280,9 @@ def test_resume_reproduces_full_history():
     saved = []
     fit(6, checkpoint_every=6, save=saved.append)
     resumed, mlp = fit(12, resume=saved[-1])
-    assert resumed.loss_history == full.loss_history
-    assert np.allclose(resumed.final_params, full.final_params)
-    assert np.array_equal(mlp.get_params(), resumed.final_params)
+    assert resumed["loss_history"] == full["loss_history"]
+    assert np.allclose(resumed["final_params"], full["final_params"])
+    assert np.array_equal(mlp.get_params(), resumed["final_params"])
 
 
 def test_resume_of_a_resumed_run_matches_one_run():
@@ -293,9 +297,9 @@ def test_resume_of_a_resumed_run_matches_one_run():
                      resume=hop2[-1])
     assert [b["iteration"] for b in full_saves] == [3, 6, 9]
     assert hop1 + hop2 + hop3 == full_saves
-    assert resumed.loss_history == full.loss_history
-    assert resumed.initial_loss == full.initial_loss
-    assert np.array_equal(resumed.final_params, full.final_params)
+    assert resumed["loss_history"] == full["loss_history"]
+    assert resumed["initial_loss"] == full["initial_loss"]
+    assert np.array_equal(resumed["final_params"], full["final_params"])
 
 
 def test_loop_rejects_negative_n_iters_and_checkpoints_without_save():

@@ -195,19 +195,28 @@ def make_pfo_loss(target_matrix: UlamMatrix, velocity,
                   sources: SampleCloud, flow_dt: float, substeps: int = 1):
     """The flow-map Ulam fit's closure. Row i of its matrix averages the
     sources in mesh cell i, so a cell without a source raises ``ValueError``
-    naming the cell, source and empty-cell counts."""
+    naming the cell, source and empty-cell counts.
+
+    The sources stay fixed, so their ``PartitionOfUnity.candidates`` are
+    found once here. An image takes its partition neighbours from its
+    source's candidates when its k-th nearest candidate plus its step is
+    below the source's distance to the first other center, by a relative
+    margin, and no two of its k + 1 nearest candidates tie; otherwise from
+    the kd-tree. Either way they are the tree's to the bit.
+    """
     src = mesh.assign(sources.points)
     empty = mesh.n - np.unique(src).size
     if empty:
         raise ValueError(f"{mesh.n} cells for {sources.n} sources leave "
                          f"{empty} source cells empty; use fewer cells or "
                          "more sources")
+    near = pou.candidates(sources.points)
 
     def loss_and_grad(theta):
         velocity.set_params(theta)
         loss, grad, _ = flowmap_markov_grad(
             velocity, mesh, pou, sources, src, flow_dt, target_matrix,
-            substeps)
+            substeps, near)
         return loss, grad
 
     return loss_and_grad

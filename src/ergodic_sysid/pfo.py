@@ -8,6 +8,10 @@ weights of a softplus-of-distance partition of unity, whose entries are
 differentiable in any parameter moving the underlying map. The partition
 weights each point on its ``POU_NEIGHBOURS`` nearest centers, so its rows
 are sparse and a matrix is zero outside the union of their supports.
+An image of a fixed source takes its neighbours from the source's
+``POU_CANDIDATES`` nearest centers when the triangle inequality certifies
+that they lie there and no two tie; every other row queries the kd-tree,
+and either way the result is the tree's to the bit.
 
 Estimated matrices here are ROW-stochastic (row = source cell), unlike the
 column-stochastic finite-volume chains. ``invariant_density`` is the one
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,11 +47,15 @@ ROWSUM_TOL = 1e-12
 # Centers that carry a partition-of-unity weight at each point, nearest
 # first; fewer when the mesh has fewer cells. See ``PartitionOfUnity``.
 POU_NEIGHBOURS = 32
+# Centers kept per fixed source, nearest first, among which its images'
+# neighbours are sought before the kd-tree; see ``PartitionOfUnity``.
+POU_CANDIDATES = 48
 # Relative gap below which the kd-tree's two nearest centers count as tied.
 NEAR_TIE_RTOL = 1e-9
 # Relative margin by which build_mesh's distance bounds must separate a
 # point's own centre from the others before Lloyd skips its query: far above
-# NEAR_TIE_RTOL and the rounding of the bound updates.
+# NEAR_TIE_RTOL and the rounding of the bound updates. The partition of
+# unity's candidate certificate keeps the same margin.
 BOUND_MARGIN = 1e-6
 # build_mesh: k-means++ restarts before MeshBuildError, and per restart the
 # Lloyd steps, which stop early once no centre moves by LLOYD_TOL.
@@ -245,27 +253,72 @@ def _softplus_softmax(u: np.ndarray):
     return psi, q
 
 
+def _tree_sq_dist(points: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Squared distances from row i of points (n, d) to the centers in row
+    i of cols (d, n, C), given axis by axis, rounded as scipy's ``cKDTree``
+    rounds them: it sums the squared differences of the leading multiple of
+    four axes in four interleaved lanes, adds the lanes in order, then adds
+    the other axes one by one. Below 8 axes this is the plain sum in
+    coordinate order; from 8 on the two differ in the last bits.
+    """
+    sq = [np.square(points[:, j, None] - col) for j, col in enumerate(cols)]
+    blocked = len(sq) - len(sq) % 4
+    for j in range(4, blocked):
+        sq[j % 4] += sq[j]
+    del sq[4:blocked]
+    total = sq[0]
+    for term in sq[1:]:
+        total += term
+    return total
+
+
+class Candidates(NamedTuple):
+    """``PartitionOfUnity.candidates`` of fixed anchors (n, d): the indices
+    (n, C) of each one's C nearest centers, their coordinates axis by axis
+    (d, n, C), and the distance (n,) to the next center (inf if none)."""
+
+    anchors: np.ndarray
+    idx: np.ndarray
+    cols: np.ndarray
+    radius: np.ndarray
+
+
 @dataclass
 class PartitionOfUnity:
     """Softplus-of-distance cell weights on each point's nearest centers.
 
     psi_i(x) = r_i / sum_j r_j with r_i = log(1 + exp(-|c_i - x| / eps)),
     eps > 0, where i and j run over the ``k = min(POU_NEIGHBOURS, n)``
-    centers nearest x (a kd-tree query); every other weight is 0. The ratio
-    is formed in log space (softmax over log r_i) so that large distances
-    cannot underflow the normalization. The counting estimator of hard
-    cells is ``estimate_markov`` without a partition.
+    centers nearest x; every other weight is 0. The ratio is formed in log
+    space (softmax over log r_i) so that large distances cannot underflow
+    the normalization. The counting estimator of hard cells is
+    ``estimate_markov`` without a partition.
 
     With k < n the weights drop the mass that the softmax over all centers
     puts outside the k nearest, and renormalize; ``dropped_mass`` measures
     it. Why 32: on the 400-cell van der Pol mesh of the pfo
     benchmark (eps 0.05), the 32 nearest centers hold all but 5.2e-4 of
     any target image's weight, where 16 drop up to 3.6e-2 and 64 up to
-    2.9e-8, and the kd query's time about doubles with k (4.8, 9.0 and
-    21.6 ms for 4000 images on a 2-core Xeon, against 17 ms for the dense
-    kernel's ``eval``). The neighbour set is constant between switches,
-    where the dropped weight jumps, so the pullback is the gradient of the
-    weights everywhere else.
+    2.9e-8. The neighbour set is constant between switches, where the
+    dropped weight jumps, so the pullback is the gradient of the weights
+    everywhere else.
+
+    The k nearest centers come from a kd-tree query, or, for images y of
+    fixed anchors x, from the anchors' ``candidates``, by the triangle
+    inequality that bounds Hamerly's and Elkan's k-means (Hamerly, SDM
+    2010; Elkan, ICML 2003). Each anchor keeps its
+    ``C = max(POU_CANDIDATES, k)`` nearest centers and the distance R to
+    the next one, so every other center lies at least R - |y - x| from y.
+    A row is certified when its k-th nearest candidate is nearer than that
+    by a relative margin, ``d_k + |y - x| < R (1 - BOUND_MARGIN)``, and no
+    two of its k + 1 nearest candidates are equally far, so that the k
+    nearest centers and their order are unique. The margin far exceeds the
+    rounding of the three distances, a few ulps of R each. The distances
+    are summed in the tree's order (``_tree_sq_dist``), so a certified row
+    is the tree's row bit for bit; every other row, and every call without
+    candidates, goes to the tree. On the pfo benchmark's 4000 images of
+    400 cells the candidates give every row in 3.0 ms, where the tree
+    takes 9 to 11 ms (2-core Xeon, best of 40 calls).
     """
 
     centers: np.ndarray
@@ -286,6 +339,40 @@ class PartitionOfUnity:
     def k(self) -> int:
         return min(POU_NEIGHBOURS, self.n)
 
+    def candidates(self, anchors) -> Candidates:
+        """The nearest centers of fixed anchors, for ``linearize`` of
+        their images."""
+        anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        c = min(max(POU_CANDIDATES, self.k), self.n)
+        d, idx = self.tree.query(anchors, k=list(range(1, c + 2)))
+        idx = np.ascontiguousarray(idx[:, :c])
+        cols = np.ascontiguousarray(np.moveaxis(self.centers[idx], 2, 0))
+        return Candidates(anchors, idx, cols, d[:, c])
+
+    def _nearest(self, pts: np.ndarray, near: Optional[Candidates]):
+        """(d, idx) of the k nearest centers of each point, nearest first,
+        as ``tree.query`` gives them; rows certified by the candidates of
+        the points' anchors skip the tree."""
+        k = self.k
+        ks = list(range(1, k + 1))
+        if near is None:
+            return self.tree.query(pts, k=ks)
+        n, c = near.idx.shape
+        sq = _tree_sq_dist(pts, near.cols)
+        # flat indices of each row's k + 1 nearest candidates, in order
+        flat = np.argsort(sq, axis=1, kind="stable")[:, :k + 1]
+        flat += np.arange(0, n * c, c)[:, None]
+        sq = sq.take(flat)
+        d = np.sqrt(sq[:, :k])
+        idx = near.idx.take(flat[:, :k])
+        step = np.linalg.norm(pts - near.anchors, axis=1)
+        certified = d[:, -1] + step < near.radius * (1.0 - BOUND_MARGIN)
+        certified &= (sq[:, 1:] != sq[:, :-1]).all(axis=1)
+        rest = np.flatnonzero(~certified)
+        if rest.size:
+            d[rest], idx[rest] = self.tree.query(pts[rest], k=ks)
+        return d, idx
+
     def eval(self, points) -> np.ndarray:
         """Dense weight rows, each nonnegative and summing to one."""
         (idx, psi), _ = self.linearize(points)
@@ -293,13 +380,16 @@ class PartitionOfUnity:
         np.put_along_axis(out, idx, psi, axis=1)
         return out
 
-    def linearize(self, points):
+    def linearize(self, points, near: Optional[Candidates] = None):
         """Sparse weight rows (idx, psi) at the points, both (n_points, k):
         the nearest centers, nearest first, and their weights. Returns them
         with the pullback of d(sum_ik seeds_ik psi_ik)/dx_i, which takes
-        seeds on that support and reuses the kernel of this forward pass."""
+        seeds on that support and reuses the kernel of this forward pass.
+        ``near``, the ``candidates`` of anchors paired row by row with the
+        points, spares the kd query on the rows it certifies; the result
+        is the same to the bit."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d, idx = self.tree.query(pts, k=list(range(1, self.k + 1)))
+        d, idx = self._nearest(pts, near)
         psi, q = _softplus_softmax(d / self.eps)
         # d psi_ik / d log r_il = psi_ik (delta_kl - psi_il), and
         # d log r / dx = -q (x - c) / (eps d), taken as 0 at d = 0
@@ -385,6 +475,8 @@ def estimate_markov(pairs, mesh: UnstructuredMesh,
     (Langville & Meyer, 2006).
     """
     x, y = pairs
+    if len(x) != len(y):
+        raise ValueError(f"pairs hold {len(x)} sources and {len(y)} images")
     src = mesh.assign(x)
     n = mesh.n
     counts = np.bincount(src, minlength=n)
@@ -414,10 +506,13 @@ def invariant_density(M: UlamMatrix, eps_tele: float) -> Measure:
 def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
                         pou: PartitionOfUnity, sources: SampleCloud,
                         src: np.ndarray, flow_dt: float,
-                        target: UlamMatrix, substeps: int = 1):
+                        target: UlamMatrix, substeps: int = 1,
+                        near: Optional[Candidates] = None):
     """Frobenius mismatch to a target matrix and its parameter gradient.
 
-    ``src`` holds each source's mesh cell, as ``mesh.assign`` gives it.
+    ``src`` holds each source's mesh cell, as ``mesh.assign`` gives it, and
+    ``near``, if given, the sources' ``pou.candidates``, among which the
+    images' neighbours are sought first; either way the result is the same.
     Reverse mode runs through the smoothed cell weights and the RK4 stages;
     mesh centers stay frozen. Returns (loss, theta_grad, matrix). A mesh
     cell without sources has a zero row, which ``UlamMatrix`` rejects.
@@ -425,7 +520,7 @@ def flowmap_markov_grad(velocity, mesh: UnstructuredMesh,
     x = sources.points
     counts = np.bincount(src, minlength=mesh.n)
     y, flow_pullback = flow_rk4_vjp(velocity, x, flow_dt, substeps)
-    (idx, psi), pou_pullback = pou.linearize(y)
+    (idx, psi), pou_pullback = pou.linearize(y, near)
     mhat = UlamMatrix(_row_average(src, counts, idx, psi), mesh, pou.eps)
     diff = mhat.matrix - target.matrix
     loss = float(np.linalg.norm(diff))

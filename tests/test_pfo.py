@@ -7,14 +7,17 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ergodic_sysid import pfo
+from ergodic_sysid.experiments import make_model
 from ergodic_sysid.fvm import RegularizedMarkov, stationary_density
-from ergodic_sysid.measure import SampleCloud
+from ergodic_sysid.measure import SampleCloud, subsample_stride
+from ergodic_sysid.optim import (_run_loop, finite_difference_check,
+                                 make_pfo_loss)
 from ergodic_sysid.pfo import (MeshBuildError, PartitionOfUnity,
                                UlamMatrix,
                                UnstructuredMesh, build_mesh, estimate_markov,
                                flowmap_markov_grad, invariant_density)
 from ergodic_sysid.systems import (IntegrationBlowupError, OdeSystem,
-                                   integrate_ode, make_system)
+                                   Trajectory, integrate_ode, make_system)
 from ergodic_sysid.velocity_models import MlpModel, flow_rk4_vjp
 
 
@@ -502,10 +505,11 @@ def test_flowmap_gradient_row_blocks_keep_every_bit(monkeypatch, neighbours):
     assert np.array_equal(theta_grad, want_grad)
 
 
-def test_flowmap_gradient_holds_n_by_k_arrays():
+def _check_flowmap_gradient_holds_n_by_k_arrays(with_candidates):
     # 4000 sources on 400 cells: the kernel, the seeds and the pullback
     # are (n, k) arrays and the matrices (N, N); together below one dense
-    # (n, N) array of the images' weights
+    # (n, N) array of the images' weights, with the neighbours taken from
+    # the tree or from the candidates that make_pfo_loss keeps
     rng = np.random.default_rng(47)
     n_sources, n_cells = 4000, 400
     x = SampleCloud(rng.normal(size=(n_sources, 2)))
@@ -515,15 +519,24 @@ def test_flowmap_gradient_holds_n_by_k_arrays():
     mlp = MlpModel([2, 4, 2])
     mlp.init_params(seed=49)
     src = mesh.assign(x.points)
+    near = pou.candidates(x.points) if with_candidates else None
     bound = 8 * n_sources * pou.k * 8 + 3 * n_cells ** 2 * 8
     assert bound < n_sources * n_cells * 8
     tracemalloc.start()
     try:
-        flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1, target)
+        flowmap_markov_grad(mlp, mesh, pou, x, src, 0.1, target, near=near)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_flowmap_gradient_holds_n_by_k_arrays():
+    _check_flowmap_gradient_holds_n_by_k_arrays(False)
+
+
+def test_flowmap_gradient_holds_n_by_k_arrays_with_candidates():
+    _check_flowmap_gradient_holds_n_by_k_arrays(True)
 
 
 def test_pou_pullback_builds_dbar_in_place():
@@ -541,6 +554,88 @@ def test_pou_pullback_builds_dbar_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n_points * pou.k * 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 9, 12, 13])
+def test_tree_sq_dist_rounds_as_the_kd_tree(dim):
+    # the kd-tree's distances are the square roots of these sums to the
+    # bit: plain coordinate order below 8 axes, four lanes from 8 on
+    rng = np.random.default_rng(dim)
+    centers = rng.normal(size=(300, dim))
+    pts = rng.normal(size=(500, dim))
+    d, idx = cKDTree(centers).query(pts, k=list(range(1, 11)))
+    cols = np.ascontiguousarray(np.moveaxis(centers[idx], 2, 0))
+    assert np.array_equal(np.sqrt(pfo._tree_sq_dist(pts, cols)), d)
+
+
+def _anchored(dim, n_cells, step):
+    """Normal centres, 500 normal anchors and their images one normal
+    step of the given size away."""
+    rng = np.random.default_rng(10 * dim + n_cells)
+    anchors = rng.normal(size=(500, dim))
+    return (rng.normal(size=(n_cells, dim)), anchors,
+            anchors + step * rng.normal(size=anchors.shape))
+
+
+def _lattice_ties():
+    # 49 lattice centres; every second image on a half-lattice point,
+    # where centres lie at exactly equal distances
+    g = np.arange(7.0)
+    centers = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(53)
+    anchors = rng.uniform(0.0, 6.0, size=(300, 2))
+    images = anchors + 0.05 * rng.normal(size=anchors.shape)
+    images[::2] = np.round(2.0 * images[::2]) / 2.0
+    return centers, anchors, images
+
+
+def _far_images():
+    # images 14 away from their anchors, past every anchor's radius
+    centers, anchors, _ = _anchored(2, 400, 0.0)
+    return centers, anchors, anchors + 10.0
+
+
+@pytest.mark.parametrize("case, tree_rows", [
+    (lambda: _anchored(1, 40, 0.05), 0),
+    (lambda: _anchored(2, 33, 0.05), 0),
+    (lambda: _anchored(2, 400, 0.05), None),
+    (lambda: _anchored(3, 40, 0.1), 0),
+    (lambda: _anchored(8, 40, 0.02), 0),
+    (lambda: _anchored(8, 400, 0.01), 0),
+    (_lattice_ties, 150),
+    (_far_images, 500),
+], ids=["d1-40", "d2-33", "d2-400", "d3-40", "d8-40", "d8-400",
+        "lattice-ties", "far-images"])
+def test_candidates_give_the_tree_neighbours_bit_for_bit(case, tree_rows):
+    # the certified rows skip the tree, every other row is queried, and
+    # idx, psi and the pullback equal the tree's to the bit; with 33 and 40
+    # cells every centre is a candidate, with 400 the 48 nearest are
+    centers, anchors, images = case()
+    pou = PartitionOfUnity(centers, 0.3)
+    near = pou.candidates(anchors)
+    assert near.idx.shape[1] == min(pfo.POU_CANDIDATES, len(centers))
+    assert np.isinf(near.radius).all() == (len(centers)
+                                           <= pfo.POU_CANDIDATES)
+    (idx, psi), pullback = pou.linearize(images)
+    pou.tree = _CountingTree(centers)
+    (got_idx, got_psi), got_pullback = pou.linearize(images, near)
+    rows = sum(pou.tree.queries)
+    if tree_rows is None:
+        assert 0 < rows < len(images) // 2
+    else:
+        assert rows == tree_rows
+    seeds = np.random.default_rng(54).standard_normal(psi.shape)
+    assert np.array_equal(got_idx, idx) and got_idx.dtype == idx.dtype
+    assert np.array_equal(got_psi, psi)
+    assert np.array_equal(got_pullback(seeds), pullback(seeds))
+
+
+def test_estimate_markov_rejects_pairs_of_unequal_length():
+    x = np.random.default_rng(55).normal(size=(5, 2))
+    mesh = UnstructuredMesh(x[:3])
+    for pou in (None, PartitionOfUnity(mesh.centers, 0.5)):
+        with pytest.raises(ValueError, match="5 sources and 1 images"):
+            estimate_markov((x, x[:1]), mesh, pou)
 
 
 def test_estimate_identity_map():
@@ -715,6 +810,29 @@ def test_flowmap_gradient_matches_fd_with_truncation(monkeypatch):
     _check_flowmap_gradient_fd(3)
 
 
+def test_pfo_loss_matches_fd_on_a_truncated_partition():
+    # 60 cells: each image weighs its 32 nearest, found among its source's
+    # 48 candidates, so the gradient runs through the truncated partition
+    # and the candidate path
+    rng = np.random.default_rng(50)
+    x = SampleCloud(rng.normal(size=(600, 2)))
+    mesh = build_mesh(x, 60, seed=51)
+    pou = PartitionOfUnity(mesh.centers, 0.3)
+    assert pou.k < pfo.POU_CANDIDATES < mesh.n
+    rot = _field(lambda z: np.stack([z[:, 1], -z[:, 0]], axis=1))
+    target = _flowmap(rot, mesh, pou, x, 0.1)
+    assert pfo.dropped_mass(pou, x.points) > 1e-3
+    mlp = MlpModel([2, 6, 2])
+    mlp.init_params(seed=52)
+    lng = make_pfo_loss(target, mlp, mesh, pou, x, 0.1)
+    pou.tree = _CountingTree(mesh.centers)
+    theta = mlp.get_params()
+    errors = finite_difference_check(lng, theta,
+                                     rng.choice(theta.size, 5, replace=False))
+    assert max(errors.values()) < 1e-3
+    assert sum(pou.tree.queries) < 0.5 * 11 * x.n
+
+
 class _CountingTree(cKDTree):
     """A kd-tree that records the row count of every query."""
 
@@ -781,3 +899,21 @@ def test_larger_eps_smooths_loss_landscape():
         return np.abs(np.diff(vals)).sum() / (vals[0] + 1e-12)
 
     assert total_variation(5.0) < total_variation(0.05)
+
+
+def test_pfo_fit_queries_under_half_of_the_images_per_call():
+    # bench-sized: 400 cells and 4000 sources on the van der Pol cycle,
+    # the benchmark's model; after set-up, the fit's calls take most
+    # images' neighbours from the candidates, not from the tree
+    states = integrate_ode(make_system("van_der_pol", c=1.0), [1.5, 0.0],
+                           0.05, 8200, substeps=2).states[200:]
+    mesh = build_mesh(SampleCloud(states), 400, seed=1)
+    sources = subsample_stride(SampleCloud(states[:-1]), 4000)
+    pou = PartitionOfUnity(mesh.centers, 0.05)
+    target = estimate_markov((states[:-1], states[1:]), mesh, pou)
+    model = make_model({"model": {"hidden": [32, 32], "seed": 2}}, 2,
+                       Trajectory(states, 0.05), 0.05)
+    lng = make_pfo_loss(target, model, mesh, pou, sources, 0.05)
+    pou.tree = _CountingTree(mesh.centers)
+    _run_loop(lng, model, {}, n_iters=3)
+    assert sum(pou.tree.queries) < 0.5 * 3 * sources.n
